@@ -197,7 +197,7 @@ def verify_certificate(cert: dict, G: Multigraph, *, check_hash: bool = True) ->
         if not isinstance(payload, dict):
             return False, "missing payload"
         command = cert.get("command")
-        params = cert.get("parameters", {})
+        params = _json_object(cert.get("parameters", {}), "parameters")
         kind = payload.get("kind")
         if kind == "decomposition":
             return _verify_decomposition_payload(G, payload)
@@ -214,6 +214,12 @@ def verify_certificate(cert: dict, G: Multigraph, *, check_hash: bool = True) ->
         return False, f"unknown payload kind {kind!r}"
     except (KeyError, TypeError, ValueError, GraphInputError) as exc:
         return False, f"malformed certificate: {exc}"
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    return value
 
 
 def _verify_decomposition_payload(G, payload):
@@ -314,7 +320,7 @@ _CHECKERS = {
 
 def _verify_report_payload(G, payload):
     condition = payload["condition"]
-    params = payload["parameters"]
+    params = _json_object(payload["parameters"], "report parameters")
     if payload["holds"]:
         return _verify_positive_report(G, condition, params)
     witness = payload["witness"]
@@ -328,6 +334,7 @@ def _verify_report_payload(G, payload):
             return True, None
         # Failure without a witness: re-run and compare the verdict.
         return _verify_positive_report(G, condition, params, expect=False)
+    witness = _json_object(witness, "witness")
     return _verify_witnessed_failure(G, condition, params, witness, payload)
 
 

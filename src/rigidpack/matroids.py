@@ -86,6 +86,9 @@ class PebbleGame:
     or leaves the state's pebble/orientation invariants intact and remembers
     the failed endpoints so ``last_witness`` can report the violating vertex
     set.  The witness is only meaningful immediately after a failed insert.
+    ``remove`` deletes an accepted edge; every vertex keeps
+    ``pebbles[v] + len(out[v]) == 2``, and the game stays exact for the
+    edges that remain, whatever the order of inserts and removals.
     """
 
     __slots__ = ("n", "pebbles", "out", "_mark", "_stamp", "_parent", "_failed")
@@ -152,6 +155,19 @@ class PebbleGame:
         pebbles[u] -= 1
         self.out[u].append(v)
         return True
+
+    def remove(self, u: int, v: int) -> None:
+        """Delete one u-v edge, whichever way it is oriented, and give the
+        pebble back to the arc's tail (Lee & Streinu's deletion move)."""
+        out = self.out
+        if v in out[u]:
+            out[u].remove(v)
+            self.pebbles[u] += 1
+        elif u in out[v]:
+            out[v].remove(u)
+            self.pebbles[v] += 1
+        else:
+            raise ValueError(f"no edge {u}-{v} in the pebble game")
 
     def reach_closure(self, u: int, v: int) -> frozenset:
         """Vertices reachable from {u, v} along the current orientation."""

@@ -40,6 +40,8 @@ class Multigraph:
                 u, v = pair
             except (TypeError, ValueError):
                 raise GraphInputError(f"edge {idx}: expected an endpoint pair") from None
+            if type(u) is not int or type(v) is not int:  # bools are ints too
+                raise GraphInputError(f"edge {idx}: endpoints must be integers: ({u!r}, {v!r})")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphInputError(
                     f"edge {idx}: endpoint out of range 0..{self.n - 1}: ({u}, {v})"

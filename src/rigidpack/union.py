@@ -8,6 +8,14 @@ take x's slot in class j").  Breadth-first search guarantees a shortest
 path, which keeps the chain of exchanges simultaneously valid; skipping an
 edge that has no path is safe because the union is itself a matroid.
 
+The class oracles are built once per call and stay live: after an
+augmenting path, each class it touched drops its outgoing edges and then
+takes its incoming ones (a pebble game by deletion and insertion, a forest
+by relabelling its components).  A fundamental circuit is found inside
+the live pebble game that rejected the edge: delete a candidate, retry
+the edge, restore the candidate (Lee & Streinu, "Pebble game algorithms
+and sparse graphs", 2008).
+
 ``union_rank_bruteforce`` evaluates the rank formula
 ``min over F of k*rank_rigidity(F) + l*rank_graphic(F) + |E - F|``
 by scanning every edge subset, and is the independent cross-check for the
@@ -16,6 +24,7 @@ augmenting-path implementation.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,50 +74,71 @@ class UnionRank:
 
 
 class _RigidityClass:
-    """Per-class oracle used during one augmentation round (class frozen)."""
+    """Live oracle for one sparse class: a pebble game that holds the
+    class's edges and is kept up to date across augmentations."""
 
     def __init__(self, G: Multigraph, members: list[int]) -> None:
         self.G = G
-        self.members = members
+        self.members = members  # ascending edge ids
         self.game = PebbleGame(G.n)
         for e in members:
-            if not self.game.try_insert(*G.edges[e]):
-                raise RuntimeError("union invariant broken: class not sparse")
+            self._insert(e)
+
+    def _insert(self, e: int) -> None:
+        if not self.game.try_insert(*self.G.edges[e]):
+            raise RuntimeError("union invariant broken: class not sparse")
 
     def probe(self, u: int, v: int) -> tuple[bool, frozenset | None]:
-        trial = self.game.copy()
-        if trial.try_insert(u, v):
+        game = self.game
+        if game.try_insert(u, v):
+            game.remove(u, v)
             return True, None
-        return False, trial.last_witness()
+        return False, game.last_witness()
 
     def circuit(self, eid: int, witness: frozenset) -> list[int]:
         # The fundamental circuit lies inside the witness closure, so only
-        # members induced by it are candidates.
+        # members induced by it are candidates.  A candidate x is in the
+        # circuit iff the class without x accepts the edge: delete x, retry
+        # the edge, then restore x.
         u, v = self.G.edges[eid]
-        candidates = [x for x in self.members
-                      if self.G.edges[x][0] in witness and self.G.edges[x][1] in witness]
+        edges, game = self.G.edges, self.game
         circ = []
-        for x in candidates:
-            trial = PebbleGame(self.G.n)
-            ok = True
-            for y in self.members:
-                if y != x and not trial.try_insert(*self.G.edges[y]):
-                    ok = False
-                    break
-            if ok and trial.try_insert(u, v):
+        for x in self.members:
+            a, b = edges[x]
+            if a not in witness or b not in witness:
+                continue
+            game.remove(a, b)
+            if game.try_insert(u, v):
                 circ.append(x)
+                game.remove(u, v)
+            self._insert(x)
         return circ
+
+    def update(self, removed: list[int], added: list[int]) -> None:
+        # All removals first: only the final set is known to be independent.
+        for e in removed:
+            self.members.remove(e)
+            self.game.remove(*self.G.edges[e])
+        for e in added:
+            self._insert(e)
+            insort(self.members, e)
 
 
 class _GraphicClass:
     """Forest oracle: component labels for independence, tree paths for
-    circuits."""
+    circuits.  The labels are rebuilt only when an augmentation touches
+    the class."""
 
     def __init__(self, G: Multigraph, members: list[int]) -> None:
         self.G = G
+        self.members = members  # ascending edge ids
+        self._index()
+
+    def _index(self) -> None:
+        G = self.G
         uf = UnionFind(G.n)
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-        for e in members:
+        for e in self.members:
             u, v = G.edges[e]
             if not uf.union(u, v):
                 raise RuntimeError("union invariant broken: class not a forest")
@@ -139,6 +169,13 @@ class _GraphicClass:
             path.append(e)
         return sorted(path)
 
+    def update(self, removed: list[int], added: list[int]) -> None:
+        for e in removed:
+            self.members.remove(e)
+        for e in added:
+            insort(self.members, e)
+        self._index()
+
 
 def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
     members: list[list[int]] = [[] for _ in range(k + l + 1)]
@@ -153,19 +190,18 @@ def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
     return classes
 
 
-def _augment(G: Multigraph, k: int, l: int, color: list[int], start: int) -> bool:
-    """Try to absorb edge ``start``; on success the colouring is updated."""
-    classes = _build_classes(G, k, l, color)
+def _augment(G: Multigraph, classes: dict, color: list[int], start: int) -> bool:
+    """Try to absorb edge ``start``; on success the colouring and the live
+    class oracles are updated."""
     pred: dict[int, tuple[int, int] | None] = {start: None}
     queue = deque([start])
     found = None
     while queue and found is None:
         y = queue.popleft()
         u, v = G.edges[y]
-        for j in range(1, k + l + 1):
+        for j, oracle in classes.items():
             if color[y] == j:
                 continue
-            oracle = classes[j]
             ok, witness = oracle.probe(u, v)
             if ok:
                 found = (y, j)
@@ -176,14 +212,23 @@ def _augment(G: Multigraph, k: int, l: int, color: list[int], start: int) -> boo
                     queue.append(x)
     if found is None:
         return False
+    # Walk the path back to ``start``, recolouring and collecting each
+    # touched class's removals and insertions.
+    changes: dict[int, tuple[list[int], list[int]]] = {}
     cur, new_color = found
     while True:
         info = pred[cur]
         vacated = color[cur]
         color[cur] = new_color
+        changes.setdefault(new_color, ([], []))[1].append(cur)
+        if vacated:
+            changes.setdefault(vacated, ([], []))[0].append(cur)
         if info is None:
-            return True
+            break
         cur, new_color = info[0], vacated
+    for j, (removed, added) in changes.items():
+        classes[j].update(removed, added)
+    return True
 
 
 def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
@@ -193,11 +238,12 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
         raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
     cap = k * max(0, 2 * G.n - 3) + l * max(0, G.n - 1)
     color = [0] * G.m
+    classes = _build_classes(G, k, l, color)
     rank = 0
     for e in range(G.m):
         if rank >= cap:
             break
-        if _augment(G, k, l, color, e):
+        if _augment(G, classes, color, e):
             rank += 1
     # Cheap paranoia: rebuilding the class oracles re-validates that every
     # class is still independent after all the exchanges.

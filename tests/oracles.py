@@ -3,13 +3,19 @@
 Everything here is written directly from the definitions with itertools
 and plain dictionaries: no pebble game, no union-find, no matroid union.
 The main implementation is tested against these, so they must not share
-code paths with it.
+code paths with it.  The one exception, ``union_rank_reference`` at the
+end, is a regression oracle rather than a definitional one.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
+
+from rigidpack import GraphInputError, Multigraph
+from rigidpack.matroids import PebbleGame, UnionFind
+from rigidpack.union import Decomposition, UnionRank
 
 
 def iter_subsets(items, min_size=0):
@@ -298,3 +304,155 @@ def bounded_split_exists_def(G, d):
         if not deg or max(deg) <= d:
             return True
     return False
+
+
+# ----------------------------------------------------------------------
+# Regression oracle for the matroid union.  Unlike everything above, this
+# is not definitional: it is the same augmenting-path search as
+# ``rigidpack.union.union_rank`` without the live class oracles.  Every
+# augmentation rebuilds all class oracles and every fundamental circuit is
+# found by replaying a fresh pebble game per candidate, so it shares no
+# state with ``union_rank``, only ``PebbleGame.try_insert``/``copy`` and
+# ``UnionFind``.  The two must return identical decompositions.
+
+
+class _RigidityClass:
+    """Per-class oracle used during one augmentation round (class frozen)."""
+
+    def __init__(self, G: Multigraph, members: list[int]) -> None:
+        self.G = G
+        self.members = members
+        self.game = PebbleGame(G.n)
+        for e in members:
+            if not self.game.try_insert(*G.edges[e]):
+                raise RuntimeError("union invariant broken: class not sparse")
+
+    def probe(self, u: int, v: int) -> tuple[bool, frozenset | None]:
+        trial = self.game.copy()
+        if trial.try_insert(u, v):
+            return True, None
+        return False, trial.last_witness()
+
+    def circuit(self, eid: int, witness: frozenset) -> list[int]:
+        # The fundamental circuit lies inside the witness closure, so only
+        # members induced by it are candidates.
+        u, v = self.G.edges[eid]
+        candidates = [x for x in self.members
+                      if self.G.edges[x][0] in witness and self.G.edges[x][1] in witness]
+        circ = []
+        for x in candidates:
+            trial = PebbleGame(self.G.n)
+            ok = True
+            for y in self.members:
+                if y != x and not trial.try_insert(*self.G.edges[y]):
+                    ok = False
+                    break
+            if ok and trial.try_insert(u, v):
+                circ.append(x)
+        return circ
+
+
+class _GraphicClass:
+    """Forest oracle: component labels for independence, tree paths for
+    circuits."""
+
+    def __init__(self, G: Multigraph, members: list[int]) -> None:
+        self.G = G
+        uf = UnionFind(G.n)
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+        for e in members:
+            u, v = G.edges[e]
+            if not uf.union(u, v):
+                raise RuntimeError("union invariant broken: class not a forest")
+            self.adj[u].append((v, e))
+            self.adj[v].append((u, e))
+        self.comp = [uf.find(x) for x in range(G.n)]
+
+    def probe(self, u: int, v: int) -> tuple[bool, None]:
+        return self.comp[u] != self.comp[v], None
+
+    def circuit(self, eid: int, witness=None) -> list[int]:
+        u, v = self.G.edges[eid]
+        # BFS along the forest from u to v; the path edges form the circuit.
+        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if x == v:
+                break
+            for y, e in self.adj[x]:
+                if y not in prev:
+                    prev[y] = (x, e)
+                    queue.append(y)
+        path = []
+        node = v
+        while node != u:
+            node, e = prev[node]
+            path.append(e)
+        return sorted(path)
+
+
+def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
+    members: list[list[int]] = [[] for _ in range(k + l + 1)]
+    for e, c in enumerate(color):
+        if c:
+            members[c].append(e)
+    classes: dict[int, object] = {}
+    for j in range(1, k + 1):
+        classes[j] = _RigidityClass(G, members[j])
+    for j in range(k + 1, k + l + 1):
+        classes[j] = _GraphicClass(G, members[j])
+    return classes
+
+
+def _augment(G: Multigraph, k: int, l: int, color: list[int], start: int) -> bool:
+    """Try to absorb edge ``start``; on success the colouring is updated."""
+    classes = _build_classes(G, k, l, color)
+    pred: dict[int, tuple[int, int] | None] = {start: None}
+    queue = deque([start])
+    found = None
+    while queue and found is None:
+        y = queue.popleft()
+        u, v = G.edges[y]
+        for j in range(1, k + l + 1):
+            if color[y] == j:
+                continue
+            oracle = classes[j]
+            ok, witness = oracle.probe(u, v)
+            if ok:
+                found = (y, j)
+                break
+            for x in oracle.circuit(y, witness):
+                if x not in pred:
+                    pred[x] = (y, j)
+                    queue.append(x)
+    if found is None:
+        return False
+    cur, new_color = found
+    while True:
+        info = pred[cur]
+        vacated = color[cur]
+        color[cur] = new_color
+        if info is None:
+            return True
+        cur, new_color = info[0], vacated
+
+
+def union_rank_reference(G: Multigraph, k: int, l: int) -> UnionRank:
+    """Maximum edge set splittable into k sparse sets and l forests,
+    together with the split."""
+    if k < 0 or l < 0 or k + l < 1:
+        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    cap = k * max(0, 2 * G.n - 3) + l * max(0, G.n - 1)
+    color = [0] * G.m
+    rank = 0
+    for e in range(G.m):
+        if rank >= cap:
+            break
+        if _augment(G, k, l, color, e):
+            rank += 1
+    # Cheap paranoia: rebuilding the class oracles re-validates that every
+    # class is still independent after all the exchanges.
+    _build_classes(G, k, l, color)
+    dec = Decomposition(k, l, tuple(color))
+    return UnionRank(rank, dec.covered(), dec)

@@ -56,6 +56,29 @@ def test_verify_fails_against_wrong_graph():
     assert not ok and "graph hash" in reason
 
 
+@pytest.mark.parametrize("field", ["witness", "parameters"])
+@pytest.mark.parametrize("value", [[0, 1, 2, 3], "vertices", 7, True])
+def test_non_object_report_fields_rejected_cleanly(field, value):
+    G = corpus.k4()
+    report = check_cover_condition(G, 1)
+    cert = build_certificate("check", {"condition": "cover", "k": 1}, G, report_payload(report))
+    cert["payload"][field] = value
+    cert["cert_hash"] = certificate_hash(cert)
+    ok, reason = verify_certificate(cert, G)
+    assert not ok and reason.startswith("malformed certificate")
+
+
+def test_non_object_parameters_rejected_cleanly():
+    G = corpus.k4()
+    cert = build_certificate(
+        "decompose", {"k": 2, "l": 0}, G, decomposition_payload(decompose_sparse(G, 2))
+    )
+    cert["parameters"] = [2, 0]
+    cert["cert_hash"] = certificate_hash(cert)
+    ok, reason = verify_certificate(cert, G)
+    assert not ok and reason.startswith("malformed certificate")
+
+
 def _tamper_leaf_paths(obj, prefix=()):
     if isinstance(obj, dict):
         for key, value in obj.items():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rigidpack import format_graph
+from rigidpack.certificates import certificate_hash
 from rigidpack.cli import main
 
 import corpus
@@ -114,6 +115,19 @@ def test_verify_round_trip_and_tamper(k4_file, tmp_path):
     assert main(["verify", str(tampered), str(k4_file)]) == 1
 
     assert main(["verify", str(tmp_path / "missing.json"), str(k4_file)]) == 2
+
+
+def test_verify_rejects_non_object_witness(k4_file, tmp_path, capsys):
+    out = tmp_path / "fail.json"
+    assert main(["decompose", str(k4_file), "--k", "1", "--out", str(out)]) == 1
+    cert = json.loads(out.read_text())
+    cert["payload"]["witness"] = cert["payload"]["witness"]["vertices"]
+    cert["cert_hash"] = certificate_hash(cert)  # only the shape is wrong
+    bad = tmp_path / "list-witness.json"
+    bad.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(bad), str(k4_file)]) == 1
+    assert "witness must be a JSON object" in capsys.readouterr().out
 
 
 def test_pack_failure_above_partition_guardrail(tmp_path):

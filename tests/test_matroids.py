@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidpack import (
     GraphInputError,
@@ -162,3 +164,54 @@ def test_rigid_graphs_are_two_connected():
             count += 1
             assert oracles.two_connected_def(G)
     assert count > 0  # the corpus really exercises the property
+
+
+@st.composite
+def _insert_remove_runs(draw):
+    """A vertex count and a list of operations: ``("insert", u, v)`` offers
+    an edge, ``("remove", i)`` deletes the i-th accepted edge (modulo the
+    number currently held).  Few vertices make parallel edges common."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    op = st.one_of(
+        st.tuples(st.just("insert"), pair),
+        st.tuples(st.just("remove"), st.integers(0, 100)),
+    )
+    return n, draw(st.lists(op, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_insert_remove_runs())
+def test_pebble_remove_keeps_game_exact(run):
+    n, ops = run
+    game = PebbleGame(n)
+    held: list[tuple[int, int]] = []
+    for op in ops:
+        if op[0] == "insert":
+            u, v = op[1]
+            G = Multigraph(n, tuple(held) + ((u, v),))
+            expected, witness = sparse_independent(G, range(G.m))
+            assert game.try_insert(u, v) == expected
+            if expected:
+                held.append((u, v))
+            else:
+                X = game.last_witness()
+                assert oracles.induced(G, range(G.m), X) > 2 * len(X) - 3
+        elif held:
+            u, v = held.pop(op[1] % len(held))
+            game.remove(u, v)
+        for x in range(n):
+            assert game.pebbles[x] + len(game.out[x]) == 2
+        assert sorted(tuple(sorted((x, y))) for x in range(n) for y in game.out[x]) == sorted(
+            tuple(sorted(p)) for p in held
+        )
+
+
+def test_pebble_remove_missing_edge_raises():
+    game = PebbleGame(3)
+    assert game.try_insert(0, 1)
+    game.remove(1, 0)
+    assert game.pebbles == [2, 2, 2]
+    with pytest.raises(ValueError):
+        game.remove(0, 1)

@@ -25,6 +25,12 @@ def test_out_of_range_endpoint_rejected():
         Multigraph(3, ((0, 3),))
 
 
+@pytest.mark.parametrize("pair", [(0, 1.5), (0.0, 1), ("0", 1), (True, 2), (0, False)])
+def test_non_integer_endpoint_rejected(pair):
+    with pytest.raises(GraphInputError):
+        Multigraph(3, (pair,))
+
+
 def test_edges_normalized_and_ids_stable():
     G = Multigraph(3, ((2, 0), (1, 0)))
     assert G.edges == ((0, 2), (0, 1))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import rigidpack.union as union_mod
 from rigidpack import (
     ConditionReport,
     Decomposition,
@@ -9,10 +12,14 @@ from rigidpack import (
     decompose_forests,
     decompose_sparse,
     gamma2,
+    random_multigraph,
+    rigidity_rank,
+    sparse_independent,
     union_rank,
     union_rank_bruteforce,
     verify_decomposition,
 )
+from rigidpack.matroids import PebbleGame
 
 import corpus
 import oracles
@@ -163,3 +170,82 @@ def test_verify_decomposition_rejects_tampering():
     broken = Decomposition(2, 0, tuple(1 for _ in dec.assignment))
     ok, reason = verify_decomposition(G, broken, require_complete=True)
     assert not ok and "sparse" in reason
+
+
+_KL = ((0, 1), (1, 0), (1, 1), (2, 0), (2, 2), (0, 3), (3, 0), (1, 3), (3, 2))
+
+
+def test_union_rank_matches_reference_on_seeded_corpus():
+    named = (corpus.triangle(), corpus.k4(), corpus.k5(), corpus.k33(), corpus.bowtie(),
+             corpus.double_edge(), corpus.doubled_triangle(), corpus.k4_minus_edge(),
+             corpus.two_triangles_disjoint(), corpus.cycle(5), corpus.star(4), corpus.path(5))
+    graphs = (list(named) + corpus.random_corpus(60, seed=21, m_max=12)
+              + corpus.connected_corpus(40, seed=23, n_range=(2, 6), m_max=12))
+    for G in graphs:
+        for k, l in _KL:
+            assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l)
+
+
+def test_union_rank_matches_reference_on_random_multigraphs():
+    rng = random.Random(24)
+    for i in range(400):
+        n = rng.randint(2, 14)
+        mult = rng.randint(1, 3)
+        m = rng.randint(0, min(mult * n * (n - 1) // 2, 6 * n))
+        G = random_multigraph(n, m, mult, seed=2400 + i)
+        for _ in range(2):
+            k = rng.randint(0, 3)
+            l = rng.randint(0 if k else 1, 3)
+            assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l), (n, m, k, l)
+
+
+def test_union_rank_keeps_class_oracles_live(monkeypatch):
+    # One build at the start and one final re-check per call; fundamental
+    # circuits reuse the class's own pebble game.
+    builds = []
+    real_build = union_mod._build_classes
+    monkeypatch.setattr(
+        union_mod, "_build_classes", lambda *a: builds.append(1) or real_build(*a)
+    )
+    real_circuit = union_mod._RigidityClass.circuit
+    games, circuits = [], []
+
+    def circuit(self, eid, witness):
+        circuits.append(1)
+        before = len(games)
+        result = real_circuit(self, eid, witness)
+        assert len(games) == before, "circuit built or copied a pebble game"
+        return result
+
+    real_init, real_copy = PebbleGame.__init__, PebbleGame.copy
+    monkeypatch.setattr(PebbleGame, "__init__", lambda g, n: games.append(1) or real_init(g, n))
+    monkeypatch.setattr(PebbleGame, "copy", lambda g: games.append(1) or real_copy(g))
+    monkeypatch.setattr(union_mod._RigidityClass, "circuit", circuit)
+    G = random_multigraph(10, 70, 2, seed=25)
+    for k, l in ((2, 0), (1, 1), (2, 2)):
+        builds.clear()
+        games.clear()
+        circuits.clear()
+        union_rank(G, k, l)
+        assert circuits
+        assert len(builds) == 2
+        assert len(games) == 2 * k
+
+
+def test_rigidity_circuit_is_fundamental_circuit():
+    # x is in the circuit of e iff the class with x swapped for e is sparse.
+    checked = 0
+    for G in corpus.random_corpus(80, seed=26, n_range=(3, 9), m_max=30):
+        members = sorted(rigidity_rank(G, range(0, G.m, 2)).basis)
+        cls = union_mod._RigidityClass(G, list(members))
+        for e in range(1, G.m, 2):
+            ok, witness = cls.probe(*G.edges[e])
+            assert ok == sparse_independent(G, members + [e])[0]
+            if ok:
+                continue
+            expected = [x for x in members
+                        if sparse_independent(G, set(members) - {x} | {e})[0]]
+            assert cls.circuit(e, witness) == expected
+            assert cls.members == members
+            checked += 1
+    assert checked > 100
