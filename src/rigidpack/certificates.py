@@ -26,14 +26,21 @@ from .conditions import (
     is_pq_connected,
 )
 from .errors import GraphInputError
+from .matroids import sparse_independent
 from .multigraph import (
     Multigraph,
     Partition,
     adjacent_number,
+    check_edge_subset,
     cross_edge_count,
     induced_edge_count,
 )
-from .ndt import BoundedCover, check_kwz_condition, verify_bounded_cover
+from .ndt import (
+    BoundedCover,
+    check_kwz_condition,
+    sparse_to_forest_plus_bounded,
+    verify_bounded_cover,
+)
 from .packing import Packing, PackingFailure, verify_packing
 from .union import Decomposition, union_rank, verify_decomposition
 
@@ -432,10 +439,15 @@ def _verify_witnessed_failure(G, condition, params, witness, payload):
         got_rhs = 0
         ok = len(X) >= 1 and got_lhs < 0
     elif condition == "forest-plus-bounded":
-        # Deep re-verification would repeat the search; check the class is
-        # really a subset of E and trust the exhaustive-search flag.
-        edges = witness["edges"]
-        ok = all(isinstance(e, int) and 0 <= e < G.m for e in edges)
+        # Every sparse class splits once n >= 6; below that the class has
+        # at most 7 edges, so re-running the exhaustive search is cheap.
+        if G.n >= 6:
+            return False, "every sparse class has a forest-plus-bounded split when n >= 6"
+        ids = check_edge_subset(G, witness["edges"])
+        if not sparse_independent(G, ids)[0]:
+            return False, "witness class is not (2,3)-sparse"
+        H = Multigraph(G.n, tuple(G.edges[e] for e in ids))
+        ok = sparse_to_forest_plus_bounded(H) is None
         got_lhs, got_rhs = lhs, rhs
     else:
         return False, f"unknown condition {condition!r}"

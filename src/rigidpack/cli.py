@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 witnessed failure (or failed verification),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 from . import certificates as certs
@@ -45,6 +46,15 @@ def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise GraphInputError(f"--{name} is required for this command")
+
+
+def _fraction(text: str) -> Fraction:
+    # Fraction("1/0") raises ZeroDivisionError, which argparse would not
+    # turn into a usage error.
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
 def _limit_params(args) -> dict:
@@ -186,10 +196,14 @@ def _command_parameters(command: str, args) -> dict:
         params["l"] = args.l
     elif command == "check":
         params["condition"] = args.condition
-        for name in ("k", "l", "p", "q", "d"):
+        for name in ("k", "l", "p", "q"):
             value = getattr(args, name)
             if value is not None:
                 params[name] = value
+        if args.d is not None:
+            # An integral d keeps the integer encoding it always had.
+            d = args.d
+            params["d"] = d.numerator if d.denominator == 1 else f"{d.numerator}/{d.denominator}"
     elif command == "gamma":
         params["which"] = args.which
     return params
@@ -216,22 +230,17 @@ def _run_single_or_batch(command: str, args) -> int:
             raise GraphInputError(f"no *.txt graph files in {batch_dir}")
         out_dir = Path(args.out) if args.out else batch_dir
         out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = [(f, out_dir / f"{f.stem}.{command}.json") for f in files]
-
-        def work(job):
-            f, out_path = job
-            try:
-                return _process_file(command, f, args, out_path), f.name
-            except GraphInputError as exc:
-                return (2, f"input error: {exc}"), f.name
-            except (LimitExceededError, SearchBudgetExceededError) as exc:
-                return (3, f"refused: {exc}"), f.name
-
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            results = list(pool.map(work, jobs))
         worst = 0
-        for (code, summary), name in results:
-            print(f"{name}: {summary}")
+        for f in files:
+            try:
+                code, summary = _process_file(
+                    command, f, args, out_dir / f"{f.stem}.{command}.json"
+                )
+            except GraphInputError as exc:
+                code, summary = 2, f"input error: {exc}"
+            except (LimitExceededError, SearchBudgetExceededError) as exc:
+                code, summary = 3, f"refused: {exc}"
+            print(f"{f.name}: {summary}")
             worst = max(worst, code)
         return worst
     if args.input is None:
@@ -301,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=_fraction, default=None,
+                   help="degree bound for kwz: an integer or an exact fraction p/q")
     add_common(p)
 
     p = sub.add_parser("gamma", help="fractional density parameters")
@@ -327,10 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # argparse keeps no state between parse_args calls, so one parser
+    # serves every main() call in the process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

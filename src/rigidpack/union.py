@@ -11,10 +11,12 @@ edge that has no path is safe because the union is itself a matroid.
 The class oracles are built once per call and stay live: after an
 augmenting path, each class it touched drops its outgoing edges and then
 takes its incoming ones (a pebble game by deletion and insertion, a forest
-by relabelling its components).  A fundamental circuit is found inside
-the live pebble game that rejected the edge: delete a candidate, retry
-the edge, restore the candidate (Lee & Streinu, "Pebble game algorithms
-and sparse graphs", 2008).
+by relabelling its components).  A fundamental circuit is read off the
+live pebble game that rejected the edge, with no pebble moved: the reach
+closure X of the edge's endpoints is then the smallest tight set holding
+them, since X holds exactly 2|X| - 3 edges and no arc leaves it, so the
+circuit is the edge plus every class edge inside X (Lee & Streinu,
+"Pebble game algorithms and sparse graphs", 2008).
 
 ``union_rank_bruteforce`` evaluates the rank formula
 ``min over F of k*rank_rigidity(F) + l*rank_graphic(F) + |E - F|``
@@ -96,23 +98,11 @@ class _RigidityClass:
         return False, game.last_witness()
 
     def circuit(self, eid: int, witness: frozenset) -> list[int]:
-        # The fundamental circuit lies inside the witness closure, so only
-        # members induced by it are candidates.  A candidate x is in the
-        # circuit iff the class without x accepts the edge: delete x, retry
-        # the edge, then restore x.
-        u, v = self.G.edges[eid]
-        edges, game = self.G.edges, self.game
-        circ = []
-        for x in self.members:
-            a, b = edges[x]
-            if a not in witness or b not in witness:
-                continue
-            game.remove(a, b)
-            if game.try_insert(u, v):
-                circ.append(x)
-                game.remove(u, v)
-            self._insert(x)
-        return circ
+        # After the failed insert, ``witness`` (the reach closure of the
+        # edge's endpoints) is the smallest tight set holding them, so the
+        # fundamental circuit is the edge plus every member inside it.
+        edges = self.G.edges
+        return [x for x in self.members if edges[x][0] in witness and edges[x][1] in witness]
 
     def update(self, removed: list[int], added: list[int]) -> None:
         # All removals first: only the final set is known to be independent.

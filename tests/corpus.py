@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import strategies as st
+
 from rigidpack import Multigraph, random_multigraph
 from rigidpack.matroids import PebbleGame
 
@@ -136,3 +138,18 @@ def connected_gamma2_bounded(count: int, bound: int, seed: int, *, n_range=(6, 8
         if gamma2(G).value <= bound:
             graphs.append(G)
     return graphs
+
+
+@st.composite
+def insert_remove_runs(draw):
+    """A vertex count and a list of operations: ``("insert", u, v)`` offers
+    an edge, ``("remove", i)`` deletes the i-th accepted edge (modulo the
+    number currently held).  Few vertices make parallel edges common."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    op = st.one_of(
+        st.tuples(st.just("insert"), pair),
+        st.tuples(st.just("remove"), st.integers(0, 100)),
+    )
+    return n, draw(st.lists(op, max_size=40))

@@ -3,8 +3,9 @@
 Everything here is written directly from the definitions with itertools
 and plain dictionaries: no pebble game, no union-find, no matroid union.
 The main implementation is tested against these, so they must not share
-code paths with it.  The one exception, ``union_rank_reference`` at the
-end, is a regression oracle rather than a definitional one.
+code paths with it.  The two exceptions at the end, ``union_rank_reference``
+and ``circuit_by_delete_and_retry``, are regression oracles rather than
+definitional ones.
 """
 
 from __future__ import annotations
@@ -456,3 +457,24 @@ def union_rank_reference(G: Multigraph, k: int, l: int) -> UnionRank:
     _build_classes(G, k, l, color)
     dec = Decomposition(k, l, tuple(color))
     return UnionRank(rank, dec.covered(), dec)
+
+
+def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
+    """Fundamental circuit of edge ``eid`` in a live
+    ``rigidpack.union._RigidityClass`` whose game just rejected it, found
+    by moving pebbles: a member x inside the witness closure is in the
+    circuit iff the class without x accepts the edge.  Delete x, retry
+    the edge, then restore x; the class is left as it was found."""
+    u, v = cls.G.edges[eid]
+    edges, game = cls.G.edges, cls.game
+    circ = []
+    for x in cls.members:
+        a, b = edges[x]
+        if a not in witness or b not in witness:
+            continue
+        game.remove(a, b)
+        if game.try_insert(u, v):
+            circ.append(x)
+            game.remove(u, v)
+        cls._insert(x)
+    return circ

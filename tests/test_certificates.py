@@ -16,6 +16,7 @@ from rigidpack.certificates import (
     write_certificate,
 )
 from rigidpack.conditions import check_cover_condition, gamma2
+from rigidpack.ndt import ndt_decompose
 from rigidpack.packing import pack_spanning_trees
 from rigidpack.union import decompose_sparse
 
@@ -138,6 +139,32 @@ def test_emit_refuses_inconsistent_payload():
     payload["assignment"] = [1] * 6  # all of K4 in one class: not sparse
     with pytest.raises(RuntimeError):
         build_certificate("decompose", {"k": 2, "l": 0}, G, payload)
+
+
+def test_forged_forest_plus_bounded_failure_rejected():
+    # The genuine small-n claim: a triangle is no forest plus a remainder
+    # of max degree 0.
+    tri = corpus.triangle()
+    payload = report_payload(ndt_decompose(tri, 0, 1))
+    assert payload["condition"] == "forest-plus-bounded"
+    cert = build_certificate("ndt", {"k": 0, "l": 1}, tri, payload)
+    assert verify_certificate(cert, tri) == (True, None)
+
+    def forged(G, edges):
+        bad = copy.deepcopy(cert)
+        bad["graph_hash"] = graph_hash(G)
+        bad["payload"]["witness"]["edges"] = edges
+        bad["cert_hash"] = certificate_hash(bad)
+        return verify_certificate(bad, G)
+
+    # n >= 6: every sparse class splits, so the claim is always false
+    ok, reason = forged(corpus.path(8), list(range(7)))
+    assert not ok and "n >= 6" in reason
+    # n < 6: the class must be sparse and the search must come back empty
+    ok, reason = forged(corpus.path(4), [0, 1, 2])
+    assert not ok and "does not violate" in reason
+    ok, reason = forged(corpus.double_edge(), [0, 1])
+    assert not ok and "not (2,3)-sparse" in reason
 
 
 def test_load_certificate_errors(tmp_path):

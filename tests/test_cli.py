@@ -4,7 +4,7 @@ import pytest
 
 from rigidpack import format_graph
 from rigidpack.certificates import certificate_hash
-from rigidpack.cli import main
+from rigidpack.cli import build_parser, main
 
 import corpus
 
@@ -68,6 +68,22 @@ def test_check_conditions_and_exit_codes(k4_file, triangle_file):
     assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", "2"]) == 0
     # missing a required parameter
     assert main(["check", "cover", str(k4_file)]) == 2
+
+
+def test_check_kwz_takes_exact_fraction_d(triangle_file, tmp_path):
+    out = tmp_path / "kwz.json"
+    assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", "7/3",
+                 "--out", str(out)]) in (0, 1)
+    cert = json.loads(out.read_text())
+    assert cert["parameters"]["d"] == "7/3"
+    assert cert["payload"]["parameters"]["d"] == "7/3"
+    assert main(["verify", str(out), str(triangle_file)]) == 0
+    # an integral d keeps its integer encoding
+    assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["d"] == 2
+    for bad in ("x/3", "1/0"):
+        assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", bad]) == 2
 
 
 def test_check_unknown_condition_lists_names(k4_file, capsys):
@@ -205,6 +221,23 @@ def test_batch_mode(tmp_path, capsys):
     # worst exit code propagates
     code = main(["decompose", "--batch", str(gdir), "--k", "1", "--out", str(out_dir)])
     assert code == 1
+
+
+def test_repeated_main_calls_keep_no_parser_state(k4_file, tmp_path):
+    out = tmp_path / "cover.json"
+    assert main(["check", "cover", str(k4_file), "--k", "2", "--max-n", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["parameters"]["max_n"] == 5
+    assert main(["check", "cover", str(k4_file), "--k", "2", "--out", str(out)]) == 0
+    assert "max_n" not in json.loads(out.read_text())["payload"]["parameters"]
+
+    assert main(["decompose", str(k4_file), "--k", "two"]) == 2
+    assert main(["decompose", str(k4_file), "--k", "1"]) == 1
+    assert main(["decompose", str(k4_file), "--k", "2"]) == 0
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_help_exits_zero():

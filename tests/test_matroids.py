@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rigidpack import (
     GraphInputError,
@@ -166,23 +165,8 @@ def test_rigid_graphs_are_two_connected():
     assert count > 0  # the corpus really exercises the property
 
 
-@st.composite
-def _insert_remove_runs(draw):
-    """A vertex count and a list of operations: ``("insert", u, v)`` offers
-    an edge, ``("remove", i)`` deletes the i-th accepted edge (modulo the
-    number currently held).  Few vertices make parallel edges common."""
-    n = draw(st.integers(2, 6))
-    vertex = st.integers(0, n - 1)
-    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
-    op = st.one_of(
-        st.tuples(st.just("insert"), pair),
-        st.tuples(st.just("remove"), st.integers(0, 100)),
-    )
-    return n, draw(st.lists(op, max_size=40))
-
-
 @settings(max_examples=300, deadline=None, database=None)
-@given(_insert_remove_runs())
+@given(corpus.insert_remove_runs())
 def test_pebble_remove_keeps_game_exact(run):
     n, ops = run
     game = PebbleGame(n)

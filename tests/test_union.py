@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import rigidpack.union as union_mod
 from rigidpack import (
@@ -201,25 +202,34 @@ def test_union_rank_matches_reference_on_random_multigraphs():
 
 def test_union_rank_keeps_class_oracles_live(monkeypatch):
     # One build at the start and one final re-check per call; fundamental
-    # circuits reuse the class's own pebble game.
+    # circuits are read off the class's own pebble game without moving a
+    # pebble.
     builds = []
     real_build = union_mod._build_classes
     monkeypatch.setattr(
         union_mod, "_build_classes", lambda *a: builds.append(1) or real_build(*a)
     )
     real_circuit = union_mod._RigidityClass.circuit
-    games, circuits = [], []
+    games, moves, circuits = [], [], []
 
     def circuit(self, eid, witness):
         circuits.append(1)
-        before = len(games)
+        before = len(games), len(moves)
         result = real_circuit(self, eid, witness)
-        assert len(games) == before, "circuit built or copied a pebble game"
+        assert len(games) == before[0], "circuit built or copied a pebble game"
+        assert len(moves) == before[1], "circuit inserted or removed an edge"
         return result
 
     real_init, real_copy = PebbleGame.__init__, PebbleGame.copy
+    real_insert, real_remove = PebbleGame.try_insert, PebbleGame.remove
     monkeypatch.setattr(PebbleGame, "__init__", lambda g, n: games.append(1) or real_init(g, n))
     monkeypatch.setattr(PebbleGame, "copy", lambda g: games.append(1) or real_copy(g))
+    monkeypatch.setattr(
+        PebbleGame, "try_insert", lambda g, u, v: moves.append(1) or real_insert(g, u, v)
+    )
+    monkeypatch.setattr(
+        PebbleGame, "remove", lambda g, u, v: moves.append(1) or real_remove(g, u, v)
+    )
     monkeypatch.setattr(union_mod._RigidityClass, "circuit", circuit)
     G = random_multigraph(10, 70, 2, seed=25)
     for k, l in ((2, 0), (1, 1), (2, 2)):
@@ -230,6 +240,30 @@ def test_union_rank_keeps_class_oracles_live(monkeypatch):
         assert circuits
         assert len(builds) == 2
         assert len(games) == 2 * k
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(corpus.insert_remove_runs())
+def test_rigidity_circuit_read_off_matches_delete_and_retry(run):
+    # The closure read-off against the pebble-moving search it replaced,
+    # after every rejected insert of a live class under inserts and removals.
+    n, ops = run
+    G = Multigraph(n, tuple(op[1] for op in ops if op[0] == "insert"))
+    cls = union_mod._RigidityClass(G, [])
+    eid = 0
+    for op in ops:
+        if op[0] == "insert":
+            ok, witness = cls.probe(*G.edges[eid])
+            if ok:
+                cls.update([], [eid])
+            else:
+                members = list(cls.members)
+                circ = cls.circuit(eid, witness)
+                assert circ == oracles.circuit_by_delete_and_retry(cls, eid, witness)
+                assert circ and cls.members == members
+            eid += 1
+        elif cls.members:
+            cls.update([cls.members[op[1] % len(cls.members)]], [])
 
 
 def test_rigidity_circuit_is_fundamental_circuit():
