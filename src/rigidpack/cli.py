@@ -344,9 +344,27 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    parser = _shared_parser()
+    args, extra = parser.parse_known_args(argv)
+    # argparse hands the optional input positional of `check` and `gamma`
+    # out empty together with the condition, so an input file given after
+    # the options (`check cover --k 1 g.txt`) is left over here.
+    if (
+        len(extra) == 1
+        and not extra[0].startswith("-")
+        and args.cmd in ("check", "gamma")
+        and args.input is None
+    ):
+        args.input = extra.pop()
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

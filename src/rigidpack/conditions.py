@@ -3,25 +3,29 @@ parameters and connectivity notions built from them.
 
 Every checker scans its full quantifier range exhaustively (under the
 enumeration guardrails) and reports the first violator in enumeration
-order, together with the two sides of the violated inequality.
+order, together with the two sides of the violated inequality.  The scans
+run on the bitmask kernel of ``enumeration``: one induced-edge table per
+subset scan, one incremental walk per partition scan.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .enumeration import SUBSET_LIMIT, enumerate_partitions, enumerate_vertex_subsets
-from .errors import GraphInputError, LimitExceededError
-from .multigraph import (
-    Multigraph,
-    Partition,
-    adjacent_number,
-    cross_edge_count,
-    induced_edge_count,
+from .enumeration import (
+    check_partition_limit,
+    check_subset_limit,
+    degree_sum_table,
+    first_dense_set,
+    first_short_partition,
+    induced_table,
+    mask_vertices,
+    masks_by_size,
 )
+from .errors import GraphInputError
+from .multigraph import Multigraph
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,11 @@ def check_cover_condition(
     """Does every X with |X| >= 2 satisfy i(X) <= k(2|X| - 3)?"""
     if k < 0:
         raise GraphInputError("need k >= 0")
-    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
-        lhs = induced_edge_count(G, X)
-        rhs = k * (2 * len(X) - 3)
-        if lhs > rhs:
-            return ConditionReport("cover", {"k": k}, False, X, "vertex-set", lhs, rhs)
+    caps = [G.m, G.m] + [k * (2 * x - 3) for x in range(2, G.n + 1)]
+    found = first_dense_set(G, caps, max_n=max_n)
+    if found is not None:
+        X, lhs = found
+        return ConditionReport("cover", {"k": k}, False, X, "vertex-set", lhs, caps[len(X)])
     return ConditionReport("cover", {"k": k}, True)
 
 
@@ -78,26 +82,25 @@ def check_tree_packing_condition(
     """Does every partition p of V satisfy cross(p) >= l(|p| - 1)?"""
     if l < 0:
         raise GraphInputError("need l >= 0")
-    for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
-        lhs = cross_edge_count(G, pi)
-        rhs = l * (len(pi) - 1)
-        if lhs < rhs:
-            return ConditionReport("tree-packing", {"l": l}, False, pi, "partition", lhs, rhs)
+    check_partition_limit(G.n, max_partition_n)
+    found = first_short_partition(G, 0, l, 0, 0)
+    if found is not None:
+        return ConditionReport("tree-packing", {"l": l}, False, found[0], "partition", *found[1:])
     return ConditionReport("tree-packing", {"l": l}, True)
 
 
-def _proper_subsets(G: Multigraph, *, max_n: int | None = None):
-    # All proper subsets of V (empty included), smallest first so the
-    # Z = empty-set cases are scanned before any vertex deletions.
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"subset enumeration is limited to n <= {limit} vertices (got n={G.n})"
-        )
-    verts = range(G.n)
-    for size in range(G.n):
-        for combo in itertools.combinations(verts, size):
-            yield frozenset(combo)
+def _first_short_z_partition(
+    G: Multigraph, slope: int, per_singleton: int, per_touch: int, max_partition_n: int | None
+):
+    # Z runs over the proper subsets of V, smallest first so the Z = empty
+    # set cases are scanned before any vertex deletions.
+    check_subset_limit(G.n, max_partition_n)
+    check_partition_limit(G.n, max_partition_n)
+    for z in masks_by_size(G.n, range(G.n)):
+        found = first_short_partition(G, z, slope, per_singleton, per_touch)
+        if found is not None:
+            return (mask_vertices(G.n, z), found[0]), found[1], found[2]
+    return None
 
 
 def check_parthm_condition(
@@ -114,16 +117,9 @@ def check_parthm_condition(
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
-    vertices = frozenset(G.vertices())
-    for Z in _proper_subsets(G, max_n=max_partition_n):
-        rest = vertices - Z
-        for pi in enumerate_partitions(rest, max_size=max_partition_n):
-            lhs = cross_edge_count(G, pi)
-            rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count - k * adjacent_number(G, Z, pi)
-            if lhs < rhs:
-                return ConditionReport(
-                    "parthm", params, False, (Z, pi), "z-partition", lhs, rhs
-                )
+    found = _first_short_z_partition(G, 3 * k + l, k, k, max_partition_n)
+    if found is not None:
+        return ConditionReport("parthm", params, False, found[0], "z-partition", *found[1:])
     return ConditionReport("parthm", params, True)
 
 
@@ -135,11 +131,10 @@ def check_necessary_condition(
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
-    for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
-        lhs = cross_edge_count(G, pi)
-        rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count
-        if lhs < rhs:
-            return ConditionReport("necessary", params, False, pi, "partition", lhs, rhs)
+    check_partition_limit(G.n, max_partition_n)
+    found = first_short_partition(G, 0, 3 * k + l, k, 0)
+    if found is not None:
+        return ConditionReport("necessary", params, False, found[0], "partition", *found[1:])
     return ConditionReport("necessary", params, True)
 
 
@@ -157,49 +152,43 @@ def gamma2(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
 def _density_max(G: Multigraph, denominator, *, max_n: int | None) -> GammaResult:
     if G.n < 2:
         raise GraphInputError("density parameters need at least 2 vertices")
-    best: Fraction | None = None
-    arg: frozenset | None = None
-    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
-        val = Fraction(induced_edge_count(G, X), denominator(len(X)))
-        if best is None or val > best:
-            best, arg = val, X
-    assert best is not None and arg is not None
-    return GammaResult(best, arg)
+    check_subset_limit(G.n, max_n)
+    # Per size, the largest count and the last mask reaching it, which is
+    # the lexicographically first set; then the first size in enumeration
+    # order (largest first) whose ratio is the maximum.
+    top = [-1] * (G.n + 1)
+    arg = [0] * (G.n + 1)
+    for mask, count in enumerate(induced_table(G)):
+        size = mask.bit_count()
+        if count >= top[size]:
+            top[size] = count
+            arg[size] = mask
+    best = max(range(G.n, 1, -1), key=lambda x: Fraction(top[x], denominator(x)))
+    return GammaResult(Fraction(top[best], denominator(best)), mask_vertices(G.n, arg[best]))
 
 
-def _min_cut_within(G: Multigraph, W: frozenset) -> int | None:
-    """Edge connectivity of the subgraph induced by W; None when |W| <= 1
-    (vacuously as connected as required)."""
-    verts = sorted(W)
-    if len(verts) <= 1:
+def _min_cut_within(ind: list[int], dsum: list[int], W: int, X: int) -> int | None:
+    """Edge connectivity of G[W] for the vertex mask W = V - X, from the
+    induced-edge and degree-sum tables; None when |W| <= 1 (vacuously as
+    connected as required)."""
+    anchor = 1 << (W.bit_length() - 1) if W else 0
+    sides = [anchor]
+    for v in range(W.bit_length() - 1):
+        if W >> v & 1:
+            sides += [side | 1 << v for side in sides]
+    sides.pop()  # the whole of W
+    if not sides:
         return None
-    inside = [(u, v) for u, v in G.edges if u in W and v in W]
-    anchor = verts[0]
-    rest = verts[1:]
-    best: int | None = None
-    for size in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, size):
-            side = set(combo)
-            side.add(anchor)
-            if len(side) == len(verts):
-                continue
-            cut = sum(1 for u, v in inside if (u in side) != (v in side))
-            if best is None or cut < best:
-                best = cut
-                if best == 0:
-                    return 0
-    return best
+    # Edges from S to W - S: all edges at S, less those inside S and those
+    # from S to X.
+    return min([dsum[S] - ind[S | X] - ind[S] for S in sides]) + ind[X]
 
 
 def edge_connectivity(G: Multigraph, *, max_n: int | None = None) -> int | None:
     """Global edge connectivity by scanning all bipartitions; None for
     graphs with fewer than 2 vertices."""
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"edge connectivity scan is limited to n <= {limit} vertices (got n={G.n})"
-        )
-    return _min_cut_within(G, frozenset(G.vertices()))
+    check_subset_limit(G.n, max_n, "edge connectivity scan")
+    return _min_cut_within(induced_table(G), degree_sum_table(G), (1 << G.n) - 1, 0)
 
 
 def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) -> bool:
@@ -208,13 +197,13 @@ def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) 
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    vertices = frozenset(G.vertices())
-    for X in _proper_subsets(G, max_n=max_n):
-        need = p - q * len(X)
-        if need <= 0:
-            continue
-        cut = _min_cut_within(G, vertices - X)
-        if cut is not None and cut < need:
+    check_subset_limit(G.n, max_n)
+    ind, dsum = induced_table(G), degree_sum_table(G)
+    full = (1 << G.n) - 1
+    # Only |X| < p/q asks for any connectivity; n > p/q keeps X proper.
+    for X in masks_by_size(G.n, range((p - 1) // q + 1)):
+        cut = _min_cut_within(ind, dsum, full ^ X, X)
+        if cut is not None and cut < p - q * X.bit_count():
             return False
     return True
 
@@ -228,37 +217,23 @@ def is_bracket_partition_connected(
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    vertices = frozenset(G.vertices())
-    for Z in _proper_subsets(G, max_n=max_partition_n):
-        rest = vertices - Z
-        for pi in enumerate_partitions(rest, max_size=max_partition_n):
-            if cross_edge_count(G, pi) < p * (len(pi) - 1) - q * adjacent_number(G, Z, pi):
-                return False
-    return True
+    return _first_short_z_partition(G, p, 0, q, max_partition_n) is None
 
 
 def essential_edge_connectivity(G: Multigraph, *, max_n: int | None = None) -> int | None:
     """Minimum number of edges crossing a bipartition with both sides of
     size >= 2; None ("unbounded") when no such bipartition exists."""
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"essential connectivity scan is limited to n <= {limit} vertices (got n={G.n})"
-        )
+    check_subset_limit(G.n, max_n, "essential connectivity scan")
     if G.n <= 3:
         return None
-    best: int | None = None
-    rest = range(1, G.n)
-    for size in range(1, G.n - 2):
-        for combo in itertools.combinations(rest, size):
-            side = frozenset(combo) | {0}
-            if len(side) < 2:
-                continue
-            pi = Partition((side, frozenset(G.vertices()) - side))
-            cut = cross_edge_count(G, pi)
-            if best is None or cut < best:
-                best = cut
-    return best
+    ind, dsum = induced_table(G), degree_sum_table(G)
+    full = (1 << G.n) - 1
+    # Sides holding vertex 0 (the top bit) and leaving two vertices out.
+    return min(
+        dsum[S] - 2 * ind[S]
+        for S in range(1 << (G.n - 1), full)
+        if 2 <= S.bit_count() <= G.n - 2
+    )
 
 
 def is_essentially_edge_connected(G: Multigraph, p: int, *, max_n: int | None = None) -> bool:

@@ -4,6 +4,17 @@ Both enumerators are guarded: subset scans refuse n beyond
 ``SUBSET_LIMIT`` and partition scans refuse ground sets beyond
 ``PARTITION_LIMIT`` (Bell numbers blow up fast; Bell(12) is about 4.2M).
 Orders are deterministic so that reported witnesses are reproducible.
+
+The condition checkers do not draw sets one at a time.  They scan with the
+bitmask kernel below, in the same orders: vertex v of an n-vertex graph is
+the bit ``1 << (n - 1 - v)``, so "size descending, lexicographic within a
+size" is the order of ``(popcount, mask)`` descending.  ``induced_table``
+gives i(X) for every mask in one O(2^n) pass (a list of 2^n ints, about
+1 MB at the peak of its build for n = 16); it refuses n above
+``SUBSET_CEILING`` whatever the guardrail says.  ``PartitionWalk`` visits the
+partitions of ``enumerate_partitions`` with counts kept up to date as
+vertices move between blocks, and needs no table.  Only the reported
+witness is turned back into a ``frozenset`` or ``Partition``.
 """
 
 from __future__ import annotations
@@ -16,6 +27,22 @@ from .multigraph import Multigraph, Partition
 
 SUBSET_LIMIT = 16
 PARTITION_LIMIT = 12
+# Largest n for which a 2^n subset table is built (about 4M entries).
+SUBSET_CEILING = 22
+
+
+def check_subset_limit(n: int, max_n: int | None, what: str = "subset enumeration") -> None:
+    limit = SUBSET_LIMIT if max_n is None else max_n
+    if n > limit:
+        raise LimitExceededError(f"{what} is limited to n <= {limit} vertices (got n={n})")
+
+
+def check_partition_limit(size: int, max_size: int | None) -> None:
+    limit = PARTITION_LIMIT if max_size is None else max_size
+    if size > limit:
+        raise LimitExceededError(
+            f"partition enumeration is limited to {limit} elements (got {size})"
+        )
 
 
 def enumerate_vertex_subsets(
@@ -26,11 +53,7 @@ def enumerate_vertex_subsets(
     Order: decreasing size, lexicographic within a size, so the whole
     vertex set comes first.
     """
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"subset enumeration is limited to n <= {limit} vertices (got n={G.n})"
-        )
+    check_subset_limit(G.n, max_n)
     verts = range(G.n)
     for size in range(G.n, min_size - 1, -1):
         if size < 0:
@@ -69,11 +92,7 @@ def enumerate_partitions(
     partition last; blocks are ordered by first appearance.
     """
     items = sorted(S)
-    limit = PARTITION_LIMIT if max_size is None else max_size
-    if len(items) > limit:
-        raise LimitExceededError(
-            f"partition enumeration is limited to {limit} elements (got {len(items)})"
-        )
+    check_partition_limit(len(items), max_size)
     for rgs in _restricted_growth_strings(len(items)):
         nblocks = max(rgs) + 1 if rgs else 0
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
@@ -93,3 +112,204 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + val)
         row = nxt
     return row[-1]
+
+
+# ------------------------------------------------------------ bitmask kernel
+
+def mask_vertices(n: int, mask: int) -> frozenset:
+    """The vertex set of ``mask`` (vertex v is bit n - 1 - v)."""
+    return frozenset(v for v in range(n) if mask >> (n - 1 - v) & 1)
+
+
+def _multiplicities(G: Multigraph) -> list[dict[int, int]]:
+    """Per vertex, its neighbours and the number of edges to each."""
+    mult: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for u, v in G.edges:
+        mult[u][v] = mult[u].get(v, 0) + 1
+        mult[v][u] = mult[v].get(u, 0) + 1
+    return mult
+
+
+def induced_table(G: Multigraph) -> list[int]:
+    """``ind[mask]`` = number of edges inside the vertex set ``mask``, for
+    all 2^n masks.  Run the caller's guardrail first: this refuses only
+    n > ``SUBSET_CEILING``."""
+    n = G.n
+    if n > SUBSET_CEILING:
+        raise LimitExceededError(
+            f"subset tables are limited to n <= {SUBSET_CEILING} vertices "
+            f"whatever the guardrail (got n={n})"
+        )
+    mult = _multiplicities(G)
+    ind = [0]
+    for b in range(n):
+        # Masks below bit b gain vertex n - 1 - b; into[mask] counts its
+        # edges into mask, built one lower bit at a time.
+        row = mult[n - 1 - b]
+        into = [0]
+        for c in range(b):
+            w = row.get(n - 1 - c, 0)
+            into += [x + w for x in into] if w else into
+        ind += [i + e for i, e in zip(ind, into)]
+    return ind
+
+
+def degree_sum_table(G: Multigraph) -> list[int]:
+    """``dsum[mask]`` = sum of the degrees of the vertices in ``mask``."""
+    deg = G.degrees()
+    dsum = [0]
+    for b in range(G.n):
+        d = deg[G.n - 1 - b]
+        dsum += [x + d for x in dsum]
+    return dsum
+
+
+def first_dense_set(
+    G: Multigraph, caps: list[int], *, max_n: int | None = None
+) -> tuple[frozenset, int] | None:
+    """The first X in ``enumerate_vertex_subsets`` order with
+    i(X) > caps[|X|], as (X, i(X)); None when there is none.  Sizes that
+    are not to be scanned take a cap of at least G.m."""
+    check_subset_limit(G.n, max_n)
+    ind = induced_table(G)
+    best = -1
+    for mask, count in enumerate(ind):
+        size = mask.bit_count()
+        if count > caps[size]:
+            key = size << G.n | mask
+            if key > best:
+                best = key
+    if best < 0:
+        return None
+    mask = best & ((1 << G.n) - 1)
+    return mask_vertices(G.n, mask), ind[mask]
+
+
+class PartitionWalk:
+    """The partitions of ``ground`` (a vertex mask of G) in
+    ``enumerate_partitions`` order, one block per first-appearance label.
+
+    Iterating yields ``(blocks, inside, singletons, touching)`` after each
+    partition: its number of blocks, the edges inside blocks, the number of
+    one-vertex blocks and the adjacent number with respect to the vertex
+    mask ``z`` (over blocks, the vertices of z with a neighbour in the
+    block).  ``partition()`` builds the current partition.  The walk is
+    iterative and holds O(n) state, whatever the ground set's size.
+    """
+
+    def __init__(self, G: Multigraph, ground: int, z: int = 0) -> None:
+        n = G.n
+        self.n = n
+        self.z = z
+        bit = [1 << (n - 1 - v) for v in range(n)]
+        items = [v for v in range(n) if ground & bit[v]]
+        mult = _multiplicities(G)
+        self.bits = [bit[v] for v in items]
+        self.adjacency = [sum(bit[u] for u in mult[v]) for v in items]
+        # Binary digits of the multiplicities inside the ground set: the
+        # edges from v into a block B are sum(|levels[t] & B| << t).
+        self.levels = []
+        for v in items:
+            row = {u: m for u, m in mult[v].items() if ground & bit[u]}
+            self.levels.append([
+                (t, sum(bit[u] for u, m in row.items() if m >> t & 1))
+                for t in range(max(row.values(), default=0).bit_length())
+            ])
+        self.total = sum(1 for u, v in G.edges if ground & bit[u] and ground & bit[v])
+        self.labels = [0] * len(items)
+        self.masks = [0] * len(items)
+
+    def partition(self) -> Partition:
+        used = max(self.labels, default=-1) + 1
+        return Partition(tuple(mask_vertices(self.n, m) for m in self.masks[:used]))
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        bits, adjacency, levels, z = self.bits, self.adjacency, self.levels, self.z
+        labels, masks = self.labels, self.masks
+        r = len(bits)
+        labels[:] = [0] * r
+        masks[:] = [0] * r
+        sizes = [0] * r
+        near = [0] * r  # per block: the union of its vertices' neighbourhoods
+        undo = [(0, 0)] * r  # per item: its edges into its block, the block's old `near`
+        blocks = inside = singletons = touching = 0
+        i = 0
+        while True:
+            # Items i.. join the blocks their labels name.
+            for i in range(i, r):
+                j = labels[i]
+                block = masks[j]
+                into = 0
+                for t, level in levels[i]:
+                    into += (level & block).bit_count() << t
+                old = near[j]
+                new = old | adjacency[i]
+                undo[i] = (into, old)
+                masks[j] = block | bits[i]
+                near[j] = new
+                size = sizes[j]
+                sizes[j] = size + 1
+                if size == 0:
+                    blocks += 1
+                    singletons += 1
+                elif size == 1:
+                    singletons -= 1
+                inside += into
+                if z:
+                    touching += (new & z).bit_count() - (old & z).bit_count()
+            yield blocks, inside, singletons, touching
+            # The next restricted-growth string: the last item whose label
+            # may grow (up to the number of blocks among earlier items)
+            # takes the next label, and every later item goes to block 0.
+            i = r - 1
+            while i > 0:
+                j = labels[i]
+                into, old = undo[i]
+                new = near[j]
+                masks[j] ^= bits[i]
+                near[j] = old
+                size = sizes[j] - 1
+                sizes[j] = size
+                if size == 0:
+                    blocks -= 1
+                    singletons -= 1
+                elif size == 1:
+                    singletons += 1
+                inside -= into
+                if z:
+                    touching -= (new & z).bit_count() - (old & z).bit_count()
+                if j < blocks:
+                    break
+                i -= 1
+            else:
+                return
+            labels[i] += 1
+            labels[i + 1:] = [0] * (r - 1 - i)
+
+
+def first_short_partition(
+    G: Multigraph, z: int, slope: int, per_singleton: int, per_touch: int
+) -> tuple[Partition, int, int] | None:
+    """The first partition pi of V - Z in ``enumerate_partitions`` order with
+
+        cross_{G-Z}(pi) < slope(|pi| - 1) - per_singleton*n0 - per_touch*nZ
+
+    as (pi, lhs, rhs); None when there is none.  Z is the vertex mask ``z``;
+    the caller runs the guardrails."""
+    walk = PartitionWalk(G, ((1 << G.n) - 1) ^ z, z)
+    total = walk.total
+    for blocks, inside, singletons, touching in walk:
+        lhs = total - inside
+        rhs = slope * (blocks - 1) - per_singleton * singletons - per_touch * touching
+        if lhs < rhs:
+            return walk.partition(), lhs, rhs
+    return None
+
+
+def masks_by_size(n: int, sizes: Iterable[int]) -> Iterator[int]:
+    """The vertex masks of each size in ``sizes`` in turn, lexicographic
+    (mask descending) within a size."""
+    bits = [1 << (n - 1 - v) for v in range(n)]
+    for size in sizes:
+        for combo in itertools.combinations(bits, size):
+            yield sum(combo)

@@ -12,15 +12,16 @@ no such split: the bound is 0 and a triangle is not a forest).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .conditions import ConditionReport
-from .enumeration import enumerate_vertex_subsets
+from .enumeration import first_dense_set
 from .errors import GraphInputError, SearchBudgetExceededError
 from .matroids import UnionFind, graphic_independent, sparse_independent
-from .multigraph import Multigraph, induced_edge_count
+from .multigraph import Multigraph
 from .union import decompose_sparse, union_rank
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -60,10 +61,16 @@ def check_kwz_condition(
     if d < k + 1:
         raise GraphInputError(f"the degree bound requires d >= k + 1 (got d={d}, k={k})")
     params = {"k": k, "d": str(d)}
-    for X in enumerate_vertex_subsets(G, 1, max_n=max_n):
-        lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
-        if lhs < 0:
-            return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
+    # lhs < 0 exactly when i(X) exceeds the floor of
+    # ((k+1)(k+d)|X| - k^2) / (k+d+1), the denominator being positive.
+    caps = [G.m] + [
+        math.floor(((k + 1) * (k + d) * x - k * k) / (k + d + 1)) for x in range(1, G.n + 1)
+    ]
+    found = first_dense_set(G, caps, max_n=max_n)
+    if found is not None:
+        X, count = found
+        lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * count - k * k
+        return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
     return ConditionReport("kwz", params, True)
 
 

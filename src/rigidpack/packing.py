@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conditions import ConditionReport
-from .enumeration import enumerate_partitions
+from .enumeration import check_partition_limit, first_short_partition
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, sparse_independent
-from .multigraph import Multigraph, cross_edge_count
+from .multigraph import Multigraph
 from .union import UnionRank, union_rank
 
 
@@ -50,18 +50,15 @@ def pack_spanning_trees(
         return Packing((), ur.decomposition.forest_classes())
     params = {"l": l}
     try:
-        for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
-            lhs = cross_edge_count(G, pi)
-            rhs = l * (len(pi) - 1)
-            if lhs < rhs:
-                return ConditionReport(
-                    "tree-packing", params, False, pi, "partition", lhs, rhs
-                )
+        check_partition_limit(G.n, max_partition_n)
     except LimitExceededError:
         return ConditionReport(
             "tree-packing", params, False,
             note="witness unavailable: partition scan above guardrail",
         )
+    found = first_short_partition(G, 0, l, 0, 0)
+    if found is not None:
+        return ConditionReport("tree-packing", params, False, found[0], "partition", *found[1:])
     raise RuntimeError("tree packing failed but every partition satisfies the bound")
 
 

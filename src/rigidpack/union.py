@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .conditions import ConditionReport
-from .enumeration import enumerate_vertex_subsets
+from .enumeration import first_dense_set
 from .errors import GraphInputError, LimitExceededError
 from .matroids import PebbleGame, UnionFind, graphic_independent, sparse_independent
-from .multigraph import Multigraph, induced_edge_count
+from .multigraph import Multigraph
 
 BRUTE_FORCE_EDGE_LIMIT = 14
 
@@ -337,19 +337,19 @@ def _cover_failure_report(
     """Locate a definitional witness X with i(X) > bound(|X|); fall back to
     the uncovered deficiency set when the subset scan is out of reach."""
     try:
-        for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
-            lhs = induced_edge_count(G, X)
-            rhs = per_vertex_bound(len(X))
-            if lhs > rhs:
-                return ConditionReport(
-                    condition=condition,
-                    parameters=parameters,
-                    holds=False,
-                    witness=X,
-                    witness_kind="vertex-set",
-                    lhs=lhs,
-                    rhs=rhs,
-                )
+        caps = [G.m, G.m] + [per_vertex_bound(x) for x in range(2, G.n + 1)]
+        found = first_dense_set(G, caps, max_n=max_n)
+        if found is not None:
+            X, lhs = found
+            return ConditionReport(
+                condition=condition,
+                parameters=parameters,
+                holds=False,
+                witness=X,
+                witness_kind="vertex-set",
+                lhs=lhs,
+                rhs=caps[len(X)],
+            )
     except LimitExceededError:
         return ConditionReport(
             condition=condition,

@@ -153,3 +153,16 @@ def insert_remove_runs(draw):
         st.tuples(st.just("remove"), st.integers(0, 100)),
     )
     return n, draw(st.lists(op, max_size=40))
+
+
+@st.composite
+def small_multigraphs(draw, max_n: int = 8, max_mult: int = 3):
+    """A multigraph on 0..max_n vertices with at most ``max_mult`` parallel
+    edges per pair, most pairs empty or single, edges in a random order."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    weights = [0, 0, 0, 1, 1, 2, 3]
+    counts = draw(st.lists(st.sampled_from([w for w in weights if w <= max_mult]),
+                           min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, c in zip(pairs, counts) for _ in range(c)]
+    return Multigraph(n, tuple(draw(st.permutations(edges))))

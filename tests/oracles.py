@@ -3,9 +3,9 @@
 Everything here is written directly from the definitions with itertools
 and plain dictionaries: no pebble game, no union-find, no matroid union.
 The main implementation is tested against these, so they must not share
-code paths with it.  The two exceptions at the end, ``union_rank_reference``
-and ``circuit_by_delete_and_retry``, are regression oracles rather than
-definitional ones.
+code paths with it.  The exceptions at the end, ``union_rank_reference``,
+``circuit_by_delete_and_retry`` and the ``*_reference`` condition scans,
+are regression oracles rather than definitional ones.
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from rigidpack import GraphInputError, Multigraph
+from rigidpack import GraphInputError, LimitExceededError, Multigraph, Partition
+from rigidpack.conditions import ConditionReport, GammaResult
+from rigidpack.enumeration import SUBSET_LIMIT, enumerate_partitions, enumerate_vertex_subsets
 from rigidpack.matroids import PebbleGame, UnionFind
-from rigidpack.union import Decomposition, UnionRank
+from rigidpack.multigraph import adjacent_number, cross_edge_count, induced_edge_count
+from rigidpack.packing import Packing
+from rigidpack.union import Decomposition, UnionRank, union_rank
 
 
 def iter_subsets(items, min_size=0):
@@ -478,3 +482,305 @@ def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
             game.remove(u, v)
         cls._insert(x)
     return circ
+
+
+# ------------------------------------------------ frozenset scan references
+#
+# The exhaustive condition scans as they were written before the bitmask
+# kernel: one frozenset or Partition per set drawn from the public
+# enumerators, with the counting primitives of ``rigidpack.multigraph``.
+# Regression oracles: the kernel must give the same whole report (verdict,
+# witness, both sides, argmax) and refuse at the same point.
+
+
+def check_cover_condition_reference(
+    G: Multigraph, k: int, *, max_n: int | None = None
+) -> ConditionReport:
+    """Does every X with |X| >= 2 satisfy i(X) <= k(2|X| - 3)?"""
+    if k < 0:
+        raise GraphInputError("need k >= 0")
+    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+        lhs = induced_edge_count(G, X)
+        rhs = k * (2 * len(X) - 3)
+        if lhs > rhs:
+            return ConditionReport("cover", {"k": k}, False, X, "vertex-set", lhs, rhs)
+    return ConditionReport("cover", {"k": k}, True)
+
+
+def check_tree_packing_condition_reference(
+    G: Multigraph, l: int, *, max_partition_n: int | None = None
+) -> ConditionReport:
+    """Does every partition p of V satisfy cross(p) >= l(|p| - 1)?"""
+    if l < 0:
+        raise GraphInputError("need l >= 0")
+    for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
+        lhs = cross_edge_count(G, pi)
+        rhs = l * (len(pi) - 1)
+        if lhs < rhs:
+            return ConditionReport("tree-packing", {"l": l}, False, pi, "partition", lhs, rhs)
+    return ConditionReport("tree-packing", {"l": l}, True)
+
+
+def proper_subsets_reference(G: Multigraph, *, max_n: int | None = None):
+    # All proper subsets of V (empty included), smallest first so the
+    # Z = empty-set cases are scanned before any vertex deletions.
+    limit = SUBSET_LIMIT if max_n is None else max_n
+    if G.n > limit:
+        raise LimitExceededError(
+            f"subset enumeration is limited to n <= {limit} vertices (got n={G.n})"
+        )
+    verts = range(G.n)
+    for size in range(G.n):
+        for combo in itertools.combinations(verts, size):
+            yield frozenset(combo)
+
+
+def check_parthm_condition_reference(
+    G: Multigraph, k: int, l: int, *, max_partition_n: int | None = None
+) -> ConditionReport:
+    """Sufficient packing condition: for every proper subset Z and every
+    partition p of V - Z,
+
+        cross_{G-Z}(p) >= (3k + l)(|p| - 1) - k*n0 - k*nZ
+
+    where n0 counts trivial parts and nZ is the adjacent number of p with
+    respect to Z.
+    """
+    if k < 0 or l < 0:
+        raise GraphInputError("need k >= 0 and l >= 0")
+    params = {"k": k, "l": l}
+    vertices = frozenset(G.vertices())
+    for Z in proper_subsets_reference(G, max_n=max_partition_n):
+        rest = vertices - Z
+        for pi in enumerate_partitions(rest, max_size=max_partition_n):
+            lhs = cross_edge_count(G, pi)
+            rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count - k * adjacent_number(G, Z, pi)
+            if lhs < rhs:
+                return ConditionReport(
+                    "parthm", params, False, (Z, pi), "z-partition", lhs, rhs
+                )
+    return ConditionReport("parthm", params, True)
+
+
+def check_necessary_condition_reference(
+    G: Multigraph, k: int, l: int, *, max_partition_n: int | None = None
+) -> ConditionReport:
+    """Necessary packing condition: every partition p of V satisfies
+    cross(p) >= (3k + l)(|p| - 1) - k*n0."""
+    if k < 0 or l < 0:
+        raise GraphInputError("need k >= 0 and l >= 0")
+    params = {"k": k, "l": l}
+    for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
+        lhs = cross_edge_count(G, pi)
+        rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count
+        if lhs < rhs:
+            return ConditionReport("necessary", params, False, pi, "partition", lhs, rhs)
+    return ConditionReport("necessary", params, True)
+
+
+def gamma_reference(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
+    """Fractional arboricity: max of i(X) / (|X| - 1) over |X| >= 2,
+    as an exact fraction with the first maximizer in enumeration order."""
+    return density_max_reference(G, lambda x: x - 1, max_n=max_n)
+
+
+def gamma2_reference(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
+    """Sparse-cover density: max of i(X) / (2|X| - 3) over |X| >= 2."""
+    return density_max_reference(G, lambda x: 2 * x - 3, max_n=max_n)
+
+
+def density_max_reference(G: Multigraph, denominator, *, max_n: int | None) -> GammaResult:
+    if G.n < 2:
+        raise GraphInputError("density parameters need at least 2 vertices")
+    best: Fraction | None = None
+    arg: frozenset | None = None
+    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+        val = Fraction(induced_edge_count(G, X), denominator(len(X)))
+        if best is None or val > best:
+            best, arg = val, X
+    assert best is not None and arg is not None
+    return GammaResult(best, arg)
+
+
+def min_cut_within_reference(G: Multigraph, W: frozenset) -> int | None:
+    """Edge connectivity of the subgraph induced by W; None when |W| <= 1
+    (vacuously as connected as required)."""
+    verts = sorted(W)
+    if len(verts) <= 1:
+        return None
+    inside = [(u, v) for u, v in G.edges if u in W and v in W]
+    anchor = verts[0]
+    rest = verts[1:]
+    best: int | None = None
+    for size in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, size):
+            side = set(combo)
+            side.add(anchor)
+            if len(side) == len(verts):
+                continue
+            cut = sum(1 for u, v in inside if (u in side) != (v in side))
+            if best is None or cut < best:
+                best = cut
+                if best == 0:
+                    return 0
+    return best
+
+
+def edge_connectivity_reference(G: Multigraph, *, max_n: int | None = None) -> int | None:
+    """Global edge connectivity by scanning all bipartitions; None for
+    graphs with fewer than 2 vertices."""
+    limit = SUBSET_LIMIT if max_n is None else max_n
+    if G.n > limit:
+        raise LimitExceededError(
+            f"edge connectivity scan is limited to n <= {limit} vertices (got n={G.n})"
+        )
+    return min_cut_within_reference(G, frozenset(G.vertices()))
+
+
+def is_pq_connected_reference(G: Multigraph, p: int, q: int, *, max_n: int | None = None) -> bool:
+    """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X."""
+    if p < 1 or q < 1:
+        raise GraphInputError("need p >= 1 and q >= 1")
+    if G.n * q <= p:
+        return False
+    vertices = frozenset(G.vertices())
+    for X in proper_subsets_reference(G, max_n=max_n):
+        need = p - q * len(X)
+        if need <= 0:
+            continue
+        cut = min_cut_within_reference(G, vertices - X)
+        if cut is not None and cut < need:
+            return False
+    return True
+
+
+def is_bracket_partition_connected_reference(
+    G: Multigraph, p: int, q: int, *, max_partition_n: int | None = None
+) -> bool:
+    """|V| > p/q and cross_{G-Z}(pi) >= p(|pi| - 1) - q*nZ(pi) for every
+    proper subset Z and partition pi of V - Z."""
+    if p < 1 or q < 1:
+        raise GraphInputError("need p >= 1 and q >= 1")
+    if G.n * q <= p:
+        return False
+    vertices = frozenset(G.vertices())
+    for Z in proper_subsets_reference(G, max_n=max_partition_n):
+        rest = vertices - Z
+        for pi in enumerate_partitions(rest, max_size=max_partition_n):
+            if cross_edge_count(G, pi) < p * (len(pi) - 1) - q * adjacent_number(G, Z, pi):
+                return False
+    return True
+
+
+def essential_edge_connectivity_reference(G: Multigraph, *, max_n: int | None = None) -> int | None:
+    """Minimum number of edges crossing a bipartition with both sides of
+    size >= 2; None ("unbounded") when no such bipartition exists."""
+    limit = SUBSET_LIMIT if max_n is None else max_n
+    if G.n > limit:
+        raise LimitExceededError(
+            f"essential connectivity scan is limited to n <= {limit} vertices (got n={G.n})"
+        )
+    if G.n <= 3:
+        return None
+    best: int | None = None
+    rest = range(1, G.n)
+    for size in range(1, G.n - 2):
+        for combo in itertools.combinations(rest, size):
+            side = frozenset(combo) | {0}
+            if len(side) < 2:
+                continue
+            pi = Partition((side, frozenset(G.vertices()) - side))
+            cut = cross_edge_count(G, pi)
+            if best is None or cut < best:
+                best = cut
+    return best
+
+
+def check_kwz_condition_reference(
+    G: Multigraph, k: int, d, *, max_n: int | None = None
+) -> ConditionReport:
+    """Does every nonempty X satisfy
+    (k+1)(k+d)|X| - (k+d+1) i(X) - k^2 >= 0?
+
+    ``d`` may be an integer or an exact fraction; the hypothesis requires
+    d >= k + 1.
+    """
+    if k < 0:
+        raise GraphInputError("need k >= 0")
+    d = Fraction(d)
+    if d < k + 1:
+        raise GraphInputError(f"the degree bound requires d >= k + 1 (got d={d}, k={k})")
+    params = {"k": k, "d": str(d)}
+    for X in enumerate_vertex_subsets(G, 1, max_n=max_n):
+        lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
+        if lhs < 0:
+            return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
+    return ConditionReport("kwz", params, True)
+
+
+def cover_failure_report_reference(
+    G: Multigraph,
+    condition: str,
+    parameters: dict,
+    per_vertex_bound,
+    dec: Decomposition,
+    max_n: int | None,
+) -> ConditionReport:
+    """Locate a definitional witness X with i(X) > bound(|X|); fall back to
+    the uncovered deficiency set when the subset scan is out of reach."""
+    try:
+        for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+            lhs = induced_edge_count(G, X)
+            rhs = per_vertex_bound(len(X))
+            if lhs > rhs:
+                return ConditionReport(
+                    condition=condition,
+                    parameters=parameters,
+                    holds=False,
+                    witness=X,
+                    witness_kind="vertex-set",
+                    lhs=lhs,
+                    rhs=rhs,
+                )
+    except LimitExceededError:
+        return ConditionReport(
+            condition=condition,
+            parameters=parameters,
+            holds=False,
+            witness=dec.uncovered(),
+            witness_kind="deficiency-edges",
+            lhs=len(dec.covered()),
+            rhs=G.m,
+            note="non-definitional witness: uncovered edges of a maximum decomposition",
+        )
+    raise RuntimeError("decomposition failed but no definitional witness exists")
+
+
+def pack_spanning_trees_reference(
+    G: Multigraph, l: int, *, max_partition_n: int | None = None
+) -> Packing | ConditionReport:
+    """Extract l edge-disjoint spanning trees, or report a partition pi
+    with fewer than l(|pi| - 1) crossing edges."""
+    if l < 1:
+        raise GraphInputError("need l >= 1")
+    if G.n < 1:
+        raise GraphInputError("need at least one vertex")
+    ur = union_rank(G, 0, l)
+    target = l * (G.n - 1)
+    if ur.rank == target:
+        return Packing((), ur.decomposition.forest_classes())
+    params = {"l": l}
+    try:
+        for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
+            lhs = cross_edge_count(G, pi)
+            rhs = l * (len(pi) - 1)
+            if lhs < rhs:
+                return ConditionReport(
+                    "tree-packing", params, False, pi, "partition", lhs, rhs
+                )
+    except LimitExceededError:
+        return ConditionReport(
+            "tree-packing", params, False,
+            note="witness unavailable: partition scan above guardrail",
+        )
+    raise RuntimeError("tree packing failed but every partition satisfies the bound")

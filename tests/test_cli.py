@@ -98,6 +98,38 @@ def test_gamma_output(triangle_file, capsys):
     assert "1/1" in out and "[0, 1, 2]" in out
 
 
+def test_input_file_after_the_options(k4_file, triangle_file, tmp_path, capsys):
+    # check and gamma take the input file before or after their options.
+    for before, after in (
+        (["check", "cover", str(k4_file), "--k", "1"], ["check", "cover", "--k", "1", str(k4_file)]),
+        (["check", "kwz", str(triangle_file), "--k", "1", "--d", "2"],
+         ["check", "kwz", "--k", "1", "--d", "2", str(triangle_file)]),
+        (["gamma", "gamma2", str(triangle_file), "--max-n", "5"],
+         ["gamma", "gamma2", "--max-n", "5", str(triangle_file)]),
+        (["gamma", "gamma", str(k4_file)], ["gamma", "gamma", str(k4_file)]),
+    ):
+        outs = []
+        for argv in (before, after):
+            out = tmp_path / "cert.json"
+            code = main(argv + ["--out", str(out)])
+            cert = json.loads(out.read_text())
+            cert.pop("created")
+            outs.append((code, capsys.readouterr().out, cert))
+        assert outs[0] == outs[1]
+        assert outs[0][0] in (0, 1)
+    # A second stray positional is still an error, in either place.
+    for argv in (
+        ["check", "cover", "--k", "1", str(k4_file), str(k4_file)],
+        ["check", "cover", str(k4_file), "--k", "1", str(k4_file)],
+        ["gamma", "gamma2", "--max-n", "5", str(k4_file), "extra"],
+        ["gamma", "gamma2", str(k4_file), "extra"],
+        ["check", "cover", "--k", "1", "--bogus", str(k4_file)],
+        ["decompose", "--k", "1", str(k4_file), "extra"],
+    ):
+        assert main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
     out = tmp_path / "ndt.json"
     assert main(["ndt", str(k4_file), "--k", "1", "--l", "2", "--out", str(out)]) == 0

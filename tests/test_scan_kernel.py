@@ -1,0 +1,305 @@
+"""The bitmask scan kernel against the frozenset scans it replaced.
+
+Every condition checker must return the same whole report as its
+``oracles.*_reference`` copy (verdict, witness, both sides, argmax) and
+refuse at the same point with the same message.
+"""
+
+import itertools
+import tracemalloc
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rigidpack
+from rigidpack import (
+    Multigraph,
+    RigidpackError,
+    adjacent_number,
+    check_cover_condition,
+    check_kwz_condition,
+    check_necessary_condition,
+    check_parthm_condition,
+    check_tree_packing_condition,
+    cross_edge_count,
+    edge_connectivity,
+    enumerate_partitions,
+    enumerate_vertex_subsets,
+    essential_edge_connectivity,
+    format_graph,
+    gamma,
+    gamma2,
+    is_bracket_partition_connected,
+    is_pq_connected,
+    pack_spanning_trees,
+    union_rank,
+)
+from rigidpack import enumeration
+from rigidpack.cli import main
+from rigidpack.enumeration import PartitionWalk, induced_table, mask_vertices
+from rigidpack.union import _cover_failure_report
+
+import corpus
+import oracles
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return "value", fn(*args, **kwargs)
+    except (RigidpackError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def subset_scans(G, max_n):
+    """(kernel call, reference call) pairs of every subset scan on G."""
+    for k in range(4):
+        yield (check_cover_condition, oracles.check_cover_condition_reference, (G, k))
+    for k, d in ((0, 1), (0, Fraction(5, 2)), (1, 2), (1, Fraction(7, 3)), (1, 3),
+                 (2, Fraction(10, 3))):
+        yield (check_kwz_condition, oracles.check_kwz_condition_reference, (G, k, d))
+    yield (gamma, oracles.gamma_reference, (G,))
+    yield (gamma2, oracles.gamma2_reference, (G,))
+    yield (edge_connectivity, oracles.edge_connectivity_reference, (G,))
+    yield (essential_edge_connectivity, oracles.essential_edge_connectivity_reference, (G,))
+    for p, q in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (2, 3)):
+        yield (is_pq_connected, oracles.is_pq_connected_reference, (G, p, q))
+
+
+def assert_subset_scans_match(G, max_n=None):
+    for new, ref, args in subset_scans(G, max_n):
+        assert outcome(new, *args, max_n=max_n) == outcome(ref, *args, max_n=max_n), (
+            new.__name__, args, max_n)
+    for name, params, bound, k, l in (
+        ("sparse-cover", {"k": 1}, lambda x: 2 * x - 3, 1, 0),
+        ("forest-cover", {"l": 1}, lambda x: x - 1, 0, 1),
+        ("forest-cover", {"l": 2}, lambda x: 2 * (x - 1), 0, 2),
+    ):
+        dec = union_rank(G, k, l).decomposition
+        args = (G, name, params, bound, dec, max_n)
+        assert outcome(_cover_failure_report, *args) == outcome(
+            oracles.cover_failure_report_reference, *args), (name, max_n)
+
+
+def partition_scans(G, z_scans):
+    for l in range(4):
+        yield (check_tree_packing_condition, oracles.check_tree_packing_condition_reference,
+               (G, l))
+    for l in (1, 2):
+        yield (pack_spanning_trees, oracles.pack_spanning_trees_reference, (G, l))
+    for k, l in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)):
+        yield (check_necessary_condition, oracles.check_necessary_condition_reference,
+               (G, k, l))
+        if z_scans:
+            yield (check_parthm_condition, oracles.check_parthm_condition_reference, (G, k, l))
+    if z_scans:
+        for p, q in ((1, 1), (2, 1), (3, 2)):
+            yield (is_bracket_partition_connected,
+                   oracles.is_bracket_partition_connected_reference, (G, p, q))
+
+
+def assert_partition_scans_match(G, max_partition_n=None, z_scans=None):
+    # Scans over every (Z, partition) pair are kept to n <= 6 for time.
+    for new, ref, args in partition_scans(G, G.n <= 6 if z_scans is None else z_scans):
+        kw = {"max_partition_n": max_partition_n}
+        assert outcome(new, *args, **kw) == outcome(ref, *args, **kw), (
+            new.__name__, args, max_partition_n)
+
+
+def named_graphs():
+    yield from (Multigraph(0), Multigraph(1), Multigraph(2), corpus.single_edge(),
+                corpus.double_edge(), corpus.triangle(), corpus.doubled_triangle(),
+                corpus.k4(), corpus.k4_minus_edge(), corpus.bowtie(), corpus.k5(),
+                corpus.k33(), corpus.two_triangles_disjoint(), corpus.path(7),
+                corpus.cycle(6), corpus.star(5))
+
+
+def test_named_and_seeded_corpus_reports_match_reference():
+    graphs = list(named_graphs()) + corpus.random_corpus(80, seed=61, n_range=(0, 8), m_max=30)
+    for G in graphs:
+        assert_subset_scans_match(G)
+        assert_partition_scans_match(G)
+
+
+@settings(max_examples=120, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=8), limit=st.sampled_from([None, -1, 0, 1]))
+def test_subset_scans_match_reference(G, limit):
+    # limit -1 / 0 / 1 sets the guardrail just below, at or above n.
+    assert_subset_scans_match(G, None if limit is None else G.n + limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=8), limit=st.sampled_from([None, -1, 0]))
+def test_partition_scans_match_reference(G, limit):
+    assert_partition_scans_match(G, None if limit is None else G.n + limit)
+
+
+def test_refusal_points_match_reference():
+    # n = 13 passes the subset guardrail and fails the partition one;
+    # n = 17 fails the subset guardrail first.
+    for n in (13, 17):
+        assert_partition_scans_match(corpus.path(n), z_scans=True)
+    assert_subset_scans_match(corpus.path(17))
+
+
+def test_mask_order_is_subset_enumeration_order():
+    for n in range(11):
+        order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m), reverse=True)
+        assert [mask_vertices(n, m) for m in order] == list(
+            enumerate_vertex_subsets(Multigraph(n), 0, max_n=n))
+
+
+def test_walk_order_is_partition_enumeration_order():
+    for n in range(11):
+        bit = [1 << (n - 1 - v) for v in range(n)]
+        want = [tuple(sum(bit[v] for v in b) for b in pi)
+                for pi in enumerate_partitions(range(n), max_size=n)]
+        walk = PartitionWalk(Multigraph(n), (1 << n) - 1)
+        got = [tuple(walk.masks[:blocks]) for blocks, _, _, _ in walk]
+        assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=7), data=st.data())
+def test_walk_counts_match_partition_counts(G, data):
+    full = (1 << G.n) - 1
+    z = data.draw(st.integers(0, full)) & ~(1 << data.draw(st.integers(0, max(G.n - 1, 0))))
+    Z = mask_vertices(G.n, z)
+    walk = PartitionWalk(G, full ^ z, z)
+    assert walk.total == sum(1 for u, v in G.edges if u not in Z and v not in Z)
+    seen = []
+    for blocks, inside, singletons, touching in walk:
+        pi = walk.partition()
+        seen.append(pi)
+        assert blocks == len(pi)
+        assert inside == walk.total - cross_edge_count(G, pi)
+        assert singletons == pi.trivial_count
+        assert touching == adjacent_number(G, Z, pi)
+    assert seen == list(enumerate_partitions(set(range(G.n)) - Z, max_size=G.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=8))
+def test_induced_table_counts_every_set(G):
+    ind = induced_table(G)
+    assert len(ind) == 1 << G.n
+    for mask in range(1 << G.n):
+        X = mask_vertices(G.n, mask)
+        assert ind[mask] == sum(1 for u, v in G.edges if u in X and v in X)
+
+
+def _with_input(argv, path):
+    """The argument list with the graph file after the command words."""
+    at = 2 if argv[0] in ("check", "gamma") else 1
+    return argv[:at] + [str(path)] + argv[at:]
+
+
+def _forbid(monkeypatch, *names):
+    """Replace every module binding of the named enumeration functions."""
+    calls = []
+    for name in names:
+        original = getattr(enumeration, name)
+
+        def refuse(*args, _name=name, **kwargs):
+            calls.append(_name)
+            raise AssertionError(f"{_name} called")
+
+        for module in list(vars(rigidpack).values()) + [rigidpack]:
+            if getattr(module, "__name__", "").startswith("rigidpack"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+    return calls
+
+
+def test_check_and_gamma_runs_call_no_enumerator(tmp_path, monkeypatch):
+    calls = _forbid(monkeypatch, "enumerate_vertex_subsets", "enumerate_partitions")
+    runs = {
+        "k4.txt": (corpus.k4(), [
+            (["check", "cover", "--k", "1"], 1), (["check", "cover", "--k", "2"], 0),
+            (["check", "kwz", "--k", "1", "--d", "7/3"], 1),
+            (["check", "pq-connected", "--p", "3", "--q", "1"], 0),
+            (["check", "tree-packing", "--l", "2"], 0),
+            (["gamma", "gamma"], 0), (["gamma", "gamma2"], 0),
+        ]),
+        "c5.txt": (corpus.cycle(5), [
+            (["check", "tree-packing", "--l", "2"], 1),
+            (["check", "necessary", "--k", "1", "--l", "0"], 1),
+            (["check", "parthm", "--k", "1", "--l", "0"], 1),
+            (["check", "bracket-partition", "--p", "1", "--q", "1"], 0),
+            (["check", "bracket-partition", "--p", "2", "--q", "1"], 1),
+            (["pack", "--k", "0", "--l", "2"], 1),
+        ]),
+    }
+    for name, (G, cases) in runs.items():
+        gfile = tmp_path / name
+        gfile.write_text(format_graph(G))
+        for argv, code in cases:
+            out = tmp_path / "cert.json"
+            assert main(_with_input(argv, gfile) + ["--out", str(out)]) == code, argv
+            assert main(["verify", str(out), str(gfile)]) == 0, argv
+    assert calls == []
+
+
+def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting(G, real=enumeration.induced_table):
+        built.append(G.n)
+        return real(G)
+
+    for module in (enumeration, rigidpack.conditions):
+        monkeypatch.setattr(module, "induced_table", counting)
+    # A failing decompose at n = 17 reports uncovered edges, not a scan.
+    doubled_path = Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2))
+    gfile = tmp_path / "dp17.txt"
+    gfile.write_text(format_graph(doubled_path))
+    assert main(["decompose", str(gfile), "--k", "1"]) == 1
+    assert "uncovered edges" in capsys.readouterr().out
+    for argv in (["check", "cover", "--k", "1"], ["check", "kwz", "--k", "1", "--d", "2"],
+                 ["check", "pq-connected", "--p", "1", "--q", "1"], ["gamma", "gamma"]):
+        assert main(_with_input(argv, gfile)) == 3
+        assert "limited to n <= 16 vertices (got n=17)" in capsys.readouterr().err
+    assert built == []
+    # The tables do get built below the guardrail.
+    assert main(["check", "cover", str(gfile), "--k", "2", "--max-n", "17"]) == 0
+    assert built and set(built) == {17}
+
+
+def test_subset_ceiling_refuses_a_raised_guardrail(tmp_path, capsys):
+    gfile = tmp_path / "p23.txt"
+    gfile.write_text(format_graph(corpus.path(23)))
+    tracemalloc.start()
+    try:
+        for argv in (["check", "cover", "--k", "1"], ["check", "kwz", "--k", "1", "--d", "2"],
+                     ["check", "pq-connected", "--p", "2", "--q", "1"], ["gamma", "gamma2"]):
+            assert main(_with_input(argv, gfile) + ["--max-n", "40"]) == 3, argv
+            assert "limited to n <= 22 vertices" in capsys.readouterr().err
+        # A 2^23-entry table would take tens of MB.
+        assert tracemalloc.get_traced_memory()[1] < 2_000_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_raised_partition_guardrail_walks_without_recursion(tmp_path):
+    # A long path fails every partition scan at its second partition,
+    # {V - {n-1}, {n-1}}; a raised guardrail then finds that witness at
+    # once, with scan state linear in n.
+    out = tmp_path / "cert.json"
+    for n, argv in ((1500, ["check", "tree-packing", "--l", "2"]),
+                    (1500, ["check", "necessary", "--k", "1", "--l", "0"]),
+                    (1500, ["check", "parthm", "--k", "1", "--l", "0"]),
+                    (1500, ["check", "bracket-partition", "--p", "2", "--q", "1"]),
+                    (60, ["pack", "--k", "0", "--l", "2"])):
+        gfile = tmp_path / f"path{n}.txt"
+        gfile.write_text(format_graph(corpus.path(n)))
+        tracemalloc.start()
+        try:
+            code = main(_with_input(argv, gfile) + ["--max-partitions", str(n), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1, argv
+        assert peak < 8_000_000, (argv, peak)  # an n-by-n table at n = 1500 is 18 MB
+        assert main(["verify", str(out), str(gfile)]) == 0
+    walk = PartitionWalk(corpus.path(60), (1 << 60) - 1)
+    assert len(list(itertools.islice(walk, 1000))) == 1000
