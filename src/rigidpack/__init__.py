@@ -38,7 +38,6 @@ from .matroids import (
     is_rigid,
     rigidity_rank,
     sparse_independent,
-    sparse_independent_bruteforce,
 )
 from .multigraph import (
     Multigraph,
@@ -72,10 +71,10 @@ from .packing import (
 from .union import (
     Decomposition,
     UnionRank,
+    decompose,
     decompose_forests,
     decompose_sparse,
     union_rank,
-    union_rank_bruteforce,
     verify_decomposition,
 )
 

@@ -2,9 +2,14 @@
 
 A certificate stores the graph's content hash rather than the graph, so
 verification needs the original input file.  ``cert_hash`` covers every
-field except itself and the timestamp, making any single-field tamper
-detectable; semantic verification then re-checks the claimed result from
-scratch against the graph.
+field except itself and the timestamp; it is unkeyed, so it catches
+corruption, not forgery.  Semantic verification re-checks the claim from
+scratch against the graph and binds it to the command: the payload kind,
+the top-level parameters and every field the CLI fixes must be the ones
+that command gives.
+
+``CONDITIONS`` is the one table of the conditions a report can name: its
+parameters, its producer, and the inequality a failure's witness violates.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .conditions import (
     ConditionReport,
@@ -25,13 +31,14 @@ from .conditions import (
     is_bracket_partition_connected,
     is_pq_connected,
 )
-from .errors import GraphInputError
+from .errors import GraphInputError, RigidpackError
 from .matroids import sparse_independent
 from .multigraph import (
     Multigraph,
     Partition,
     adjacent_number,
     check_edge_subset,
+    check_vertex_subset,
     cross_edge_count,
     induced_edge_count,
 )
@@ -91,7 +98,7 @@ def load_certificate(path) -> dict:
             cert = json.load(fh)
     except OSError as exc:
         raise GraphInputError(f"cannot read certificate {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise GraphInputError(f"malformed certificate {path}: {exc}") from None
     if not isinstance(cert, dict):
         raise GraphInputError(f"malformed certificate {path}: expected a JSON object")
@@ -106,19 +113,52 @@ def _num(x):
     return x
 
 
-def _witness_json(kind: str | None, witness) -> dict | None:
+# Each witness kind's JSON fields.  A z-partition witness is the pair
+# (Z, partition); vertex and edge sets are sorted lists, a partition its
+# blocks in order.  Each field has a label for summaries and a decoder.
+_WITNESS_FIELDS = {
+    "vertex-set": ("vertices",),
+    "partition": ("blocks",),
+    "z-partition": ("z", "blocks"),
+    "deficiency-edges": ("edges",),
+}
+_FIELDS = {
+    "vertices": ("X", check_vertex_subset),
+    "z": ("Z", check_vertex_subset),
+    "blocks": ("pi", lambda G, raw: Partition(tuple(check_vertex_subset(G, b) for b in raw))),
+    "edges": ("uncovered edges", lambda G, raw: frozenset(check_edge_subset(G, raw))),
+}
+
+
+def encode_witness(kind: str | None, witness) -> dict | None:
     if kind is None or witness is None:
         return None
-    if kind == "vertex-set":
-        return {"kind": kind, "vertices": sorted(witness)}
-    if kind == "partition":
-        return {"kind": kind, "blocks": [sorted(b) for b in witness.blocks]}
-    if kind == "z-partition":
-        Z, pi = witness
-        return {"kind": kind, "z": sorted(Z), "blocks": [sorted(b) for b in pi.blocks]}
-    if kind == "deficiency-edges":
-        return {"kind": kind, "edges": sorted(witness)}
-    raise ValueError(f"unknown witness kind {kind!r}")
+    fields = _WITNESS_FIELDS[kind]
+    out = {"kind": kind}
+    for field, value in zip(fields, witness if len(fields) > 1 else (witness,)):
+        out[field] = [sorted(b) for b in value.blocks] if field == "blocks" else sorted(value)
+    return out
+
+
+def decode_witness(G: Multigraph, witness: dict) -> tuple[str, object]:
+    """(kind, witness) from its JSON, checked against G; only the canonical
+    encoding of a witness is accepted."""
+    kind = witness.get("kind")
+    if kind not in _WITNESS_FIELDS:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    values = tuple(_FIELDS[f][1](G, witness[f]) for f in _WITNESS_FIELDS[kind])
+    value = values if len(values) > 1 else values[0]
+    if encode_witness(kind, value) != witness:
+        raise ValueError("witness is not in canonical form")
+    return kind, value
+
+
+def summarize_witness(witness: dict | None) -> str:
+    """The witness in one line, for the CLI's summary."""
+    if not witness:
+        return ""
+    fields = _WITNESS_FIELDS[witness["kind"]]
+    return " witness " + " ".join(f"{_FIELDS[f][0]}={witness[f]}" for f in fields)
 
 
 def report_payload(report: ConditionReport) -> dict:
@@ -127,11 +167,22 @@ def report_payload(report: ConditionReport) -> dict:
         "condition": report.condition,
         "parameters": {k: _num(v) for k, v in report.parameters},
         "holds": report.holds,
-        "witness": _witness_json(report.witness_kind, report.witness),
+        "witness": encode_witness(report.witness_kind, report.witness),
         "lhs": _num(report.lhs),
         "rhs": _num(report.rhs),
         "note": report.note,
     }
+
+
+def check_parameters(condition: str, params: dict) -> dict:
+    """Top-level parameters of a ``check`` certificate: the condition and
+    the parameters it takes, each an int, or "p/q" when it is not integral
+    (the guardrails stay in the payload)."""
+    out = {"condition": condition}
+    for name in CONDITIONS[condition].params:
+        x = Fraction(params[name])
+        out[name] = x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return out
 
 
 def decomposition_payload(dec: Decomposition) -> dict:
@@ -186,7 +237,134 @@ def density_payload(
     return payload
 
 
+# -------------------------------------------------------------- conditions
+
+class Condition(NamedTuple):
+    """``params``: the names of its report's parameters, which ``check``
+    requires.  ``run(G, params, max_n, max_partitions)``: its producer, None
+    when it is only ever reported failing.  ``violated``: for each witness
+    kind a failure carries (None: no witness), ``(G, params, witness) ->
+    (violated, lhs, rhs)`` recomputed with the counting primitives; empty
+    when failures carry no witness and the producer's verdict is re-run."""
+
+    params: tuple[str, ...]
+    run: Callable | None
+    violated: dict
+
+
+def _dense_set(min_size: int, cap):
+    """i(X) > cap(params, |X|) at a vertex set X of at least min_size vertices."""
+    def violated(G, p, X):
+        lhs, rhs = induced_edge_count(G, X), cap(p, len(X))
+        return len(X) >= min_size and lhs > rhs, lhs, rhs
+    return violated
+
+
+def _short_partition(weights):
+    """cross(pi) < slope(|pi| - 1) - per_singleton*n0 - per_touch*nZ at a
+    partition pi of V - Z, weighted as by ``first_short_partition``."""
+    def violated(G, p, witness):
+        Z, pi = witness if isinstance(witness, tuple) else (frozenset(), witness)
+        slope, per_singleton, per_touch = weights(p)
+        lhs = cross_edge_count(G, pi)
+        rhs = (slope * (len(pi) - 1) - per_singleton * pi.trivial_count
+               - per_touch * adjacent_number(G, Z, pi))
+        return lhs < rhs, lhs, rhs
+    return violated
+
+
+def _kwz_violated(G, p, X):
+    k, d = p["k"], Fraction(p["d"])
+    lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
+    return len(X) >= 1 and lhs < 0, lhs, 0
+
+
+def _uncovered(classes):
+    """The uncovered edges of a maximum split into k sparse classes and l
+    forests, recomputed (the fallback witness above the subset guardrail)."""
+    def violated(G, p, F):
+        ur = union_rank(G, *classes(p))
+        return ur.rank < G.m and ur.decomposition.uncovered() == F, ur.rank, G.m
+    return violated
+
+
+def _fewer_trees(G, p, _):
+    # Unwitnessed packing failure (partition scan above its guardrail): the
+    # union rank settles it without enumeration.
+    return union_rank(G, 0, p["l"]).rank < p["l"] * (G.n - 1), None, None
+
+
+def _no_split(G, p, F):
+    # Every sparse class splits once n >= 6; below that the class has at
+    # most 7 edges, so re-running the exhaustive search is cheap.
+    if G.n >= 6:
+        raise _Rejected("every sparse class has a forest-plus-bounded split when n >= 6")
+    if not sparse_independent(G, F)[0]:
+        raise _Rejected("witness class is not (2,3)-sparse")
+    return sparse_to_forest_plus_bounded(G.subgraph_of(F)) is None, None, None
+
+
+_OVER_SPARSE = _dense_set(2, lambda p, x: p["k"] * (2 * x - 3))
+
+# The seven conditions ``check`` evaluates come first, in its order.  The
+# producers are looked up at call time.
+CONDITIONS = {
+    "cover": Condition(("k",), lambda G, p, mn, mp: check_cover_condition(
+        G, p["k"], max_n=mn), {"vertex-set": _OVER_SPARSE}),
+    "tree-packing": Condition(("l",), lambda G, p, mn, mp: check_tree_packing_condition(
+        G, p["l"], max_partition_n=mp),
+        {"partition": _short_partition(lambda p: (p["l"], 0, 0)), None: _fewer_trees}),
+    "parthm": Condition(("k", "l"), lambda G, p, mn, mp: check_parthm_condition(
+        G, p["k"], p["l"], max_partition_n=mp),
+        {"z-partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], p["k"]))}),
+    "necessary": Condition(("k", "l"), lambda G, p, mn, mp: check_necessary_condition(
+        G, p["k"], p["l"], max_partition_n=mp),
+        {"partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], 0))}),
+    "pq-connected": Condition(("p", "q"), lambda G, p, mn, mp: ConditionReport(
+        "pq-connected", {"p": p["p"], "q": p["q"]},
+        is_pq_connected(G, p["p"], p["q"], max_n=mn)), {}),
+    "bracket-partition": Condition(("p", "q"), lambda G, p, mn, mp: ConditionReport(
+        "bracket-partition", {"p": p["p"], "q": p["q"]},
+        is_bracket_partition_connected(G, p["p"], p["q"], max_partition_n=mp)), {}),
+    "kwz": Condition(("k", "d"), lambda G, p, mn, mp: check_kwz_condition(
+        G, p["k"], p["d"], max_n=mn), {"vertex-set": _kwz_violated}),
+    "sparse-cover": Condition(("k",), None, {
+        "vertex-set": _OVER_SPARSE, "deficiency-edges": _uncovered(lambda p: (p["k"], 0))}),
+    "forest-cover": Condition(("l",), None, {
+        "vertex-set": _dense_set(1, lambda p, x: p["l"] * (x - 1)),
+        "deficiency-edges": _uncovered(lambda p: (0, p["l"]))}),
+    "union-cover": Condition(("k", "l"), None, {
+        "deficiency-edges": _uncovered(lambda p: (p["k"], p["l"]))}),
+    "forest-plus-bounded": Condition(("k", "l"), None, {"deficiency-edges": _no_split}),
+}
+
+# Guardrails travel in a report's parameters, so that verification re-runs
+# the same scan the producer ran.
+GUARDRAILS = ("max_n", "max_partitions")
+
+# The condition and parameters of the report a command gives on failure,
+# for its k and l.
+_FAILURES = {
+    "decompose": lambda k, l: [
+        ("sparse-cover", {"k": k}) if l == 0
+        else ("forest-cover", {"l": l}) if k == 0
+        else ("union-cover", {"k": k, "l": l})
+    ],
+    "pack": lambda k, l: [("tree-packing", {"l": l})] if k == 0 else [],
+    "ndt": lambda k, l: [("sparse-cover", {"k": k + 1}), ("forest-plus-bounded", {"k": k, "l": l})],
+}
+
+
 # ------------------------------------------------------------ verification
+
+class _Rejected(Exception):
+    """A claim that does not hold; the message says why."""
+
+
+def _ensure(verdict: tuple[bool, str | None]) -> None:
+    if not verdict[0]:
+        raise _Rejected(verdict[1])
+
 
 def verify_certificate(cert: dict, G: Multigraph, *, check_hash: bool = True) -> tuple[bool, str | None]:
     """Recompute the certificate's claims from scratch against ``G``."""
@@ -204,23 +382,23 @@ def verify_certificate(cert: dict, G: Multigraph, *, check_hash: bool = True) ->
         if not isinstance(payload, dict):
             return False, "missing payload"
         command = cert.get("command")
-        params = _json_object(cert.get("parameters", {}), "parameters")
+        top = _json_object(cert.get("parameters", {}), "parameters")
         kind = payload.get("kind")
-        if kind == "decomposition":
-            return _verify_decomposition_payload(G, payload)
-        if kind == "packing":
-            return _verify_packing_payload(G, command, params, payload)
-        if kind == "packing-failure":
-            return _verify_packing_failure_payload(G, params, payload)
-        if kind == "bounded-cover":
-            return _verify_bounded_cover_payload(G, params, payload)
-        if kind == "density":
-            return _verify_density_payload(G, payload)
-        if kind == "report":
-            return _verify_report_payload(G, payload)
-        return False, f"unknown payload kind {kind!r}"
-    except (KeyError, TypeError, ValueError, GraphInputError) as exc:
+        if kind not in _PAYLOADS:
+            return False, f"unknown payload kind {kind!r}"
+        commands, verify = _PAYLOADS[kind]
+        if command not in commands:
+            return False, f"command {command!r} gives no {kind} payload"
+        if command in _FAILURES:
+            _check_k_l(command, top)
+        verify(G, command, top, payload)
+        return True, None
+    except _Rejected as exc:
+        return False, str(exc)
+    except (LookupError, TypeError, ValueError, ArithmeticError, GraphInputError) as exc:
         return False, f"malformed certificate: {exc}"
+    except RigidpackError as exc:
+        return False, f"cannot re-check the claim: {exc}"
 
 
 def _json_object(value, what: str) -> dict:
@@ -229,230 +407,139 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _verify_decomposition_payload(G, payload):
-    dec = Decomposition(payload["k"], payload["l"], tuple(payload["assignment"]))
-    ok, reason = verify_decomposition(G, dec, require_complete=payload["complete"])
-    if not ok:
-        return False, reason
-    if payload["complete"] != dec.is_complete():
-        return False, "completeness flag does not match assignment"
+def _check_k_l(command, top):
+    k, l = top.get("k"), top.get("l")
+    if set(top) != {"k", "l"} or type(k) is not int or type(l) is not int:
+        raise _Rejected("top-level parameters must be the integers k and l")
+    if min(k, l) < 0 or k + l < 1 or (command == "ndt" and not k + 1 <= l <= 2 * k + 2):
+        raise _Rejected(f"k={k}, l={l} is outside the range of {command}")
+
+
+def _decomposition(G, payload, k, l, *, complete=False) -> Decomposition:
+    """The decomposition ``payload`` states for k sparse classes and l forests."""
+    if payload["kind"] != "decomposition" or (payload["k"], payload["l"]) != (k, l):
+        raise _Rejected("decomposition does not match the command's k and l")
+    dec = Decomposition(k, l, tuple(payload["assignment"]))
+    _ensure(verify_decomposition(G, dec, require_complete=complete))
+    if payload["complete"] is not dec.is_complete():
+        raise _Rejected("completeness flag does not match assignment")
     if payload["rank"] != len(dec.covered()):
-        return False, "stated rank does not match the assignment"
-    return True, None
+        raise _Rejected("stated rank does not match the assignment")
+    return dec
 
 
-def _verify_packing_payload(G, command, params, payload):
+def _verify_decomposition_payload(G, command, top, payload):
+    _decomposition(G, payload, top["k"], top["l"], complete=True)
+
+
+def _verify_packing_payload(G, command, top, payload):
     packing = Packing(
         tuple(frozenset(p) for p in payload["rigid_parts"]),
         tuple(frozenset(p) for p in payload["tree_parts"]),
     )
-    ok, reason = verify_packing(G, packing)
-    if not ok:
-        return False, reason
-    k = params.get("k", 0)
-    l = params.get("l", 0)
-    if len(packing.rigid_parts) != k or len(packing.tree_parts) != l:
-        return False, "part counts do not match parameters"
-    return True, None
+    _ensure(verify_packing(G, packing))
+    if (len(packing.rigid_parts), len(packing.tree_parts)) != (top["k"], top["l"]):
+        raise _Rejected("part counts do not match parameters")
 
 
-def _verify_packing_failure_payload(G, params, payload):
-    k, l = params["k"], params["l"]
+def _verify_packing_failure_payload(G, command, top, payload):
+    k, l = top["k"], top["l"]
+    if k == 0:
+        raise _Rejected("a spanning-tree packing failure is a tree-packing report")
     target = k * (2 * G.n - 3) + l * (G.n - 1)
     if payload["target"] != target:
-        return False, "stated target does not match k(2n-3) + l(n-1)"
+        raise _Rejected("stated target does not match k(2n-3) + l(n-1)")
     ur = union_rank(G, k, l)
     if ur.rank != payload["achieved"]:
-        return False, "stated rank does not match a recomputed union rank"
+        raise _Rejected("stated rank does not match a recomputed union rank")
     if ur.rank >= target:
-        return False, "union rank reaches the packing target"
-    dec = Decomposition(k, l, tuple(payload["decomposition"]["assignment"]))
-    ok, reason = verify_decomposition(G, dec)
-    if not ok:
-        return False, reason
-    return True, None
+        raise _Rejected("union rank reaches the packing target")
+    inner = _json_object(payload["decomposition"], "decomposition")
+    _decomposition(G, inner, k, l)
+    if inner["rank"] != ur.rank:
+        raise _Rejected("decomposition is not a maximum one")
 
 
-def _verify_bounded_cover_payload(G, params, payload):
+def _verify_bounded_cover_payload(G, command, top, payload):
     cover = BoundedCover(
         tuple(frozenset(p) for p in payload["forests"]),
         tuple(frozenset(p) for p in payload["bounded_parts"]),
         Fraction(payload["degree_bound"]),
     )
-    ok, reason = verify_bounded_cover(G, cover)
-    if not ok:
-        return False, reason
-    k, l = params["k"], params["l"]
+    _ensure(verify_bounded_cover(G, cover))
+    k, l = top["k"], top["l"]
     if len(cover.forests) != l:
-        return False, f"expected {l} forests"
+        raise _Rejected(f"expected {l} forests")
     if len(cover.bounded_parts) != 2 * k + 2 - l:
-        return False, f"expected {2 * k + 2 - l} bounded parts"
-    return True, None
+        raise _Rejected(f"expected {2 * k + 2 - l} bounded parts")
 
 
-def _verify_density_payload(G, payload):
+def _verify_density_payload(G, command, top, payload):
     which = payload["which"]
-    max_n = payload.get("max_n")
-    if which == "gamma":
-        result = gamma(G, max_n=max_n)
-    elif which == "gamma2":
-        result = gamma2(G, max_n=max_n)
-    else:
-        return False, f"unknown density parameter {which!r}"
+    if top != {"which": which}:
+        raise _Rejected("top-level parameters do not match the payload")
+    if which not in ("gamma", "gamma2"):
+        raise _Rejected(f"unknown density parameter {which!r}")
+    result = (gamma if which == "gamma" else gamma2)(G, max_n=payload.get("max_n"))
     if _num(result.value) != payload["value"]:
-        return False, "stated value does not match a recomputed maximum"
+        raise _Rejected("stated value does not match a recomputed maximum")
     if sorted(result.argmax) != payload["argmax"]:
-        return False, "stated argmax does not match"
+        raise _Rejected("stated argmax does not match")
     X = frozenset(payload["argmax"])
     denom = (len(X) - 1) if which == "gamma" else (2 * len(X) - 3)
     if Fraction(induced_edge_count(G, X), denom) != result.value:
-        return False, "argmax does not achieve the stated value"
-    return True, None
+        raise _Rejected("argmax does not achieve the stated value")
 
 
-_CHECKERS = {
-    "cover": lambda G, p, mn, mp: check_cover_condition(G, p["k"], max_n=mn),
-    "tree-packing": lambda G, p, mn, mp: check_tree_packing_condition(
-        G, p["l"], max_partition_n=mp
-    ),
-    "parthm": lambda G, p, mn, mp: check_parthm_condition(
-        G, p["k"], p["l"], max_partition_n=mp
-    ),
-    "necessary": lambda G, p, mn, mp: check_necessary_condition(
-        G, p["k"], p["l"], max_partition_n=mp
-    ),
-    "kwz": lambda G, p, mn, mp: check_kwz_condition(G, p["k"], Fraction(p["d"]), max_n=mn),
-}
-
-
-def _verify_report_payload(G, payload):
-    condition = payload["condition"]
+def _verify_report_payload(G, command, top, payload):
+    name = payload["condition"]
+    cond = CONDITIONS.get(name)
+    if cond is None:
+        raise _Rejected(f"unknown condition {name!r}")
     params = _json_object(payload["parameters"], "report parameters")
-    if payload["holds"]:
-        return _verify_positive_report(G, condition, params)
-    witness = payload["witness"]
-    if witness is None:
-        if condition == "tree-packing" and "l" in params:
-            # Unwitnessed packing failure (partition scan was above its
-            # guardrail): the union rank settles it without enumeration.
-            target = params["l"] * (G.n - 1)
-            if union_rank(G, 0, params["l"]).rank >= target:
-                return False, "graph does pack the stated number of spanning trees"
-            return True, None
-        # Failure without a witness: re-run and compare the verdict.
-        return _verify_positive_report(G, condition, params, expect=False)
-    witness = _json_object(witness, "witness")
-    return _verify_witnessed_failure(G, condition, params, witness, payload)
-
-
-def _verify_positive_report(G, condition, params, expect=True):
-    # Guardrails travel with the certificate so verification can re-run
-    # the same scan the producer ran.
-    max_n = params.get("max_n")
-    max_partitions = params.get("max_partitions")
-    if condition == "pq-connected":
-        holds = is_pq_connected(G, params["p"], params["q"], max_n=max_n)
-    elif condition == "bracket-partition":
-        holds = is_bracket_partition_connected(
-            G, params["p"], params["q"], max_partition_n=max_partitions
-        )
-    elif condition in _CHECKERS:
-        holds = _CHECKERS[condition](G, params, max_n, max_partitions).holds
-    elif condition == "union-cover":
-        holds = union_rank(G, params["k"], params["l"]).rank == G.m
-    elif condition in ("sparse-cover", "forest-cover", "forest-plus-bounded"):
-        # These conditions only appear on failure paths with a witness.
-        return False, f"condition {condition!r} cannot be certified as holding"
+    if sorted(set(params).difference(GUARDRAILS)) != sorted(cond.params):
+        raise _Rejected(f"report parameters are not those of {name!r}")
+    if command == "check":
+        bound = cond.run is not None and top == check_parameters(name, params)
     else:
-        return False, f"unknown condition {condition!r}"
-    if holds != expect:
-        return False, "recomputed verdict disagrees with the certificate"
-    return True, None
-
-
-def _witness_partition(blocks) -> Partition:
-    return Partition(tuple(frozenset(b) for b in blocks))
-
-
-def _verify_witnessed_failure(G, condition, params, witness, payload):
-    """Check that the stated witness really violates the stated inequality."""
-    lhs, rhs = payload["lhs"], payload["rhs"]
-    vertices = frozenset(G.vertices())
-    if witness.get("kind") == "deficiency-edges" and condition in (
-        "sparse-cover",
-        "forest-cover",
-        "union-cover",
-    ):
-        k = params.get("k", 0)
-        l = params.get("l", 0)
-        if condition == "sparse-cover":
-            k, l = params["k"], 0
-        elif condition == "forest-cover":
-            k, l = 0, params["l"]
-        ur = union_rank(G, k, l)
-        if ur.rank >= G.m:
-            return False, "graph decomposes fully; deficiency witness is wrong"
-        if sorted(ur.decomposition.uncovered()) != witness["edges"]:
-            return False, "deficiency edge set does not match a recomputed run"
-        return True, None
-    if condition in ("cover", "sparse-cover"):
-        X = frozenset(witness["vertices"])
-        got_lhs = induced_edge_count(G, X)
-        got_rhs = params["k"] * (2 * len(X) - 3)
-        ok = len(X) >= 2 and got_lhs > got_rhs
-    elif condition == "forest-cover":
-        X = frozenset(witness["vertices"])
-        got_lhs = induced_edge_count(G, X)
-        got_rhs = params["l"] * (len(X) - 1)
-        ok = len(X) >= 1 and got_lhs > got_rhs
-    elif condition == "tree-packing":
-        pi = _witness_partition(witness["blocks"])
-        if pi.ground != vertices:
-            return False, "witness partition does not cover V"
-        got_lhs = cross_edge_count(G, pi)
-        got_rhs = params["l"] * (len(pi) - 1)
-        ok = got_lhs < got_rhs
-    elif condition == "necessary":
-        pi = _witness_partition(witness["blocks"])
-        if pi.ground != vertices:
-            return False, "witness partition does not cover V"
-        got_lhs = cross_edge_count(G, pi)
-        got_rhs = (3 * params["k"] + params["l"]) * (len(pi) - 1) - params["k"] * pi.trivial_count
-        ok = got_lhs < got_rhs
-    elif condition == "parthm":
-        Z = frozenset(witness["z"])
-        pi = _witness_partition(witness["blocks"])
-        if Z | pi.ground != vertices or (Z & pi.ground):
-            return False, "witness does not split V into Z and a partition of V - Z"
-        got_lhs = cross_edge_count(G, pi)
-        got_rhs = (
-            (3 * params["k"] + params["l"]) * (len(pi) - 1)
-            - params["k"] * pi.trivial_count
-            - params["k"] * adjacent_number(G, Z, pi)
-        )
-        ok = got_lhs < got_rhs
-    elif condition == "kwz":
-        X = frozenset(witness["vertices"])
-        k = params["k"]
-        d = Fraction(params["d"])
-        got_lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
-        got_rhs = 0
-        ok = len(X) >= 1 and got_lhs < 0
-    elif condition == "forest-plus-bounded":
-        # Every sparse class splits once n >= 6; below that the class has
-        # at most 7 edges, so re-running the exhaustive search is cheap.
-        if G.n >= 6:
-            return False, "every sparse class has a forest-plus-bounded split when n >= 6"
-        ids = check_edge_subset(G, witness["edges"])
-        if not sparse_independent(G, ids)[0]:
-            return False, "witness class is not (2,3)-sparse"
-        H = Multigraph(G.n, tuple(G.edges[e] for e in ids))
-        ok = sparse_to_forest_plus_bounded(H) is None
-        got_lhs, got_rhs = lhs, rhs
-    else:
-        return False, f"unknown condition {condition!r}"
+        claim = (name, {p: params[p] for p in cond.params})
+        bound = claim in _FAILURES[command](top["k"], top["l"])
+    if not bound:
+        raise _Rejected("report does not match the command's parameters")
+    holds, witness = payload["holds"], payload["witness"]
+    if not isinstance(holds, bool):
+        raise TypeError("holds must be true or false")
+    if holds or not cond.violated:
+        # No witness: the producer's verdict is recomputed.
+        if cond.run is None:
+            raise _Rejected(f"condition {name!r} cannot be certified as holding")
+        if (witness, payload["lhs"], payload["rhs"]) != (None, None, None):
+            raise _Rejected("a recomputed verdict states no witness and no sides")
+        report = cond.run(G, params, params.get("max_n"), params.get("max_partitions"))
+        if report.holds != holds:
+            raise _Rejected("recomputed verdict disagrees with the certificate")
+        return
+    kind, value = None, None
+    if witness is not None:
+        kind, value = decode_witness(G, _json_object(witness, "witness"))
+    if kind not in cond.violated:
+        raise _Rejected(f"a {name} failure carries no {kind or 'missing'} witness")
+    ok, lhs, rhs = cond.violated[kind](G, params, value)
     if not ok:
-        return False, "witness does not violate the stated inequality"
-    if _num(got_lhs) != lhs or _num(got_rhs) != rhs:
-        return False, "stated lhs/rhs do not match recomputed values"
-    return True, None
+        raise _Rejected(
+            "witness does not violate the stated inequality" if witness is not None
+            else "recomputed verdict disagrees with the certificate"
+        )
+    if canonical_json([_num(lhs), _num(rhs)]) != canonical_json([payload["lhs"], payload["rhs"]]):
+        raise _Rejected("stated lhs/rhs do not match recomputed values")
+
+
+# Each payload kind: the commands that give it, and its verifier.
+_PAYLOADS = {
+    "decomposition": (("decompose",), _verify_decomposition_payload),
+    "packing": (("pack",), _verify_packing_payload),
+    "packing-failure": (("pack",), _verify_packing_failure_payload),
+    "bounded-cover": (("ndt",), _verify_bounded_cover_payload),
+    "density": (("gamma",), _verify_density_payload),
+    "report": (("decompose", "pack", "ndt", "check"), _verify_report_payload),
+}

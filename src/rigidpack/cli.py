@@ -13,33 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certificates as certs
-from .conditions import (
-    ConditionReport,
-    check_cover_condition,
-    check_necessary_condition,
-    check_parthm_condition,
-    check_tree_packing_condition,
-    gamma,
-    gamma2,
-    is_bracket_partition_connected,
-    is_pq_connected,
-)
-from .ndt import check_kwz_condition
+from .conditions import ConditionReport, gamma, gamma2
 from .errors import GraphInputError, LimitExceededError, SearchBudgetExceededError
 from .multigraph import Multigraph, load_graph, random_multigraph, write_graph
 from .ndt import DEFAULT_SEARCH_BUDGET, BoundedCover, ndt_decompose
 from .packing import Packing, pack_rigid_and_trees, pack_spanning_trees
-from .union import Decomposition, decompose_forests, decompose_sparse, union_rank
-
-CHECK_CONDITIONS = (
-    "cover",
-    "tree-packing",
-    "parthm",
-    "necessary",
-    "pq-connected",
-    "bracket-partition",
-    "kwz",
-)
+from .union import Decomposition, decompose
 
 
 def _require(args, *names):
@@ -57,55 +36,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
-def _limit_params(args) -> dict:
-    extra = {}
-    if args.max_n is not None:
-        extra["max_n"] = args.max_n
-    if args.max_partitions is not None:
-        extra["max_partitions"] = args.max_partitions
-    return extra
-
-
-def _summarize_witness(payload: dict) -> str:
-    witness = payload.get("witness")
-    if not witness:
-        return ""
-    kind = witness["kind"]
-    if kind == "vertex-set":
-        return f" witness X={witness['vertices']}"
-    if kind == "partition":
-        return f" witness pi={witness['blocks']}"
-    if kind == "z-partition":
-        return f" witness Z={witness['z']} pi={witness['blocks']}"
-    if kind == "deficiency-edges":
-        return f" witness uncovered edges={witness['edges']}"
-    return ""
-
-
 def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
     k, l = args.k, args.l
-    if k < 0 or l < 0 or k + l < 1:
-        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
-    if l == 0:
-        result = decompose_sparse(G, k, max_n=args.max_n)
-    elif k == 0:
-        result = decompose_forests(G, l, max_n=args.max_n)
-    else:
-        ur = union_rank(G, k, l)
-        if ur.rank == G.m:
-            result = ur.decomposition
-        else:
-            result = ConditionReport(
-                "union-cover", {"k": k, "l": l}, False,
-                ur.decomposition.uncovered(), "deficiency-edges",
-                lhs=ur.rank, rhs=G.m,
-                note="graph does not decompose into k sparse classes and l forests",
-            )
+    result = decompose(G, k, l, max_n=args.max_n)
     if isinstance(result, Decomposition):
         payload = certs.decomposition_payload(result)
         return 0, payload, f"decomposable: {k} sparse class(es) + {l} forest(s)"
     payload = certs.report_payload(result)
-    return 1, payload, f"not decomposable ({result.condition}):" + _summarize_witness(payload)
+    return 1, payload, (
+        f"not decomposable ({result.condition}):" + certs.summarize_witness(payload["witness"])
+    )
 
 
 def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
@@ -119,47 +59,24 @@ def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
         return 0, payload, f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)"
     if isinstance(result, ConditionReport):
         payload = certs.report_payload(result)
-        return 1, payload, "no packing:" + _summarize_witness(payload)
+        return 1, payload, "no packing:" + certs.summarize_witness(payload["witness"])
     payload = certs.packing_failure_payload(result)
     return 1, payload, f"no packing: union rank {result.achieved} < target {result.target}"
 
 
 def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
     name = args.condition
-    if name == "cover":
-        _require(args, "k")
-        report = check_cover_condition(G, args.k, max_n=args.max_n)
-    elif name == "tree-packing":
-        _require(args, "l")
-        report = check_tree_packing_condition(G, args.l, max_partition_n=args.max_partitions)
-    elif name == "parthm":
-        _require(args, "k", "l")
-        report = check_parthm_condition(G, args.k, args.l, max_partition_n=args.max_partitions)
-    elif name == "necessary":
-        _require(args, "k", "l")
-        report = check_necessary_condition(G, args.k, args.l, max_partition_n=args.max_partitions)
-    elif name == "pq-connected":
-        _require(args, "p", "q")
-        holds = is_pq_connected(G, args.p, args.q, max_n=args.max_n)
-        report = ConditionReport("pq-connected", {"p": args.p, "q": args.q}, holds)
-    elif name == "bracket-partition":
-        _require(args, "p", "q")
-        holds = is_bracket_partition_connected(
-            G, args.p, args.q, max_partition_n=args.max_partitions
-        )
-        report = ConditionReport("bracket-partition", {"p": args.p, "q": args.q}, holds)
-    elif name == "kwz":
-        _require(args, "k", "d")
-        report = check_kwz_condition(G, args.k, args.d, max_n=args.max_n)
-    else:
-        raise GraphInputError(
-            f"unknown condition {name!r}; valid names: {', '.join(CHECK_CONDITIONS)}"
-        )
+    condition = certs.CONDITIONS[name]
+    _require(args, *condition.params)
+    params = {p: getattr(args, p) for p in condition.params}
+    report = condition.run(G, params, args.max_n, args.max_partitions)
     payload = certs.report_payload(report)
-    payload["parameters"].update(_limit_params(args))
+    for limit in certs.GUARDRAILS:
+        if getattr(args, limit) is not None:
+            payload["parameters"][limit] = getattr(args, limit)
     if report.holds:
         return 0, payload, f"condition {name} holds"
-    return 1, payload, f"condition {name} fails:" + _summarize_witness(payload)
+    return 1, payload, f"condition {name} fails:" + certs.summarize_witness(payload["witness"])
 
 
 def _run_gamma(G: Multigraph, args) -> tuple[int, dict, str]:
@@ -177,7 +94,9 @@ def _run_ndt(G: Multigraph, args) -> tuple[int, dict, str]:
             f"{len(result.bounded_parts)} part(s) with max degree <= {payload['degree_bound']}"
         )
     payload = certs.report_payload(result)
-    return 1, payload, f"no bounded cover ({result.condition}):" + _summarize_witness(payload)
+    return 1, payload, (
+        f"no bounded cover ({result.condition}):" + certs.summarize_witness(payload["witness"])
+    )
 
 
 _RUNNERS = {
@@ -190,23 +109,11 @@ _RUNNERS = {
 
 
 def _command_parameters(command: str, args) -> dict:
-    params: dict = {}
-    if command in ("decompose", "pack", "ndt"):
-        params["k"] = args.k
-        params["l"] = args.l
-    elif command == "check":
-        params["condition"] = args.condition
-        for name in ("k", "l", "p", "q"):
-            value = getattr(args, name)
-            if value is not None:
-                params[name] = value
-        if args.d is not None:
-            # An integral d keeps the integer encoding it always had.
-            d = args.d
-            params["d"] = d.numerator if d.denominator == 1 else f"{d.numerator}/{d.denominator}"
-    elif command == "gamma":
-        params["which"] = args.which
-    return params
+    if command == "check":
+        return certs.check_parameters(args.condition, vars(args))
+    if command == "gamma":
+        return {"which": args.which}
+    return {"k": args.k, "l": args.l}
 
 
 def _process_file(command: str, path: Path, args, out_path: Path | None) -> tuple[int, str]:
@@ -305,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("check", help="evaluate a subset/partition condition")
-    p.add_argument("condition", choices=CHECK_CONDITIONS)
+    p.add_argument("condition", choices=[c for c, cond in certs.CONDITIONS.items() if cond.run])
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--p", type=int, default=None)

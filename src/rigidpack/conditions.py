@@ -52,10 +52,6 @@ class ConditionReport:
             params = sorted(params.items())
         object.__setattr__(self, "parameters", tuple(params))
 
-    @property
-    def params(self) -> dict:
-        return dict(self.parameters)
-
 
 class GammaResult(NamedTuple):
     value: Fraction

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .enumeration import enumerate_vertex_subsets
 from .errors import GraphInputError
 from .multigraph import Multigraph, check_edge_subset
 
@@ -202,19 +201,6 @@ def sparse_independent(G: Multigraph, F: Iterable[int]) -> tuple[bool, frozenset
         if not game.try_insert(u, v):
             return False, game.last_witness()
     return True, None
-
-
-def sparse_independent_bruteforce(
-    G: Multigraph, F: Iterable[int], *, max_n: int | None = None
-) -> bool:
-    """Definitional sparsity check: scan every vertex subset."""
-    ids = check_edge_subset(G, F)
-    pairs = [G.edges[e] for e in ids]
-    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
-        induced = sum(1 for u, v in pairs if u in X and v in X)
-        if induced > 2 * len(X) - 3:
-            return False
-    return True
 
 
 def rigidity_rank(G: Multigraph, F: Iterable[int]) -> RankResult:

@@ -16,9 +16,6 @@ from typing import Iterable, Iterator
 
 from .errors import GraphInputError
 
-VertexSet = frozenset
-EdgeSet = frozenset
-
 
 @dataclass(frozen=True)
 class Multigraph:

@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .conditions import ConditionReport
 from .enumeration import first_dense_set
 from .errors import GraphInputError, SearchBudgetExceededError
-from .matroids import UnionFind, graphic_independent, sparse_independent
+from .matroids import graphic_independent, sparse_independent
 from .multigraph import Multigraph
 from .union import decompose_sparse, union_rank
 
@@ -108,52 +107,60 @@ def sparse_to_forest_plus_bounded(
     """
     _require_sparse(H)
     bound = degree_bound_floor(H.n)
-    m = H.m
-    edges = H.edges
+    m, edges = H.m, H.edges
     rem_degree = [0] * H.n
-    choice = [False] * m  # True = edge in forest
-    parents: list[list[int]] = []  # union-find snapshots per depth
-    uf = UnionFind(H.n)
-    nodes = 0
+    # Union-find without path compression: the forest branch at a depth
+    # links one root under another, and backtracking unlinks it.
+    parent, size = list(range(H.n)), [1] * H.n
+    linked = [0] * m
 
-    def search(depth: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceededError(
-                f"forest-plus-bounded search exceeded {budget} nodes"
-            )
-        if depth == m:
-            return True
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    # The nodes of the recursive search in its order, iteratively: step[d]
+    # is 0 on entering depth d, then 1 while edge d is in the forest and 2
+    # while it is in the remainder.
+    step = [0] * (m + 1)
+    nodes = depth = 0
+    while True:
+        s = step[depth]
+        if s == 0:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceededError(
+                    f"forest-plus-bounded search exceeded {budget} nodes"
+                )
+            if depth == m:
+                break
         u, v = edges[depth]
-        if uf.find(u) != uf.find(v):
-            saved_parent = uf.parent[:]
-            saved_size = uf.size[:]
-            uf.union(u, v)
-            choice[depth] = True
-            if search(depth + 1):
-                return True
-            uf.parent = saved_parent
-            uf.size = saved_size
-        if rem_degree[u] < bound and rem_degree[v] < bound:
-            rem_degree[u] += 1
-            rem_degree[v] += 1
-            choice[depth] = False
-            if search(depth + 1):
-                return True
+        if s == 1:  # the forest branch failed below: unlink its root
+            rv = linked[depth]
+            size[parent[rv]] -= size[rv]
+            parent[rv] = rv
+        elif s == 2:
             rem_degree[u] -= 1
             rem_degree[v] -= 1
-        return False
-
-    if not search(0):
-        return None
-    forest = frozenset(e for e in range(m) if choice[e])
+        if s == 0 and (ru := find(u)) != (rv := find(v)):
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            linked[depth], step[depth] = rv, 1
+        elif s < 2 and rem_degree[u] < bound and rem_degree[v] < bound:
+            rem_degree[u] += 1
+            rem_degree[v] += 1
+            step[depth] = 2
+        elif depth == 0:
+            return None
+        else:
+            depth -= 1
+            continue
+        depth += 1
+        step[depth] = 0
+    forest = frozenset(e for e in range(m) if step[e] == 1)
     return forest, frozenset(range(m)) - forest
-
-
-def _subgraph_with_ids(G: Multigraph, F: Iterable[int]) -> tuple[Multigraph, list[int]]:
-    ids = sorted(F)
-    return Multigraph(G.n, tuple(G.edges[e] for e in ids)), ids
 
 
 def ndt_decompose(
@@ -184,12 +191,14 @@ def ndt_decompose(
     forests: list[frozenset] = []
     bounded: list[frozenset] = []
     for cls in two_forest_classes:
-        H, ids = _subgraph_with_ids(G, cls)
+        ids = sorted(cls)
+        H = G.subgraph_of(ids)
         f1, f2 = sparse_to_two_forests(H)
         forests.append(frozenset(ids[e] for e in f1))
         forests.append(frozenset(ids[e] for e in f2))
     for cls in bounded_classes:
-        H, ids = _subgraph_with_ids(G, cls)
+        ids = sorted(cls)
+        H = G.subgraph_of(ids)
         split = sparse_to_forest_plus_bounded(H, budget=budget)
         if split is None:
             return ConditionReport(

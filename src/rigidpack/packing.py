@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conditions import ConditionReport
-from .enumeration import check_partition_limit, first_short_partition
+from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, sparse_independent
 from .multigraph import Multigraph
@@ -48,18 +47,16 @@ def pack_spanning_trees(
     target = l * (G.n - 1)
     if ur.rank == target:
         return Packing((), ur.decomposition.forest_classes())
-    params = {"l": l}
     try:
-        check_partition_limit(G.n, max_partition_n)
+        report = check_tree_packing_condition(G, l, max_partition_n=max_partition_n)
     except LimitExceededError:
         return ConditionReport(
-            "tree-packing", params, False,
+            "tree-packing", {"l": l}, False,
             note="witness unavailable: partition scan above guardrail",
         )
-    found = first_short_partition(G, 0, l, 0, 0)
-    if found is not None:
-        return ConditionReport("tree-packing", params, False, found[0], "partition", *found[1:])
-    raise RuntimeError("tree packing failed but every partition satisfies the bound")
+    if report.holds:
+        raise RuntimeError("tree packing failed but every partition satisfies the bound")
+    return report
 
 
 def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | PackingFailure:

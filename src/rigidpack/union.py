@@ -17,11 +17,6 @@ closure X of the edge's endpoints is then the smallest tight set holding
 them, since X holds exactly 2|X| - 3 edges and no arc leaves it, so the
 circuit is the edge plus every class edge inside X (Lee & Streinu,
 "Pebble game algorithms and sparse graphs", 2008).
-
-``union_rank_bruteforce`` evaluates the rank formula
-``min over F of k*rank_rigidity(F) + l*rank_graphic(F) + |E - F|``
-by scanning every edge subset, and is the independent cross-check for the
-augmenting-path implementation.
 """
 
 from __future__ import annotations
@@ -29,15 +24,12 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .conditions import ConditionReport
 from .enumeration import first_dense_set
 from .errors import GraphInputError, LimitExceededError
 from .matroids import PebbleGame, UnionFind, graphic_independent, sparse_independent
 from .multigraph import Multigraph
-
-BRUTE_FORCE_EDGE_LIMIT = 14
 
 
 @dataclass(frozen=True)
@@ -242,77 +234,15 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     return UnionRank(rank, dec.covered(), dec)
 
 
-@lru_cache(maxsize=4)
-def _subset_rank_tables(G: Multigraph) -> tuple[list[int], list[int]]:
-    """Rigidity and graphic ranks for every edge subset (as bitmask)."""
-    m = G.m
-    size = 1 << m
-    rank_r = [0] * size
-    basis_r = [0] * size
-    rank_g = [0] * size
-    basis_g = [0] * size
-    edges = G.edges
-    for mask in range(1, size):
-        low = mask & -mask
-        e = low.bit_length() - 1
-        rest = mask ^ low
-        u, v = edges[e]
-
-        bas = basis_g[rest]
-        uf = UnionFind(G.n)
-        b = bas
-        while b:
-            x = (b & -b).bit_length() - 1
-            uf.union(*edges[x])
-            b &= b - 1
-        if uf.union(u, v):
-            rank_g[mask] = rank_g[rest] + 1
-            basis_g[mask] = bas | low
-        else:
-            rank_g[mask] = rank_g[rest]
-            basis_g[mask] = bas
-
-        bas = basis_r[rest]
-        game = PebbleGame(G.n)
-        b = bas
-        while b:
-            x = (b & -b).bit_length() - 1
-            game.try_insert(*edges[x])
-            b &= b - 1
-        if game.try_insert(u, v):
-            rank_r[mask] = rank_r[rest] + 1
-            basis_r[mask] = bas | low
-        else:
-            rank_r[mask] = rank_r[rest]
-            basis_r[mask] = bas
-    return rank_r, rank_g
-
-
-def union_rank_bruteforce(G: Multigraph, k: int, l: int) -> int:
-    """Evaluate the union rank formula over every edge subset."""
-    if k < 0 or l < 0 or k + l < 1:
-        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
-    if G.m > BRUTE_FORCE_EDGE_LIMIT:
-        raise LimitExceededError(
-            f"brute-force union rank is limited to {BRUTE_FORCE_EDGE_LIMIT} edges (got {G.m})"
-        )
-    rank_r, rank_g = _subset_rank_tables(G)
-    m = G.m
-    best = m  # F = empty set
-    for mask in range(1, 1 << m):
-        val = k * rank_r[mask] + l * rank_g[mask] + (m - mask.bit_count())
-        if val < best:
-            best = val
-    return best
-
-
 def verify_decomposition(
     G: Multigraph, dec: Decomposition, *, require_complete: bool = False
 ) -> tuple[bool, str | None]:
     """Re-check a decomposition from scratch against the matroid oracles."""
     if len(dec.assignment) != G.m:
         return False, "assignment length does not match edge count"
-    if any(c < 0 or c > dec.k + dec.l for c in dec.assignment):
+    # A colour that is not an int (NaN, 1.5) would count as covering its
+    # edge while putting it in no class.
+    if any(type(c) is not int or not 0 <= c <= dec.k + dec.l for c in dec.assignment):
         return False, "assignment uses an out-of-range colour"
     if require_complete and not dec.is_complete():
         return False, "decomposition leaves edges uncovered"
@@ -395,4 +325,24 @@ def decompose_forests(
         return ur.decomposition
     return _cover_failure_report(
         G, "forest-cover", {"l": l}, lambda x: l * (x - 1), ur.decomposition, max_n
+    )
+
+
+def decompose(
+    G: Multigraph, k: int, l: int, *, max_n: int | None = None
+) -> Decomposition | ConditionReport:
+    """Split G into k sparse classes and l forests, or say why not (see
+    ``decompose_sparse`` and ``decompose_forests`` when l or k is 0)."""
+    if k < 0 or l < 0 or k + l < 1:
+        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    if l == 0:
+        return decompose_sparse(G, k, max_n=max_n)
+    if k == 0:
+        return decompose_forests(G, l, max_n=max_n)
+    ur = union_rank(G, k, l)
+    if ur.rank == G.m:
+        return ur.decomposition
+    return ConditionReport(
+        "union-cover", {"k": k, "l": l}, False, ur.decomposition.uncovered(), "deficiency-edges",
+        ur.rank, G.m, "graph does not decompose into k sparse classes and l forests",
     )

@@ -4,8 +4,9 @@ Everything here is written directly from the definitions with itertools
 and plain dictionaries: no pebble game, no union-find, no matroid union.
 The main implementation is tested against these, so they must not share
 code paths with it.  The exceptions at the end, ``union_rank_reference``,
-``circuit_by_delete_and_retry`` and the ``*_reference`` condition scans,
-are regression oracles rather than definitional ones.
+``circuit_by_delete_and_retry``, the ``*_reference`` condition scans and
+the ``*_bruteforce`` scans, are regression oracles rather than
+definitional ones.
 """
 
 from __future__ import annotations
@@ -13,12 +14,26 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from typing import Iterable
 
-from rigidpack import GraphInputError, LimitExceededError, Multigraph, Partition
+from rigidpack import (
+    GraphInputError,
+    LimitExceededError,
+    Multigraph,
+    Partition,
+    SearchBudgetExceededError,
+)
 from rigidpack.conditions import ConditionReport, GammaResult
 from rigidpack.enumeration import SUBSET_LIMIT, enumerate_partitions, enumerate_vertex_subsets
-from rigidpack.matroids import PebbleGame, UnionFind
-from rigidpack.multigraph import adjacent_number, cross_edge_count, induced_edge_count
+from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
+from rigidpack.multigraph import (
+    adjacent_number,
+    check_edge_subset,
+    cross_edge_count,
+    induced_edge_count,
+)
+from rigidpack.ndt import degree_bound_floor
 from rigidpack.packing import Packing
 from rigidpack.union import Decomposition, UnionRank, union_rank
 
@@ -784,3 +799,133 @@ def pack_spanning_trees_reference(
             note="witness unavailable: partition scan above guardrail",
         )
     raise RuntimeError("tree packing failed but every partition satisfies the bound")
+
+
+def sparse_independent_bruteforce(
+    G: Multigraph, F: Iterable[int], *, max_n: int | None = None
+) -> bool:
+    """Definitional sparsity check: scan every vertex subset."""
+    ids = check_edge_subset(G, F)
+    pairs = [G.edges[e] for e in ids]
+    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+        induced = sum(1 for u, v in pairs if u in X and v in X)
+        if induced > 2 * len(X) - 3:
+            return False
+    return True
+
+
+BRUTE_FORCE_EDGE_LIMIT = 14
+
+
+@lru_cache(maxsize=4)
+def _subset_rank_tables(G: Multigraph) -> tuple[list[int], list[int]]:
+    """Rigidity and graphic ranks for every edge subset (as bitmask)."""
+    m = G.m
+    size = 1 << m
+    rank_r = [0] * size
+    basis_r = [0] * size
+    rank_g = [0] * size
+    basis_g = [0] * size
+    edges = G.edges
+    for mask in range(1, size):
+        low = mask & -mask
+        e = low.bit_length() - 1
+        rest = mask ^ low
+        u, v = edges[e]
+
+        bas = basis_g[rest]
+        uf = UnionFind(G.n)
+        b = bas
+        while b:
+            x = (b & -b).bit_length() - 1
+            uf.union(*edges[x])
+            b &= b - 1
+        if uf.union(u, v):
+            rank_g[mask] = rank_g[rest] + 1
+            basis_g[mask] = bas | low
+        else:
+            rank_g[mask] = rank_g[rest]
+            basis_g[mask] = bas
+
+        bas = basis_r[rest]
+        game = PebbleGame(G.n)
+        b = bas
+        while b:
+            x = (b & -b).bit_length() - 1
+            game.try_insert(*edges[x])
+            b &= b - 1
+        if game.try_insert(u, v):
+            rank_r[mask] = rank_r[rest] + 1
+            basis_r[mask] = bas | low
+        else:
+            rank_r[mask] = rank_r[rest]
+            basis_r[mask] = bas
+    return rank_r, rank_g
+
+
+def union_rank_bruteforce(G: Multigraph, k: int, l: int) -> int:
+    """Evaluate the union rank formula over every edge subset."""
+    if k < 0 or l < 0 or k + l < 1:
+        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    if G.m > BRUTE_FORCE_EDGE_LIMIT:
+        raise LimitExceededError(
+            f"brute-force union rank is limited to {BRUTE_FORCE_EDGE_LIMIT} edges (got {G.m})"
+        )
+    rank_r, rank_g = _subset_rank_tables(G)
+    m = G.m
+    best = m  # F = empty set
+    for mask in range(1, 1 << m):
+        val = k * rank_r[mask] + l * rank_g[mask] + (m - mask.bit_count())
+        if val < best:
+            best = val
+    return best
+
+
+def forest_plus_bounded_reference(
+    H: Multigraph, *, budget: int = 10_000_000
+) -> tuple[frozenset, frozenset] | None:
+    """``sparse_to_forest_plus_bounded`` as a recursive search that copies
+    the union-find at every node (one Python frame per edge)."""
+    if not sparse_independent(H, range(H.m))[0]:
+        raise GraphInputError("input graph is not (2,3)-sparse")
+    bound = degree_bound_floor(H.n)
+    m = H.m
+    edges = H.edges
+    rem_degree = [0] * H.n
+    choice = [False] * m  # True = edge in forest
+    uf = UnionFind(H.n)
+    nodes = 0
+
+    def search(depth: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceededError(
+                f"forest-plus-bounded search exceeded {budget} nodes"
+            )
+        if depth == m:
+            return True
+        u, v = edges[depth]
+        if uf.find(u) != uf.find(v):
+            saved_parent = uf.parent[:]
+            saved_size = uf.size[:]
+            uf.union(u, v)
+            choice[depth] = True
+            if search(depth + 1):
+                return True
+            uf.parent = saved_parent
+            uf.size = saved_size
+        if rem_degree[u] < bound and rem_degree[v] < bound:
+            rem_degree[u] += 1
+            rem_degree[v] += 1
+            choice[depth] = False
+            if search(depth + 1):
+                return True
+            rem_degree[u] -= 1
+            rem_degree[v] -= 1
+        return False
+
+    if not search(0):
+        return None
+    forest = frozenset(e for e in range(m) if choice[e])
+    return forest, frozenset(range(m)) - forest

@@ -1,23 +1,28 @@
+import contextlib
 import copy
+import functools
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidpack import GraphInputError, Multigraph
+from rigidpack import GraphInputError, Multigraph, cli, format_graph
 from rigidpack.certificates import (
     build_certificate,
     certificate_hash,
     decomposition_payload,
     graph_hash,
     load_certificate,
-    packing_payload,
     report_payload,
     verify_certificate,
     write_certificate,
 )
 from rigidpack.conditions import check_cover_condition, gamma2
 from rigidpack.ndt import ndt_decompose
-from rigidpack.packing import pack_spanning_trees
 from rigidpack.union import decompose_sparse
 
 import corpus
@@ -104,22 +109,232 @@ def _tamper(value):
     return "tampered"
 
 
+def _rehashed(cert, path, value):
+    bad = copy.deepcopy(cert)
+    node = bad
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad["cert_hash"] = certificate_hash(bad)
+    return bad
+
+
+# One CLI certificate of every payload kind, and a report for every
+# condition: holding, failing with each witness kind, and the unwitnessed
+# failures (pq-connected, bracket-partition, tree-packing above its guardrail).
+CLI_CASES = (
+    ("k4", "decompose --k 2"),
+    ("k4", "decompose --k 1 --l 1"),
+    ("k4", "decompose --k 1"),
+    ("dp17", "decompose --k 1"),
+    ("k4", "decompose --l 1"),
+    ("dp17", "decompose --l 1"),
+    ("dtri", "decompose --k 1 --l 1"),
+    ("k4", "pack --k 0 --l 2"),
+    ("dtri", "pack --k 2 --l 0"),
+    ("k4", "pack --k 2 --l 0"),
+    ("tri", "pack --k 0 --l 2"),
+    ("c14", "pack --k 0 --l 2"),
+    ("k4", "ndt --k 1 --l 2"),
+    ("k4", "ndt --k 0 --l 2"),
+    ("tri", "ndt --k 0 --l 1"),
+    ("tri", "gamma gamma2"),
+    ("k4", "gamma gamma --max-n 6"),
+    ("k4", "check cover --k 2"),
+    ("k4", "check cover --k 2 --max-n 6"),
+    ("k4", "check cover --k 1"),
+    ("k4", "check tree-packing --l 2"),
+    ("tri", "check tree-packing --l 2"),
+    ("tri", "check parthm --k 1 --l 0"),
+    ("tri", "check parthm --k 1 --l 0 --max-partitions 5"),
+    ("bowtie", "check parthm --k 1 --l 0"),
+    ("tri", "check necessary --k 1 --l 0"),
+    ("p4", "check necessary --k 1 --l 0"),
+    ("k4", "check pq-connected --p 3 --q 1"),
+    ("p4", "check pq-connected --p 3 --q 1"),
+    ("k4", "check bracket-partition --p 1 --q 1"),
+    ("p4", "check bracket-partition --p 2 --q 1"),
+    ("tri", "check kwz --k 1 --d 2"),
+    ("k4", "check kwz --k 1 --d 2"),
+    ("k4", "check kwz --k 1 --d 7/3"),
+)
+
+GRAPHS = {
+    "k4": corpus.k4,
+    "tri": corpus.triangle,
+    "p4": lambda: corpus.path(4),
+    "dtri": corpus.doubled_triangle,
+    "c14": lambda: corpus.cycle(14),
+    "bowtie": corpus.bowtie,
+    # a doubled path above the subset guardrail: deficiency-edges witnesses
+    "dp17": lambda: Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def cli_certificates():
+    """(case, graph, certificate) for every entry of ``CLI_CASES``."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CLI_CASES:
+            G = GRAPHS[name]()
+            gfile = os.path.join(tmp, f"{name}.txt")
+            cfile = os.path.join(tmp, "cert.json")
+            with open(gfile, "w") as fh:
+                fh.write(format_graph(G))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv.split() + [gfile, "--out", cfile])
+            assert code in (0, 1), (name, argv)
+            out.append((f"{name}: {argv}", G, load_certificate(cfile)))
+    return tuple(out)
+
+
+# Leaves whose change can leave a true claim: the timestamp is outside the
+# hash, the note is free text, a guardrail only bounds the re-run scan, and
+# a recoloured edge may give another valid split of the same rank.
+FREE_LEAVES = {("created",), ("cert_hash",), ("payload", "note"),
+               ("payload", "max_n"), ("payload", "parameters", "max_n"),
+               ("payload", "parameters", "max_partitions"),
+               ("payload", "assignment", 0), ("payload", "decomposition", "assignment", 0)}
+
+
+def _cases_cover_every_kind_and_condition():
+    kinds, reports = set(), set()
+    for _, _, cert in cli_certificates():
+        p = cert["payload"]
+        kinds.add(p["kind"])
+        if p["kind"] == "report":
+            reports.add((p["condition"], p["holds"], (p["witness"] or {}).get("kind")))
+    assert kinds == {"decomposition", "packing", "packing-failure", "bounded-cover",
+                     "density", "report"}
+    assert {c for c, _, _ in reports} == {
+        "cover", "tree-packing", "parthm", "necessary", "pq-connected",
+        "bracket-partition", "kwz", "sparse-cover", "forest-cover", "union-cover",
+        "forest-plus-bounded",
+    }
+    witnesses = {w for _, holds, w in reports if not holds}
+    assert witnesses == {"vertex-set", "partition", "z-partition", "deficiency-edges", None}
+
+
 def test_any_single_field_tamper_fails():
-    G = corpus.k4()
-    packing = pack_spanning_trees(G, 2)
-    cert = build_certificate("pack", {"k": 0, "l": 2}, G, packing_payload(packing))
-    paths = list(_tamper_leaf_paths(cert))
-    assert len(paths) > 5
-    for path in paths:
-        if path[0] == "created":
-            continue  # timestamp is excluded from the hash on purpose
-        bad = copy.deepcopy(cert)
-        node = bad
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = _tamper(node[path[-1]])
-        ok, _ = verify_certificate(bad, G)
-        assert not ok, f"tampering {path} went undetected"
+    _cases_cover_every_kind_and_condition()
+    for case, G, cert in cli_certificates():
+        assert verify_certificate(cert, G) == (True, None), case
+        paths = [p for p in _tamper_leaf_paths(cert) if p not in FREE_LEAVES]
+        for path in paths:
+            node = cert
+            for key in path:
+                node = node[key]
+            # without the hash recomputed, the hash catches it
+            unhashed = _rehashed(cert, path, _tamper(node))
+            unhashed["cert_hash"] = cert["cert_hash"]
+            assert verify_certificate(unhashed, G)[0] is False, (case, path)
+            # with it recomputed, the semantic check must
+            ok, reason = verify_certificate(_rehashed(cert, path, _tamper(node)), G)
+            assert not ok, f"{case}: rehashed tamper of {path} went undetected"
+            assert isinstance(reason, str)
+
+
+def test_witness_kind_is_bound_to_the_condition():
+    kinds = ("vertex-set", "partition", "z-partition", "deficiency-edges")
+    for case, G, cert in cli_certificates():
+        witness = cert["payload"].get("witness")
+        if not witness:
+            continue
+        for kind in kinds:
+            if kind != witness["kind"]:
+                bad = _rehashed(cert, ("payload", "witness", "kind"), kind)
+                assert not verify_certificate(bad, G)[0], (case, kind)
+
+
+def _cert(case):
+    return next((G, copy.deepcopy(c)) for name, G, c in cli_certificates() if name == case)
+
+
+def test_top_level_claim_is_bound_to_the_payload():
+    # cover k=1 fails on K4; a payload proving cover k=5 holds is not its proof
+    G, cert = _cert("k4: check cover --k 1")
+    _, holding = _cert("k4: check cover --k 2")
+    cert["payload"] = holding["payload"]
+    cert["payload"]["parameters"]["k"] = 5
+    cert["cert_hash"] = certificate_hash(cert)
+    ok, reason = verify_certificate(cert, G)
+    assert not ok and "parameters" in reason
+
+    # check evaluates only the conditions that have a producer
+    G, cert = _cert("k4: check cover --k 1")
+    cert["parameters"]["condition"] = cert["payload"]["condition"] = "sparse-cover"
+    cert["cert_hash"] = certificate_hash(cert)
+    assert not verify_certificate(cert, G)[0]
+
+    # a decompose certificate carrying a density payload
+    G, cert = _cert("k4: decompose --k 2")
+    _, density = _cert("k4: gamma gamma --max-n 6")
+    cert["payload"] = density["payload"]
+    cert["cert_hash"] = certificate_hash(cert)
+    assert not verify_certificate(cert, G)[0]
+
+    # an empty decomposition that says it is incomplete
+    G, cert = _cert("k4: decompose --k 2")
+    cert["payload"]["assignment"] = [0] * G.m
+    cert["payload"]["complete"] = False
+    cert["payload"]["rank"] = 0
+    cert["cert_hash"] = certificate_hash(cert)
+    assert not verify_certificate(cert, G)[0]
+
+
+def test_kwz_d_compares_as_a_fraction():
+    G, cert = _cert("k4: check kwz --k 1 --d 2")
+    assert cert["parameters"]["d"] == 2 and cert["payload"]["parameters"]["d"] == "2"
+    assert verify_certificate(cert, G) == (True, None)
+    for top in (3, "3", "5/2"):
+        bad = _rehashed(cert, ("parameters", "d"), top)
+        assert not verify_certificate(bad, G)[0], top
+
+
+# Values that have broken verifiers: zero denominators, an infinite float
+# (what a JSON 1e400 parses to), huge and negative counts, the wrong kind.
+_SPECIAL = st.sampled_from(["1/0", float("inf"), float("nan"), 10**30, -1, 0, "3", "7/3",
+                            "vertex-set", "partition", "z-partition", "deficiency-edges",
+                            "report", "cover", "union-cover", [], {}, [[]], None, True])
+_JSON = _SPECIAL | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(obj, prefix=()):
+    yield prefix
+    if isinstance(obj, (dict, list)):
+        for key in (sorted(obj) if isinstance(obj, dict) else range(len(obj))):
+            yield from _node_paths(obj[key], prefix + (key,))
+
+
+@st.composite
+def _payload_mutations(draw):
+    case, G, cert = draw(st.sampled_from(cli_certificates()))
+    bad = copy.deepcopy(cert)
+    path = ("payload",) + draw(st.sampled_from(list(_node_paths(cert["payload"]))))
+    node = bad
+    for key in path[:-1]:
+        node = node[key]
+    if isinstance(node, dict) and draw(st.booleans()):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = draw(_JSON)
+    bad["cert_hash"] = certificate_hash(bad)
+    return case, G, bad
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_payload_mutations())
+def test_payload_mutations_never_raise(mutation):
+    case, G, bad = mutation
+    ok, reason = verify_certificate(bad, G)
+    assert isinstance(ok, bool)
+    assert reason is None if ok else isinstance(reason, str)
 
 
 def test_byte_determinism_modulo_timestamp(tmp_path):
@@ -173,6 +388,9 @@ def test_load_certificate_errors(tmp_path):
         load_certificate(missing)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(GraphInputError):
+        load_certificate(bad)
+    bad.write_text("[" * 100_000)  # nested deeper than the JSON decoder recurses
     with pytest.raises(GraphInputError):
         load_certificate(bad)
 

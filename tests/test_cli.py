@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rigidpack import format_graph
+from rigidpack import Multigraph, format_graph
 from rigidpack.certificates import certificate_hash
 from rigidpack.cli import build_parser, main
 
@@ -178,6 +178,65 @@ def test_verify_rejects_non_object_witness(k4_file, tmp_path, capsys):
     assert "witness must be a JSON object" in capsys.readouterr().out
 
 
+def _rehashed_file(path, edit, tmp_path):
+    cert = json.loads(path.read_text())
+    edit(cert)
+    cert["cert_hash"] = certificate_hash(cert)
+    bad = tmp_path / "edited.json"
+    # json writes an infinite float as Infinity; a hostile file may say 1e400
+    bad.write_text(json.dumps(cert).replace("Infinity", "1e400"))
+    return bad
+
+
+def test_verify_rejects_arithmetic_garbage_cleanly(k4_file, triangle_file, tmp_path, capsys):
+    def set_d(value):
+        return lambda cert: cert["payload"]["parameters"].__setitem__("d", value)
+
+    def set_bound(cert):
+        cert["payload"]["degree_bound"] = "1/0"
+
+    cases = []
+    for graph, code in ((triangle_file, 0), (k4_file, 1)):  # kwz holds, then fails
+        out = tmp_path / f"kwz{code}.json"
+        assert main(["check", "kwz", str(graph), "--k", "1", "--d", "2", "--out", str(out)]) == code
+        cases += [(out, graph, set_d("1/0")), (out, graph, set_d(float("inf")))]
+    out = tmp_path / "ndt.json"
+    assert main(["ndt", str(k4_file), "--k", "1", "--l", "2", "--out", str(out)]) == 0
+    cases.append((out, k4_file, set_bound))
+    for out, graph, edit in cases:
+        bad = _rehashed_file(out, edit, tmp_path)
+        capsys.readouterr()
+        assert main(["verify", str(bad), str(graph)]) == 1
+        assert "malformed certificate" in capsys.readouterr().out
+
+
+def test_verify_rejects_non_integer_colours(k4_file, tmp_path, capsys):
+    # K4 splits into two sparse classes with edge 0 in neither; a colour
+    # that is not an integer must not count as covering it.
+    out = tmp_path / "dec.json"
+    assert main(["decompose", str(k4_file), "--k", "2", "--out", str(out)]) == 0
+    for colour in (float("nan"), 1.5, 1e-300):
+        bad = _rehashed_file(
+            out, lambda cert: cert["payload"]["assignment"].__setitem__(0, colour), tmp_path
+        )
+        capsys.readouterr()
+        assert main(["verify", str(bad), str(k4_file)]) == 1, colour
+        assert "colour" in capsys.readouterr().out
+
+
+def test_ndt_on_a_long_edge_list(tmp_path):
+    # A Laman graph on 760 vertices (each vertex joined to the two before
+    # it), m = 1517: the forest-plus-bounded search runs one level per edge.
+    n = 760
+    edges = [(0, 1)] + [(i - j, i) for i in range(2, n) for j in (2, 1)]
+    gfile = tmp_path / "laman760.txt"
+    gfile.write_text(format_graph(Multigraph(n, tuple(edges))))
+    out = tmp_path / "ndt.json"
+    assert main(["ndt", str(gfile), "--k", "0", "--l", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["payload"]["kind"] == "bounded-cover"
+    assert main(["verify", str(out), str(gfile)]) == 0
+
+
 def test_pack_failure_above_partition_guardrail(tmp_path):
     # no witness partition is searched for beyond the guardrail, but the
     # failure is still certified (via the union rank) and verifiable
@@ -198,8 +257,6 @@ def test_decompose_failure_above_subset_guardrail(tmp_path):
     edges = []
     for i in range(16):
         edges += [(i, i + 1), (i, i + 1)]
-    from rigidpack import Multigraph
-
     gfile = tmp_path / "dp17.txt"
     gfile.write_text(format_graph(Multigraph(17, tuple(edges))))
     out = tmp_path / "cert.json"

@@ -13,7 +13,6 @@ from rigidpack import (
     is_rigid,
     rigidity_rank,
     sparse_independent,
-    sparse_independent_bruteforce,
 )
 from rigidpack.matroids import PebbleGame
 
@@ -56,9 +55,9 @@ def test_sparse_independent_examples():
 
 
 def test_sparse_bruteforce_examples():
-    assert sparse_independent_bruteforce(corpus.single_edge(), {0})
-    assert sparse_independent_bruteforce(corpus.cycle(4), range(4))
-    assert not sparse_independent_bruteforce(corpus.double_edge(), range(2))
+    assert oracles.sparse_independent_bruteforce(corpus.single_edge(), {0})
+    assert oracles.sparse_independent_bruteforce(corpus.cycle(4), range(4))
+    assert not oracles.sparse_independent_bruteforce(corpus.double_edge(), range(2))
 
 
 def test_rigidity_rank_examples():

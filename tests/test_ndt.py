@@ -121,6 +121,24 @@ def test_forest_plus_bounded_budget_raises():
         sparse_to_forest_plus_bounded(H, budget=2)
 
 
+def test_forest_plus_bounded_search_matches_recursive_reference():
+    # The same split and the same node count (so the same budget refusals)
+    # as the recursive search, on sparse graphs with and without splits.
+    graphs = [corpus.triangle(), corpus.k4_minus_edge(), corpus.path(5), corpus.k33()]
+    graphs += [corpus.random_sparse_graph(n, seed=s, full=f)
+               for n in range(3, 10) for s in range(4) for f in (True, False)]
+    for H in graphs:
+        assert sparse_to_forest_plus_bounded(H) == oracles.forest_plus_bounded_reference(H)
+        for budget in (1, 2, H.m, H.m + 1, 3 * H.m):
+            outcomes = []
+            for search in (sparse_to_forest_plus_bounded, oracles.forest_plus_bounded_reference):
+                try:
+                    outcomes.append(search(H, budget=budget))
+                except SearchBudgetExceededError:
+                    outcomes.append("refused")
+            assert outcomes[0] == outcomes[1], (H, budget)
+
+
 def test_forest_plus_bounded_always_exists_from_n6():
     # the guarantee behind the pipeline, checked exhaustively on sparse graphs
     for seed in range(8):
