@@ -98,7 +98,7 @@ def load_certificate(path) -> dict:
             cert = json.load(fh)
     except OSError as exc:
         raise GraphInputError(f"cannot read certificate {path}: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:  # undecodable bytes; RecursionError: deep nesting
         raise GraphInputError(f"malformed certificate {path}: {exc}") from None
     if not isinstance(cert, dict):
         raise GraphInputError(f"malformed certificate {path}: expected a JSON object")

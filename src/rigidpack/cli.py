@@ -280,7 +280,7 @@ def main(argv=None) -> int:
         if args.cmd == "random":
             return _cmd_random(args)
         return _run_single_or_batch(args.cmd, args)
-    except GraphInputError as exc:
+    except (GraphInputError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (LimitExceededError, SearchBudgetExceededError) as exc:

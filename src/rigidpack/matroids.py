@@ -14,7 +14,9 @@ multigraph's edge set.
 When the pebble game rejects an edge, the set of vertices reachable from
 its endpoints in the current orientation is a certified violator: the
 accepted edges fill it to exactly 2|X| - 3, so the rejected edge pushes it
-over.  ``sparse_independent`` surfaces that set as a witness.
+over.  The two failed pebble searches have just marked exactly that set,
+so ``last_witness`` reads it off the marks with no further search, and
+``sparse_independent`` surfaces it as a witness.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ class PebbleGame:
         g.n = self.n
         g.pebbles = self.pebbles[:]
         g.out = [lst[:] for lst in self.out]
-        g._mark = [0] * self.n
-        g._stamp = 0
+        g._mark = self._mark[:]  # keeps ``last_witness`` valid on the copy
+        g._stamp = self._stamp
         g._parent = [0] * self.n
         g._failed = self._failed
         return g
@@ -168,23 +170,14 @@ class PebbleGame:
         else:
             raise ValueError(f"no edge {u}-{v} in the pebble game")
 
-    def reach_closure(self, u: int, v: int) -> frozenset:
-        """Vertices reachable from {u, v} along the current orientation."""
-        seen = {u, v}
-        stack = [u, v]
-        out = self.out
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return frozenset(seen)
-
     def last_witness(self) -> frozenset | None:
+        # The two searches of the failed insert, from u and then from v,
+        # each ran to exhaustion without moving a pebble, so together the
+        # vertices they marked are the reach closure of {u, v}.
         if self._failed is None:
             return None
-        return self.reach_closure(*self._failed)
+        mark, since = self._mark, self._stamp - 1
+        return frozenset(x for x in range(self.n) if mark[x] >= since)
 
 
 def sparse_independent(G: Multigraph, F: Iterable[int]) -> tuple[bool, frozenset | None]:

@@ -276,7 +276,7 @@ def load_graph(path) -> Multigraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_graph(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read graph file {path}: {exc}") from None
 
 

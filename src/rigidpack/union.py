@@ -11,12 +11,20 @@ edge that has no path is safe because the union is itself a matroid.
 The class oracles are built once per call and stay live: after an
 augmenting path, each class it touched drops its outgoing edges and then
 takes its incoming ones (a pebble game by deletion and insertion, a forest
-by relabelling its components).  A fundamental circuit is read off the
-live pebble game that rejected the edge, with no pebble moved: the reach
-closure X of the edge's endpoints is then the smallest tight set holding
-them, since X holds exactly 2|X| - 3 edges and no arc leaves it, so the
-circuit is the edge plus every class edge inside X (Lee & Streinu,
-"Pebble game algorithms and sparse graphs", 2008).
+by cutting and linking trees and relabelling one side in place).  An
+offered edge is kept by the first class that accepts it, with no separate
+probe.  A fundamental circuit is read off the live pebble game that
+rejected the edge, with no pebble moved: the reach closure X of the edge's
+endpoints is then the smallest tight set holding them, since X holds
+exactly 2|X| - 3 edges and no arc leaves it, so the circuit is the edge
+plus every class edge inside X (Lee & Streinu, "Pebble game algorithms and
+sparse graphs", 2008).
+
+The edges a failed search reaches are closed for good (Edmonds, "Minimum
+partition of a matroid into independent subsets", 1965): each is spanned,
+in every class but its own, by reached edges, and later paths recolour
+only unreached ones.  So they are marked dead and never expanded again;
+the search over the live edges, its order and its result are unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from .conditions import ConditionReport
 from .enumeration import first_dense_set
 from .errors import GraphInputError, LimitExceededError
-from .matroids import PebbleGame, UnionFind, graphic_independent, sparse_independent
+from .matroids import PebbleGame, graphic_independent, sparse_independent
 from .multigraph import Multigraph
 
 
@@ -82,6 +90,14 @@ class _RigidityClass:
         if not self.game.try_insert(*self.G.edges[e]):
             raise RuntimeError("union invariant broken: class not sparse")
 
+    def take(self, e: int) -> tuple[bool, frozenset | None]:
+        """Keep edge ``e`` if the class stays sparse with it; otherwise
+        leave the class as it was and return the rejection's witness."""
+        if self.game.try_insert(*self.G.edges[e]):
+            insort(self.members, e)
+            return True, None
+        return False, self.game.last_witness()
+
     def probe(self, u: int, v: int) -> tuple[bool, frozenset | None]:
         game = self.game
         if game.try_insert(u, v):
@@ -107,26 +123,50 @@ class _RigidityClass:
 
 
 class _GraphicClass:
-    """Forest oracle: component labels for independence, tree paths for
-    circuits.  The labels are rebuilt only when an augmentation touches
-    the class."""
+    """Forest oracle: a component label per vertex for independence, the
+    forest's adjacency for circuits.  Both are updated in place: a link
+    relabels one endpoint's tree, a cut relabels one side with a fresh
+    label."""
 
     def __init__(self, G: Multigraph, members: list[int]) -> None:
         self.G = G
-        self.members = members  # ascending edge ids
-        self._index()
-
-    def _index(self) -> None:
-        G = self.G
-        uf = UnionFind(G.n)
+        self.comp = list(range(G.n))
+        self._fresh = G.n  # next unused label
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-        for e in self.members:
-            u, v = G.edges[e]
-            if not uf.union(u, v):
-                raise RuntimeError("union invariant broken: class not a forest")
-            self.adj[u].append((v, e))
-            self.adj[v].append((u, e))
-        self.comp = [uf.find(x) for x in range(G.n)]
+        for e in members:
+            self._link(e)
+
+    def _relabel(self, root: int, label: int) -> None:
+        comp, adj = self.comp, self.adj
+        comp[root] = label
+        stack = [root]
+        while stack:
+            for y, _ in adj[stack.pop()]:
+                if comp[y] != label:
+                    comp[y] = label
+                    stack.append(y)
+
+    def _link(self, e: int) -> None:
+        u, v = self.G.edges[e]
+        if self.comp[u] == self.comp[v]:
+            raise RuntimeError("union invariant broken: class not a forest")
+        self._relabel(v, self.comp[u])
+        self.adj[u].append((v, e))
+        self.adj[v].append((u, e))
+
+    def _cut(self, e: int) -> None:
+        u, v = self.G.edges[e]
+        self.adj[u].remove((v, e))
+        self.adj[v].remove((u, e))
+        self._relabel(v, self._fresh)
+        self._fresh += 1
+
+    def take(self, e: int) -> tuple[bool, None]:
+        u, v = self.G.edges[e]
+        if self.comp[u] == self.comp[v]:
+            return False, None
+        self._link(e)
+        return True, None
 
     def probe(self, u: int, v: int) -> tuple[bool, None]:
         return self.comp[u] != self.comp[v], None
@@ -152,31 +192,54 @@ class _GraphicClass:
         return sorted(path)
 
     def update(self, removed: list[int], added: list[int]) -> None:
+        # All cuts first: only the final set is known to be a forest.
         for e in removed:
-            self.members.remove(e)
+            self._cut(e)
         for e in added:
-            insort(self.members, e)
-        self._index()
+            self._link(e)
 
 
 def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
-    members: list[list[int]] = [[] for _ in range(k + l + 1)]
+    # An empty class accepts any edge (there are no loops), and fewer than
+    # m classes are ever non-empty, so a class past the first m of its
+    # kind would never be used.
+    members: dict[int, list[int]] = {}
     for e, c in enumerate(color):
         if c:
-            members[c].append(e)
+            members.setdefault(c, []).append(e)
     classes: dict[int, object] = {}
-    for j in range(1, k + 1):
-        classes[j] = _RigidityClass(G, members[j])
-    for j in range(k + 1, k + l + 1):
-        classes[j] = _GraphicClass(G, members[j])
+    for j in range(1, min(k, G.m) + 1):
+        classes[j] = _RigidityClass(G, members.get(j, []))
+    for j in range(k + 1, k + min(l, G.m) + 1):
+        classes[j] = _GraphicClass(G, members.get(j, []))
     return classes
 
 
-def _augment(G: Multigraph, classes: dict, color: list[int], start: int) -> bool:
+def _augment(G: Multigraph, classes: dict, color: list[int], start: int, dead: set) -> bool:
     """Try to absorb edge ``start``; on success the colouring and the live
-    class oracles are updated."""
+    class oracles are updated.  ``dead`` holds the edges reached by earlier
+    failed searches, which are never expanded again; a failed search adds
+    the edges it reached."""
+    # The first class that accepts the offered edge keeps it; a search
+    # from the edge would stop at that class too.
+    rejections = []
+    for j, oracle in classes.items():
+        ok, witness = oracle.take(start)
+        if ok:
+            color[start] = j
+            return True
+        rejections.append((j, witness))
     pred: dict[int, tuple[int, int] | None] = {start: None}
-    queue = deque([start])
+    queue: deque[int] = deque()
+
+    def expand(y: int, j: int, witness) -> None:
+        for x in classes[j].circuit(y, witness):
+            if x not in pred and x not in dead:
+                pred[x] = (y, j)
+                queue.append(x)
+
+    for j, witness in rejections:
+        expand(start, j, witness)
     found = None
     while queue and found is None:
         y = queue.popleft()
@@ -188,11 +251,9 @@ def _augment(G: Multigraph, classes: dict, color: list[int], start: int) -> bool
             if ok:
                 found = (y, j)
                 break
-            for x in oracle.circuit(y, witness):
-                if x not in pred:
-                    pred[x] = (y, j)
-                    queue.append(x)
+            expand(y, j, witness)
     if found is None:
+        dead.update(pred)
         return False
     # Walk the path back to ``start``, recolouring and collecting each
     # touched class's removals and insertions.
@@ -221,11 +282,12 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     cap = k * max(0, 2 * G.n - 3) + l * max(0, G.n - 1)
     color = [0] * G.m
     classes = _build_classes(G, k, l, color)
+    dead: set[int] = set()
     rank = 0
     for e in range(G.m):
         if rank >= cap:
             break
-        if _augment(G, classes, color, e):
+        if _augment(G, classes, color, e, dead):
             rank += 1
     # Cheap paranoia: rebuilding the class oracles re-validates that every
     # class is still independent after all the exchanges.
@@ -246,12 +308,17 @@ def verify_decomposition(
         return False, "assignment uses an out-of-range colour"
     if require_complete and not dec.is_complete():
         return False, "decomposition leaves edges uncovered"
-    for j, cls in enumerate(dec.sparse_classes(), start=1):
-        ok, _ = sparse_independent(G, cls)
-        if not ok:
-            return False, f"class {j} is not (2,3)-sparse"
-    for j, cls in enumerate(dec.forest_classes(), start=dec.k + 1):
-        if not graphic_independent(G, cls):
+    # One pass groups the edges by colour; an unused colour is an empty
+    # class, independent in both matroids, so only used colours are checked.
+    classes: dict[int, list[int]] = {}
+    for e, c in enumerate(dec.assignment):
+        if c:
+            classes.setdefault(c, []).append(e)
+    for j in sorted(classes):
+        if j <= dec.k:
+            if not sparse_independent(G, classes[j])[0]:
+                return False, f"class {j} is not (2,3)-sparse"
+        elif not graphic_independent(G, classes[j]):
             return False, f"class {j} is not a forest"
     return True, None
 

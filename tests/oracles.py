@@ -4,9 +4,9 @@ Everything here is written directly from the definitions with itertools
 and plain dictionaries: no pebble game, no union-find, no matroid union.
 The main implementation is tested against these, so they must not share
 code paths with it.  The exceptions at the end, ``union_rank_reference``,
-``circuit_by_delete_and_retry``, the ``*_reference`` condition scans and
-the ``*_bruteforce`` scans, are regression oracles rather than
-definitional ones.
+``reach_closure``, ``circuit_by_delete_and_retry``, the ``*_reference``
+condition scans and the ``*_bruteforce`` scans, are regression oracles
+rather than definitional ones.
 """
 
 from __future__ import annotations
@@ -476,6 +476,21 @@ def union_rank_reference(G: Multigraph, k: int, l: int) -> UnionRank:
     _build_classes(G, k, l, color)
     dec = Decomposition(k, l, tuple(color))
     return UnionRank(rank, dec.covered(), dec)
+
+
+def reach_closure(game: PebbleGame, u: int, v: int) -> frozenset:
+    """Vertices reachable from {u, v} along the pebble game's current
+    orientation, by a search of its own: what ``PebbleGame.last_witness``
+    must equal right after the game rejected the edge u-v."""
+    seen = {u, v}
+    stack = [u, v]
+    while stack:
+        x = stack.pop()
+        for y in game.out[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
 
 
 def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidpack import Multigraph, format_graph
 from rigidpack.certificates import certificate_hash
@@ -331,3 +335,89 @@ def test_build_parser_returns_a_fresh_parser():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Inputs for random command lines: good graphs, garbage, a missing
+    file, a directory, a certificate, and output paths good and bad."""
+    d = tmp_path_factory.mktemp("argv")
+    files = {
+        "k4": format_graph(corpus.k4()),
+        "triangle": format_graph(corpus.triangle()),
+        "disconnected": format_graph(corpus.two_triangles_disjoint()),
+        "empty": "0 0\n",
+        "garbage": "3 2\n0 1\nnot an edge\n",
+        "loop": "2 1\n1 1\n",
+    }
+    for name, text in files.items():
+        (d / f"{name}.txt").write_text(text)
+    (d / "binary.txt").write_bytes(b"\xff\xfe\x00garbage\x80")
+    batch = d / "batch"
+    batch.mkdir()
+    (batch / "k4.txt").write_text(files["k4"])
+    (batch / "bad.txt").write_text(files["garbage"])
+    cert = d / "k4.cert.json"
+    assert main(["decompose", str(d / "k4.txt"), "--k", "2", "--out", str(cert)]) == 0
+    inputs = [str(p) for p in sorted(d.glob("*.txt"))] + [
+        str(cert), str(d / "missing.txt"), str(batch), str(d)]
+    outs = [str(d / "out.json"), str(d / "no-such-dir" / "out.json"), str(batch), str(cert)]
+    return inputs, outs, str(batch)
+
+
+_NUMBERS = ["-2", "-1", "0", "1", "2", "3", "5", "40", "1.5", "2/3", "1/0", "x", ""]
+_FLAGS = ["--k", "--l", "--p", "--q", "--d", "--max-n", "--max-partitions",
+          "--search-budget", "--n", "--m", "--mult", "--seed"]
+# Each command with the options it needs, so that most command lines get
+# past the parser; extra items then add bad values, files and options.
+_SKELETONS = {
+    "decompose": ["--k", "--l"],
+    "pack": ["--k", "--l"],
+    "ndt": ["--k", "--l"],
+    "check cover": ["--k"],
+    "check kwz": ["--k", "--d"],
+    "check parthm": ["--k", "--l"],
+    "check tree-packing": ["--l"],
+    "check pq-connected": ["--p", "--q"],
+    "check nope": [],
+    "gamma gamma2": [],
+    "gamma gamma3": [],
+    "verify": [],
+    "random": ["--n", "--m", "--mult"],
+    "bogus": [],
+}
+
+
+@st.composite
+def _argvs(draw, inputs, outs, batch):
+    skeleton = draw(st.sampled_from(sorted(_SKELETONS)))
+    argv = skeleton.split()
+    if skeleton == "verify":
+        argv += [draw(st.sampled_from(inputs)), draw(st.sampled_from(inputs))]
+    elif skeleton != "random":
+        argv.append(draw(st.sampled_from(inputs)))
+    for flag in _SKELETONS[skeleton]:
+        argv += [flag, str(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(outs))]
+    items = st.one_of(
+        st.sampled_from(inputs).map(lambda p: [p]),
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_NUMBERS)).map(list),
+        st.sampled_from(outs).map(lambda p: ["--out", p]),
+        st.just(["--batch", batch]),
+        st.sampled_from([["--help"], ["--bogus"], ["--k"]]),
+    )
+    for item in draw(st.lists(items, max_size=3)):
+        argv.extend(item)
+    return argv
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_exit_codes_are_always_0_to_3(argv_files, data):
+    # Whatever the command line, main returns one of the four documented
+    # exit codes and never raises.
+    argv = data.draw(_argvs(*argv_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -198,3 +198,27 @@ def test_pebble_remove_missing_edge_raises():
     assert game.pebbles == [2, 2, 2]
     with pytest.raises(ValueError):
         game.remove(0, 1)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(corpus.insert_remove_runs())
+def test_last_witness_is_the_reach_closure(run):
+    # The witness read off the marks of the two failed searches against a
+    # fresh search of the orientation, after every rejected insert.
+    n, ops = run
+    game = PebbleGame(n)
+    held: list[tuple[int, int]] = []
+    rejected = 0
+    for op in ops:
+        if op[0] == "insert":
+            u, v = op[1]
+            if game.try_insert(u, v):
+                held.append((u, v))
+            else:
+                assert game.last_witness() == oracles.reach_closure(game, u, v)
+                assert game.copy().last_witness() == game.last_witness()
+                rejected += 1
+        elif held:
+            game.remove(*held.pop(op[1] % len(held)))
+    if not rejected:
+        assert game.last_witness() is None

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from rigidpack import (
     union_rank,
     verify_decomposition,
 )
-from rigidpack.matroids import PebbleGame
+from rigidpack.matroids import PebbleGame, UnionFind
 
 import corpus
 import oracles
@@ -282,3 +283,88 @@ def test_rigidity_circuit_is_fundamental_circuit():
             assert cls.members == members
             checked += 1
     assert checked > 100
+
+
+def _partition(labels):
+    blocks: dict = {}
+    for x, label in enumerate(labels):
+        blocks.setdefault(label, set()).add(x)
+    return sorted(map(sorted, blocks.values()))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(corpus.insert_remove_runs())
+def test_forest_labels_match_a_fresh_union_find(run):
+    # After every in-place link or cut, the live forest's component labels
+    # partition the vertices as a union-find built from its edges does.
+    n, ops = run
+    G = Multigraph(n, tuple(op[1] for op in ops if op[0] == "insert"))
+    cls = union_mod._GraphicClass(G, [])
+    forest: list[int] = []
+    eid = 0
+    for op in ops:
+        if op[0] == "insert":
+            if cls.take(eid)[0]:
+                forest.append(eid)
+            eid += 1
+        elif forest:
+            cls.update([forest.pop(op[1] % len(forest))], [])
+        uf = UnionFind(n)
+        for e in forest:
+            assert uf.union(*G.edges[e])
+        assert _partition(cls.comp) == _partition([uf.find(x) for x in range(n)])
+
+
+def test_forest_link_inside_a_component_raises():
+    cls = union_mod._GraphicClass(corpus.triangle(), [0, 1])
+    assert cls.take(2) == (False, None)
+    with pytest.raises(RuntimeError, match="not a forest"):
+        cls.update([], [2])
+
+
+def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
+    # A class past the first m of its kind is never used, so a huge k or l
+    # costs neither memory nor time, and the colouring is the one that a
+    # search over every class finds.
+    for G in corpus.random_corpus(30, seed=27, m_max=8):
+        for k, l in ((G.m + 2, 0), (0, G.m + 2), (G.m + 1, G.m + 1), (1, G.m + 3)):
+            assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l)
+    built = []
+    real_rigid, real_graphic = union_mod._RigidityClass.__init__, union_mod._GraphicClass.__init__
+    monkeypatch.setattr(union_mod._RigidityClass, "__init__",
+                        lambda c, G, m: built.append("rigid") or real_rigid(c, G, m))
+    monkeypatch.setattr(union_mod._GraphicClass, "__init__",
+                        lambda c, G, m: built.append("forest") or real_graphic(c, G, m))
+    ur = union_rank(corpus.triangle(), 10**6, 10**6)
+    assert ur.rank == 3 and ur.decomposition.assignment == (1, 1, 1)
+    assert built.count("rigid") == built.count("forest") == 2 * 3  # build and re-check
+    tracemalloc.start()
+    try:
+        union_rank(corpus.triangle(), 10**5, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
+def test_verify_decomposition_checks_only_used_colours(monkeypatch):
+    calls = []
+    real_sparse, real_graphic = union_mod.sparse_independent, union_mod.graphic_independent
+    monkeypatch.setattr(union_mod, "sparse_independent",
+                        lambda G, F: calls.append(1) or real_sparse(G, F))
+    monkeypatch.setattr(union_mod, "graphic_independent",
+                        lambda G, F: calls.append(1) or real_graphic(G, F))
+    big = 10**6
+    tri = corpus.triangle()
+    assert verify_decomposition(tri, Decomposition(big, big, (1, big, 2 * big))) == (True, None)
+    assert len(calls) == 3
+    assert verify_decomposition(tri, Decomposition(big, big, (0, 0, 0))) == (True, None)
+    assert verify_decomposition(corpus.k4(), Decomposition(big, 0, (7,) * 6)) == (
+        False, "class 7 is not (2,3)-sparse")
+    assert verify_decomposition(tri, Decomposition(1, big, (1, big + 1, big + 1))) == (True, None)
+    assert verify_decomposition(tri, Decomposition(1, big, (big, big, big))) == (
+        False, f"class {big} is not a forest")
+    # The lowest offending colour is reported, as when every class is checked.
+    doubled = corpus.doubled_triangle()
+    assert verify_decomposition(doubled, Decomposition(2, 1, (3, 3, 3, 1, 1, 1))) == (
+        False, "class 1 is not (2,3)-sparse")
