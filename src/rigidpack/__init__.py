@@ -27,7 +27,6 @@ from .errors import (
     GraphInputError,
     LimitExceededError,
     RigidpackError,
-    SearchBudgetExceededError,
 )
 from .matroids import (
     PebbleGame,

@@ -295,10 +295,7 @@ def _fewer_trees(G, p, _):
 
 
 def _no_split(G, p, F):
-    # Every sparse class splits once n >= 6; below that the class has at
-    # most 7 edges, so re-running the exhaustive search is cheap.
-    if G.n >= 6:
-        raise _Rejected("every sparse class has a forest-plus-bounded split when n >= 6")
+    # The split test is exact and polynomial, so it is simply re-run.
     if not sparse_independent(G, F)[0]:
         raise _Rejected("witness class is not (2,3)-sparse")
     return sparse_to_forest_plus_bounded(G.subgraph_of(F)) is None, None, None

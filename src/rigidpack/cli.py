@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 witnessed failure (or failed verification),
-2 input error, 3 undecided or guardrail refusal.
+2 input error, 3 guardrail refusal.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import certificates as certs
 from .conditions import ConditionReport, gamma, gamma2
-from .errors import GraphInputError, LimitExceededError, SearchBudgetExceededError
+from .errors import GraphInputError, LimitExceededError
 from .multigraph import Multigraph, load_graph, random_multigraph, write_graph
-from .ndt import DEFAULT_SEARCH_BUDGET, BoundedCover, ndt_decompose
+from .ndt import BoundedCover, ndt_decompose
 from .packing import Packing, pack_rigid_and_trees, pack_spanning_trees
 from .union import Decomposition, decompose
 
@@ -86,7 +86,7 @@ def _run_gamma(G: Multigraph, args) -> tuple[int, dict, str]:
 
 
 def _run_ndt(G: Multigraph, args) -> tuple[int, dict, str]:
-    result = ndt_decompose(G, args.k, args.l, budget=args.search_budget, max_n=args.max_n)
+    result = ndt_decompose(G, args.k, args.l, max_n=args.max_n)
     if isinstance(result, BoundedCover):
         payload = certs.bounded_cover_payload(result)
         return 0, payload, (
@@ -145,7 +145,7 @@ def _run_single_or_batch(command: str, args) -> int:
                 )
             except GraphInputError as exc:
                 code, summary = 2, f"input error: {exc}"
-            except (LimitExceededError, SearchBudgetExceededError) as exc:
+            except LimitExceededError as exc:
                 code, summary = 3, f"refused: {exc}"
             print(f"{f.name}: {summary}")
             worst = max(worst, code)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, partitions=False, budget=False):
+    def add_common(p):
         p.add_argument("input", nargs="?", help="graph file ('n m' header, then 'u v' lines)")
         p.add_argument("--batch", metavar="DIR", help="process every *.txt graph in DIR")
         p.add_argument("--out", help="certificate output path (directory in batch mode)")
@@ -197,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="guardrail for exhaustive subset scans")
         p.add_argument("--max-partitions", type=int, default=None, dest="max_partitions",
                        help="guardrail for exhaustive partition scans")
-        if budget:
-            p.add_argument("--search-budget", type=int, default=DEFAULT_SEARCH_BUDGET,
-                           dest="search_budget", help="node budget for backtracking searches")
 
     p = sub.add_parser("decompose", help="decompose into k sparse classes and l forests")
     p.add_argument("--k", type=int, default=0)
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ndt", help="cover by l forests and 2k+2-l degree-bounded parts")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    add_common(p, budget=True)
+    add_common(p)
 
     p = sub.add_parser("verify", help="verify a certificate against its graph")
     p.add_argument("cert", help="certificate JSON file")
@@ -283,7 +280,7 @@ def main(argv=None) -> int:
     except (GraphInputError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (LimitExceededError, SearchBudgetExceededError) as exc:
+    except LimitExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: bad input is exit 2,
-guardrail refusals and exhausted search budgets are exit 3.
+guardrail refusals are exit 3.
 """
 
 
@@ -16,8 +16,3 @@ class GraphInputError(RigidpackError):
 class LimitExceededError(RigidpackError):
     """An exhaustive enumeration was refused because the instance exceeds
     the configured guardrail."""
-
-
-class SearchBudgetExceededError(RigidpackError):
-    """A backtracking search ran out of its node budget; the answer is
-    undecided, not negative."""

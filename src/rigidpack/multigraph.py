@@ -9,7 +9,7 @@ rejected outright.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -213,20 +213,29 @@ def random_multigraph(n: int, m: int, max_multiplicity: int = 1, seed: int = 0) 
     carrying more than ``max_multiplicity`` parallel edges.
 
     Deterministic for a fixed seed: edges are sampled without replacement
-    from the multiset of available slots, then sorted.
+    from the multiset of available slots, then sorted.  Slot s is a copy of
+    the (s // max_multiplicity)-th pair of ``combinations(range(n), 2)``;
+    only the m sampled slots are decoded, so the cost is O(m log n).
     """
     if n < 0 or m < 0:
         raise GraphInputError("n and m must be non-negative")
     if max_multiplicity < 1:
         raise GraphInputError("max_multiplicity must be at least 1")
-    pairs = list(itertools.combinations(range(n), 2))
-    if m > len(pairs) * max_multiplicity:
+    total = n * (n - 1) // 2 * max_multiplicity
+    if m > total:
         raise GraphInputError(
             f"cannot place {m} edges on {n} vertices with multiplicity <= {max_multiplicity}"
         )
-    rng = random.Random(seed)
-    slots = [p for p in pairs for _ in range(max_multiplicity)]
-    return Multigraph(n, tuple(sorted(rng.sample(slots, m))))
+
+    def first_pair(u: int) -> int:  # index of (u, u + 1) among the pairs
+        return u * (2 * n - u - 1) // 2
+
+    edges = []
+    for s in random.Random(seed).sample(range(total), m):
+        p = s // max_multiplicity
+        u = bisect.bisect_right(range(n), p, key=first_pair) - 1
+        edges.append((u, u + 1 + p - first_pair(u)))
+    return Multigraph(n, tuple(sorted(edges)))
 
 
 def parse_graph(text: str) -> Multigraph:

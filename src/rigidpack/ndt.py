@@ -4,26 +4,25 @@ Pipeline: a connected graph whose sparse-cover density is at most k+1
 splits into k+1 sparse classes; each class then either splits into two
 forests (always possible for sparse sets) or into one forest plus a
 remainder of maximum degree at most floor((2n-5)/3).  The forest-plus-
-bounded split is found by exhaustive backtracking under a node budget;
-the guarantee behind it only kicks in for n >= 6, so smaller inputs run
-in best-effort mode and may legitimately come back empty (a triangle has
-no such split: the bound is 0 and a triangle is not a forest).
+bounded split is decided exactly, by a few matroid intersections; the
+guarantee that it exists only kicks in for n >= 6, so smaller inputs may
+legitimately come back empty (a triangle has no such split: the bound is
+0 and a triangle is not a forest).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .conditions import ConditionReport
 from .enumeration import first_dense_set
-from .errors import GraphInputError, SearchBudgetExceededError
-from .matroids import graphic_independent, sparse_independent
+from .errors import GraphInputError
+from .matroids import UnionFind, graphic_independent, sparse_independent
 from .multigraph import Multigraph
 from .union import decompose_sparse, union_rank
-
-DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -94,73 +93,83 @@ def sparse_to_two_forests(H: Multigraph) -> tuple[frozenset, frozenset]:
     return first, second
 
 
-def sparse_to_forest_plus_bounded(
-    H: Multigraph, *, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[frozenset, frozenset] | None:
+def sparse_to_forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] | None:
     """Split a sparse graph into a forest and a remainder of maximum degree
-    at most floor((2n-5)/3).
+    at most b = floor((2n-5)/3); None when no split exists (possible only
+    below n = 6).
 
-    Exhaustive backtracking over the edge list in id order, branching
-    forest-first; returns None when the completed search proves no split
-    exists (possible only below n = 6), and raises when the node budget
-    runs out first.
+    Only a vertex of degree above b needs forest edges, deg - b of them;
+    call it high.  Degrees of a sparse graph sum to at most 4n - 6, so from
+    n = 6 on there are at most six high vertices and at most nine edges
+    among them.  For each acyclic choice S of those edges, the rest of the
+    forest is a common independent set of two matroids on the high-low
+    edges: the graphic matroid with S contracted, and the partition matroid
+    that takes at each high end what S leaves it needing.
     """
     _require_sparse(H)
     bound = degree_bound_floor(H.n)
-    m, edges = H.m, H.edges
-    rem_degree = [0] * H.n
-    # Union-find without path compression: the forest branch at a depth
-    # links one root under another, and backtracking unlinks it.
-    parent, size = list(range(H.n)), [1] * H.n
-    linked = [0] * m
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    # The nodes of the recursive search in its order, iteratively: step[d]
-    # is 0 on entering depth d, then 1 while edge d is in the forest and 2
-    # while it is in the remainder.
-    step = [0] * (m + 1)
-    nodes = depth = 0
-    while True:
-        s = step[depth]
-        if s == 0:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceededError(
-                    f"forest-plus-bounded search exceeded {budget} nodes"
-                )
-            if depth == m:
-                break
-        u, v = edges[depth]
-        if s == 1:  # the forest branch failed below: unlink its root
-            rv = linked[depth]
-            size[parent[rv]] -= size[rv]
-            parent[rv] = rv
-        elif s == 2:
-            rem_degree[u] -= 1
-            rem_degree[v] -= 1
-        if s == 0 and (ru := find(u)) != (rv := find(v)):
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            linked[depth], step[depth] = rv, 1
-        elif s < 2 and rem_degree[u] < bound and rem_degree[v] < bound:
-            rem_degree[u] += 1
-            rem_degree[v] += 1
-            step[depth] = 2
-        elif depth == 0:
-            return None
-        else:
-            depth -= 1
+    need = [max(0, d - bound) for d in H.degrees()]
+    high_high, head = [], {}
+    for e, (u, v) in enumerate(H.edges):
+        if need[u] and need[v]:
+            high_high.append(e)
+        elif need[u] or need[v]:
+            head[e] = u if need[u] else v
+    for mask in range(1 << len(high_high)):
+        S = [e for i, e in enumerate(high_high) if mask >> i & 1]
+        if not graphic_independent(H, S):
             continue
-        depth += 1
-        step[depth] = 0
-    forest = frozenset(e for e in range(m) if step[e] == 1)
-    return forest, frozenset(range(m)) - forest
+        cap = need[:]
+        for e in S:
+            for x in H.edges[e]:
+                cap[x] = max(0, cap[x] - 1)
+        rest = _capped_forest(H, S, head, cap)
+        if rest is not None:
+            forest = frozenset(S) | rest
+            return forest, frozenset(range(H.m)) - forest
+    return None
+
+
+def _capped_forest(H: Multigraph, S: list, head: dict, cap: list) -> frozenset | None:
+    """A set I of the edges in ``head`` with exactly cap[v] of them at each
+    high end v = head[e] and S + I a forest, or None if there is none.
+
+    Matroid intersection by shortest augmenting paths (Edmonds, 1970): from
+    an edge z that S + I + z keeps acyclic, to an edge y of I at z's full
+    high end, to an edge z' that S + I - y + z' keeps acyclic, and so on,
+    until an edge whose high end has room.
+    """
+    inside: set[int] = set()
+
+    def joins(skip=None):  # the edges z outside I with S + I - skip + z acyclic
+        uf = UnionFind(H.n)
+        for e in {*S, *inside} - {skip}:
+            uf.union(*H.edges[e])
+        return [z for z in head if z not in inside
+                and uf.find(H.edges[z][0]) != uf.find(H.edges[z][1])]
+
+    while len(inside) < sum(cap):
+        pred = dict.fromkeys(joins())
+        queue, found = deque(pred), None
+        while queue:
+            x = queue.popleft()
+            if x in inside:
+                step = joins(x)
+            else:
+                step = [y for y in sorted(inside) if head[y] == head[x]]
+                if len(step) < cap[head[x]]:
+                    found = x
+                    break
+            for y in step:
+                if y not in pred:
+                    pred[y] = x
+                    queue.append(y)
+        if found is None:
+            return None
+        while found is not None:
+            inside ^= {found}
+            found = pred[found]
+    return frozenset(inside)
 
 
 def ndt_decompose(
@@ -168,15 +177,14 @@ def ndt_decompose(
     k: int,
     l: int,
     *,
-    budget: int = DEFAULT_SEARCH_BUDGET,
     max_n: int | None = None,
 ) -> BoundedCover | ConditionReport:
     """Cover a connected graph by l forests and 2k+2-l degree-bounded parts.
 
     Requires k >= 0 and k+1 <= l <= 2k+2.  Returns a ConditionReport when
     the sparse-cover density exceeds k+1 (with a violating vertex set), or
-    when a class provably admits no forest-plus-bounded split (below the
-    n >= 6 guarantee).  Raises SearchBudgetExceededError when undecided.
+    when a class admits no forest-plus-bounded split (possible only below
+    the n >= 6 guarantee).
     """
     if k < 0:
         raise GraphInputError("need k >= 0")
@@ -199,7 +207,7 @@ def ndt_decompose(
     for cls in bounded_classes:
         ids = sorted(cls)
         H = G.subgraph_of(ids)
-        split = sparse_to_forest_plus_bounded(H, budget=budget)
+        split = sparse_to_forest_plus_bounded(H)
         if split is None:
             return ConditionReport(
                 "forest-plus-bounded",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError, LimitExceededError
-from .matroids import UnionFind, sparse_independent
+from .matroids import graphic_independent, sparse_independent
 from .multigraph import Multigraph
 from .union import UnionRank, union_rank
 
@@ -74,7 +74,12 @@ def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | PackingFail
 
 
 def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:
-    """Re-check every packing invariant from scratch."""
+    """Re-check every packing invariant from scratch.
+
+    The sizes settle spanning: a (2,3)-sparse set of 2n - 3 edges is a
+    rigidity basis, hence spanning and connected, and a forest of n - 1
+    edges is a spanning tree.
+    """
     n = G.n
     seen: set[int] = set()
     for part in packing.rigid_parts + packing.tree_parts:
@@ -90,23 +95,9 @@ def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:
         ok, _ = sparse_independent(G, part)
         if not ok:
             return False, f"rigid part {i} is not (2,3)-sparse"
-        if not _spans_connected(G, part):
-            return False, f"rigid part {i} does not span the graph"
     for i, part in enumerate(packing.tree_parts):
         if len(part) != n - 1:
             return False, f"tree part {i} has {len(part)} edges, expected {n - 1}"
-        if not _spans_connected(G, part, acyclic=True):
+        if not graphic_independent(G, part):
             return False, f"tree part {i} is not a spanning tree"
     return True, None
-
-
-def _spans_connected(G: Multigraph, part: frozenset, *, acyclic: bool = False) -> bool:
-    uf = UnionFind(G.n)
-    merges = 0
-    for e in sorted(part):
-        u, v = G.edges[e]
-        if uf.union(u, v):
-            merges += 1
-        elif acyclic:
-            return False
-    return merges == G.n - 1

@@ -12,6 +12,7 @@ rather than definitional ones.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +23,6 @@ from rigidpack import (
     LimitExceededError,
     Multigraph,
     Partition,
-    SearchBudgetExceededError,
 )
 from rigidpack.conditions import ConditionReport, GammaResult
 from rigidpack.enumeration import SUBSET_LIMIT, enumerate_partitions, enumerate_vertex_subsets
@@ -322,6 +322,18 @@ def bounded_split_exists_def(G, d):
                 deg[u] += 1
                 deg[v] += 1
         if not deg or max(deg) <= d:
+            return True
+    return False
+
+
+def capped_forest_exists_def(G, S, head, cap):
+    """Is there a set I of the edges in ``head`` with exactly cap[v] of
+    them at each head v = head[e] and S + I acyclic?"""
+    for I in itertools.combinations(sorted(head), sum(cap)):
+        counts = [0] * G.n
+        for e in I:
+            counts[head[e]] += 1
+        if counts == list(cap) and forest_by_def(G, set(S) | set(I)):
             return True
     return False
 
@@ -896,11 +908,10 @@ def union_rank_bruteforce(G: Multigraph, k: int, l: int) -> int:
     return best
 
 
-def forest_plus_bounded_reference(
-    H: Multigraph, *, budget: int = 10_000_000
-) -> tuple[frozenset, frozenset] | None:
-    """``sparse_to_forest_plus_bounded`` as a recursive search that copies
-    the union-find at every node (one Python frame per edge)."""
+def forest_plus_bounded_reference(H: Multigraph) -> tuple[frozenset, frozenset] | None:
+    """Exhaustive backtracking over the edge list in id order, branching
+    forest-first and copying the union-find at every node (one Python frame
+    per edge): a forest-plus-bounded split, or None when none exists."""
     if not sparse_independent(H, range(H.m))[0]:
         raise GraphInputError("input graph is not (2,3)-sparse")
     bound = degree_bound_floor(H.n)
@@ -909,15 +920,8 @@ def forest_plus_bounded_reference(
     rem_degree = [0] * H.n
     choice = [False] * m  # True = edge in forest
     uf = UnionFind(H.n)
-    nodes = 0
 
     def search(depth: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceededError(
-                f"forest-plus-bounded search exceeded {budget} nodes"
-            )
         if depth == m:
             return True
         u, v = edges[depth]
@@ -944,3 +948,14 @@ def forest_plus_bounded_reference(
         return None
     forest = frozenset(e for e in range(m) if choice[e])
     return forest, frozenset(range(m)) - forest
+
+
+def random_multigraph_reference(n: int, m: int, max_multiplicity: int = 1, seed: int = 0):
+    """``random_multigraph`` sampling from the materialised list of every
+    slot, each pair of ``combinations(range(n), 2)`` repeated
+    ``max_multiplicity`` times; None when m edges do not fit."""
+    pairs = list(itertools.combinations(range(n), 2))
+    slots = [p for p in pairs for _ in range(max_multiplicity)]
+    if m > len(slots):
+        return None
+    return Multigraph(n, tuple(sorted(random.Random(seed).sample(slots, m))))

@@ -231,7 +231,7 @@ def test_criterion_10_bounded_cover_pipeline():
         for G in corpus.connected_gamma2_bounded(50, k + 1, seed=110 + k, n_range=(6, 8)):
             for l in range(k + 1, 2 * k + 3):
                 cases += 1
-                result = ndt_decompose(G, k, l)  # default budget; undecided would raise
+                result = ndt_decompose(G, k, l)
                 if not isinstance(result, BoundedCover):
                     failures.append((G, k, l, "no cover"))
                     continue

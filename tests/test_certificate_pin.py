@@ -15,7 +15,7 @@ import json
 
 from rigidpack import cli, format_graph, random_multigraph
 
-PINNED_DIGEST = "36eaa124c1fcb189499078770befc85e64e1a308e041a6b4e74403176a06b09d"
+PINNED_DIGEST = "dab66b8a1a4373f741bfed5b59781b0dec16f9c3b9bb807775eaf6b91e8d5ce5"
 
 REQUESTS = (
     ("decompose", 2, 0),

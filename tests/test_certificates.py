@@ -372,14 +372,33 @@ def test_forged_forest_plus_bounded_failure_rejected():
         bad["cert_hash"] = certificate_hash(bad)
         return verify_certificate(bad, G)
 
-    # n >= 6: every sparse class splits, so the claim is always false
+    # At any n the class must be sparse and the exact test must find no
+    # split; from n = 6 on every sparse class splits.
     ok, reason = forged(corpus.path(8), list(range(7)))
-    assert not ok and "n >= 6" in reason
-    # n < 6: the class must be sparse and the search must come back empty
+    assert not ok and "does not violate" in reason
     ok, reason = forged(corpus.path(4), [0, 1, 2])
     assert not ok and "does not violate" in reason
     ok, reason = forged(corpus.double_edge(), [0, 1])
     assert not ok and "not (2,3)-sparse" in reason
+
+
+def test_full_forest_bounded_cover_still_verifies():
+    # A certificate in the shape of the earlier backtracking search, which
+    # put every edge it could into the forest: all of path(6) in the forest
+    # and an empty bounded part.  The producer now writes the opposite
+    # split, but this one is just as valid.
+    cert = {
+        "cert_hash": "8de9c8aee3e88c210c8cb1300a4d153d4232483dc25e30ef1144340b96c5f435",
+        "command": "ndt",
+        "created": "2026-10-18T09:44:05.463707+00:00",
+        "graph_hash": "af5d122d6b87e1e2689d2da7daee968ba55e609551d6e3de49e9f07974afed06",
+        "parameters": {"k": 0, "l": 1},
+        "payload": {"bounded_parts": [[]], "degree_bound": "7/3",
+                    "forests": [[0, 1, 2, 3, 4]], "kind": "bounded-cover"},
+        "schema": "rigidpack-cert/1",
+        "verified": True,
+    }
+    assert verify_certificate(cert, corpus.path(6)) == (True, None)
 
 
 def test_load_certificate_errors(tmp_path):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -143,9 +144,11 @@ def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
 
     assert main(["ndt", str(k4_file), "--k", "0", "--l", "1"]) == 1  # gamma2 > 1
 
+    # The split is exact, so there is no search budget to run out of.
     big = tmp_path / "sparse8.txt"
     big.write_text(format_graph(corpus.random_sparse_graph(8, seed=3)))
-    assert main(["ndt", str(big), "--k", "0", "--l", "1", "--search-budget", "1"]) == 3
+    assert main(["ndt", str(big), "--k", "0", "--l", "1"]) == 0
+    assert main(["ndt", str(big), "--k", "0", "--l", "1", "--search-budget", "1"]) == 2
 
 
 def test_parameter_guardrail_exit(tmp_path):
@@ -230,7 +233,7 @@ def test_verify_rejects_non_integer_colours(k4_file, tmp_path, capsys):
 
 def test_ndt_on_a_long_edge_list(tmp_path):
     # A Laman graph on 760 vertices (each vertex joined to the two before
-    # it), m = 1517: the forest-plus-bounded search runs one level per edge.
+    # it), m = 1517.
     n = 760
     edges = [(0, 1)] + [(i - j, i) for i in range(2, n) for j in (2, 1)]
     gfile = tmp_path / "laman760.txt"
@@ -239,6 +242,18 @@ def test_ndt_on_a_long_edge_list(tmp_path):
     assert main(["ndt", str(gfile), "--k", "0", "--l", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["payload"]["kind"] == "bounded-cover"
     assert main(["verify", str(out), str(gfile)]) == 0
+
+
+def test_ndt_on_wheels_with_the_spokes_last(tmp_path):
+    # Hub 0 joined to a path 1..n-1, spokes listed after the path: the hub
+    # needs about a third of its spokes in the forest.
+    for n in (48, 200):
+        edges = [(i, i + 1) for i in range(1, n - 1)] + [(0, i) for i in range(1, n)]
+        gfile = tmp_path / f"wheel{n}.txt"
+        gfile.write_text(format_graph(Multigraph(n, tuple(edges))))
+        out = tmp_path / f"wheel{n}.json"
+        assert main(["ndt", str(gfile), "--k", "0", "--l", "1", "--out", str(out)]) == 0
+        assert main(["verify", str(out), str(gfile)]) == 0
 
 
 def test_pack_failure_above_partition_guardrail(tmp_path):
@@ -278,6 +293,21 @@ def test_random_command_deterministic(tmp_path):
     assert main(["random", "--n", "5", "--m", "8", "--mult", "2", "--seed", "42", "--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
     assert main(["random", "--n", "2", "--m", "3", "--mult", "2"]) == 2  # infeasible
+
+
+def test_random_command_cost_follows_m(tmp_path):
+    # One edge among many slots: only the sampled slots are decoded, so
+    # neither n^2 nor the multiplicity shows in memory.
+    out = tmp_path / "g.txt"
+    for argv in (["--n", "1500", "--m", "1"], ["--n", "3", "--m", "1", "--mult", "3000000"]):
+        tracemalloc.start()
+        try:
+            assert main(["random", *argv, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (argv, peak)
+        assert out.read_text().splitlines()[0].endswith(" 1")
 
 
 def test_certificates_byte_identical_modulo_timestamp(tmp_path):
@@ -367,7 +397,7 @@ def argv_files(tmp_path_factory):
 
 _NUMBERS = ["-2", "-1", "0", "1", "2", "3", "5", "40", "1.5", "2/3", "1/0", "x", ""]
 _FLAGS = ["--k", "--l", "--p", "--q", "--d", "--max-n", "--max-partitions",
-          "--search-budget", "--n", "--m", "--mult", "--seed"]
+          "--n", "--m", "--mult", "--seed"]
 # Each command with the options it needs, so that most command lines get
 # past the parser; extra items then add bad values, files and options.
 _SKELETONS = {

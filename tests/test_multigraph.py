@@ -13,6 +13,7 @@ from rigidpack import (
 )
 
 import corpus
+import oracles
 
 
 def test_loops_rejected():
@@ -166,6 +167,21 @@ def test_random_multigraph_forced_k4():
 def test_random_multigraph_infeasible():
     with pytest.raises(GraphInputError):
         random_multigraph(2, 3, 2, seed=1)
+
+
+def test_random_multigraph_matches_the_slot_list_reference():
+    # Every seeded graph is the one sampled from the materialised slot list.
+    for n in (0, 1, 2, 3, 7, 12):
+        for mult in (1, 2, 5):
+            total = n * (n - 1) // 2 * mult
+            for m in sorted({0, 1, total // 3, total // 2, total, total + 1}):
+                for seed in (0, 1, 99):
+                    expected = oracles.random_multigraph_reference(n, m, mult, seed)
+                    if expected is None:
+                        with pytest.raises(GraphInputError):
+                            random_multigraph(n, m, mult, seed)
+                    else:
+                        assert random_multigraph(n, m, mult, seed) == expected, (n, m, mult, seed)
 
 
 def test_parse_and_format_round_trip():

@@ -1,13 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rigidpack import (
     BoundedCover,
     ConditionReport,
     GraphInputError,
     Multigraph,
-    SearchBudgetExceededError,
+    PebbleGame,
     check_kwz_condition,
     degree_bound,
     degree_bound_floor,
@@ -17,6 +20,7 @@ from rigidpack import (
     sparse_to_two_forests,
     verify_bounded_cover,
 )
+from rigidpack.ndt import _capped_forest
 
 import corpus
 import oracles
@@ -109,34 +113,49 @@ def test_forest_plus_bounded_triangle_provably_impossible():
     assert sparse_to_forest_plus_bounded(corpus.triangle()) is None
 
 
+def _assert_valid_split(H, split):
+    forest, rest = split
+    cover = BoundedCover((forest,), (rest,), degree_bound(H.n))
+    assert verify_bounded_cover(H, cover) == (True, None), (H, split)
+
+
 def test_forest_plus_bounded_path_trivial():
     G = corpus.path(6)
-    forest, rest = sparse_to_forest_plus_bounded(G)
-    assert forest == frozenset(range(5)) and rest == frozenset()
-
-
-def test_forest_plus_bounded_budget_raises():
-    H = corpus.random_sparse_graph(8, seed=9)
-    with pytest.raises(SearchBudgetExceededError):
-        sparse_to_forest_plus_bounded(H, budget=2)
+    _assert_valid_split(G, sparse_to_forest_plus_bounded(G))
 
 
 def test_forest_plus_bounded_search_matches_recursive_reference():
-    # The same split and the same node count (so the same budget refusals)
-    # as the recursive search, on sparse graphs with and without splits.
+    # A split exists exactly when the exhaustive search finds one, on sparse
+    # graphs with and without splits.
     graphs = [corpus.triangle(), corpus.k4_minus_edge(), corpus.path(5), corpus.k33()]
     graphs += [corpus.random_sparse_graph(n, seed=s, full=f)
                for n in range(3, 10) for s in range(4) for f in (True, False)]
     for H in graphs:
-        assert sparse_to_forest_plus_bounded(H) == oracles.forest_plus_bounded_reference(H)
-        for budget in (1, 2, H.m, H.m + 1, 3 * H.m):
-            outcomes = []
-            for search in (sparse_to_forest_plus_bounded, oracles.forest_plus_bounded_reference):
-                try:
-                    outcomes.append(search(H, budget=budget))
-                except SearchBudgetExceededError:
-                    outcomes.append("refused")
-            assert outcomes[0] == outcomes[1], (H, budget)
+        split = sparse_to_forest_plus_bounded(H)
+        assert (split is None) == (oracles.forest_plus_bounded_reference(H) is None), H
+        if split is not None:
+            _assert_valid_split(H, split)
+
+
+@st.composite
+def _sparse_graphs(draw):
+    # The pebble game keeps what it accepts of a drawn pair sequence, in
+    # the drawn order, so edge ids are not sorted by endpoint.
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    order = draw(st.permutations(pairs))
+    kept = draw(st.integers(0, len(pairs)))
+    game = PebbleGame(n)
+    return Multigraph(n, tuple(p for p in order[:kept] if game.try_insert(*p)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(H=_sparse_graphs())
+def test_forest_plus_bounded_exists_iff_the_reference_finds_one(H):
+    split = sparse_to_forest_plus_bounded(H)
+    assert (split is None) == (oracles.forest_plus_bounded_reference(H) is None)
+    if split is not None:
+        _assert_valid_split(H, split)
 
 
 def test_forest_plus_bounded_always_exists_from_n6():
@@ -147,6 +166,29 @@ def test_forest_plus_bounded_always_exists_from_n6():
             split = sparse_to_forest_plus_bounded(H)
             assert split is not None
             assert oracles.bounded_split_exists_def(H, degree_bound_floor(n))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_capped_forest_is_exact(data):
+    # The matroid-intersection step on its own, on instances where taking
+    # edges greedily can block a later head: a forest S plus exactly cap[v]
+    # edges at each head v is found exactly when one exists.
+    n = data.draw(st.integers(2, 7))
+    pairs = data.draw(st.permutations(list(itertools.combinations(range(n), 2))))
+    G = Multigraph(n, tuple(pairs[: data.draw(st.integers(1, min(len(pairs), 12)))]))
+    high = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
+    S = [e for e, (u, v) in enumerate(G.edges) if u in high and v in high]
+    S = [e for e in S if data.draw(st.booleans())]
+    assume(graphic_independent(G, S))
+    head = {e: u if u in high else v for e, (u, v) in enumerate(G.edges)
+            if (u in high) != (v in high)}
+    cap = [data.draw(st.integers(0, 3)) if v in high else 0 for v in range(n)]
+    got = _capped_forest(G, S, head, cap)
+    assert (got is not None) == oracles.capped_forest_exists_def(G, S, head, cap)
+    if got is not None:
+        assert graphic_independent(G, set(S) | got)
+        assert all(sum(head[e] == v for e in got) == cap[v] for v in range(n))
 
 
 def test_ndt_triangle_two_forests():
