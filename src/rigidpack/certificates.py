@@ -6,7 +6,12 @@ field except itself and the timestamp; it is unkeyed, so it catches
 corruption, not forgery.  Semantic verification re-checks the claim from
 scratch against the graph and binds it to the command: the payload kind,
 the top-level parameters and every field the CLI fixes must be the ones
-that command gives.
+that command gives.  A claim that only an exhaustive scan can re-check is
+re-checked under the caller's guardrails: the producing command's own when
+a certificate is built, the defaults for ``rigidpack verify``.  A
+certificate states no guardrails (earlier ones did, and those are accepted
+and ignored), so a forged claim costs the verifier no more than an honest
+one.
 
 ``CONDITIONS`` is the one table of the conditions a report can name: its
 parameters, its producer, and the inequality a failure's witness violates.
@@ -69,7 +74,12 @@ def certificate_hash(cert: dict) -> str:
     return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
 
 
-def build_certificate(command: str, parameters: dict, G: Multigraph, payload: dict) -> dict:
+def build_certificate(
+    command: str, parameters: dict, G: Multigraph, payload: dict, *,
+    max_n: int | None = None, max_partitions: int | None = None,
+) -> dict:
+    """The certificate, after it passes ``verify_certificate`` under the
+    producing command's guardrails."""
     cert = {
         "schema": SCHEMA,
         "command": command,
@@ -78,7 +88,9 @@ def build_certificate(command: str, parameters: dict, G: Multigraph, payload: di
         "payload": payload,
         "verified": True,
     }
-    ok, reason = verify_certificate(cert, G, check_hash=False)
+    ok, reason = verify_certificate(
+        cert, G, check_hash=False, max_n=max_n, max_partitions=max_partitions
+    )
     if not ok:
         raise RuntimeError(f"refusing to emit a certificate that fails self-check: {reason}")
     cert["cert_hash"] = certificate_hash(cert)
@@ -176,8 +188,7 @@ def report_payload(report: ConditionReport) -> dict:
 
 def check_parameters(condition: str, params: dict) -> dict:
     """Top-level parameters of a ``check`` certificate: the condition and
-    the parameters it takes, each an int, or "p/q" when it is not integral
-    (the guardrails stay in the payload)."""
+    the parameters it takes, each an int, or "p/q" when it is not integral."""
     out = {"condition": condition}
     for name in CONDITIONS[condition].params:
         x = Fraction(params[name])
@@ -223,18 +234,13 @@ def bounded_cover_payload(cover: BoundedCover) -> dict:
     }
 
 
-def density_payload(
-    which: str, value: Fraction, argmax: frozenset, *, max_n: int | None = None
-) -> dict:
-    payload = {
+def density_payload(which: str, value: Fraction, argmax: frozenset) -> dict:
+    return {
         "kind": "density",
         "which": which,
         "value": _num(value),
         "argmax": sorted(argmax),
     }
-    if max_n is not None:
-        payload["max_n"] = max_n
-    return payload
 
 
 # -------------------------------------------------------------- conditions
@@ -281,7 +287,9 @@ def _kwz_violated(G, p, X):
 
 def _uncovered(classes):
     """The uncovered edges of a maximum split into k sparse classes and l
-    forests, recomputed (the fallback witness above the subset guardrail)."""
+    forests, recomputed: the witness of a union-cover failure, and of the
+    sparse-cover and forest-cover failures that earlier certificates state
+    above the subset guardrail."""
     def violated(G, p, F):
         ur = union_rank(G, *classes(p))
         return ur.rank < G.m and ur.decomposition.uncovered() == F, ur.rank, G.m
@@ -289,8 +297,8 @@ def _uncovered(classes):
 
 
 def _fewer_trees(G, p, _):
-    # Unwitnessed packing failure (partition scan above its guardrail): the
-    # union rank settles it without enumeration.
+    # The unwitnessed packing failure that earlier certificates state above
+    # the partition guardrail: the union rank settles it.
     return union_rank(G, 0, p["l"]).rank < p["l"] * (G.n - 1), None, None
 
 
@@ -307,9 +315,9 @@ _OVER_SPARSE = _dense_set(2, lambda p, x: p["k"] * (2 * x - 3))
 # producers are looked up at call time.
 CONDITIONS = {
     "cover": Condition(("k",), lambda G, p, mn, mp: check_cover_condition(
-        G, p["k"], max_n=mn), {"vertex-set": _OVER_SPARSE}),
+        G, p["k"]), {"vertex-set": _OVER_SPARSE}),
     "tree-packing": Condition(("l",), lambda G, p, mn, mp: check_tree_packing_condition(
-        G, p["l"], max_partition_n=mp),
+        G, p["l"]),
         {"partition": _short_partition(lambda p: (p["l"], 0, 0)), None: _fewer_trees}),
     "parthm": Condition(("k", "l"), lambda G, p, mn, mp: check_parthm_condition(
         G, p["k"], p["l"], max_partition_n=mp),
@@ -335,8 +343,8 @@ CONDITIONS = {
     "forest-plus-bounded": Condition(("k", "l"), None, {"deficiency-edges": _no_split}),
 }
 
-# Guardrails travel in a report's parameters, so that verification re-runs
-# the same scan the producer ran.
+# Earlier ``check`` certificates record the guardrails they were made under
+# in the report's parameters; verification accepts and ignores them.
 GUARDRAILS = ("max_n", "max_partitions")
 
 # The condition and parameters of the report a command gives on failure,
@@ -363,8 +371,13 @@ def _ensure(verdict: tuple[bool, str | None]) -> None:
         raise _Rejected(verdict[1])
 
 
-def verify_certificate(cert: dict, G: Multigraph, *, check_hash: bool = True) -> tuple[bool, str | None]:
-    """Recompute the certificate's claims from scratch against ``G``."""
+def verify_certificate(
+    cert: dict, G: Multigraph, *, check_hash: bool = True,
+    max_n: int | None = None, max_partitions: int | None = None,
+) -> tuple[bool, str | None]:
+    """Recompute the certificate's claims from scratch against ``G``.  A
+    scan that the check re-runs obeys ``max_n`` and ``max_partitions``
+    (None: the defaults); above them the claim cannot be re-checked."""
     try:
         if cert.get("schema") != SCHEMA:
             return False, f"unknown schema {cert.get('schema')!r}"
@@ -388,7 +401,7 @@ def verify_certificate(cert: dict, G: Multigraph, *, check_hash: bool = True) ->
             return False, f"command {command!r} gives no {kind} payload"
         if command in _FAILURES:
             _check_k_l(command, top)
-        verify(G, command, top, payload)
+        verify(G, command, top, payload, (max_n, max_partitions))
         return True, None
     except _Rejected as exc:
         return False, str(exc)
@@ -425,11 +438,11 @@ def _decomposition(G, payload, k, l, *, complete=False) -> Decomposition:
     return dec
 
 
-def _verify_decomposition_payload(G, command, top, payload):
+def _verify_decomposition_payload(G, command, top, payload, limits):
     _decomposition(G, payload, top["k"], top["l"], complete=True)
 
 
-def _verify_packing_payload(G, command, top, payload):
+def _verify_packing_payload(G, command, top, payload, limits):
     packing = Packing(
         tuple(frozenset(p) for p in payload["rigid_parts"]),
         tuple(frozenset(p) for p in payload["tree_parts"]),
@@ -439,7 +452,7 @@ def _verify_packing_payload(G, command, top, payload):
         raise _Rejected("part counts do not match parameters")
 
 
-def _verify_packing_failure_payload(G, command, top, payload):
+def _verify_packing_failure_payload(G, command, top, payload, limits):
     k, l = top["k"], top["l"]
     if k == 0:
         raise _Rejected("a spanning-tree packing failure is a tree-packing report")
@@ -457,7 +470,7 @@ def _verify_packing_failure_payload(G, command, top, payload):
         raise _Rejected("decomposition is not a maximum one")
 
 
-def _verify_bounded_cover_payload(G, command, top, payload):
+def _verify_bounded_cover_payload(G, command, top, payload, limits):
     cover = BoundedCover(
         tuple(frozenset(p) for p in payload["forests"]),
         tuple(frozenset(p) for p in payload["bounded_parts"]),
@@ -471,13 +484,13 @@ def _verify_bounded_cover_payload(G, command, top, payload):
         raise _Rejected(f"expected {2 * k + 2 - l} bounded parts")
 
 
-def _verify_density_payload(G, command, top, payload):
+def _verify_density_payload(G, command, top, payload, limits):
     which = payload["which"]
     if top != {"which": which}:
         raise _Rejected("top-level parameters do not match the payload")
     if which not in ("gamma", "gamma2"):
         raise _Rejected(f"unknown density parameter {which!r}")
-    result = (gamma if which == "gamma" else gamma2)(G, max_n=payload.get("max_n"))
+    result = (gamma if which == "gamma" else gamma2)(G, max_n=limits[0])
     if _num(result.value) != payload["value"]:
         raise _Rejected("stated value does not match a recomputed maximum")
     if sorted(result.argmax) != payload["argmax"]:
@@ -488,7 +501,7 @@ def _verify_density_payload(G, command, top, payload):
         raise _Rejected("argmax does not achieve the stated value")
 
 
-def _verify_report_payload(G, command, top, payload):
+def _verify_report_payload(G, command, top, payload, limits):
     name = payload["condition"]
     cond = CONDITIONS.get(name)
     if cond is None:
@@ -512,7 +525,7 @@ def _verify_report_payload(G, command, top, payload):
             raise _Rejected(f"condition {name!r} cannot be certified as holding")
         if (witness, payload["lhs"], payload["rhs"]) != (None, None, None):
             raise _Rejected("a recomputed verdict states no witness and no sides")
-        report = cond.run(G, params, params.get("max_n"), params.get("max_partitions"))
+        report = cond.run(G, params, *limits)
         if report.holds != holds:
             raise _Rejected("recomputed verdict disagrees with the certificate")
         return

@@ -38,7 +38,7 @@ def _fraction(text: str) -> Fraction:
 
 def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
     k, l = args.k, args.l
-    result = decompose(G, k, l, max_n=args.max_n)
+    result = decompose(G, k, l)
     if isinstance(result, Decomposition):
         payload = certs.decomposition_payload(result)
         return 0, payload, f"decomposable: {k} sparse class(es) + {l} forest(s)"
@@ -51,7 +51,7 @@ def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
 def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
     k, l = args.k, args.l
     if k == 0:
-        result = pack_spanning_trees(G, l, max_partition_n=args.max_partitions)
+        result = pack_spanning_trees(G, l)
     else:
         result = pack_rigid_and_trees(G, k, l)
     if isinstance(result, Packing):
@@ -71,9 +71,6 @@ def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
     params = {p: getattr(args, p) for p in condition.params}
     report = condition.run(G, params, args.max_n, args.max_partitions)
     payload = certs.report_payload(report)
-    for limit in certs.GUARDRAILS:
-        if getattr(args, limit) is not None:
-            payload["parameters"][limit] = getattr(args, limit)
     if report.holds:
         return 0, payload, f"condition {name} holds"
     return 1, payload, f"condition {name} fails:" + certs.summarize_witness(payload["witness"])
@@ -81,12 +78,12 @@ def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
 
 def _run_gamma(G: Multigraph, args) -> tuple[int, dict, str]:
     result = gamma(G, max_n=args.max_n) if args.which == "gamma" else gamma2(G, max_n=args.max_n)
-    payload = certs.density_payload(args.which, result.value, result.argmax, max_n=args.max_n)
+    payload = certs.density_payload(args.which, result.value, result.argmax)
     return 0, payload, f"{args.which} = {payload['value']} at X={sorted(result.argmax)}"
 
 
 def _run_ndt(G: Multigraph, args) -> tuple[int, dict, str]:
-    result = ndt_decompose(G, args.k, args.l, max_n=args.max_n)
+    result = ndt_decompose(G, args.k, args.l)
     if isinstance(result, BoundedCover):
         payload = certs.bounded_cover_payload(result)
         return 0, payload, (
@@ -119,7 +116,10 @@ def _command_parameters(command: str, args) -> dict:
 def _process_file(command: str, path: Path, args, out_path: Path | None) -> tuple[int, str]:
     G = load_graph(path)
     code, payload, summary = _RUNNERS[command](G, args)
-    cert = certs.build_certificate(command, _command_parameters(command, args), G, payload)
+    cert = certs.build_certificate(
+        command, _command_parameters(command, args), G, payload,
+        max_n=args.max_n, max_partitions=args.max_partitions,
+    )
     if out_path is not None:
         certs.write_certificate(out_path, cert)
     return code, summary
@@ -189,10 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p):
+    def add_common(p, *, scans=False):
         p.add_argument("input", nargs="?", help="graph file ('n m' header, then 'u v' lines)")
         p.add_argument("--batch", metavar="DIR", help="process every *.txt graph in DIR")
         p.add_argument("--out", help="certificate output path (directory in batch mode)")
+        if not scans:
+            # Nothing these commands run enumerates subsets or partitions.
+            p.set_defaults(max_n=None, max_partitions=None)
+            return
         p.add_argument("--max-n", type=int, default=None, dest="max_n",
                        help="guardrail for exhaustive subset scans")
         p.add_argument("--max-partitions", type=int, default=None, dest="max_partitions",
@@ -216,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--d", type=_fraction, default=None,
                    help="degree bound for kwz: an integer or an exact fraction p/q")
-    add_common(p)
+    add_common(p, scans=True)
 
     p = sub.add_parser("gamma", help="fractional density parameters")
     p.add_argument("which", choices=("gamma", "gamma2"))
-    add_common(p)
+    add_common(p, scans=True)
 
     p = sub.add_parser("ndt", help="cover by l forests and 2k+2-l degree-bounded parts")
     p.add_argument("--k", type=int, required=True)

@@ -1,31 +1,40 @@
 """Subset and partition condition checkers, plus the fractional density
 parameters and connectivity notions built from them.
 
-Every checker scans its full quantifier range exhaustively (under the
-enumeration guardrails) and reports the first violator in enumeration
-order, together with the two sides of the violated inequality.  The scans
-run on the bitmask kernel of ``enumeration``: one induced-edge table per
-subset scan, one incremental walk per partition scan.
+Where the paper or a classical theorem gives a polynomial test, the
+checker runs it at any n: ``cover`` is one (2k,3k) pebble game (the
+paper's cover theorem) and ``tree-packing`` one (l,l) game
+(Nash-Williams and Tutte), each reporting a violator read off the game;
+``pq-connected`` and ``edge_connectivity`` take a Stoer-Wagner minimum cut
+of G - X for each of the few X that need one.  The other checkers scan
+their full quantifier range exhaustively, under the enumeration
+guardrails, and report the first violator in enumeration order together
+with the two sides of the violated inequality.  Those scans run on the
+bitmask kernel of ``enumeration``: one induced-edge table per subset scan,
+one incremental walk per partition scan.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .enumeration import (
+    SUBSET_CEILING,
+    SUBSET_LIMIT,
     check_partition_limit,
     check_subset_limit,
     degree_sum_table,
-    first_dense_set,
     first_short_partition,
     induced_table,
     mask_vertices,
     masks_by_size,
 )
-from .errors import GraphInputError
-from .multigraph import Multigraph
+from .errors import GraphInputError, LimitExceededError
+from .matroids import UnionFind, pebble_rejections
+from .multigraph import Multigraph, Partition, cross_edge_count, induced_edge_count
 
 
 @dataclass(frozen=True)
@@ -58,31 +67,54 @@ class GammaResult(NamedTuple):
     argmax: frozenset
 
 
-def check_cover_condition(
-    G: Multigraph, k: int, *, max_n: int | None = None
+def count_condition_report(
+    G: Multigraph, condition: str, parameters: dict, a: int, b: int
 ) -> ConditionReport:
+    """Does every X spanning an edge satisfy i(X) <= a|X| - b?  One (a,b)
+    pebble game decides; a failure's witness is the reach closure of the
+    first rejected edge."""
+    for _, X in pebble_rejections(G, a, b):
+        lhs = induced_edge_count(G, X)
+        return ConditionReport(condition, parameters, False, X, "vertex-set", lhs, a * len(X) - b)
+    return ConditionReport(condition, parameters, True)
+
+
+def check_cover_condition(G: Multigraph, k: int) -> ConditionReport:
     """Does every X with |X| >= 2 satisfy i(X) <= k(2|X| - 3)?"""
     if k < 0:
         raise GraphInputError("need k >= 0")
-    caps = [G.m, G.m] + [k * (2 * x - 3) for x in range(2, G.n + 1)]
-    found = first_dense_set(G, caps, max_n=max_n)
-    if found is not None:
-        X, lhs = found
-        return ConditionReport("cover", {"k": k}, False, X, "vertex-set", lhs, caps[len(X)])
-    return ConditionReport("cover", {"k": k}, True)
+    return count_condition_report(G, "cover", {"k": k}, 2 * k, 3 * k)
 
 
-def check_tree_packing_condition(
-    G: Multigraph, l: int, *, max_partition_n: int | None = None
-) -> ConditionReport:
-    """Does every partition p of V satisfy cross(p) >= l(|p| - 1)?"""
+def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
+    """Does every partition p of V satisfy cross(p) >= l(|p| - 1)?
+
+    One (l,l) pebble game decides: the condition holds iff it accepts
+    l(n - 1) edges.  Otherwise the closures of the rejected edges are
+    tight, i(X) = l(|X| - 1) over the accepted set I, and so is the union
+    of two that meet.  Merged into blocks, with every other vertex a
+    singleton, they give a partition p that holds every rejected edge
+    inside a block, so cross(p) = |I| - l(n - |p|) < l(|p| - 1).
+    """
     if l < 0:
         raise GraphInputError("need l >= 0")
-    check_partition_limit(G.n, max_partition_n)
-    found = first_short_partition(G, 0, l, 0, 0)
-    if found is not None:
-        return ConditionReport("tree-packing", {"l": l}, False, found[0], "partition", *found[1:])
-    return ConditionReport("tree-packing", {"l": l}, True)
+    if l == 0:
+        return ConditionReport("tree-packing", {"l": l}, True)
+    uf = UnionFind(G.n)
+    accepted = G.m
+    for _, X in pebble_rejections(G, l, l):
+        accepted -= 1
+        first, *rest = X
+        for v in rest:
+            uf.union(first, v)
+    if accepted >= l * (G.n - 1):
+        return ConditionReport("tree-packing", {"l": l}, True)
+    blocks: dict[int, list[int]] = {}
+    for v in range(G.n):
+        blocks.setdefault(uf.find(v), []).append(v)
+    pi = Partition(tuple(frozenset(b) for b in blocks.values()))
+    return ConditionReport("tree-packing", {"l": l}, False, pi, "partition",
+                           cross_edge_count(G, pi), l * (len(pi) - 1))
 
 
 def _first_short_z_partition(
@@ -163,44 +195,75 @@ def _density_max(G: Multigraph, denominator, *, max_n: int | None) -> GammaResul
     return GammaResult(Fraction(top[best], denominator(best)), mask_vertices(G.n, arg[best]))
 
 
-def _min_cut_within(ind: list[int], dsum: list[int], W: int, X: int) -> int | None:
-    """Edge connectivity of G[W] for the vertex mask W = V - X, from the
-    induced-edge and degree-sum tables; None when |W| <= 1 (vacuously as
-    connected as required)."""
-    anchor = 1 << (W.bit_length() - 1) if W else 0
-    sides = [anchor]
-    for v in range(W.bit_length() - 1):
-        if W >> v & 1:
-            sides += [side | 1 << v for side in sides]
-    sides.pop()  # the whole of W
-    if not sides:
-        return None
-    # Edges from S to W - S: all edges at S, less those inside S and those
-    # from S to X.
-    return min([dsum[S] - ind[S | X] - ind[S] for S in sides]) + ind[X]
+def _min_cut(adj: dict[int, dict[int, int]]) -> int:
+    """Global minimum cut of a weighted graph with at least two vertices,
+    given as vertex -> neighbour -> weight, which it consumes (Stoer &
+    Wagner, "A simple min-cut algorithm", 1997).  Each phase adds the most
+    tightly connected vertex until all are in; the last one's connection is
+    a cut, and the last two are then merged."""
+    best = None
+    while len(adj) > 1:
+        key = dict.fromkeys(adj, 0)
+        s = z = None
+        while key:
+            s, z = z, max(key, key=key.get)
+            cut = key.pop(z)
+            for v, w in adj[z].items():
+                if v in key:
+                    key[v] += w
+        best = cut if best is None else min(best, cut)
+        merged = adj[s]
+        for v, w in adj.pop(z).items():
+            del adj[v][z]
+            if v != s:
+                merged[v] = adj[v][s] = merged.get(v, 0) + w
+    return best
 
 
-def edge_connectivity(G: Multigraph, *, max_n: int | None = None) -> int | None:
-    """Global edge connectivity by scanning all bipartitions; None for
+def _multigraph_weights(G: Multigraph, X=frozenset()) -> dict[int, dict[int, int]]:
+    """G - X as vertex -> neighbour -> number of parallel edges."""
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(G.n) if v not in X}
+    for u, v in G.edges:
+        if u in adj and v in adj:
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+    return adj
+
+
+def edge_connectivity(G: Multigraph) -> int | None:
+    """Global edge connectivity by one Stoer-Wagner minimum cut; None for
     graphs with fewer than 2 vertices."""
-    check_subset_limit(G.n, max_n, "edge connectivity scan")
-    return _min_cut_within(induced_table(G), degree_sum_table(G), (1 << G.n) - 1, 0)
+    return _min_cut(_multigraph_weights(G)) if G.n >= 2 else None
 
 
 def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) -> bool:
-    """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X."""
+    """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
+
+    Only |X| < p/q asks for any connectivity, and n > p/q keeps such X
+    proper.  Each such X costs one minimum cut of at most n^3 steps.  The
+    guardrail, checked before any cut, allows as many steps as 2^L cuts on
+    L vertices, L = max_n capped at ``SUBSET_CEILING``: every check the
+    exhaustive scan ran under the same max_n, and no more."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    check_subset_limit(G.n, max_n)
-    ind, dsum = induced_table(G), degree_sum_table(G)
-    full = (1 << G.n) - 1
-    # Only |X| < p/q asks for any connectivity; n > p/q keeps X proper.
-    for X in masks_by_size(G.n, range((p - 1) // q + 1)):
-        cut = _min_cut_within(ind, dsum, full ^ X, X)
-        if cut is not None and cut < p - q * X.bit_count():
-            return False
+    L = max(0, min(SUBSET_LIMIT if max_n is None else max_n, SUBSET_CEILING))
+    budget = L**3 << L
+    sizes = range((p - 1) // q + 1)
+    count = term = 0
+    for s in sizes:
+        term = 1 if s == 0 else term * (G.n - s + 1) // s  # C(n, s)
+        count += term
+        if count * G.n**3 > budget:
+            raise LimitExceededError(
+                f"(p,q)-connectivity is limited to the cut steps of 2^{L} cuts on {L} "
+                f"vertices (got at least {count} cuts on n={G.n})"
+            )
+    for s in sizes:
+        for X in itertools.combinations(range(G.n), s):
+            if G.n - s >= 2 and _min_cut(_multigraph_weights(G, frozenset(X))) < p - q * s:
+                return False
     return True
 
 

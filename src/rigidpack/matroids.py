@@ -11,9 +11,15 @@ multigraph's edge set.
   vertex holds two pebbles, and an edge is accepted iff four pebbles can
   be gathered on its endpoints, one of which then pays for the edge.
 
+The same game with a pebbles per vertex and b + 1 gathered decides the
+(a,b) count matroid for any 0 <= b < 2a: every X spanning an edge induces
+at most a|X| - b (Lee & Streinu, "Pebble game algorithms and sparse
+graphs", 2008).  (2k,3k) is the paper's cover condition for k sparse
+classes, (l,l) Nash-Williams' condition for l forests.
+
 When the pebble game rejects an edge, the set of vertices reachable from
 its endpoints in the current orientation is a certified violator: the
-accepted edges fill it to exactly 2|X| - 3, so the rejected edge pushes it
+accepted edges fill it to exactly a|X| - b, so the rejected edge pushes it
 over.  The two failed pebble searches have just marked exactly that set,
 so ``last_witness`` reads it off the marks with no further search, and
 ``sparse_independent`` surfaces it as a witness.
@@ -22,7 +28,7 @@ so ``last_witness`` reads it off the marks with no further search, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import GraphInputError
 from .multigraph import Multigraph, check_edge_subset
@@ -81,22 +87,27 @@ def graphic_rank(G: Multigraph, F: Iterable[int]) -> RankResult:
 
 
 class PebbleGame:
-    """Mutable (2,3) pebble game state over vertices ``0..n-1``.
+    """Mutable (a,b) pebble game state over vertices ``0..n-1``, for
+    0 <= b < 2a, or a = b = 0, which accepts no edge; the default (2,3) is
+    the rigidity matroid.
 
     ``try_insert`` either accepts an edge (recording it in the orientation)
     or leaves the state's pebble/orientation invariants intact and remembers
     the failed endpoints so ``last_witness`` can report the violating vertex
     set.  The witness is only meaningful immediately after a failed insert.
     ``remove`` deletes an accepted edge; every vertex keeps
-    ``pebbles[v] + len(out[v]) == 2``, and the game stays exact for the
+    ``pebbles[v] + len(out[v]) == a``, and the game stays exact for the
     edges that remain, whatever the order of inserts and removals.
     """
 
-    __slots__ = ("n", "pebbles", "out", "_mark", "_stamp", "_parent", "_failed")
+    __slots__ = ("n", "need", "pebbles", "out", "_mark", "_stamp", "_parent", "_failed")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, a: int = 2, b: int = 3) -> None:
+        if not (0 <= b < 2 * a or a == b == 0):
+            raise ValueError(f"the (a,b) pebble game needs 0 <= b < 2a (got a={a}, b={b})")
         self.n = n
-        self.pebbles = [2] * n
+        self.need = b + 1
+        self.pebbles = [a] * n
         self.out: list[list[int]] = [[] for _ in range(n)]
         self._mark = [0] * n
         self._stamp = 0
@@ -106,6 +117,7 @@ class PebbleGame:
     def copy(self) -> "PebbleGame":
         g = object.__new__(PebbleGame)
         g.n = self.n
+        g.need = self.need
         g.pebbles = self.pebbles[:]
         g.out = [lst[:] for lst in self.out]
         g._mark = self._mark[:]  # keeps ``last_witness`` valid on the copy
@@ -144,10 +156,10 @@ class PebbleGame:
         return False
 
     def try_insert(self, u: int, v: int) -> bool:
-        """Accept the edge iff four pebbles can be gathered on {u, v}."""
-        pebbles = self.pebbles
+        """Accept the edge iff b + 1 pebbles can be gathered on {u, v}."""
+        pebbles, need = self.pebbles, self.need
         self._failed = None
-        while pebbles[u] + pebbles[v] < 4:
+        while pebbles[u] + pebbles[v] < need:
             if not (self._pull_pebble(u, v) or self._pull_pebble(v, u)):
                 self._failed = (u, v)
                 return False
@@ -178,6 +190,18 @@ class PebbleGame:
             return None
         mark, since = self._mark, self._stamp - 1
         return frozenset(x for x in range(self.n) if mark[x] >= since)
+
+
+def pebble_rejections(G: Multigraph, a: int, b: int) -> Iterator[tuple[int, frozenset]]:
+    """Offer G's edges in id order to one (a,b) pebble game, and yield
+    ``(e, X)`` for each rejected edge e, X the reach closure of its
+    endpoints.  The accepted edges fill X to exactly a|X| - b, then and
+    ever after, so G has more than a|X| - b edges inside X.  G is
+    (a,b)-sparse iff nothing is yielded."""
+    game = PebbleGame(G.n, a, b)
+    for e, (u, v) in enumerate(G.edges):
+        if not game.try_insert(u, v):
+            yield e, game.last_witness()
 
 
 def sparse_independent(G: Multigraph, F: Iterable[int]) -> tuple[bool, frozenset | None]:

@@ -172,13 +172,7 @@ def _capped_forest(H: Multigraph, S: list, head: dict, cap: list) -> frozenset |
     return frozenset(inside)
 
 
-def ndt_decompose(
-    G: Multigraph,
-    k: int,
-    l: int,
-    *,
-    max_n: int | None = None,
-) -> BoundedCover | ConditionReport:
+def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionReport:
     """Cover a connected graph by l forests and 2k+2-l degree-bounded parts.
 
     Requires k >= 0 and k+1 <= l <= 2k+2.  Returns a ConditionReport when
@@ -190,7 +184,7 @@ def ndt_decompose(
         raise GraphInputError("need k >= 0")
     if not (k + 1 <= l <= 2 * k + 2):
         raise GraphInputError(f"need k + 1 <= l <= 2k + 2 (got k={k}, l={l})")
-    result = decompose_sparse(G, k + 1, max_n=max_n)
+    result = decompose_sparse(G, k + 1)
     if isinstance(result, ConditionReport):
         return result
     classes = result.sparse_classes()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conditions import ConditionReport, check_tree_packing_condition
-from .errors import GraphInputError, LimitExceededError
+from .errors import GraphInputError
 from .matroids import graphic_independent, sparse_independent
 from .multigraph import Multigraph
 from .union import UnionRank, union_rank
@@ -34,9 +34,7 @@ class PackingFailure:
     note: str = "not a packing: union rank below target"
 
 
-def pack_spanning_trees(
-    G: Multigraph, l: int, *, max_partition_n: int | None = None
-) -> Packing | ConditionReport:
+def pack_spanning_trees(G: Multigraph, l: int) -> Packing | ConditionReport:
     """Extract l edge-disjoint spanning trees, or report a partition pi
     with fewer than l(|pi| - 1) crossing edges."""
     if l < 1:
@@ -47,13 +45,7 @@ def pack_spanning_trees(
     target = l * (G.n - 1)
     if ur.rank == target:
         return Packing((), ur.decomposition.forest_classes())
-    try:
-        report = check_tree_packing_condition(G, l, max_partition_n=max_partition_n)
-    except LimitExceededError:
-        return ConditionReport(
-            "tree-packing", {"l": l}, False,
-            note="witness unavailable: partition scan above guardrail",
-        )
+    report = check_tree_packing_condition(G, l)
     if report.holds:
         raise RuntimeError("tree packing failed but every partition satisfies the bound")
     return report

@@ -33,9 +33,8 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
-from .conditions import ConditionReport
-from .enumeration import first_dense_set
-from .errors import GraphInputError, LimitExceededError
+from .conditions import ConditionReport, count_condition_report
+from .errors import GraphInputError
 from .matroids import PebbleGame, graphic_independent, sparse_independent
 from .multigraph import Multigraph
 
@@ -323,47 +322,18 @@ def verify_decomposition(
     return True, None
 
 
-def _cover_failure_report(
-    G: Multigraph,
-    condition: str,
-    parameters: dict,
-    per_vertex_bound,
-    dec: Decomposition,
-    max_n: int | None,
-) -> ConditionReport:
-    """Locate a definitional witness X with i(X) > bound(|X|); fall back to
-    the uncovered deficiency set when the subset scan is out of reach."""
-    try:
-        caps = [G.m, G.m] + [per_vertex_bound(x) for x in range(2, G.n + 1)]
-        found = first_dense_set(G, caps, max_n=max_n)
-        if found is not None:
-            X, lhs = found
-            return ConditionReport(
-                condition=condition,
-                parameters=parameters,
-                holds=False,
-                witness=X,
-                witness_kind="vertex-set",
-                lhs=lhs,
-                rhs=caps[len(X)],
-            )
-    except LimitExceededError:
-        return ConditionReport(
-            condition=condition,
-            parameters=parameters,
-            holds=False,
-            witness=dec.uncovered(),
-            witness_kind="deficiency-edges",
-            lhs=len(dec.covered()),
-            rhs=G.m,
-            note="non-definitional witness: uncovered edges of a maximum decomposition",
-        )
-    raise RuntimeError("decomposition failed but no definitional witness exists")
+def _count_failure(G: Multigraph, condition: str, parameters: dict, a: int, b: int):
+    """The vertex set at which a cover that the union could not build
+    breaks the count: the (a,b) game over G's edges rejects one, since the
+    count matroid is the union's (the paper's cover theorem for
+    (a,b) = (2k,3k), Nash-Williams' for (l,l))."""
+    report = count_condition_report(G, condition, parameters, a, b)
+    if report.holds:
+        raise RuntimeError("decomposition failed but the count matroid accepts every edge")
+    return report
 
 
-def decompose_sparse(
-    G: Multigraph, k: int, *, max_n: int | None = None
-) -> Decomposition | ConditionReport:
+def decompose_sparse(G: Multigraph, k: int) -> Decomposition | ConditionReport:
     """Split a connected graph into k sparse classes, or return a witness
     vertex set X with i(X) > k(2|X| - 3)."""
     if k < 1:
@@ -373,14 +343,10 @@ def decompose_sparse(
     ur = union_rank(G, k, 0)
     if ur.rank == G.m:
         return ur.decomposition
-    return _cover_failure_report(
-        G, "sparse-cover", {"k": k}, lambda x: k * (2 * x - 3), ur.decomposition, max_n
-    )
+    return _count_failure(G, "sparse-cover", {"k": k}, 2 * k, 3 * k)
 
 
-def decompose_forests(
-    G: Multigraph, l: int, *, max_n: int | None = None
-) -> Decomposition | ConditionReport:
+def decompose_forests(G: Multigraph, l: int) -> Decomposition | ConditionReport:
     """Split a connected graph into l forests, or return a witness vertex
     set X with i(X) > l(|X| - 1)."""
     if l < 1:
@@ -390,22 +356,18 @@ def decompose_forests(
     ur = union_rank(G, 0, l)
     if ur.rank == G.m:
         return ur.decomposition
-    return _cover_failure_report(
-        G, "forest-cover", {"l": l}, lambda x: l * (x - 1), ur.decomposition, max_n
-    )
+    return _count_failure(G, "forest-cover", {"l": l}, l, l)
 
 
-def decompose(
-    G: Multigraph, k: int, l: int, *, max_n: int | None = None
-) -> Decomposition | ConditionReport:
+def decompose(G: Multigraph, k: int, l: int) -> Decomposition | ConditionReport:
     """Split G into k sparse classes and l forests, or say why not (see
     ``decompose_sparse`` and ``decompose_forests`` when l or k is 0)."""
     if k < 0 or l < 0 or k + l < 1:
         raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
     if l == 0:
-        return decompose_sparse(G, k, max_n=max_n)
+        return decompose_sparse(G, k)
     if k == 0:
-        return decompose_forests(G, l, max_n=max_n)
+        return decompose_forests(G, l)
     ur = union_rank(G, k, l)
     if ur.rank == G.m:
         return ur.decomposition

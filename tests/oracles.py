@@ -88,6 +88,16 @@ def sparse_by_def(G, F):
     )
 
 
+def count_sparse_def(G, F, a, b):
+    """(a,b)-sparse: every vertex set X that spans an edge of F spans at
+    most a|X| - b of them."""
+    for X in iter_subsets(range(G.n), 2):
+        count = induced(G, F, X)
+        if count and count > a * len(X) - b:
+            return False
+    return True
+
+
 def forest_by_def(G, F):
     """Acyclic iff every vertex subset induces at most |X| - 1 edges of F."""
     return all(
@@ -758,44 +768,6 @@ def check_kwz_condition_reference(
         if lhs < 0:
             return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
     return ConditionReport("kwz", params, True)
-
-
-def cover_failure_report_reference(
-    G: Multigraph,
-    condition: str,
-    parameters: dict,
-    per_vertex_bound,
-    dec: Decomposition,
-    max_n: int | None,
-) -> ConditionReport:
-    """Locate a definitional witness X with i(X) > bound(|X|); fall back to
-    the uncovered deficiency set when the subset scan is out of reach."""
-    try:
-        for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
-            lhs = induced_edge_count(G, X)
-            rhs = per_vertex_bound(len(X))
-            if lhs > rhs:
-                return ConditionReport(
-                    condition=condition,
-                    parameters=parameters,
-                    holds=False,
-                    witness=X,
-                    witness_kind="vertex-set",
-                    lhs=lhs,
-                    rhs=rhs,
-                )
-    except LimitExceededError:
-        return ConditionReport(
-            condition=condition,
-            parameters=parameters,
-            holds=False,
-            witness=dec.uncovered(),
-            witness_kind="deficiency-edges",
-            lhs=len(dec.covered()),
-            rhs=G.m,
-            note="non-definitional witness: uncovered edges of a maximum decomposition",
-        )
-    raise RuntimeError("decomposition failed but no definitional witness exists")
 
 
 def pack_spanning_trees_reference(

@@ -15,7 +15,7 @@ import json
 
 from rigidpack import cli, format_graph, random_multigraph
 
-PINNED_DIGEST = "dab66b8a1a4373f741bfed5b59781b0dec16f9c3b9bb807775eaf6b91e8d5ce5"
+PINNED_DIGEST = "f3fd9db4c75c8c5822b65f10493c136dd5092144adc8d458dcc2c42b38075d03"
 
 REQUESTS = (
     ("decompose", 2, 0),

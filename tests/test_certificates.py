@@ -2,9 +2,11 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -121,7 +123,7 @@ def _rehashed(cert, path, value):
 
 # One CLI certificate of every payload kind, and a report for every
 # condition: holding, failing with each witness kind, and the unwitnessed
-# failures (pq-connected, bracket-partition, tree-packing above its guardrail).
+# failures (pq-connected, bracket-partition).
 CLI_CASES = (
     ("k4", "decompose --k 2"),
     ("k4", "decompose --k 1 --l 1"),
@@ -166,7 +168,7 @@ GRAPHS = {
     "dtri": corpus.doubled_triangle,
     "c14": lambda: corpus.cycle(14),
     "bowtie": corpus.bowtie,
-    # a doubled path above the subset guardrail: deficiency-edges witnesses
+    # a doubled path above the subset guardrail
     "dp17": lambda: Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2)),
 }
 
@@ -190,11 +192,9 @@ def cli_certificates():
 
 
 # Leaves whose change can leave a true claim: the timestamp is outside the
-# hash, the note is free text, a guardrail only bounds the re-run scan, and
-# a recoloured edge may give another valid split of the same rank.
+# hash, the note is free text, and a recoloured edge may give another valid
+# split of the same rank.
 FREE_LEAVES = {("created",), ("cert_hash",), ("payload", "note"),
-               ("payload", "max_n"), ("payload", "parameters", "max_n"),
-               ("payload", "parameters", "max_partitions"),
                ("payload", "assignment", 0), ("payload", "decomposition", "assignment", 0)}
 
 
@@ -400,6 +400,151 @@ def test_full_forest_bounded_cover_still_verifies():
     }
     assert verify_certificate(cert, corpus.path(6)) == (True, None)
 
+
+def _doubled_path(n):
+    return Multigraph(n, tuple(e for i in range(n - 1) for e in [(i, i + 1)] * 2))
+
+
+# Certificates in the forms written before cover, tree-packing and the cover
+# failures of decompose ran pebble games: a sparse-cover failure above the
+# subset guardrail witnessed by the uncovered edges of a maximum split, an
+# unwitnessed tree-packing failure above the partition guardrail, and a
+# cover failure at the first violator in subset order.  The producers now
+# write a closure or a merged-closure partition instead.  The last two state
+# the guardrails they were made under, which certificates no longer record.
+EARLIER_CERTIFICATES = (
+    (_doubled_path(17),
+     {"cert_hash": "e5df9fb433f1e8986a572f18315c82476f155d1ba5540fa6782e0445c4896c2c",
+      "command": "decompose",
+      "created": "2026-10-18T11:09:45.640269+00:00",
+      "graph_hash": "d379ab022181ff29fd9e6b558f2665379ac8d1ee130f41e623268d9cfb5cf647",
+      "parameters": {"k": 1, "l": 0},
+      "payload": {"condition": "sparse-cover",
+                  "holds": False,
+                  "kind": "report",
+                  "lhs": 16,
+                  "note": "non-definitional witness: uncovered edges of a maximum "
+                          "decomposition",
+                  "parameters": {"k": 1},
+                  "rhs": 32,
+                  "witness": {"edges": [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27,
+                                        29, 31],
+                              "kind": "deficiency-edges"}},
+      "schema": "rigidpack-cert/1",
+      "verified": True}),
+    (corpus.cycle(14),
+     {"cert_hash": "7527737ff055d84a96fbf9e1b4d5e2de50b52112e4b702ad9074d8473a90b551",
+      "command": "pack",
+      "created": "2026-10-18T11:09:45.641988+00:00",
+      "graph_hash": "a28b6b552b39d989b60a4be4c189ceff2bad8dfaf0bae6c5fefc2942e2c6bf03",
+      "parameters": {"k": 0, "l": 2},
+      "payload": {"condition": "tree-packing",
+                  "holds": False,
+                  "kind": "report",
+                  "lhs": None,
+                  "note": "witness unavailable: partition scan above guardrail",
+                  "parameters": {"l": 2},
+                  "rhs": None,
+                  "witness": None},
+      "schema": "rigidpack-cert/1",
+      "verified": True}),
+    (_doubled_path(6),
+     {"cert_hash": "a526b7dcc29fc208d01c2e2806b384964e89244ba57a18e5e3cffb55ad4b7049",
+      "command": "check",
+      "created": "2026-10-18T11:09:45.643613+00:00",
+      "graph_hash": "ace237ea5003150788d7ffb8b7545a990596c6e0a9c025e0678f10d2b92d7507",
+      "parameters": {"condition": "cover", "k": 1},
+      "payload": {"condition": "cover",
+                  "holds": False,
+                  "kind": "report",
+                  "lhs": 10,
+                  "note": None,
+                  "parameters": {"k": 1},
+                  "rhs": 9,
+                  "witness": {"kind": "vertex-set", "vertices": [0, 1, 2, 3, 4, 5]}},
+      "schema": "rigidpack-cert/1",
+      "verified": True}),
+    (corpus.k4(),
+     {"cert_hash": "7ed79155741105bc5da29d9783876b46f5a734e21a3919b69896c0fa49ed4728",
+      "command": "check",
+      "created": "2026-10-18T11:58:18.054947+00:00",
+      "graph_hash": "9c3528d98663acb8787c1f08381b6591c46b657d1c4c0061ae09a1e908653f00",
+      "parameters": {"condition": "cover", "k": 2},
+      "payload": {"condition": "cover", "holds": True, "kind": "report", "lhs": None,
+                  "note": None, "parameters": {"k": 2, "max_n": 6}, "rhs": None,
+                  "witness": None},
+      "schema": "rigidpack-cert/1",
+      "verified": True}),
+    (corpus.k4(),
+     {"cert_hash": "88805f64cc283291f14a85eea59536f215bb3790d107502cc3988fbd238ad36c",
+      "command": "gamma",
+      "created": "2026-10-18T11:58:18.055839+00:00",
+      "graph_hash": "9c3528d98663acb8787c1f08381b6591c46b657d1c4c0061ae09a1e908653f00",
+      "parameters": {"which": "gamma"},
+      "payload": {"argmax": [0, 1, 2, 3], "kind": "density", "max_n": 6, "value": "2/1",
+                  "which": "gamma"},
+      "schema": "rigidpack-cert/1",
+      "verified": True}),
+)
+
+
+def test_earlier_certificate_forms_still_verify(tmp_path, capsys):
+    for i, (G, cert) in enumerate(EARLIER_CERTIFICATES):
+        assert verify_certificate(cert, G) == (True, None), cert["command"]
+        gfile, cfile = tmp_path / f"g{i}.txt", tmp_path / f"c{i}.json"
+        gfile.write_text(format_graph(G))
+        write_certificate(cfile, cert)
+        assert cli.main(["verify", str(cfile), str(gfile)]) == 0
+    capsys.readouterr()
+
+
+def test_forged_holding_scan_claim_is_refused_within_the_verifiers_guardrail(
+    tmp_path, capsys
+):
+    # A holding parthm report on K13 that states a partition guardrail of
+    # 13: re-run under that, the check would walk Bell(13) partitions for
+    # each Z.  The verifier keeps its own guardrail and refuses at once.
+    G = Multigraph(13, tuple(itertools.combinations(range(13), 2)))
+    cert = {
+        "schema": "rigidpack-cert/1", "command": "check", "graph_hash": graph_hash(G),
+        "parameters": {"condition": "parthm", "k": 1, "l": 0}, "verified": True,
+        "payload": {"kind": "report", "condition": "parthm", "holds": True,
+                    "parameters": {"k": 1, "l": 0, "max_partitions": 13},
+                    "witness": None, "lhs": None, "rhs": None, "note": None},
+    }
+    cert["cert_hash"] = certificate_hash(cert)
+    gfile, cfile = tmp_path / "k13.txt", tmp_path / "forged.json"
+    gfile.write_text(format_graph(G))
+    write_certificate(cfile, cert)
+    start = time.perf_counter()
+    assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "cannot re-check the claim" in capsys.readouterr().out
+
+
+
+def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
+    tmp_path, capsys
+):
+    # A holding (2,1)-connectivity report on a 300-vertex cycle: its re-run
+    # would take 301 minimum cuts of 300 vertices each, more cut steps than
+    # the verifier's guardrail allows, so it is refused before any cut.
+    G = corpus.cycle(300)
+    cert = {
+        "schema": "rigidpack-cert/1", "command": "check", "graph_hash": graph_hash(G),
+        "parameters": {"condition": "pq-connected", "p": 2, "q": 1}, "verified": True,
+        "payload": {"kind": "report", "condition": "pq-connected", "holds": True,
+                    "parameters": {"p": 2, "q": 1, "max_n": 22},
+                    "witness": None, "lhs": None, "rhs": None, "note": None},
+    }
+    cert["cert_hash"] = certificate_hash(cert)
+    gfile, cfile = tmp_path / "c300.txt", tmp_path / "forged.json"
+    gfile.write_text(format_graph(G))
+    write_certificate(cfile, cert)
+    start = time.perf_counter()
+    assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "cannot re-check the claim" in capsys.readouterr().out
 
 def test_load_certificate_errors(tmp_path):
     missing = tmp_path / "nope.json"

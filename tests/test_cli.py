@@ -152,10 +152,30 @@ def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
 
 
 def test_parameter_guardrail_exit(tmp_path):
+    # kwz still scans every vertex subset (cover runs a pebble game and
+    # answers at any n).
     big = tmp_path / "big.txt"
     big.write_text(format_graph(corpus.path(17)))
-    assert main(["check", "cover", str(big), "--k", "1"]) == 3
-    assert main(["check", "cover", str(big), "--k", "1", "--max-n", "17"]) == 0
+    argv = ["check", "kwz", str(big), "--k", "1", "--d", "2"]
+    assert main(argv) == 3
+    assert main(argv + ["--max-n", "17"]) == 0
+
+
+def test_guardrail_flags_only_on_scanning_commands(k4_file, tmp_path):
+    # decompose, pack and ndt scan nothing, so they take no guardrail, and
+    # certificates record none.
+    for argv in (["decompose", "--k", "1"], ["pack", "--k", "0", "--l", "1"],
+                 ["ndt", "--k", "0", "--l", "1"]):
+        for flag in ("--max-n", "--max-partitions"):
+            assert main(argv + [str(k4_file), flag, "5"]) == 2, (argv, flag)
+    out = tmp_path / "cert.json"
+    for argv in (["check", "cover", "--k", "2", "--max-n", "5"],
+                 ["check", "parthm", "--k", "1", "--l", "0", "--max-partitions", "5"],
+                 ["gamma", "gamma", "--max-n", "5"]):
+        assert main(argv + [str(k4_file), "--out", str(out)]) in (0, 1), argv
+        payload = json.loads(out.read_text())["payload"]
+        assert not {"max_n", "max_partitions"} & (set(payload) | set(
+            payload.get("parameters", {}))), argv
 
 
 def test_verify_round_trip_and_tamper(k4_file, tmp_path):
@@ -257,22 +277,23 @@ def test_ndt_on_wheels_with_the_spokes_last(tmp_path):
 
 
 def test_pack_failure_above_partition_guardrail(tmp_path):
-    # no witness partition is searched for beyond the guardrail, but the
-    # failure is still certified (via the union rank) and verifiable
+    # C14 is above the partition guardrail, but no partition is scanned:
+    # the (2,2) pebble game rejects no edge of a cycle, so the witness is
+    # the all-singletons partition, with 14 crossing edges < 2(14 - 1).
     gfile = tmp_path / "c14.txt"
     gfile.write_text(format_graph(corpus.cycle(14)))
     out = tmp_path / "cert.json"
     assert main(["pack", str(gfile), "--k", "0", "--l", "2", "--out", str(out)]) == 1
-    cert = json.loads(out.read_text())
-    assert cert["payload"]["witness"] is None
-    assert "unavailable" in cert["payload"]["note"]
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["witness"] == {"kind": "partition", "blocks": [[v] for v in range(14)]}
+    assert (payload["lhs"], payload["rhs"], payload["note"]) == (14, 26, None)
     assert main(["verify", str(out), str(gfile)]) == 0
 
 
 def test_decompose_failure_above_subset_guardrail(tmp_path):
-    # doubled path on 17 vertices: k=1 fails on every parallel pair, and the
-    # definitional witness scan is out of reach, so the uncovered edges of a
-    # maximum decomposition are reported instead
+    # doubled path on 17 vertices: k=1 fails on every parallel pair.  No
+    # subset is scanned: the (2,3) pebble game rejects the second 0-1 edge,
+    # and the closure {0, 1} holds 2 > 2*2 - 3 edges.
     edges = []
     for i in range(16):
         edges += [(i, i + 1), (i, i + 1)]
@@ -280,9 +301,9 @@ def test_decompose_failure_above_subset_guardrail(tmp_path):
     gfile.write_text(format_graph(Multigraph(17, tuple(edges))))
     out = tmp_path / "cert.json"
     assert main(["decompose", str(gfile), "--k", "1", "--out", str(out)]) == 1
-    cert = json.loads(out.read_text())
-    assert cert["payload"]["witness"]["kind"] == "deficiency-edges"
-    assert "non-definitional" in cert["payload"]["note"]
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["witness"] == {"kind": "vertex-set", "vertices": [0, 1]}
+    assert (payload["lhs"], payload["rhs"], payload["note"]) == (2, 1, None)
     assert main(["verify", str(out), str(gfile)]) == 0
 
 
@@ -347,12 +368,11 @@ def test_batch_mode(tmp_path, capsys):
 
 
 def test_repeated_main_calls_keep_no_parser_state(k4_file, tmp_path):
-    out = tmp_path / "cover.json"
-    assert main(["check", "cover", str(k4_file), "--k", "2", "--max-n", "5",
-                 "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["payload"]["parameters"]["max_n"] == 5
-    assert main(["check", "cover", str(k4_file), "--k", "2", "--out", str(out)]) == 0
-    assert "max_n" not in json.loads(out.read_text())["payload"]["parameters"]
+    # A guardrail raised in one call is not raised in the next.
+    big = tmp_path / "big.txt"
+    big.write_text(format_graph(corpus.path(17)))
+    assert main(["gamma", "gamma", str(big), "--max-n", "17"]) == 0
+    assert main(["gamma", "gamma", str(big)]) == 3
 
     assert main(["decompose", str(k4_file), "--k", "two"]) == 2
     assert main(["decompose", str(k4_file), "--k", "1"]) == 1
@@ -451,3 +471,39 @@ def test_cli_exit_codes_are_always_0_to_3(argv_files, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+def test_polynomial_checks_certify_at_n_40(tmp_path, capsys):
+    # Far above both guardrails, cover, tree-packing, pq-connected and the
+    # cover and tree-packing failures of decompose and pack answer with a
+    # certificate that ``verify`` accepts, each in well under a second.
+    import itertools
+    import time
+
+    n = 40
+    laman = corpus.random_sparse_graph(n, seed=3).edges
+    order = [(7 * i) % n for i in range(n)]  # a second Hamiltonian cycle
+    k4 = tuple(itertools.combinations(range(4), 2))
+    cases = (
+        ("check cover --k 1", laman + laman[:1], "vertex-set"),
+        ("check cover --k 1", laman, None),
+        ("check tree-packing --l 2", laman, "partition"),
+        ("check pq-connected --p 4 --q 2",
+         corpus.cycle(n).edges + tuple(zip(order, order[1:] + order[:1])), None),
+        ("decompose --k 2", corpus.random_sparse_graph(n, seed=4).edges + laman + k4 + k4,
+         "vertex-set"),
+        ("pack --k 0 --l 2", corpus.cycle(n).edges, "partition"),
+    )
+    for i, (argv, edges, witness_kind) in enumerate(cases):
+        gfile, out = tmp_path / f"g{i}.txt", tmp_path / f"g{i}.json"
+        gfile.write_text(format_graph(Multigraph(n, edges)))
+        words = argv.split()
+        at = 2 if words[0] == "check" else 1
+        start = time.perf_counter()
+        code = main(words[:at] + [str(gfile)] + words[at:] + ["--out", str(out)])
+        assert main(["verify", str(out), str(gfile)]) == 0, argv
+        assert time.perf_counter() - start < 1.0, argv
+        witness = json.loads(out.read_text())["payload"]["witness"]
+        assert code == (0 if witness_kind is None else 1), argv
+        assert (witness or {}).get("kind") == witness_kind, argv
+    capsys.readouterr()

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidpack import (
     GraphInputError,
@@ -18,6 +20,7 @@ from rigidpack import (
     is_essentially_edge_connected,
     is_pq_connected,
 )
+from rigidpack.certificates import CONDITIONS
 
 import corpus
 import oracles
@@ -174,3 +177,21 @@ def test_forest_count_matches_gamma_ceiling():
         assert isinstance(decompose_forests(G, need), Decomposition)
         if need > 1:
             assert not isinstance(decompose_forests(G, need - 1), Decomposition)
+
+
+@settings(max_examples=100, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=9), k=st.integers(0, 3), l=st.integers(1, 3))
+def test_polynomial_checks_match_definitions_up_to_n_9(G, k, l):
+    # cover and tree-packing are pebble games, pq-connected and edge
+    # connectivity minimum cuts; each failure's witness passes the
+    # verifier's counting check.
+    for report, holds in ((check_cover_condition(G, k), oracles.sparse_cover_def(G, k)),
+                          (check_tree_packing_condition(G, l), oracles.tree_packing_def(G, l))):
+        assert report.holds == holds, report
+        if not holds:
+            check = CONDITIONS[report.condition].violated[report.witness_kind]
+            assert check(G, dict(report.parameters), report.witness) == (
+                True, report.lhs, report.rhs)
+    for p, q in ((l, 1), (4, 2), (2 * l + 1, 2)):
+        assert is_pq_connected(G, p, q) == oracles.pq_connected_def(G, p, q), (p, q)
+    assert edge_connectivity(G) == oracles.edge_conn_within_def(G, range(G.n))

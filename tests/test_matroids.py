@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidpack import (
     GraphInputError,
@@ -14,7 +15,7 @@ from rigidpack import (
     rigidity_rank,
     sparse_independent,
 )
-from rigidpack.matroids import PebbleGame
+from rigidpack.matroids import PebbleGame, pebble_rejections
 
 import corpus
 import oracles
@@ -222,3 +223,53 @@ def test_last_witness_is_the_reach_closure(run):
             game.remove(*held.pop(op[1] % len(held)))
     if not rejected:
         assert game.last_witness() is None
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(G=corpus.small_multigraphs(max_n=8), a=st.integers(1, 6), data=st.data())
+def test_ab_pebble_game_matches_the_count_definition(G, a, data):
+    # Each edge offered in order is accepted iff the accepted edges stay
+    # (a,b)-sparse with it, and each rejection's closure X holds more than
+    # a|X| - b of the accepted edges plus the rejected one.  Then half the
+    # accepted edges are removed and the rejected ones offered again.
+    b = data.draw(st.integers(0, 2 * a - 1), label="b")
+    game = PebbleGame(G.n, a, b)
+    accepted, rejected = [], []
+
+    def offer(e):
+        u, v = G.edges[e]
+        ok = game.try_insert(u, v)
+        assert ok == oracles.count_sparse_def(G, accepted + [e], a, b), (e, a, b)
+        if ok:
+            accepted.append(e)
+            return
+        X = game.last_witness()
+        assert u in X and v in X
+        assert oracles.induced(G, accepted + [e], X) > a * len(X) - b
+        rejected.append(e)
+
+    for e in range(G.m):
+        offer(e)
+    assert [e for e, _ in pebble_rejections(G, a, b)] == rejected
+    for e in data.draw(st.permutations(accepted), label="removals")[: len(accepted) // 2]:
+        game.remove(*G.edges[e])
+        accepted.remove(e)
+    for x in range(G.n):
+        assert game.pebbles[x] + len(game.out[x]) == a
+    again, rejected[:] = rejected[:], []
+    for e in again:
+        offer(e)
+
+
+def test_ab_pebble_game_range():
+    for a, b in ((0, 1), (1, 2), (2, 4), (1, -1)):
+        with pytest.raises(ValueError):
+            PebbleGame(3, a, b)
+    # (0,0) accepts no edge; the closure is the edge's endpoints.
+    game = PebbleGame(3, 0, 0)
+    assert not game.try_insert(0, 2) and game.last_witness() == {0, 2}
+    # (1,1) is the graphic matroid, (1,0) allows one cycle per component.
+    assert PebbleGame(3, 1, 1).copy().try_insert(0, 1)
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    assert [e for e, _ in pebble_rejections(Multigraph(3, tuple(triangle)), 1, 1)] == [2]
+    assert list(pebble_rejections(Multigraph(3, tuple(triangle)), 1, 0)) == []

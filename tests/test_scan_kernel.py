@@ -1,8 +1,12 @@
 """The bitmask scan kernel against the frozenset scans it replaced.
 
-Every condition checker must return the same whole report as its
-``oracles.*_reference`` copy (verdict, witness, both sides, argmax) and
-refuse at the same point with the same message.
+Every condition checker that still scans must return the same whole report
+as its ``oracles.*_reference`` copy (verdict, witness, both sides, argmax)
+and refuse at the same point with the same message.  The checkers that no
+longer scan (cover, tree-packing, pq-connected, edge connectivity, and the
+cover failures of ``decompose``) must give the reference's verdict wherever
+the reference answers, refuse nothing it answered, and report failure
+witnesses that pass the verifier's counting check.
 """
 
 import itertools
@@ -36,9 +40,10 @@ from rigidpack import (
     union_rank,
 )
 from rigidpack import enumeration
+from rigidpack.certificates import CONDITIONS
 from rigidpack.cli import main
+from rigidpack.conditions import count_condition_report
 from rigidpack.enumeration import PartitionWalk, induced_table, mask_vertices
-from rigidpack.union import _cover_failure_report
 
 import corpus
 import oracles
@@ -53,40 +58,77 @@ def outcome(fn, *args, **kwargs):
 
 def subset_scans(G, max_n):
     """(kernel call, reference call) pairs of every subset scan on G."""
-    for k in range(4):
-        yield (check_cover_condition, oracles.check_cover_condition_reference, (G, k))
     for k, d in ((0, 1), (0, Fraction(5, 2)), (1, 2), (1, Fraction(7, 3)), (1, 3),
                  (2, Fraction(10, 3))):
         yield (check_kwz_condition, oracles.check_kwz_condition_reference, (G, k, d))
     yield (gamma, oracles.gamma_reference, (G,))
     yield (gamma2, oracles.gamma2_reference, (G,))
-    yield (edge_connectivity, oracles.edge_connectivity_reference, (G,))
     yield (essential_edge_connectivity, oracles.essential_edge_connectivity_reference, (G,))
-    for p, q in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (2, 3)):
-        yield (is_pq_connected, oracles.is_pq_connected_reference, (G, p, q))
 
 
 def assert_subset_scans_match(G, max_n=None):
     for new, ref, args in subset_scans(G, max_n):
         assert outcome(new, *args, max_n=max_n) == outcome(ref, *args, max_n=max_n), (
             new.__name__, args, max_n)
-    for name, params, bound, k, l in (
-        ("sparse-cover", {"k": 1}, lambda x: 2 * x - 3, 1, 0),
-        ("forest-cover", {"l": 1}, lambda x: x - 1, 0, 1),
-        ("forest-cover", {"l": 2}, lambda x: 2 * (x - 1), 0, 2),
+
+
+def assert_witness_violates(G, report):
+    """A failing report's witness passes the verifier's counting check,
+    with the sides the report states."""
+    if report.holds:
+        return
+    violated = CONDITIONS[report.condition].violated[report.witness_kind]
+    params = dict(report.parameters)
+    assert violated(G, params, report.witness) == (True, report.lhs, report.rhs), report
+
+
+def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
+    """The checks that no longer scan against the reference scans: the same
+    verdict wherever the reference answers, and a refusal only where the
+    reference refuses too."""
+    def agree(report, ref):
+        if ref[0] == "value":
+            assert report.holds == ref[1].holds, (report, ref)
+        assert_witness_violates(G, report)
+
+    for k in range(4):
+        agree(check_cover_condition(G, k),
+              outcome(oracles.check_cover_condition_reference, G, k, max_n=max_n))
+    for l in range(4):
+        agree(check_tree_packing_condition(G, l),
+              outcome(oracles.check_tree_packing_condition_reference, G, l,
+                      max_partition_n=max_partition_n))
+    for l in (1, 2):
+        new = outcome(pack_spanning_trees, G, l)
+        ref = outcome(oracles.pack_spanning_trees_reference, G, l,
+                      max_partition_n=max_partition_n)
+        if new[0] == "value" and not isinstance(new[1], rigidpack.Packing):
+            assert ref[0] == "value" and not isinstance(ref[1], rigidpack.Packing)
+            assert_witness_violates(G, new[1])
+        else:
+            assert new == ref
+    # The union's cover failures: the count matroid is the union's.
+    for name, params, a, b, k, l in (
+        ("sparse-cover", {"k": 1}, 2, 3, 1, 0),
+        ("sparse-cover", {"k": 2}, 4, 6, 2, 0),
+        ("forest-cover", {"l": 1}, 1, 1, 0, 1),
+        ("forest-cover", {"l": 2}, 2, 2, 0, 2),
     ):
-        dec = union_rank(G, k, l).decomposition
-        args = (G, name, params, bound, dec, max_n)
-        assert outcome(_cover_failure_report, *args) == outcome(
-            oracles.cover_failure_report_reference, *args), (name, max_n)
+        report = count_condition_report(G, name, params, a, b)
+        assert report.holds == (union_rank(G, k, l).rank == G.m), (name, params)
+        assert_witness_violates(G, report)
+    for p, q in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (2, 3)):
+        new = outcome(is_pq_connected, G, p, q, max_n=max_n)
+        ref = outcome(oracles.is_pq_connected_reference, G, p, q, max_n=max_n)
+        if ref[0] is rigidpack.LimitExceededError:
+            assert new[0] in ("value", rigidpack.LimitExceededError), (p, q, max_n)
+        else:
+            assert new == ref, (p, q, max_n)
+    if G.n <= 16:
+        assert edge_connectivity(G) == oracles.edge_connectivity_reference(G)
 
 
 def partition_scans(G, z_scans):
-    for l in range(4):
-        yield (check_tree_packing_condition, oracles.check_tree_packing_condition_reference,
-               (G, l))
-    for l in (1, 2):
-        yield (pack_spanning_trees, oracles.pack_spanning_trees_reference, (G, l))
     for k, l in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)):
         yield (check_necessary_condition, oracles.check_necessary_condition_reference,
                (G, k, l))
@@ -119,26 +161,33 @@ def test_named_and_seeded_corpus_reports_match_reference():
     for G in graphs:
         assert_subset_scans_match(G)
         assert_partition_scans_match(G)
+        assert_polynomial_checks_agree(G)
 
 
 @settings(max_examples=120, deadline=None)
 @given(G=corpus.small_multigraphs(max_n=8), limit=st.sampled_from([None, -1, 0, 1]))
 def test_subset_scans_match_reference(G, limit):
     # limit -1 / 0 / 1 sets the guardrail just below, at or above n.
-    assert_subset_scans_match(G, None if limit is None else G.n + limit)
+    max_n = None if limit is None else G.n + limit
+    assert_subset_scans_match(G, max_n)
+    assert_polynomial_checks_agree(G, max_n=max_n)
 
 
 @settings(max_examples=60, deadline=None)
 @given(G=corpus.small_multigraphs(max_n=8), limit=st.sampled_from([None, -1, 0]))
 def test_partition_scans_match_reference(G, limit):
-    assert_partition_scans_match(G, None if limit is None else G.n + limit)
+    max_partition_n = None if limit is None else G.n + limit
+    assert_partition_scans_match(G, max_partition_n)
+    assert_polynomial_checks_agree(G, max_partition_n=max_partition_n)
 
 
 def test_refusal_points_match_reference():
     # n = 13 passes the subset guardrail and fails the partition one;
-    # n = 17 fails the subset guardrail first.
+    # n = 17 fails the subset guardrail first.  The polynomial checks
+    # answer at both, where the reference scans refuse.
     for n in (13, 17):
         assert_partition_scans_match(corpus.path(n), z_scans=True)
+        assert_polynomial_checks_agree(corpus.path(n))
     assert_subset_scans_match(corpus.path(17))
 
 
@@ -249,19 +298,27 @@ def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
 
     for module in (enumeration, rigidpack.conditions):
         monkeypatch.setattr(module, "induced_table", counting)
-    # A failing decompose at n = 17 reports uncovered edges, not a scan.
+    # A failing decompose, cover and pq-connected answer at n = 17 with no
+    # table: a pebble game and minimum cuts, not a scan.
     doubled_path = Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2))
     gfile = tmp_path / "dp17.txt"
     gfile.write_text(format_graph(doubled_path))
     assert main(["decompose", str(gfile), "--k", "1"]) == 1
-    assert "uncovered edges" in capsys.readouterr().out
-    for argv in (["check", "cover", "--k", "1"], ["check", "kwz", "--k", "1", "--d", "2"],
-                 ["check", "pq-connected", "--p", "1", "--q", "1"], ["gamma", "gamma"]):
+    assert "witness X=[0, 1]" in capsys.readouterr().out
+    assert main(["check", "cover", str(gfile), "--k", "1"]) == 1
+    assert main(["check", "pq-connected", str(gfile), "--p", "1", "--q", "1"]) == 0
+    for argv in (["check", "kwz", "--k", "1", "--d", "2"], ["gamma", "gamma"]):
         assert main(_with_input(argv, gfile)) == 3
         assert "limited to n <= 16 vertices (got n=17)" in capsys.readouterr().err
+    # pq-connected counts cut steps: the 18 cuts of |X| <= 1 on 17 vertices
+    # already take more than 2^7 cuts on 7 vertices.
+    assert main(["check", "pq-connected", str(gfile), "--p", "3", "--q", "1",
+                 "--max-n", "7"]) == 3
+    assert "limited to the cut steps of 2^7 cuts on 7 vertices (got at least 18 cuts" in (
+        capsys.readouterr().err)
     assert built == []
     # The tables do get built below the guardrail.
-    assert main(["check", "cover", str(gfile), "--k", "2", "--max-n", "17"]) == 0
+    assert main(["gamma", "gamma", str(gfile), "--max-n", "17"]) == 0
     assert built and set(built) == {17}
 
 
@@ -270,20 +327,31 @@ def test_subset_ceiling_refuses_a_raised_guardrail(tmp_path, capsys):
     gfile.write_text(format_graph(corpus.path(23)))
     tracemalloc.start()
     try:
-        for argv in (["check", "cover", "--k", "1"], ["check", "kwz", "--k", "1", "--d", "2"],
-                     ["check", "pq-connected", "--p", "2", "--q", "1"], ["gamma", "gamma2"]):
+        for argv in (["check", "kwz", "--k", "1", "--d", "2"], ["gamma", "gamma2"]):
             assert main(_with_input(argv, gfile) + ["--max-n", "40"]) == 3, argv
             assert "limited to n <= 22 vertices" in capsys.readouterr().err
+        # cover and pq-connected build no table at all.
+        for argv in (["check", "cover", "--k", "1"], ["check", "pq-connected", "--p", "2",
+                                                      "--q", "1"]):
+            assert main(_with_input(argv, gfile) + ["--max-n", "40"]) in (0, 1), argv
+        # But pq-connected's cut steps stay within those of 2^22 cuts on 22
+        # vertices: |X| <= 11 asks for about 4.2M cuts on 23 vertices.
+        argv = ["check", "pq-connected", "--p", "12", "--q", "1", "--max-n", "40"]
+        assert main(_with_input(argv, gfile)) == 3
+        assert "limited to the cut steps of 2^22 cuts on 22 vertices" in capsys.readouterr().err
         # A 2^23-entry table would take tens of MB.
         assert tracemalloc.get_traced_memory()[1] < 2_000_000
     finally:
         tracemalloc.stop()
 
 
-def test_raised_partition_guardrail_walks_without_recursion(tmp_path):
+def test_raised_partition_guardrail_walks_without_recursion(tmp_path, capsys):
     # A long path fails every partition scan at its second partition,
     # {V - {n-1}, {n-1}}; a raised guardrail then finds that witness at
-    # once, with scan state linear in n.
+    # once, with scan state linear in n.  (tree-packing and pack --k 0
+    # need no guardrail: a pebble game finds their witness.)  The
+    # bracket-partition failure carries no witness, and ``verify`` will
+    # not re-run its scan above its own guardrails.
     out = tmp_path / "cert.json"
     for n, argv in ((1500, ["check", "tree-packing", "--l", "2"]),
                     (1500, ["check", "necessary", "--k", "1", "--l", "0"]),
@@ -294,12 +362,19 @@ def test_raised_partition_guardrail_walks_without_recursion(tmp_path):
         gfile.write_text(format_graph(corpus.path(n)))
         tracemalloc.start()
         try:
-            code = main(_with_input(argv, gfile) + ["--max-partitions", str(n), "--out", str(out)])
+            # pack scans nothing and takes no guardrail.
+            raised = ["--max-partitions", str(n)] if argv[0] == "check" else []
+            code = main(_with_input(argv, gfile) + raised + ["--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1, argv
         assert peak < 8_000_000, (argv, peak)  # an n-by-n table at n = 1500 is 18 MB
-        assert main(["verify", str(out), str(gfile)]) == 0
+        capsys.readouterr()
+        if argv[1] == "bracket-partition":
+            assert main(["verify", str(out), str(gfile)]) == 1
+            assert "cannot re-check the claim" in capsys.readouterr().out
+        else:
+            assert main(["verify", str(out), str(gfile)]) == 0
     walk = PartitionWalk(corpus.path(60), (1 << 60) - 1)
     assert len(list(itertools.islice(walk, 1000))) == 1000
