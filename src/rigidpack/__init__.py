@@ -62,7 +62,6 @@ from .ndt import (
 )
 from .packing import (
     Packing,
-    PackingFailure,
     pack_rigid_and_trees,
     pack_spanning_trees,
     verify_packing,

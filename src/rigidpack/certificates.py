@@ -6,12 +6,15 @@ field except itself and the timestamp; it is unkeyed, so it catches
 corruption, not forgery.  Semantic verification re-checks the claim from
 scratch against the graph and binds it to the command: the payload kind,
 the top-level parameters and every field the CLI fixes must be the ones
-that command gives.  A claim that only an exhaustive scan can re-check is
-re-checked under the caller's guardrails: the producing command's own when
-a certificate is built, the defaults for ``rigidpack verify``.  A
-certificate states no guardrails (earlier ones did, and those are accepted
-and ignored), so a forged claim costs the verifier no more than an honest
-one.
+that command gives.  No verifier re-runs the matroid union: a union
+failure (``union-cover``, ``packing``) carries an edge set F, and two
+matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
+every split into k sparse classes and l forests.  A claim that only an
+exhaustive scan can re-check is re-checked under the caller's guardrails:
+the producing command's own when a certificate is built, the defaults for
+``rigidpack verify``.  A certificate states no guardrails, so a forged
+claim costs the verifier no more than an honest one.  Certificates of
+another schema, earlier ones included, are rejected.
 
 ``CONDITIONS`` is the one table of the conditions a report can name: its
 parameters, its producer, and the inequality a failure's witness violates.
@@ -37,7 +40,7 @@ from .conditions import (
     is_pq_connected,
 )
 from .errors import GraphInputError, RigidpackError
-from .matroids import sparse_independent
+from .matroids import graphic_rank, rigidity_rank, sparse_independent
 from .multigraph import (
     Multigraph,
     Partition,
@@ -53,10 +56,10 @@ from .ndt import (
     sparse_to_forest_plus_bounded,
     verify_bounded_cover,
 )
-from .packing import Packing, PackingFailure, verify_packing
-from .union import Decomposition, union_rank, verify_decomposition
+from .packing import Packing, verify_packing
+from .union import Decomposition, verify_decomposition
 
-SCHEMA = "rigidpack-cert/1"
+SCHEMA = "rigidpack-cert/2"
 
 
 def graph_hash(G: Multigraph) -> str:
@@ -132,13 +135,13 @@ _WITNESS_FIELDS = {
     "vertex-set": ("vertices",),
     "partition": ("blocks",),
     "z-partition": ("z", "blocks"),
-    "deficiency-edges": ("edges",),
+    "edge-set": ("edges",),
 }
 _FIELDS = {
     "vertices": ("X", check_vertex_subset),
     "z": ("Z", check_vertex_subset),
     "blocks": ("pi", lambda G, raw: Partition(tuple(check_vertex_subset(G, b) for b in raw))),
-    "edges": ("uncovered edges", lambda G, raw: frozenset(check_edge_subset(G, raw))),
+    "edges": ("F", lambda G, raw: frozenset(check_edge_subset(G, raw))),
 }
 
 
@@ -182,7 +185,6 @@ def report_payload(report: ConditionReport) -> dict:
         "witness": encode_witness(report.witness_kind, report.witness),
         "lhs": _num(report.lhs),
         "rhs": _num(report.rhs),
-        "note": report.note,
     }
 
 
@@ -215,16 +217,6 @@ def packing_payload(packing: Packing) -> dict:
     }
 
 
-def packing_failure_payload(failure: PackingFailure) -> dict:
-    return {
-        "kind": "packing-failure",
-        "target": failure.target,
-        "achieved": failure.achieved,
-        "decomposition": decomposition_payload(failure.union.decomposition),
-        "note": failure.note,
-    }
-
-
 def bounded_cover_payload(cover: BoundedCover) -> dict:
     return {
         "kind": "bounded-cover",
@@ -249,8 +241,8 @@ class Condition(NamedTuple):
     """``params``: the names of its report's parameters, which ``check``
     requires.  ``run(G, params, max_n, max_partitions)``: its producer, None
     when it is only ever reported failing.  ``violated``: for each witness
-    kind a failure carries (None: no witness), ``(G, params, witness) ->
-    (violated, lhs, rhs)`` recomputed with the counting primitives; empty
+    kind a failure carries, ``(G, params, witness) -> (violated, lhs, rhs)``
+    recomputed with the counting primitives or two matroid ranks; empty
     when failures carry no witness and the producer's verdict is re-run."""
 
     params: tuple[str, ...]
@@ -285,21 +277,15 @@ def _kwz_violated(G, p, X):
     return len(X) >= 1 and lhs < 0, lhs, 0
 
 
-def _uncovered(classes):
-    """The uncovered edges of a maximum split into k sparse classes and l
-    forests, recomputed: the witness of a union-cover failure, and of the
-    sparse-cover and forest-cover failures that earlier certificates state
-    above the subset guardrail."""
+def _union_bound(target):
+    """m - |F| + k r_rig(F) + l r_gr(F) < target(G, params) at an edge set
+    F: the left side bounds every split into k sparse classes and l forests
+    (Edmonds' matroid union theorem), so none reaches the target."""
     def violated(G, p, F):
-        ur = union_rank(G, *classes(p))
-        return ur.rank < G.m and ur.decomposition.uncovered() == F, ur.rank, G.m
+        lhs = G.m - len(F) + p["k"] * rigidity_rank(G, F).rank + p["l"] * graphic_rank(G, F).rank
+        rhs = target(G, p)
+        return lhs < rhs, lhs, rhs
     return violated
-
-
-def _fewer_trees(G, p, _):
-    # The unwitnessed packing failure that earlier certificates state above
-    # the partition guardrail: the union rank settles it.
-    return union_rank(G, 0, p["l"]).rank < p["l"] * (G.n - 1), None, None
 
 
 def _no_split(G, p, F):
@@ -317,8 +303,7 @@ CONDITIONS = {
     "cover": Condition(("k",), lambda G, p, mn, mp: check_cover_condition(
         G, p["k"]), {"vertex-set": _OVER_SPARSE}),
     "tree-packing": Condition(("l",), lambda G, p, mn, mp: check_tree_packing_condition(
-        G, p["l"]),
-        {"partition": _short_partition(lambda p: (p["l"], 0, 0)), None: _fewer_trees}),
+        G, p["l"]), {"partition": _short_partition(lambda p: (p["l"], 0, 0))}),
     "parthm": Condition(("k", "l"), lambda G, p, mn, mp: check_parthm_condition(
         G, p["k"], p["l"], max_partition_n=mp),
         {"z-partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], p["k"]))}),
@@ -333,19 +318,14 @@ CONDITIONS = {
         is_bracket_partition_connected(G, p["p"], p["q"], max_partition_n=mp)), {}),
     "kwz": Condition(("k", "d"), lambda G, p, mn, mp: check_kwz_condition(
         G, p["k"], p["d"], max_n=mn), {"vertex-set": _kwz_violated}),
-    "sparse-cover": Condition(("k",), None, {
-        "vertex-set": _OVER_SPARSE, "deficiency-edges": _uncovered(lambda p: (p["k"], 0))}),
+    "sparse-cover": Condition(("k",), None, {"vertex-set": _OVER_SPARSE}),
     "forest-cover": Condition(("l",), None, {
-        "vertex-set": _dense_set(1, lambda p, x: p["l"] * (x - 1)),
-        "deficiency-edges": _uncovered(lambda p: (0, p["l"]))}),
-    "union-cover": Condition(("k", "l"), None, {
-        "deficiency-edges": _uncovered(lambda p: (p["k"], p["l"]))}),
-    "forest-plus-bounded": Condition(("k", "l"), None, {"deficiency-edges": _no_split}),
+        "vertex-set": _dense_set(1, lambda p, x: p["l"] * (x - 1))}),
+    "union-cover": Condition(("k", "l"), None, {"edge-set": _union_bound(lambda G, p: G.m)}),
+    "packing": Condition(("k", "l"), None, {"edge-set": _union_bound(
+        lambda G, p: p["k"] * (2 * G.n - 3) + p["l"] * (G.n - 1))}),
+    "forest-plus-bounded": Condition(("k", "l"), None, {"edge-set": _no_split}),
 }
-
-# Earlier ``check`` certificates record the guardrails they were made under
-# in the report's parameters; verification accepts and ignores them.
-GUARDRAILS = ("max_n", "max_partitions")
 
 # The condition and parameters of the report a command gives on failure,
 # for its k and l.
@@ -355,7 +335,7 @@ _FAILURES = {
         else ("forest-cover", {"l": l}) if k == 0
         else ("union-cover", {"k": k, "l": l})
     ],
-    "pack": lambda k, l: [("tree-packing", {"l": l})] if k == 0 else [],
+    "pack": lambda k, l: [("tree-packing", {"l": l}) if k == 0 else ("packing", {"k": k, "l": l})],
     "ndt": lambda k, l: [("sparse-cover", {"k": k + 1}), ("forest-plus-bounded", {"k": k, "l": l})],
 }
 
@@ -425,21 +405,14 @@ def _check_k_l(command, top):
         raise _Rejected(f"k={k}, l={l} is outside the range of {command}")
 
 
-def _decomposition(G, payload, k, l, *, complete=False) -> Decomposition:
-    """The decomposition ``payload`` states for k sparse classes and l forests."""
-    if payload["kind"] != "decomposition" or (payload["k"], payload["l"]) != (k, l):
-        raise _Rejected("decomposition does not match the command's k and l")
-    dec = Decomposition(k, l, tuple(payload["assignment"]))
-    _ensure(verify_decomposition(G, dec, require_complete=complete))
-    if payload["complete"] is not dec.is_complete():
-        raise _Rejected("completeness flag does not match assignment")
-    if payload["rank"] != len(dec.covered()):
-        raise _Rejected("stated rank does not match the assignment")
-    return dec
-
-
 def _verify_decomposition_payload(G, command, top, payload, limits):
-    _decomposition(G, payload, top["k"], top["l"], complete=True)
+    k, l = top["k"], top["l"]
+    dec = Decomposition(k, l, tuple(payload["assignment"]))
+    _ensure(verify_decomposition(G, dec, require_complete=True))
+    # Compared as JSON, so that true does not pass for 1.
+    stated = [payload[f] for f in ("k", "l", "rank", "complete")]
+    if canonical_json(stated) != canonical_json([k, l, G.m, True]):
+        raise _Rejected("stated k, l, rank or completeness does not match the assignment")
 
 
 def _verify_packing_payload(G, command, top, payload, limits):
@@ -452,25 +425,9 @@ def _verify_packing_payload(G, command, top, payload, limits):
         raise _Rejected("part counts do not match parameters")
 
 
-def _verify_packing_failure_payload(G, command, top, payload, limits):
-    k, l = top["k"], top["l"]
-    if k == 0:
-        raise _Rejected("a spanning-tree packing failure is a tree-packing report")
-    target = k * (2 * G.n - 3) + l * (G.n - 1)
-    if payload["target"] != target:
-        raise _Rejected("stated target does not match k(2n-3) + l(n-1)")
-    ur = union_rank(G, k, l)
-    if ur.rank != payload["achieved"]:
-        raise _Rejected("stated rank does not match a recomputed union rank")
-    if ur.rank >= target:
-        raise _Rejected("union rank reaches the packing target")
-    inner = _json_object(payload["decomposition"], "decomposition")
-    _decomposition(G, inner, k, l)
-    if inner["rank"] != ur.rank:
-        raise _Rejected("decomposition is not a maximum one")
-
-
 def _verify_bounded_cover_payload(G, command, top, payload, limits):
+    if payload["degree_bound"] != _num(Fraction(payload["degree_bound"])):
+        raise TypeError('degree_bound must be a "p/q" string')
     cover = BoundedCover(
         tuple(frozenset(p) for p in payload["forests"]),
         tuple(frozenset(p) for p in payload["bounded_parts"]),
@@ -507,13 +464,15 @@ def _verify_report_payload(G, command, top, payload, limits):
     if cond is None:
         raise _Rejected(f"unknown condition {name!r}")
     params = _json_object(payload["parameters"], "report parameters")
-    if sorted(set(params).difference(GUARDRAILS)) != sorted(cond.params):
+    if sorted(params) != sorted(cond.params):
         raise _Rejected(f"report parameters are not those of {name!r}")
+    if any(type(v) not in (int, str) for v in params.values()):
+        raise TypeError('report parameters must be integers or "p/q" strings')
     if command == "check":
-        bound = cond.run is not None and top == check_parameters(name, params)
+        bound = cond.run is not None and (
+            canonical_json(top) == canonical_json(check_parameters(name, params)))
     else:
-        claim = (name, {p: params[p] for p in cond.params})
-        bound = claim in _FAILURES[command](top["k"], top["l"])
+        bound = (name, params) in _FAILURES[command](top["k"], top["l"])
     if not bound:
         raise _Rejected("report does not match the command's parameters")
     holds, witness = payload["holds"], payload["witness"]
@@ -529,17 +488,14 @@ def _verify_report_payload(G, command, top, payload, limits):
         if report.holds != holds:
             raise _Rejected("recomputed verdict disagrees with the certificate")
         return
-    kind, value = None, None
-    if witness is not None:
-        kind, value = decode_witness(G, _json_object(witness, "witness"))
+    if witness is None:
+        raise _Rejected(f"a {name} failure carries no witness")
+    kind, value = decode_witness(G, _json_object(witness, "witness"))
     if kind not in cond.violated:
-        raise _Rejected(f"a {name} failure carries no {kind or 'missing'} witness")
+        raise _Rejected(f"a {name} failure carries no {kind} witness")
     ok, lhs, rhs = cond.violated[kind](G, params, value)
     if not ok:
-        raise _Rejected(
-            "witness does not violate the stated inequality" if witness is not None
-            else "recomputed verdict disagrees with the certificate"
-        )
+        raise _Rejected("witness does not violate the stated inequality")
     if canonical_json([_num(lhs), _num(rhs)]) != canonical_json([payload["lhs"], payload["rhs"]]):
         raise _Rejected("stated lhs/rhs do not match recomputed values")
 
@@ -548,7 +504,6 @@ def _verify_report_payload(G, command, top, payload, limits):
 _PAYLOADS = {
     "decomposition": (("decompose",), _verify_decomposition_payload),
     "packing": (("pack",), _verify_packing_payload),
-    "packing-failure": (("pack",), _verify_packing_failure_payload),
     "bounded-cover": (("ndt",), _verify_bounded_cover_payload),
     "density": (("gamma",), _verify_density_payload),
     "report": (("decompose", "pack", "ndt", "check"), _verify_report_payload),

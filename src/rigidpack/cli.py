@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certificates as certs
-from .conditions import ConditionReport, gamma, gamma2
+from .conditions import gamma, gamma2
 from .errors import GraphInputError, LimitExceededError
 from .multigraph import Multigraph, load_graph, random_multigraph, write_graph
 from .ndt import BoundedCover, ndt_decompose
@@ -57,11 +57,8 @@ def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
     if isinstance(result, Packing):
         payload = certs.packing_payload(result)
         return 0, payload, f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)"
-    if isinstance(result, ConditionReport):
-        payload = certs.report_payload(result)
-        return 1, payload, "no packing:" + certs.summarize_witness(payload["witness"])
-    payload = certs.packing_failure_payload(result)
-    return 1, payload, f"no packing: union rank {result.achieved} < target {result.target}"
+    payload = certs.report_payload(result)
+    return 1, payload, "no packing:" + certs.summarize_witness(payload["witness"])
 
 
 def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:

@@ -42,8 +42,9 @@ class ConditionReport:
     """Outcome of a condition check.
 
     ``witness_kind`` is one of ``vertex-set``, ``partition``,
-    ``z-partition``, ``deficiency-edges`` or None; ``lhs``/``rhs`` record
-    the two sides of the checked inequality at the witness.
+    ``z-partition``, ``edge-set`` or None; ``lhs``/``rhs`` record the two
+    sides of the checked inequality at the witness (None for a
+    forest-plus-bounded class, which has no count to state).
     """
 
     condition: str
@@ -53,7 +54,6 @@ class ConditionReport:
     witness_kind: str | None = None
     lhs: object = None
     rhs: object = None
-    note: str | None = None
 
     def __post_init__(self) -> None:
         params = self.parameters

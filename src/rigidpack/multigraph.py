@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -108,7 +109,7 @@ class Multigraph:
 def check_vertex_subset(G: Multigraph, X: Iterable[int]) -> frozenset:
     X = frozenset(X)
     for v in X:
-        if not (isinstance(v, int) and 0 <= v < G.n):
+        if not (type(v) is int and 0 <= v < G.n):
             raise GraphInputError(f"vertex {v!r} out of range 0..{G.n - 1}")
     return X
 
@@ -116,7 +117,7 @@ def check_vertex_subset(G: Multigraph, X: Iterable[int]) -> frozenset:
 def check_edge_subset(G: Multigraph, F: Iterable[int]) -> list[int]:
     ids = sorted(set(F))
     for e in ids:
-        if not (isinstance(e, int) and 0 <= e < G.m):
+        if not (type(e) is int and 0 <= e < G.m):
             raise GraphInputError(f"edge id {e!r} out of range 0..{G.m - 1}")
     return ids
 
@@ -226,6 +227,8 @@ def random_multigraph(n: int, m: int, max_multiplicity: int = 1, seed: int = 0) 
         raise GraphInputError(
             f"cannot place {m} edges on {n} vertices with multiplicity <= {max_multiplicity}"
         )
+    if total > sys.maxsize:  # more slots than a range can index
+        raise GraphInputError(f"too many edge slots to sample from ({total} > {sys.maxsize})")
 
     def first_pair(u: int) -> int:  # index of (u, u + 1) among the pairs
         return u * (2 * n - u - 1) // 2

@@ -204,13 +204,7 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
         split = sparse_to_forest_plus_bounded(H)
         if split is None:
             return ConditionReport(
-                "forest-plus-bounded",
-                {"k": k, "l": l},
-                False,
-                frozenset(ids),
-                "deficiency-edges",
-                note="a sparse class admits no forest-plus-bounded split "
-                "(instance below the n >= 6 guarantee)",
+                "forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids), "edge-set"
             )
         forest, rest = split
         forests.append(frozenset(ids[e] for e in forest))
@@ -225,7 +219,7 @@ def verify_bounded_cover(G: Multigraph, cover: BoundedCover) -> tuple[bool, str 
     seen: set[int] = set()
     for part in cover.forests + cover.bounded_parts:
         for e in part:
-            if not (isinstance(e, int) and 0 <= e < G.m):
+            if not (type(e) is int and 0 <= e < G.m):
                 return False, f"invalid edge id {e!r}"
             if e in seen:
                 return False, f"edge {e} appears in two parts"

@@ -14,24 +14,13 @@ from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError
 from .matroids import graphic_independent, sparse_independent
 from .multigraph import Multigraph
-from .union import UnionRank, union_rank
+from .union import union_rank
 
 
 @dataclass(frozen=True)
 class Packing:
     rigid_parts: tuple[frozenset, ...]
     tree_parts: tuple[frozenset, ...]
-
-
-@dataclass(frozen=True)
-class PackingFailure:
-    """Rank fell short of the packing target; the raw union decomposition
-    is reported but is explicitly not a packing."""
-
-    target: int
-    achieved: int
-    union: UnionRank
-    note: str = "not a packing: union rank below target"
 
 
 def pack_spanning_trees(G: Multigraph, l: int) -> Packing | ConditionReport:
@@ -51,9 +40,11 @@ def pack_spanning_trees(G: Multigraph, l: int) -> Packing | ConditionReport:
     return report
 
 
-def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | PackingFailure:
+def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | ConditionReport:
     """Extract k spanning minimally rigid subgraphs and l spanning trees,
-    all pairwise edge-disjoint."""
+    all pairwise edge-disjoint, or report an edge set F with
+    m - |F| + k r_rig(F) + l r_gr(F) < k(2n - 3) + l(n - 1), which bounds
+    the union rank below the packing's size."""
     if k < 1 or l < 0:
         raise GraphInputError("need k >= 1 and l >= 0")
     if G.n < 2:
@@ -61,7 +52,8 @@ def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | PackingFail
     ur = union_rank(G, k, l)
     target = k * (2 * G.n - 3) + l * (G.n - 1)
     if ur.rank != target:
-        return PackingFailure(target, ur.rank, ur)
+        return ConditionReport("packing", {"k": k, "l": l}, False, ur.closed, "edge-set",
+                               ur.rank, target)
     return Packing(ur.decomposition.sparse_classes(), ur.decomposition.forest_classes())
 
 
@@ -76,7 +68,7 @@ def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:
     seen: set[int] = set()
     for part in packing.rigid_parts + packing.tree_parts:
         for e in part:
-            if not (isinstance(e, int) and 0 <= e < G.m):
+            if not (type(e) is int and 0 <= e < G.m):
                 return False, f"invalid edge id {e!r}"
             if e in seen:
                 return False, f"edge {e} appears in two parts"

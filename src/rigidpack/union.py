@@ -25,6 +25,11 @@ partition of a matroid into independent subsets", 1965): each is spanned,
 in every class but its own, by reached edges, and later paths recolour
 only unreached ones.  So they are marked dead and never expanded again;
 the search over the live edges, its order and its result are unchanged.
+The closed set F is also the union theorem's dual: every class spans F
+with its own edges inside F, and every uncovered edge is in F, so the
+rank is m - |F| + k r_rig(F) + l r_gr(F).  ``UnionRank.closed`` hands it
+out (all of E when the rank cap stopped the offers, which is tight then
+too), and a union failure's certificate is checked by those two ranks.
 """
 
 from __future__ import annotations
@@ -69,9 +74,12 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class UnionRank:
+    """``closed``: an edge set F with rank = m - |F| + k r_rig(F) + l r_gr(F)."""
+
     rank: int
     independent_set: frozenset
     decomposition: Decomposition
+    closed: frozenset
 
 
 class _RigidityClass:
@@ -285,6 +293,8 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     rank = 0
     for e in range(G.m):
         if rank >= cap:
+            # Edges left unoffered: all of E is the dual, as rank = cap.
+            dead = range(G.m)
             break
         if _augment(G, classes, color, e, dead):
             rank += 1
@@ -292,7 +302,7 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     # class is still independent after all the exchanges.
     _build_classes(G, k, l, color)
     dec = Decomposition(k, l, tuple(color))
-    return UnionRank(rank, dec.covered(), dec)
+    return UnionRank(rank, dec.covered(), dec, frozenset(dead))
 
 
 def verify_decomposition(
@@ -372,6 +382,5 @@ def decompose(G: Multigraph, k: int, l: int) -> Decomposition | ConditionReport:
     if ur.rank == G.m:
         return ur.decomposition
     return ConditionReport(
-        "union-cover", {"k": k, "l": l}, False, ur.decomposition.uncovered(), "deficiency-edges",
-        ur.rank, G.m, "graph does not decompose into k sparse classes and l forests",
+        "union-cover", {"k": k, "l": l}, False, ur.closed, "edge-set", ur.rank, G.m
     )

@@ -447,8 +447,9 @@ def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
     return classes
 
 
-def _augment(G: Multigraph, k: int, l: int, color: list[int], start: int) -> bool:
-    """Try to absorb edge ``start``; on success the colouring is updated."""
+def _augment(G: Multigraph, k: int, l: int, color: list[int], start: int, reached: set) -> bool:
+    """Try to absorb edge ``start``; on success the colouring is updated,
+    on failure the edges the search reached join ``reached``."""
     classes = _build_classes(G, k, l, color)
     pred: dict[int, tuple[int, int] | None] = {start: None}
     queue = deque([start])
@@ -469,6 +470,7 @@ def _augment(G: Multigraph, k: int, l: int, color: list[int], start: int) -> boo
                     pred[x] = (y, j)
                     queue.append(x)
     if found is None:
+        reached.update(pred)
         return False
     cur, new_color = found
     while True:
@@ -488,16 +490,18 @@ def union_rank_reference(G: Multigraph, k: int, l: int) -> UnionRank:
     cap = k * max(0, 2 * G.n - 3) + l * max(0, G.n - 1)
     color = [0] * G.m
     rank = 0
+    reached: set[int] = set()
     for e in range(G.m):
         if rank >= cap:
+            reached = set(range(G.m))
             break
-        if _augment(G, k, l, color, e):
+        if _augment(G, k, l, color, e, reached):
             rank += 1
     # Cheap paranoia: rebuilding the class oracles re-validates that every
     # class is still independent after all the exchanges.
     _build_classes(G, k, l, color)
     dec = Decomposition(k, l, tuple(color))
-    return UnionRank(rank, dec.covered(), dec)
+    return UnionRank(rank, dec.covered(), dec, frozenset(reached))
 
 
 def reach_closure(game: PebbleGame, u: int, v: int) -> frozenset:
@@ -792,11 +796,8 @@ def pack_spanning_trees_reference(
                 return ConditionReport(
                     "tree-packing", params, False, pi, "partition", lhs, rhs
                 )
-    except LimitExceededError:
-        return ConditionReport(
-            "tree-packing", params, False,
-            note="witness unavailable: partition scan above guardrail",
-        )
+    except LimitExceededError:  # witness unavailable above the guardrail
+        return ConditionReport("tree-packing", params, False)
     raise RuntimeError("tree packing failed but every partition satisfies the bound")
 
 

@@ -9,13 +9,20 @@ must keep the digest; a deliberate change to the answers re-records it
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 from rigidpack import cli, format_graph, random_multigraph
+from rigidpack.certificates import verify_certificate
 
-PINNED_DIGEST = "f3fd9db4c75c8c5822b65f10493c136dd5092144adc8d458dcc2c42b38075d03"
+from test_certificates import cli_certificates
+
+PINNED_DIGEST = "d6e166919c89cf7c31f22f85008fcfa823b9bde372359b2cca91a43c1017973c"
 
 REQUESTS = (
     ("decompose", 2, 0),
@@ -42,24 +49,56 @@ def _graphs(count=30):
     return graphs
 
 
-def _pool_digest(tmp_path) -> str:
+@functools.lru_cache(maxsize=None)
+def _pool_runs():
+    """(graph index, G, command, k, l, exit code, stdout, certificate or
+    None) for every request on every pool graph."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, G in enumerate(_graphs()):
+            gfile = Path(tmp) / f"g{i}.txt"
+            gfile.write_text(format_graph(G))
+            for command, k, l in REQUESTS:
+                out = Path(tmp) / f"g{i}.{command}.{k}.{l}.json"
+                argv = [command, str(gfile), "--k", str(k), "--l", str(l), "--out", str(out)]
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(argv)
+                cert = json.loads(out.read_text()) if out.exists() else None
+                runs.append((i, G, command, k, l, code, stdout.getvalue(), cert))
+    return tuple(runs)
+
+
+def _pool_digest() -> str:
     digest = hashlib.sha256()
-    for i, G in enumerate(_graphs()):
-        gfile = tmp_path / f"g{i}.txt"
-        gfile.write_text(format_graph(G))
-        for command, k, l in REQUESTS:
-            out = tmp_path / f"g{i}.{command}.{k}.{l}.json"
-            argv = [command, str(gfile), "--k", str(k), "--l", str(l), "--out", str(out)]
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = cli.main(argv)
-            cert = json.loads(out.read_text()) if out.exists() else None
-            if cert is not None:
-                cert.pop("created")
-            digest.update(json.dumps([i, command, k, l, code, stdout.getvalue(), cert],
-                                     sort_keys=True).encode("utf-8"))
+    for i, _, command, k, l, code, stdout, cert in _pool_runs():
+        if cert is not None:
+            cert = {key: value for key, value in cert.items() if key != "created"}
+        digest.update(json.dumps([i, command, k, l, code, stdout, cert],
+                                 sort_keys=True).encode("utf-8"))
     return digest.hexdigest()
 
 
-def test_certificate_bytes_match_the_pinned_digest(tmp_path):
-    assert _pool_digest(tmp_path) == PINNED_DIGEST
+def test_certificate_bytes_match_the_pinned_digest():
+    assert _pool_digest() == PINNED_DIGEST
+
+
+def test_union_certificates_verify_without_the_union(monkeypatch):
+    # Every decompose, pack and ndt certificate, of the pool and of the CLI
+    # cases, verifies with union_rank raising wherever it is imported: a
+    # union failure is checked by two matroid ranks at its edge set.
+    certs = [(G, cert) for *_, G, cert in cli_certificates()]
+    certs += [(G, cert) for _, G, *_, cert in _pool_runs() if cert is not None]
+    checked = [(G, c) for G, c in certs if c["command"] in ("decompose", "pack", "ndt")]
+    assert {c["payload"]["kind"] for _, c in checked} == {
+        "decomposition", "packing", "bounded-cover", "report"}
+    assert {"union-cover", "packing"} <= {c["payload"].get("condition") for _, c in checked}
+
+    def union_rank(*args):
+        raise AssertionError("the verifier ran union_rank")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rigidpack" and hasattr(module, "union_rank"):
+            monkeypatch.setattr(module, "union_rank", union_rank)
+    for G, cert in checked:
+        assert verify_certificate(cert, G) == (True, None), cert["payload"]

@@ -24,6 +24,7 @@ from rigidpack.certificates import (
     write_certificate,
 )
 from rigidpack.conditions import check_cover_condition, gamma2
+from rigidpack.matroids import graphic_rank, rigidity_rank
 from rigidpack.ndt import ndt_decompose
 from rigidpack.union import decompose_sparse
 
@@ -192,10 +193,22 @@ def cli_certificates():
 
 
 # Leaves whose change can leave a true claim: the timestamp is outside the
-# hash, the note is free text, and a recoloured edge may give another valid
-# split of the same rank.
-FREE_LEAVES = {("created",), ("cert_hash",), ("payload", "note"),
-               ("payload", "assignment", 0), ("payload", "decomposition", "assignment", 0)}
+# hash, and a recoloured edge may give another valid split of the same rank.
+FREE_LEAVES = {("created",), ("cert_hash",), ("payload", "assignment", 0)}
+
+# The union failures, and the size their edge-set bound must stay below,
+# computed from the top-level parameters alone.
+UNION_TARGETS = {
+    "decompose": lambda G, top: G.m,
+    "pack": lambda G, top: top["k"] * (2 * G.n - 3) + top["l"] * (G.n - 1),
+}
+
+
+def _union_bound(G, top, F):
+    """m - |F| + k r_rig(F) + l r_gr(F), from the matroid ranks directly."""
+    F = sorted(F)
+    return (G.m - len(F) + top["k"] * rigidity_rank(G, F).rank
+            + top["l"] * graphic_rank(G, F).rank)
 
 
 def _cases_cover_every_kind_and_condition():
@@ -205,15 +218,14 @@ def _cases_cover_every_kind_and_condition():
         kinds.add(p["kind"])
         if p["kind"] == "report":
             reports.add((p["condition"], p["holds"], (p["witness"] or {}).get("kind")))
-    assert kinds == {"decomposition", "packing", "packing-failure", "bounded-cover",
-                     "density", "report"}
+    assert kinds == {"decomposition", "packing", "bounded-cover", "density", "report"}
     assert {c for c, _, _ in reports} == {
         "cover", "tree-packing", "parthm", "necessary", "pq-connected",
         "bracket-partition", "kwz", "sparse-cover", "forest-cover", "union-cover",
-        "forest-plus-bounded",
+        "packing", "forest-plus-bounded",
     }
     witnesses = {w for _, holds, w in reports if not holds}
-    assert witnesses == {"vertex-set", "partition", "z-partition", "deficiency-edges", None}
+    assert witnesses == {"vertex-set", "partition", "z-partition", "edge-set", None}
 
 
 def test_any_single_field_tamper_fails():
@@ -230,13 +242,36 @@ def test_any_single_field_tamper_fails():
             unhashed["cert_hash"] = cert["cert_hash"]
             assert verify_certificate(unhashed, G)[0] is False, (case, path)
             # with it recomputed, the semantic check must
-            ok, reason = verify_certificate(_rehashed(cert, path, _tamper(node)), G)
+            bad = _rehashed(cert, path, _tamper(node))
+            ok, reason = verify_certificate(bad, G)
+            edge_set = path == ("payload", "witness", "edges", 0)
+            if ok and edge_set and cert["command"] in UNION_TARGETS:
+                # Another edge set may bound the union just as well; it
+                # passes only if its bound is the stated one and still
+                # below the command's target.
+                bound = _union_bound(G, cert["parameters"], bad["payload"]["witness"]["edges"])
+                assert bound == bad["payload"]["lhs"], case
+                assert bound < UNION_TARGETS[cert["command"]](G, cert["parameters"]), case
+                continue
             assert not ok, f"{case}: rehashed tamper of {path} went undetected"
             assert isinstance(reason, str)
 
 
+def test_true_does_not_pass_for_one():
+    # JSON true and false equal 1 and 0 in Python; as an id, a count or a
+    # parameter they must be rejected all the same.
+    for case, G, cert in cli_certificates():
+        for path in _node_paths(cert):
+            node = cert
+            for key in path:
+                node = node[key]
+            if type(node) is int and node in (0, 1):
+                ok, _ = verify_certificate(_rehashed(cert, path, bool(node)), G)
+                assert not ok, f"{case}: {path} = {bool(node)} went undetected"
+
+
 def test_witness_kind_is_bound_to_the_condition():
-    kinds = ("vertex-set", "partition", "z-partition", "deficiency-edges")
+    kinds = ("vertex-set", "partition", "z-partition", "edge-set")
     for case, G, cert in cli_certificates():
         witness = cert["payload"].get("witness")
         if not witness:
@@ -295,8 +330,8 @@ def test_kwz_d_compares_as_a_fraction():
 # Values that have broken verifiers: zero denominators, an infinite float
 # (what a JSON 1e400 parses to), huge and negative counts, the wrong kind.
 _SPECIAL = st.sampled_from(["1/0", float("inf"), float("nan"), 10**30, -1, 0, "3", "7/3",
-                            "vertex-set", "partition", "z-partition", "deficiency-edges",
-                            "report", "cover", "union-cover", [], {}, [[]], None, True])
+                            "vertex-set", "partition", "z-partition", "edge-set",
+                            "report", "cover", "union-cover", "packing", [], {}, [[]], None, True])
 _JSON = _SPECIAL | st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
@@ -388,14 +423,14 @@ def test_full_forest_bounded_cover_still_verifies():
     # and an empty bounded part.  The producer now writes the opposite
     # split, but this one is just as valid.
     cert = {
-        "cert_hash": "8de9c8aee3e88c210c8cb1300a4d153d4232483dc25e30ef1144340b96c5f435",
+        "cert_hash": "3f04ae52a28090493dcaede6421dda3ade319819997719aca1d69ed7c4662366",
         "command": "ndt",
         "created": "2026-10-18T09:44:05.463707+00:00",
         "graph_hash": "af5d122d6b87e1e2689d2da7daee968ba55e609551d6e3de49e9f07974afed06",
         "parameters": {"k": 0, "l": 1},
         "payload": {"bounded_parts": [[]], "degree_bound": "7/3",
                     "forests": [[0, 1, 2, 3, 4]], "kind": "bounded-cover"},
-        "schema": "rigidpack-cert/1",
+        "schema": "rigidpack-cert/2",
         "verified": True,
     }
     assert verify_certificate(cert, corpus.path(6)) == (True, None)
@@ -405,14 +440,12 @@ def _doubled_path(n):
     return Multigraph(n, tuple(e for i in range(n - 1) for e in [(i, i + 1)] * 2))
 
 
-# Certificates in the forms written before cover, tree-packing and the cover
-# failures of decompose ran pebble games: a sparse-cover failure above the
-# subset guardrail witnessed by the uncovered edges of a maximum split, an
-# unwitnessed tree-packing failure above the partition guardrail, and a
-# cover failure at the first violator in subset order.  The producers now
-# write a closure or a merged-closure partition instead.  The last two state
-# the guardrails they were made under, which certificates no longer record.
-EARLIER_CERTIFICATES = (
+# Schema-1 certificates, each with a valid hash: a sparse-cover failure
+# witnessed by the uncovered edges of a maximum split, an unwitnessed
+# tree-packing failure, a cover failure with a free-text note, and two that
+# state the guardrails they were made under.  Schema 2 has none of these
+# forms, and keeps no second path to verify them.
+SCHEMA_1_CERTIFICATES = (
     (_doubled_path(17),
      {"cert_hash": "e5df9fb433f1e8986a572f18315c82476f155d1ba5540fa6782e0445c4896c2c",
       "command": "decompose",
@@ -488,29 +521,31 @@ EARLIER_CERTIFICATES = (
 )
 
 
-def test_earlier_certificate_forms_still_verify(tmp_path, capsys):
-    for i, (G, cert) in enumerate(EARLIER_CERTIFICATES):
-        assert verify_certificate(cert, G) == (True, None), cert["command"]
+def test_schema_1_certificates_are_rejected(tmp_path, capsys):
+    for i, (G, cert) in enumerate(SCHEMA_1_CERTIFICATES):
+        assert certificate_hash(cert) == cert["cert_hash"]
+        assert verify_certificate(cert, G) == (False, "unknown schema 'rigidpack-cert/1'")
         gfile, cfile = tmp_path / f"g{i}.txt", tmp_path / f"c{i}.json"
         gfile.write_text(format_graph(G))
         write_certificate(cfile, cert)
-        assert cli.main(["verify", str(cfile), str(gfile)]) == 0
-    capsys.readouterr()
+        capsys.readouterr()
+        assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+        assert "unknown schema" in capsys.readouterr().out
 
 
 def test_forged_holding_scan_claim_is_refused_within_the_verifiers_guardrail(
     tmp_path, capsys
 ):
-    # A holding parthm report on K13 that states a partition guardrail of
-    # 13: re-run under that, the check would walk Bell(13) partitions for
-    # each Z.  The verifier keeps its own guardrail and refuses at once.
+    # A holding parthm report on K13: re-run, the check would walk Bell(13)
+    # partitions for each Z.  A certificate states no guardrail, and the
+    # verifier keeps its own and refuses at once.
     G = Multigraph(13, tuple(itertools.combinations(range(13), 2)))
     cert = {
-        "schema": "rigidpack-cert/1", "command": "check", "graph_hash": graph_hash(G),
+        "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
         "parameters": {"condition": "parthm", "k": 1, "l": 0}, "verified": True,
         "payload": {"kind": "report", "condition": "parthm", "holds": True,
-                    "parameters": {"k": 1, "l": 0, "max_partitions": 13},
-                    "witness": None, "lhs": None, "rhs": None, "note": None},
+                    "parameters": {"k": 1, "l": 0},
+                    "witness": None, "lhs": None, "rhs": None},
     }
     cert["cert_hash"] = certificate_hash(cert)
     gfile, cfile = tmp_path / "k13.txt", tmp_path / "forged.json"
@@ -531,11 +566,11 @@ def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
     # the verifier's guardrail allows, so it is refused before any cut.
     G = corpus.cycle(300)
     cert = {
-        "schema": "rigidpack-cert/1", "command": "check", "graph_hash": graph_hash(G),
+        "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
         "parameters": {"condition": "pq-connected", "p": 2, "q": 1}, "verified": True,
         "payload": {"kind": "report", "condition": "pq-connected", "holds": True,
-                    "parameters": {"p": 2, "q": 1, "max_n": 22},
-                    "witness": None, "lhs": None, "rhs": None, "note": None},
+                    "parameters": {"p": 2, "q": 1},
+                    "witness": None, "lhs": None, "rhs": None},
     }
     cert["cert_hash"] = certificate_hash(cert)
     gfile, cfile = tmp_path / "c300.txt", tmp_path / "forged.json"

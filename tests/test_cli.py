@@ -286,7 +286,7 @@ def test_pack_failure_above_partition_guardrail(tmp_path):
     assert main(["pack", str(gfile), "--k", "0", "--l", "2", "--out", str(out)]) == 1
     payload = json.loads(out.read_text())["payload"]
     assert payload["witness"] == {"kind": "partition", "blocks": [[v] for v in range(14)]}
-    assert (payload["lhs"], payload["rhs"], payload["note"]) == (14, 26, None)
+    assert (payload["lhs"], payload["rhs"]) == (14, 26) and "note" not in payload
     assert main(["verify", str(out), str(gfile)]) == 0
 
 
@@ -303,7 +303,7 @@ def test_decompose_failure_above_subset_guardrail(tmp_path):
     assert main(["decompose", str(gfile), "--k", "1", "--out", str(out)]) == 1
     payload = json.loads(out.read_text())["payload"]
     assert payload["witness"] == {"kind": "vertex-set", "vertices": [0, 1]}
-    assert (payload["lhs"], payload["rhs"], payload["note"]) == (2, 1, None)
+    assert (payload["lhs"], payload["rhs"]) == (2, 1) and "note" not in payload
     assert main(["verify", str(out), str(gfile)]) == 0
 
 
@@ -329,6 +329,13 @@ def test_random_command_cost_follows_m(tmp_path):
             tracemalloc.stop()
         assert peak < 1_000_000, (argv, peak)
         assert out.read_text().splitlines()[0].endswith(" 1")
+
+
+def test_random_command_refuses_more_slots_than_it_can_sample(capsys):
+    # 5 * 10^19 vertex pairs: more than random.sample can index.  Refused
+    # before anything n-sized is built.
+    assert main(["random", "--n", "10000000000", "--m", "1"]) == 2
+    assert "too many edge slots" in capsys.readouterr().err
 
 
 def test_certificates_byte_identical_modulo_timestamp(tmp_path):

@@ -4,7 +4,6 @@ from rigidpack import (
     ConditionReport,
     GraphInputError,
     Packing,
-    PackingFailure,
     check_necessary_condition,
     check_parthm_condition,
     pack_rigid_and_trees,
@@ -60,9 +59,11 @@ def test_pack_k5_spanning_minimally_rigid():
 
 
 def test_pack_bowtie_fails():
+    # Every edge fits one sparse class, so F is empty and the bound is m.
     result = pack_rigid_and_trees(corpus.bowtie(), 1, 0)
-    assert isinstance(result, PackingFailure)
-    assert result.achieved == 6 and result.target == 7
+    assert isinstance(result, ConditionReport) and result.condition == "packing"
+    assert (result.holds, result.witness_kind, result.witness) == (False, "edge-set", frozenset())
+    assert result.lhs == 6 and result.rhs == 7
 
 
 def test_pack_parameter_validation():

@@ -1,8 +1,10 @@
+import itertools
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rigidpack.union as union_mod
 from rigidpack import (
@@ -14,6 +16,7 @@ from rigidpack import (
     decompose_forests,
     decompose_sparse,
     gamma2,
+    graphic_rank,
     random_multigraph,
     rigidity_rank,
     sparse_independent,
@@ -368,3 +371,32 @@ def test_verify_decomposition_checks_only_used_colours(monkeypatch):
     doubled = corpus.doubled_triangle()
     assert verify_decomposition(doubled, Decomposition(2, 1, (3, 3, 3, 1, 1, 1))) == (
         False, "class 1 is not (2,3)-sparse")
+
+
+def _union_bound(G, k, l, F):
+    """Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on the union rank."""
+    return G.m - len(F) + k * rigidity_rank(G, F).rank + l * graphic_rank(G, F).rank
+
+
+@st.composite
+def _union_instances(draw):
+    """(G, k, l, F): n <= 7, at most as many edges as the brute force
+    takes, k and l <= 2, and an arbitrary edge set F."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    G = Multigraph(n, tuple(draw(st.lists(st.sampled_from(pairs),
+                                          max_size=oracles.BRUTE_FORCE_EDGE_LIMIT))))
+    k = draw(st.integers(0, 2))
+    l = draw(st.integers(0 if k else 1, 2))
+    F = draw(st.frozensets(st.integers(0, G.m - 1))) if G.m else frozenset()
+    return G, k, l, F
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_union_instances())
+def test_union_bound_is_tight_at_the_closed_set_and_sound_everywhere(case):
+    G, k, l, F = case
+    rank = oracles.union_rank_bruteforce(G, k, l)
+    ur = union_rank(G, k, l)
+    assert _union_bound(G, k, l, ur.closed) == ur.rank == rank
+    assert _union_bound(G, k, l, F) >= rank
