@@ -415,10 +415,18 @@ def _verify_decomposition_payload(G, command, top, payload, limits):
         raise _Rejected("stated k, l, rank or completeness does not match the assignment")
 
 
+def _edge_parts(G, parts) -> tuple[frozenset, ...]:
+    """Part lists as edge sets; only the canonical encoding, ascending
+    distinct edge ids as the producers write it, is accepted."""
+    for part in parts:
+        if part != check_edge_subset(G, part):
+            raise ValueError("part is not in canonical form")
+    return tuple(frozenset(p) for p in parts)
+
+
 def _verify_packing_payload(G, command, top, payload, limits):
     packing = Packing(
-        tuple(frozenset(p) for p in payload["rigid_parts"]),
-        tuple(frozenset(p) for p in payload["tree_parts"]),
+        _edge_parts(G, payload["rigid_parts"]), _edge_parts(G, payload["tree_parts"])
     )
     _ensure(verify_packing(G, packing))
     if (len(packing.rigid_parts), len(packing.tree_parts)) != (top["k"], top["l"]):
@@ -429,8 +437,8 @@ def _verify_bounded_cover_payload(G, command, top, payload, limits):
     if payload["degree_bound"] != _num(Fraction(payload["degree_bound"])):
         raise TypeError('degree_bound must be a "p/q" string')
     cover = BoundedCover(
-        tuple(frozenset(p) for p in payload["forests"]),
-        tuple(frozenset(p) for p in payload["bounded_parts"]),
+        _edge_parts(G, payload["forests"]),
+        _edge_parts(G, payload["bounded_parts"]),
         Fraction(payload["degree_bound"]),
     )
     _ensure(verify_bounded_cover(G, cover))

@@ -114,18 +114,6 @@ class PebbleGame:
         self._parent = [0] * n
         self._failed: tuple[int, int] | None = None
 
-    def copy(self) -> "PebbleGame":
-        g = object.__new__(PebbleGame)
-        g.n = self.n
-        g.need = self.need
-        g.pebbles = self.pebbles[:]
-        g.out = [lst[:] for lst in self.out]
-        g._mark = self._mark[:]  # keeps ``last_witness`` valid on the copy
-        g._stamp = self._stamp
-        g._parent = [0] * self.n
-        g._failed = self._failed
-        return g
-
     def _pull_pebble(self, root: int, other: int) -> bool:
         # Depth-first search along the orientation for a vertex (not the
         # other endpoint) holding a free pebble; reverse the path to move
@@ -232,16 +220,12 @@ def rigidity_rank(G: Multigraph, F: Iterable[int]) -> RankResult:
     return RankResult(len(basis), frozenset(basis))
 
 
-def full_rigidity_rank(G: Multigraph) -> int:
-    return rigidity_rank(G, range(G.m)).rank
-
-
 def is_rigid(G: Multigraph) -> bool:
     """True iff some subset of the edges forms a spanning minimally rigid
     subgraph, i.e. the rigidity rank of the whole edge set is 2n - 3."""
     if G.n <= 1:
         raise GraphInputError("rigidity is defined for graphs with at least 2 vertices")
-    return full_rigidity_rank(G) == 2 * G.n - 3
+    return rigidity_rank(G, range(G.m)).rank == 2 * G.n - 3
 
 
 def is_minimally_rigid(G: Multigraph) -> bool:

@@ -56,11 +56,6 @@ class Multigraph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        if not 0 <= eid < self.m:
-            raise GraphInputError(f"edge id {eid} out of range 0..{self.m - 1}")
-        return self.edges[eid]
-
     def multiplicity(self) -> int:
         """Largest number of parallel edges between any vertex pair."""
         if not self.edges:

@@ -8,17 +8,18 @@ take x's slot in class j").  Breadth-first search guarantees a shortest
 path, which keeps the chain of exchanges simultaneously valid; skipping an
 edge that has no path is safe because the union is itself a matroid.
 
-The class oracles are built once per call and stay live: after an
-augmenting path, each class it touched drops its outgoing edges and then
-takes its incoming ones (a pebble game by deletion and insertion, a forest
-by cutting and linking trees and relabelling one side in place).  An
-offered edge is kept by the first class that accepts it, with no separate
-probe.  A fundamental circuit is read off the live pebble game that
-rejected the edge, with no pebble moved: the reach closure X of the edge's
-endpoints is then the smallest tight set holding them, since X holds
-exactly 2|X| - 3 edges and no arc leaves it, so the circuit is the edge
-plus every class edge inside X (Lee & Streinu, "Pebble game algorithms and
-sparse graphs", 2008).
+The class oracles are built once per call and stay live: each class is
+one (a,b) pebble game, (2,3) for a sparse class and (1,1) for a forest
+(Lee & Streinu, "Pebble game algorithms and sparse graphs", 2008).  After
+an augmenting path, each class it touched deletes its outgoing edges from
+its game and then inserts its incoming ones.  An offered edge is kept by
+the first class that accepts it, with no separate probe.  A fundamental
+circuit is read off the live game that rejected the edge, with no pebble
+moved: the reach closure X of the edge's endpoints is then the smallest
+tight set holding them, since X holds exactly a|X| - b edges and no arc
+leaves it, so the circuit is the edge plus every class edge inside X.  In
+a forest's (1,1) game, X is the vertex set of the tree path between the
+endpoints.
 
 The edges a failed search reaches are closed for good (Edmonds, "Minimum
 partition of a matroid into independent subsets", 1965): each is spanned,
@@ -82,24 +83,26 @@ class UnionRank:
     closed: frozenset
 
 
-class _RigidityClass:
-    """Live oracle for one sparse class: a pebble game that holds the
-    class's edges and is kept up to date across augmentations."""
+class _CountClass:
+    """Live oracle for one class: an (a,b) pebble game, (2,3) for a sparse
+    class and (1,1) for a forest, that holds the class's edges and is kept
+    up to date across augmentations."""
 
-    def __init__(self, G: Multigraph, members: list[int]) -> None:
+    def __init__(self, G: Multigraph, members: list[int], a: int, b: int) -> None:
         self.G = G
         self.members = members  # ascending edge ids
-        self.game = PebbleGame(G.n)
+        self.game = PebbleGame(G.n, a, b)
         for e in members:
             self._insert(e)
 
     def _insert(self, e: int) -> None:
         if not self.game.try_insert(*self.G.edges[e]):
-            raise RuntimeError("union invariant broken: class not sparse")
+            raise RuntimeError("union invariant broken: class not independent")
 
     def take(self, e: int) -> tuple[bool, frozenset | None]:
-        """Keep edge ``e`` if the class stays sparse with it; otherwise
-        leave the class as it was and return the rejection's witness."""
+        """Keep edge ``e`` if the class stays independent with it;
+        otherwise leave the class as it was and return the rejection's
+        witness."""
         if self.game.try_insert(*self.G.edges[e]):
             insort(self.members, e)
             return True, None
@@ -115,7 +118,10 @@ class _RigidityClass:
     def circuit(self, eid: int, witness: frozenset) -> list[int]:
         # After the failed insert, ``witness`` (the reach closure of the
         # edge's endpoints) is the smallest tight set holding them, so the
-        # fundamental circuit is the edge plus every member inside it.
+        # fundamental circuit is the edge plus every member inside it.  In
+        # a (1,1) game each tree's arcs point to its one free pebble, so
+        # the closure is the tree path's vertices and the members inside
+        # it are the path's edges.
         edges = self.G.edges
         return [x for x in self.members if edges[x][0] in witness and edges[x][1] in witness]
 
@@ -129,83 +135,6 @@ class _RigidityClass:
             insort(self.members, e)
 
 
-class _GraphicClass:
-    """Forest oracle: a component label per vertex for independence, the
-    forest's adjacency for circuits.  Both are updated in place: a link
-    relabels one endpoint's tree, a cut relabels one side with a fresh
-    label."""
-
-    def __init__(self, G: Multigraph, members: list[int]) -> None:
-        self.G = G
-        self.comp = list(range(G.n))
-        self._fresh = G.n  # next unused label
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-        for e in members:
-            self._link(e)
-
-    def _relabel(self, root: int, label: int) -> None:
-        comp, adj = self.comp, self.adj
-        comp[root] = label
-        stack = [root]
-        while stack:
-            for y, _ in adj[stack.pop()]:
-                if comp[y] != label:
-                    comp[y] = label
-                    stack.append(y)
-
-    def _link(self, e: int) -> None:
-        u, v = self.G.edges[e]
-        if self.comp[u] == self.comp[v]:
-            raise RuntimeError("union invariant broken: class not a forest")
-        self._relabel(v, self.comp[u])
-        self.adj[u].append((v, e))
-        self.adj[v].append((u, e))
-
-    def _cut(self, e: int) -> None:
-        u, v = self.G.edges[e]
-        self.adj[u].remove((v, e))
-        self.adj[v].remove((u, e))
-        self._relabel(v, self._fresh)
-        self._fresh += 1
-
-    def take(self, e: int) -> tuple[bool, None]:
-        u, v = self.G.edges[e]
-        if self.comp[u] == self.comp[v]:
-            return False, None
-        self._link(e)
-        return True, None
-
-    def probe(self, u: int, v: int) -> tuple[bool, None]:
-        return self.comp[u] != self.comp[v], None
-
-    def circuit(self, eid: int, witness=None) -> list[int]:
-        u, v = self.G.edges[eid]
-        # BFS along the forest from u to v; the path edges form the circuit.
-        prev: dict[int, tuple[int, int]] = {u: (-1, -1)}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            for y, e in self.adj[x]:
-                if y not in prev:
-                    prev[y] = (x, e)
-                    queue.append(y)
-        path = []
-        node = v
-        while node != u:
-            node, e = prev[node]
-            path.append(e)
-        return sorted(path)
-
-    def update(self, removed: list[int], added: list[int]) -> None:
-        # All cuts first: only the final set is known to be a forest.
-        for e in removed:
-            self._cut(e)
-        for e in added:
-            self._link(e)
-
-
 def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
     # An empty class accepts any edge (there are no loops), and fewer than
     # m classes are ever non-empty, so a class past the first m of its
@@ -214,11 +143,11 @@ def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
     for e, c in enumerate(color):
         if c:
             members.setdefault(c, []).append(e)
-    classes: dict[int, object] = {}
+    classes: dict[int, _CountClass] = {}
     for j in range(1, min(k, G.m) + 1):
-        classes[j] = _RigidityClass(G, members.get(j, []))
+        classes[j] = _CountClass(G, members.get(j, []), 2, 3)
     for j in range(k + 1, k + min(l, G.m) + 1):
-        classes[j] = _GraphicClass(G, members.get(j, []))
+        classes[j] = _CountClass(G, members.get(j, []), 1, 1)
     return classes
 
 

@@ -354,7 +354,7 @@ def capped_forest_exists_def(G, S, head, cap):
 # ``rigidpack.union.union_rank`` without the live class oracles.  Every
 # augmentation rebuilds all class oracles and every fundamental circuit is
 # found by replaying a fresh pebble game per candidate, so it shares no
-# state with ``union_rank``, only ``PebbleGame.try_insert``/``copy`` and
+# state with ``union_rank``, only ``PebbleGame.try_insert``/``remove`` and
 # ``UnionFind``.  The two must return identical decompositions.
 
 
@@ -370,10 +370,11 @@ class _RigidityClass:
                 raise RuntimeError("union invariant broken: class not sparse")
 
     def probe(self, u: int, v: int) -> tuple[bool, frozenset | None]:
-        trial = self.game.copy()
-        if trial.try_insert(u, v):
+        game = self.game
+        if game.try_insert(u, v):
+            game.remove(u, v)
             return True, None
-        return False, trial.last_witness()
+        return False, game.last_witness()
 
     def circuit(self, eid: int, witness: frozenset) -> list[int]:
         # The fundamental circuit lies inside the witness closure, so only
@@ -521,7 +522,7 @@ def reach_closure(game: PebbleGame, u: int, v: int) -> frozenset:
 
 def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
     """Fundamental circuit of edge ``eid`` in a live
-    ``rigidpack.union._RigidityClass`` whose game just rejected it, found
+    ``rigidpack.union._CountClass`` whose game just rejected it, found
     by moving pebbles: a member x inside the witness closure is in the
     circuit iff the class without x accepts the edge.  Delete x, retry
     the edge, then restore x; the class is left as it was found."""

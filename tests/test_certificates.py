@@ -436,6 +436,32 @@ def test_full_forest_bounded_cover_still_verifies():
     assert verify_certificate(cert, corpus.path(6)) == (True, None)
 
 
+# K6 packs one spanning rigid subgraph and one spanning tree; the 8-vertex
+# fan (a wheel less one rim edge) is one forest plus a part of degree <= 3.
+_K6 = Multigraph(6, tuple(itertools.combinations(range(6), 2)))
+_FAN8 = Multigraph(8, tuple((0, i) for i in range(1, 8)) + tuple((i, i + 1) for i in range(1, 7)))
+
+
+@pytest.mark.parametrize("G, argv, field, edit", [
+    pytest.param(_K6, "pack --k 1 --l 1", "rigid_parts", lambda p: p[::-1], id="reversed"),
+    pytest.param(_K6, "pack --k 1 --l 1", "tree_parts", lambda p: p + p[:1], id="repeated"),
+    pytest.param(_FAN8, "ndt --k 0 --l 1", "forests", lambda p: p[::-1], id="reversed-forest"),
+])
+def test_part_lists_must_be_canonical(tmp_path, capsys, G, argv, field, edit):
+    # The same edge set written out of order or with a repeat, and rehashed,
+    # is refused: a part list has one encoding, as a witness has.
+    gfile, cfile = tmp_path / "g.txt", tmp_path / "c.json"
+    gfile.write_text(format_graph(G))
+    assert cli.main(argv.split() + [str(gfile), "--out", str(cfile)]) == 0
+    cert = load_certificate(cfile)
+    bad = _rehashed(cert, ("payload", field, 0), edit(cert["payload"][field][0]))
+    assert verify_certificate(bad, G) == (
+        False, "malformed certificate: part is not in canonical form")
+    write_certificate(cfile, bad)
+    capsys.readouterr()
+    assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+
+
 def _doubled_path(n):
     return Multigraph(n, tuple(e for i in range(n - 1) for e in [(i, i + 1)] * 2))
 

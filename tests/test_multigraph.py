@@ -35,7 +35,7 @@ def test_non_integer_endpoint_rejected(pair):
 def test_edges_normalized_and_ids_stable():
     G = Multigraph(3, ((2, 0), (1, 0)))
     assert G.edges == ((0, 2), (0, 1))
-    assert G.endpoints(1) == (0, 1)
+    assert G.edges[1] == (0, 1)
 
 
 def test_multiplicity():

@@ -16,6 +16,7 @@ from rigidpack import (
     decompose_forests,
     decompose_sparse,
     gamma2,
+    graphic_independent,
     graphic_rank,
     random_multigraph,
     rigidity_rank,
@@ -23,7 +24,7 @@ from rigidpack import (
     union_rank,
     verify_decomposition,
 )
-from rigidpack.matroids import PebbleGame, UnionFind
+from rigidpack.matroids import PebbleGame
 
 import corpus
 import oracles
@@ -212,28 +213,29 @@ def test_union_rank_keeps_class_oracles_live(monkeypatch):
     monkeypatch.setattr(
         union_mod, "_build_classes", lambda *a: builds.append(1) or real_build(*a)
     )
-    real_circuit = union_mod._RigidityClass.circuit
+    real_circuit = union_mod._CountClass.circuit
     games, moves, circuits = [], [], []
 
     def circuit(self, eid, witness):
         circuits.append(1)
         before = len(games), len(moves)
         result = real_circuit(self, eid, witness)
-        assert len(games) == before[0], "circuit built or copied a pebble game"
+        assert len(games) == before[0], "circuit built a pebble game"
         assert len(moves) == before[1], "circuit inserted or removed an edge"
         return result
 
-    real_init, real_copy = PebbleGame.__init__, PebbleGame.copy
+    real_init = PebbleGame.__init__
     real_insert, real_remove = PebbleGame.try_insert, PebbleGame.remove
-    monkeypatch.setattr(PebbleGame, "__init__", lambda g, n: games.append(1) or real_init(g, n))
-    monkeypatch.setattr(PebbleGame, "copy", lambda g: games.append(1) or real_copy(g))
+    monkeypatch.setattr(
+        PebbleGame, "__init__", lambda g, n, a, b: games.append(1) or real_init(g, n, a, b)
+    )
     monkeypatch.setattr(
         PebbleGame, "try_insert", lambda g, u, v: moves.append(1) or real_insert(g, u, v)
     )
     monkeypatch.setattr(
         PebbleGame, "remove", lambda g, u, v: moves.append(1) or real_remove(g, u, v)
     )
-    monkeypatch.setattr(union_mod._RigidityClass, "circuit", circuit)
+    monkeypatch.setattr(union_mod._CountClass, "circuit", circuit)
     G = random_multigraph(10, 70, 2, seed=25)
     for k, l in ((2, 0), (1, 1), (2, 2)):
         builds.clear()
@@ -242,21 +244,30 @@ def test_union_rank_keeps_class_oracles_live(monkeypatch):
         union_rank(G, k, l)
         assert circuits
         assert len(builds) == 2
-        assert len(games) == 2 * k
+        assert len(games) == 2 * (k + l)
 
 
+_KINDS = [
+    pytest.param(2, 3, rigidity_rank, lambda G, F: sparse_independent(G, F)[0], id="rigidity"),
+    pytest.param(1, 1, graphic_rank, graphic_independent, id="graphic"),
+]
+
+
+@pytest.mark.parametrize("a, b, rank, independent", _KINDS)
 @settings(max_examples=300, deadline=None, database=None)
-@given(corpus.insert_remove_runs())
-def test_rigidity_circuit_read_off_matches_delete_and_retry(run):
+@given(run=corpus.insert_remove_runs())
+def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, independent, run):
     # The closure read-off against the pebble-moving search it replaced,
-    # after every rejected insert of a live class under inserts and removals.
+    # after every rejected insert of a live class under inserts and removals;
+    # each probe agrees with a fresh independence test of the members.
     n, ops = run
     G = Multigraph(n, tuple(op[1] for op in ops if op[0] == "insert"))
-    cls = union_mod._RigidityClass(G, [])
+    cls = union_mod._CountClass(G, [], a, b)
     eid = 0
     for op in ops:
         if op[0] == "insert":
             ok, witness = cls.probe(*G.edges[eid])
+            assert ok == independent(G, cls.members + [eid])
             if ok:
                 cls.update([], [eid])
             else:
@@ -269,60 +280,38 @@ def test_rigidity_circuit_read_off_matches_delete_and_retry(run):
             cls.update([cls.members[op[1] % len(cls.members)]], [])
 
 
-def test_rigidity_circuit_is_fundamental_circuit():
-    # x is in the circuit of e iff the class with x swapped for e is sparse.
+@pytest.mark.parametrize("a, b, rank, independent", _KINDS)
+def test_class_circuit_is_fundamental_circuit(a, b, rank, independent):
+    # x is in the circuit of e iff the class with x swapped for e is
+    # independent.
     checked = 0
     for G in corpus.random_corpus(80, seed=26, n_range=(3, 9), m_max=30):
-        members = sorted(rigidity_rank(G, range(0, G.m, 2)).basis)
-        cls = union_mod._RigidityClass(G, list(members))
+        members = sorted(rank(G, range(0, G.m, 2)).basis)
+        cls = union_mod._CountClass(G, list(members), a, b)
         for e in range(1, G.m, 2):
             ok, witness = cls.probe(*G.edges[e])
-            assert ok == sparse_independent(G, members + [e])[0]
+            assert ok == independent(G, members + [e])
             if ok:
                 continue
-            expected = [x for x in members
-                        if sparse_independent(G, set(members) - {x} | {e})[0]]
+            expected = [x for x in members if independent(G, set(members) - {x} | {e})]
             assert cls.circuit(e, witness) == expected
             assert cls.members == members
             checked += 1
     assert checked > 100
 
 
-def _partition(labels):
-    blocks: dict = {}
-    for x, label in enumerate(labels):
-        blocks.setdefault(label, set()).add(x)
-    return sorted(map(sorted, blocks.values()))
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(corpus.insert_remove_runs())
-def test_forest_labels_match_a_fresh_union_find(run):
-    # After every in-place link or cut, the live forest's component labels
-    # partition the vertices as a union-find built from its edges does.
-    n, ops = run
-    G = Multigraph(n, tuple(op[1] for op in ops if op[0] == "insert"))
-    cls = union_mod._GraphicClass(G, [])
-    forest: list[int] = []
-    eid = 0
-    for op in ops:
-        if op[0] == "insert":
-            if cls.take(eid)[0]:
-                forest.append(eid)
-            eid += 1
-        elif forest:
-            cls.update([forest.pop(op[1] % len(forest))], [])
-        uf = UnionFind(n)
-        for e in forest:
-            assert uf.union(*G.edges[e])
-        assert _partition(cls.comp) == _partition([uf.find(x) for x in range(n)])
-
-
-def test_forest_link_inside_a_component_raises():
-    cls = union_mod._GraphicClass(corpus.triangle(), [0, 1])
-    assert cls.take(2) == (False, None)
-    with pytest.raises(RuntimeError, match="not a forest"):
-        cls.update([], [2])
+@pytest.mark.parametrize("a, b, G", [
+    pytest.param(2, 3, corpus.k4(), id="rigidity"),
+    pytest.param(1, 1, corpus.triangle(), id="graphic"),
+])
+def test_class_insert_breaking_independence_raises(a, b, G):
+    # The last edge closes K4's one circuit in (2,3), the triangle in (1,1).
+    last = G.m - 1
+    cls = union_mod._CountClass(G, list(range(last)), a, b)
+    assert cls.take(last) == (False, frozenset(range(G.n)))
+    assert cls.members == list(range(last))
+    with pytest.raises(RuntimeError, match="not independent"):
+        cls.update([], [last])
 
 
 def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
@@ -333,14 +322,13 @@ def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
         for k, l in ((G.m + 2, 0), (0, G.m + 2), (G.m + 1, G.m + 1), (1, G.m + 3)):
             assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l)
     built = []
-    real_rigid, real_graphic = union_mod._RigidityClass.__init__, union_mod._GraphicClass.__init__
-    monkeypatch.setattr(union_mod._RigidityClass, "__init__",
-                        lambda c, G, m: built.append("rigid") or real_rigid(c, G, m))
-    monkeypatch.setattr(union_mod._GraphicClass, "__init__",
-                        lambda c, G, m: built.append("forest") or real_graphic(c, G, m))
+    real_init = union_mod._CountClass.__init__
+    monkeypatch.setattr(union_mod._CountClass, "__init__",
+                        lambda c, G, m, a, b: built.append((a, b)) or real_init(c, G, m, a, b))
     ur = union_rank(corpus.triangle(), 10**6, 10**6)
     assert ur.rank == 3 and ur.decomposition.assignment == (1, 1, 1)
-    assert built.count("rigid") == built.count("forest") == 2 * 3  # build and re-check
+    assert built.count((2, 3)) == built.count((1, 1)) == 2 * 3  # build and re-check
+    assert len(built) == 4 * 3
     tracemalloc.start()
     try:
         union_rank(corpus.triangle(), 10**5, 10**5)
