@@ -16,13 +16,7 @@ from .conditions import (
     is_essentially_edge_connected,
     is_pq_connected,
 )
-from .enumeration import (
-    PARTITION_LIMIT,
-    SUBSET_LIMIT,
-    bell_number,
-    enumerate_partitions,
-    enumerate_vertex_subsets,
-)
+from .enumeration import PARTITION_LIMIT, SUBSET_LIMIT
 from .errors import (
     GraphInputError,
     LimitExceededError,

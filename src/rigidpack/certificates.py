@@ -9,7 +9,9 @@ the top-level parameters and every field the CLI fixes must be the ones
 that command gives.  No verifier re-runs the matroid union: a union
 failure (``union-cover``, ``packing``) carries an edge set F, and two
 matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
-every split into k sparse classes and l forests.  A claim that only an
+every split into k sparse classes and l forests.  Nor does it re-run the
+density iteration: one weighted pebble game at the stated value must
+accept every edge, and the stated argmax must reach it.  A claim that only an
 exhaustive scan can re-check is re-checked under the caller's guardrails:
 the producing command's own when a certificate is built, the defaults for
 ``rigidpack verify``.  A certificate states no guardrails, so a forged
@@ -29,13 +31,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .conditions import (
+    DENSITY_COUNTS,
     ConditionReport,
     check_cover_condition,
     check_necessary_condition,
     check_parthm_condition,
     check_tree_packing_condition,
-    gamma,
-    gamma2,
+    denser_set,
     is_bracket_partition_connected,
     is_pq_connected,
 )
@@ -317,7 +319,7 @@ CONDITIONS = {
         "bracket-partition", {"p": p["p"], "q": p["q"]},
         is_bracket_partition_connected(G, p["p"], p["q"], max_partition_n=mp)), {}),
     "kwz": Condition(("k", "d"), lambda G, p, mn, mp: check_kwz_condition(
-        G, p["k"], p["d"], max_n=mn), {"vertex-set": _kwz_violated}),
+        G, p["k"], p["d"]), {"vertex-set": _kwz_violated}),
     "sparse-cover": Condition(("k",), None, {"vertex-set": _OVER_SPARSE}),
     "forest-cover": Condition(("l",), None, {
         "vertex-set": _dense_set(1, lambda p, x: p["l"] * (x - 1))}),
@@ -450,20 +452,23 @@ def _verify_bounded_cover_payload(G, command, top, payload, limits):
 
 
 def _verify_density_payload(G, command, top, payload, limits):
+    # One pebble game at the stated value, not the producer's iteration.
     which = payload["which"]
     if top != {"which": which}:
         raise _Rejected("top-level parameters do not match the payload")
-    if which not in ("gamma", "gamma2"):
+    if which not in DENSITY_COUNTS:
         raise _Rejected(f"unknown density parameter {which!r}")
-    result = (gamma if which == "gamma" else gamma2)(G, max_n=limits[0])
-    if _num(result.value) != payload["value"]:
-        raise _Rejected("stated value does not match a recomputed maximum")
-    if sorted(result.argmax) != payload["argmax"]:
-        raise _Rejected("stated argmax does not match")
-    X = frozenset(payload["argmax"])
-    denom = (len(X) - 1) if which == "gamma" else (2 * len(X) - 3)
-    if Fraction(induced_edge_count(G, X), denom) != result.value:
+    value = Fraction(payload["value"])
+    if payload["value"] != _num(value):
+        raise TypeError('value must be a "p/q" string')
+    X = check_vertex_subset(G, payload["argmax"])
+    if payload["argmax"] != sorted(X):
+        raise ValueError("argmax is not in canonical form")
+    a, b = DENSITY_COUNTS[which]
+    if len(X) < 2 or Fraction(induced_edge_count(G, X), a * len(X) - b) != value:
         raise _Rejected("argmax does not achieve the stated value")
+    if denser_set(G, a, b, value) is not None:
+        raise _Rejected("some vertex set is denser than the stated value")
 
 
 def _verify_report_payload(G, command, top, payload, limits):

@@ -36,6 +36,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
+def _guardrail(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a guardrail is a non-negative integer (got {text!r})")
+    return value
+
+
 def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
     k, l = args.k, args.l
     result = decompose(G, k, l)
@@ -74,7 +84,7 @@ def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
 
 
 def _run_gamma(G: Multigraph, args) -> tuple[int, dict, str]:
-    result = gamma(G, max_n=args.max_n) if args.which == "gamma" else gamma2(G, max_n=args.max_n)
+    result = gamma(G) if args.which == "gamma" else gamma2(G)
     payload = certs.density_payload(args.which, result.value, result.argmax)
     return 0, payload, f"{args.which} = {payload['value']} at X={sorted(result.argmax)}"
 
@@ -186,18 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, *, scans=False):
+    def add_common(p):
         p.add_argument("input", nargs="?", help="graph file ('n m' header, then 'u v' lines)")
         p.add_argument("--batch", metavar="DIR", help="process every *.txt graph in DIR")
         p.add_argument("--out", help="certificate output path (directory in batch mode)")
-        if not scans:
-            # Nothing these commands run enumerates subsets or partitions.
-            p.set_defaults(max_n=None, max_partitions=None)
-            return
-        p.add_argument("--max-n", type=int, default=None, dest="max_n",
-                       help="guardrail for exhaustive subset scans")
-        p.add_argument("--max-partitions", type=int, default=None, dest="max_partitions",
-                       help="guardrail for exhaustive partition scans")
+        # Only check's scans take guardrails.
+        p.set_defaults(max_n=None, max_partitions=None)
 
     p = sub.add_parser("decompose", help="decompose into k sparse classes and l forests")
     p.add_argument("--k", type=int, default=0)
@@ -217,11 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--d", type=_fraction, default=None,
                    help="degree bound for kwz: an integer or an exact fraction p/q")
-    add_common(p, scans=True)
+    p.add_argument("--max-n", type=_guardrail, metavar="N",
+                   help="guardrail for pq-connected: at most the cut steps of 2^N cuts "
+                   "on N vertices, N capped at 22 (default 16)")
+    p.add_argument("--max-partitions", type=_guardrail, metavar="N",
+                   help="guardrail for partition scans: at most N vertices (default 12)")
+    add_common(p)
 
     p = sub.add_parser("gamma", help="fractional density parameters")
     p.add_argument("which", choices=("gamma", "gamma2"))
-    add_common(p, scans=True)
+    add_common(p)
 
     p = sub.add_parser("ndt", help="cover by l forests and 2k+2-l degree-bounded parts")
     p.add_argument("--k", type=int, required=True)

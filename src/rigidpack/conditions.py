@@ -5,13 +5,15 @@ Where the paper or a classical theorem gives a polynomial test, the
 checker runs it at any n: ``cover`` is one (2k,3k) pebble game (the
 paper's cover theorem) and ``tree-packing`` one (l,l) game
 (Nash-Williams and Tutte), each reporting a violator read off the game;
-``pq-connected`` and ``edge_connectivity`` take a Stoer-Wagner minimum cut
-of G - X for each of the few X that need one.  The other checkers scan
-their full quantifier range exhaustively, under the enumeration
-guardrails, and report the first violator in enumeration order together
-with the two sides of the violated inequality.  Those scans run on the
-bitmask kernel of ``enumeration``: one induced-edge table per subset scan,
-one incremental walk per partition scan.
+``gamma`` and ``gamma2`` take a few weighted pebble games, one per guess
+of Dinkelbach's iteration; ``pq-connected`` and ``edge_connectivity``
+take a Stoer-Wagner minimum cut of G - X for each of the few X that need
+one.  The partition checkers scan their full quantifier range
+exhaustively, under the enumeration guardrails, and report the first
+violator in enumeration order together with the two sides of the
+violated inequality; they walk the partitions incrementally on the
+bitmask kernel of ``enumeration``.  Only the library-only
+``essential_edge_connectivity`` still builds a subset table.
 """
 
 from __future__ import annotations
@@ -166,33 +168,41 @@ def check_necessary_condition(
     return ConditionReport("necessary", params, True)
 
 
-def gamma(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
-    """Fractional arboricity: max of i(X) / (|X| - 1) over |X| >= 2,
-    as an exact fraction with the first maximizer in enumeration order."""
-    return _density_max(G, lambda x: x - 1, max_n=max_n)
+# Each density parameter is the max of i(X) / (a|X| - b) over |X| >= 2.
+DENSITY_COUNTS = {"gamma": (1, 1), "gamma2": (2, 3)}
 
 
-def gamma2(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
+def gamma(G: Multigraph) -> GammaResult:
+    """Fractional arboricity: max of i(X) / (|X| - 1) over |X| >= 2, as an
+    exact fraction with a maximizer."""
+    return _density_max(G, *DENSITY_COUNTS["gamma"])
+
+
+def gamma2(G: Multigraph) -> GammaResult:
     """Sparse-cover density: max of i(X) / (2|X| - 3) over |X| >= 2."""
-    return _density_max(G, lambda x: 2 * x - 3, max_n=max_n)
+    return _density_max(G, *DENSITY_COUNTS["gamma2"])
 
 
-def _density_max(G: Multigraph, denominator, *, max_n: int | None) -> GammaResult:
+def denser_set(G: Multigraph, a: int, b: int, value: Fraction) -> frozenset | None:
+    """A vertex set X with i(X) > value (a|X| - b), or None when there is
+    none: with value = p/q, the closure of the first edge that one
+    (ap, bp) pebble game rejects at weight q."""
+    p, q = value.numerator, value.denominator
+    return next((X for _, X in pebble_rejections(G, a * p, b * p, q)), None)
+
+
+def _density_max(G: Multigraph, a: int, b: int) -> GammaResult:
+    # Dinkelbach's iteration: the density of V is a first guess, and each
+    # denser set's density the next, until no set is denser.  The last
+    # set reaches the value.
     if G.n < 2:
         raise GraphInputError("density parameters need at least 2 vertices")
-    check_subset_limit(G.n, max_n)
-    # Per size, the largest count and the last mask reaching it, which is
-    # the lexicographically first set; then the first size in enumeration
-    # order (largest first) whose ratio is the maximum.
-    top = [-1] * (G.n + 1)
-    arg = [0] * (G.n + 1)
-    for mask, count in enumerate(induced_table(G)):
-        size = mask.bit_count()
-        if count >= top[size]:
-            top[size] = count
-            arg[size] = mask
-    best = max(range(G.n, 1, -1), key=lambda x: Fraction(top[x], denominator(x)))
-    return GammaResult(Fraction(top[best], denominator(best)), mask_vertices(G.n, arg[best]))
+    X = frozenset(range(G.n))
+    value = Fraction(G.m, a * G.n - b)
+    while (denser := denser_set(G, a, b, value)) is not None:
+        X = denser
+        value = Fraction(induced_edge_count(G, X), a * len(X) - b)
+    return GammaResult(value, X)
 
 
 def _min_cut(adj: dict[int, dict[int, int]]) -> int:

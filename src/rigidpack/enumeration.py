@@ -1,20 +1,20 @@
-"""Exhaustive enumeration of vertex subsets and set partitions.
+"""The guardrails and the bitmask kernel of the exhaustive scans.
 
-Both enumerators are guarded: subset scans refuse n beyond
-``SUBSET_LIMIT`` and partition scans refuse ground sets beyond
-``PARTITION_LIMIT`` (Bell numbers blow up fast; Bell(12) is about 4.2M).
-Orders are deterministic so that reported witnesses are reproducible.
+Subset scans refuse n beyond ``SUBSET_LIMIT`` and partition scans refuse
+ground sets beyond ``PARTITION_LIMIT`` (Bell numbers blow up fast;
+Bell(12) is about 4.2M).  Orders are deterministic so that reported
+witnesses are reproducible.
 
-The condition checkers do not draw sets one at a time.  They scan with the
-bitmask kernel below, in the same orders: vertex v of an n-vertex graph is
-the bit ``1 << (n - 1 - v)``, so "size descending, lexicographic within a
-size" is the order of ``(popcount, mask)`` descending.  ``induced_table``
-gives i(X) for every mask in one O(2^n) pass (a list of 2^n ints, about
-1 MB at the peak of its build for n = 16); it refuses n above
-``SUBSET_CEILING`` whatever the guardrail says.  ``PartitionWalk`` visits the
-partitions of ``enumerate_partitions`` with counts kept up to date as
-vertices move between blocks, and needs no table.  Only the reported
-witness is turned back into a ``frozenset`` or ``Partition``.
+Vertex v of an n-vertex graph is the bit ``1 << (n - 1 - v)``.
+``PartitionWalk`` visits the partitions of a ground set with counts kept
+up to date as vertices move between blocks, and needs no table; the
+partition conditions run on it.  ``induced_table`` gives i(X) for every
+mask in one O(2^n) pass (a list of 2^n ints, about 1 MB at the peak of
+its build for n = 16) and refuses n above ``SUBSET_CEILING`` whatever the
+guardrail says; only the library-only essential edge connectivity builds
+one.  Only a reported witness is turned back into a ``frozenset`` or
+``Partition``.  The set-at-a-time enumerators the kernel replaced are
+test oracles now.
 """
 
 from __future__ import annotations
@@ -43,75 +43,6 @@ def check_partition_limit(size: int, max_size: int | None) -> None:
         raise LimitExceededError(
             f"partition enumeration is limited to {limit} elements (got {size})"
         )
-
-
-def enumerate_vertex_subsets(
-    G: Multigraph, min_size: int = 0, *, max_n: int | None = None
-) -> Iterator[frozenset]:
-    """All subsets of V(G) with at least ``min_size`` vertices.
-
-    Order: decreasing size, lexicographic within a size, so the whole
-    vertex set comes first.
-    """
-    check_subset_limit(G.n, max_n)
-    verts = range(G.n)
-    for size in range(G.n, min_size - 1, -1):
-        if size < 0:
-            break
-        for combo in itertools.combinations(verts, size):
-            yield frozenset(combo)
-
-
-def _restricted_growth_strings(n: int) -> Iterator[list[int]]:
-    # Lexicographic restricted-growth strings; the yielded list is reused.
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-    b = [1] * n  # b[i] = 1 + max(a[:i]), the largest value allowed at i
-    while True:
-        yield a
-        i = n - 1
-        while i > 0 and a[i] == b[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        nxt = b[i] + 1 if a[i] == b[i] else b[i]
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = nxt
-
-
-def enumerate_partitions(
-    S: Iterable[int], *, max_size: int | None = None
-) -> Iterator[Partition]:
-    """All set partitions of ``S`` in restricted-growth-string order.
-
-    The single-block partition comes first and the all-singletons
-    partition last; blocks are ordered by first appearance.
-    """
-    items = sorted(S)
-    check_partition_limit(len(items), max_size)
-    for rgs in _restricted_growth_strings(len(items)):
-        nblocks = max(rgs) + 1 if rgs else 0
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for item, label in zip(items, rgs):
-            blocks[label].append(item)
-        yield Partition(tuple(frozenset(b) for b in blocks))
-
-
-def bell_number(n: int) -> int:
-    """Number of set partitions of an n-element set (triangle recurrence)."""
-    if n == 0:
-        return 1
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for val in row:
-            nxt.append(nxt[-1] + val)
-        row = nxt
-    return row[-1]
 
 
 # ------------------------------------------------------------ bitmask kernel
@@ -164,30 +95,10 @@ def degree_sum_table(G: Multigraph) -> list[int]:
     return dsum
 
 
-def first_dense_set(
-    G: Multigraph, caps: list[int], *, max_n: int | None = None
-) -> tuple[frozenset, int] | None:
-    """The first X in ``enumerate_vertex_subsets`` order with
-    i(X) > caps[|X|], as (X, i(X)); None when there is none.  Sizes that
-    are not to be scanned take a cap of at least G.m."""
-    check_subset_limit(G.n, max_n)
-    ind = induced_table(G)
-    best = -1
-    for mask, count in enumerate(ind):
-        size = mask.bit_count()
-        if count > caps[size]:
-            key = size << G.n | mask
-            if key > best:
-                best = key
-    if best < 0:
-        return None
-    mask = best & ((1 << G.n) - 1)
-    return mask_vertices(G.n, mask), ind[mask]
-
-
 class PartitionWalk:
-    """The partitions of ``ground`` (a vertex mask of G) in
-    ``enumerate_partitions`` order, one block per first-appearance label.
+    """The partitions of ``ground`` (a vertex mask of G) in lexicographic
+    restricted-growth-string order, one block per first-appearance label:
+    the single block first, the singletons last.
 
     Iterating yields ``(blocks, inside, singletons, touching)`` after each
     partition: its number of blocks, the edges inside blocks, the number of
@@ -290,7 +201,7 @@ class PartitionWalk:
 def first_short_partition(
     G: Multigraph, z: int, slope: int, per_singleton: int, per_touch: int
 ) -> tuple[Partition, int, int] | None:
-    """The first partition pi of V - Z in ``enumerate_partitions`` order with
+    """The first partition pi of V - Z in ``PartitionWalk`` order with
 
         cross_{G-Z}(pi) < slope(|pi| - 1) - per_singleton*n0 - per_touch*nZ
 

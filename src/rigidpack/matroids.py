@@ -15,7 +15,12 @@ The same game with a pebbles per vertex and b + 1 gathered decides the
 (a,b) count matroid for any 0 <= b < 2a: every X spanning an edge induces
 at most a|X| - b (Lee & Streinu, "Pebble game algorithms and sparse
 graphs", 2008).  (2k,3k) is the paper's cover condition for k sparse
-classes, (l,l) Nash-Williams' condition for l forests.
+classes, (l,l) Nash-Williams' condition for l forests.  With every edge
+of weight w, b + w gathered and w spent, ``pebble_rejections`` decides
+any count condition w i(X) <= a|X| - b in integers: the density
+parameters and the kwz degree condition are of that form.  It is a
+separate one-shot game with weighted arcs; ``PebbleGame``, which the
+matroid union keeps live and edits, stays unweighted.
 
 When the pebble game rejects an edge, the set of vertices reachable from
 its endpoints in the current orientation is a certified violator: the
@@ -180,16 +185,79 @@ class PebbleGame:
         return frozenset(x for x in range(self.n) if mark[x] >= since)
 
 
-def pebble_rejections(G: Multigraph, a: int, b: int) -> Iterator[tuple[int, frozenset]]:
-    """Offer G's edges in id order to one (a,b) pebble game, and yield
-    ``(e, X)`` for each rejected edge e, X the reach closure of its
-    endpoints.  The accepted edges fill X to exactly a|X| - b, then and
-    ever after, so G has more than a|X| - b edges inside X.  G is
-    (a,b)-sparse iff nothing is yielded."""
-    game = PebbleGame(G.n, a, b)
+def pebble_rejections(
+    G: Multigraph, a: int, b: int, w: int = 1
+) -> Iterator[tuple[int, frozenset]]:
+    """Offer G's edges in id order, each of weight w, to one (a,b) pebble
+    game, and yield ``(e, X)`` for each rejected edge e, X the reach
+    closure of its endpoints.  An edge is accepted when b + w pebbles can
+    be gathered on its endpoints, and then spends w of them, as w parallel
+    unit edges would.  The accepted edges inside X weigh more than
+    a|X| - b - w, then and ever after, so w times G's edges inside X
+    exceed a|X| - b.  So nothing is yielded iff w i(X) <= a|X| - b for
+    every X spanning an edge.
+
+    Arcs carry multiplicities.  Each pull moves as many pebbles as are
+    wanted, free at the end and carried by every arc of a shortest path
+    from {u, v}, so a large w costs no more searches than w = 1, as in
+    Edmonds and Karp's shortest augmenting paths.  The closure of a
+    rejection, the least set that minimizes a|X| - w i(X) over the
+    accepted edges, does not depend on the orientation."""
+    n = G.n
+    pebbles = [a] * n
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    mark, parent, stamp = [0] * n, list(range(n)), 0
+    need = b + w
     for e, (u, v) in enumerate(G.edges):
-        if not game.try_insert(u, v):
-            yield e, game.last_witness()
+        while (short := need - pebbles[u] - pebbles[v]) > 0:
+            # Breadth-first from both endpoints for a free pebble elsewhere.
+            stamp += 1
+            mark[u] = mark[v] = stamp
+            parent[u], parent[v] = u, v
+            queue, found = [u, v], -1
+            for x in queue:
+                for y in out[x]:
+                    if mark[y] != stamp:
+                        mark[y] = stamp
+                        parent[y] = x
+                        if pebbles[y]:
+                            found = y
+                            break
+                        queue.append(y)
+                if found >= 0:
+                    break
+            if found < 0:
+                yield e, frozenset(queue)
+                break
+            # Walk the path once for its bottleneck t, once to reverse t
+            # units of each arc and move t pebbles to its root.
+            t, y = pebbles[found] if pebbles[found] < short else short, found
+            while (x := parent[y]) != y:
+                c = out[x][y]
+                if c < t:
+                    t = c
+                y = x
+            pebbles[found] -= t
+            pebbles[y] += t
+            y = found
+            while (x := parent[y]) != y:
+                arcs, back = out[x], out[y]
+                if arcs[y] == t:
+                    del arcs[y]
+                else:
+                    arcs[y] -= t
+                back[x] = back.get(x, 0) + t
+                y = x
+        else:
+            # Spend w pebbles, u's first: each turns into one unit of arc
+            # toward the other end.
+            t = pebbles[u] if pebbles[u] < w else w
+            if t:
+                pebbles[u] -= t
+                out[u][v] = out[u].get(v, 0) + t
+            if t < w:
+                pebbles[v] -= w - t
+                out[v][u] = out[v].get(u, 0) + w - t
 
 
 def sparse_independent(G: Multigraph, F: Iterable[int]) -> tuple[bool, frozenset | None]:

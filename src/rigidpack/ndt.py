@@ -12,16 +12,14 @@ legitimately come back empty (a triangle has no such split: the bound is
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .conditions import ConditionReport
-from .enumeration import first_dense_set
 from .errors import GraphInputError
-from .matroids import UnionFind, graphic_independent, sparse_independent
-from .multigraph import Multigraph
+from .matroids import UnionFind, graphic_independent, pebble_rejections, sparse_independent
+from .multigraph import Multigraph, induced_edge_count
 from .union import decompose_sparse, union_rank
 
 
@@ -44,14 +42,15 @@ def degree_bound_floor(n: int) -> int:
     return max(0, (2 * n - 5) // 3)
 
 
-def check_kwz_condition(
-    G: Multigraph, k: int, d, *, max_n: int | None = None
-) -> ConditionReport:
+def check_kwz_condition(G: Multigraph, k: int, d) -> ConditionReport:
     """Does every nonempty X satisfy
     (k+1)(k+d)|X| - (k+d+1) i(X) - k^2 >= 0?
 
     ``d`` may be an integer or an exact fraction; the hypothesis requires
-    d >= k + 1.
+    d >= k + 1.  With d = r/s the condition reads
+    (sk+r+s) i(X) <= (k+1)(sk+r)|X| - sk^2, which every X without an edge
+    meets, so one pebble game at weight sk+r+s decides it; a failure's
+    witness is the closure of the first rejected edge.
     """
     if k < 0:
         raise GraphInputError("need k >= 0")
@@ -59,15 +58,9 @@ def check_kwz_condition(
     if d < k + 1:
         raise GraphInputError(f"the degree bound requires d >= k + 1 (got d={d}, k={k})")
     params = {"k": k, "d": str(d)}
-    # lhs < 0 exactly when i(X) exceeds the floor of
-    # ((k+1)(k+d)|X| - k^2) / (k+d+1), the denominator being positive.
-    caps = [G.m] + [
-        math.floor(((k + 1) * (k + d) * x - k * k) / (k + d + 1)) for x in range(1, G.n + 1)
-    ]
-    found = first_dense_set(G, caps, max_n=max_n)
-    if found is not None:
-        X, count = found
-        lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * count - k * k
+    r, s = d.numerator, d.denominator
+    for _, X in pebble_rejections(G, (k + 1) * (s * k + r), s * k * k, s * k + r + s):
+        lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
         return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
     return ConditionReport("kwz", params, True)
 

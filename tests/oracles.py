@@ -6,7 +6,10 @@ The main implementation is tested against these, so they must not share
 code paths with it.  The exceptions at the end, ``union_rank_reference``,
 ``reach_closure``, ``circuit_by_delete_and_retry``, the ``*_reference``
 condition scans and the ``*_bruteforce`` scans, are regression oracles
-rather than definitional ones.
+rather than definitional ones.  So are the guarded enumerators at the
+start, ``enumerate_vertex_subsets``, ``enumerate_partitions`` and
+``bell_number``: the reference scans draw from them, in the orders the
+library's bitmask kernel must match.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from rigidpack import (
     GraphInputError,
@@ -25,7 +28,7 @@ from rigidpack import (
     Partition,
 )
 from rigidpack.conditions import ConditionReport, GammaResult
-from rigidpack.enumeration import SUBSET_LIMIT, enumerate_partitions, enumerate_vertex_subsets
+from rigidpack.enumeration import SUBSET_LIMIT, check_partition_limit, check_subset_limit
 from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
 from rigidpack.multigraph import (
     adjacent_number,
@@ -36,6 +39,75 @@ from rigidpack.multigraph import (
 from rigidpack.ndt import degree_bound_floor
 from rigidpack.packing import Packing
 from rigidpack.union import Decomposition, UnionRank, union_rank
+
+
+def enumerate_vertex_subsets(
+    G: Multigraph, min_size: int = 0, *, max_n: int | None = None
+) -> Iterator[frozenset]:
+    """All subsets of V(G) with at least ``min_size`` vertices.
+
+    Order: decreasing size, lexicographic within a size, so the whole
+    vertex set comes first.
+    """
+    check_subset_limit(G.n, max_n)
+    verts = range(G.n)
+    for size in range(G.n, min_size - 1, -1):
+        if size < 0:
+            break
+        for combo in itertools.combinations(verts, size):
+            yield frozenset(combo)
+
+
+def _restricted_growth_strings(n: int) -> Iterator[list[int]]:
+    # Lexicographic restricted-growth strings; the yielded list is reused.
+    if n == 0:
+        yield []
+        return
+    a = [0] * n
+    b = [1] * n  # b[i] = 1 + max(a[:i]), the largest value allowed at i
+    while True:
+        yield a
+        i = n - 1
+        while i > 0 and a[i] == b[i]:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        nxt = b[i] + 1 if a[i] == b[i] else b[i]
+        for j in range(i + 1, n):
+            a[j] = 0
+            b[j] = nxt
+
+
+def enumerate_partitions(
+    S: Iterable[int], *, max_size: int | None = None
+) -> Iterator[Partition]:
+    """All set partitions of ``S`` in restricted-growth-string order.
+
+    The single-block partition comes first and the all-singletons
+    partition last; blocks are ordered by first appearance.
+    """
+    items = sorted(S)
+    check_partition_limit(len(items), max_size)
+    for rgs in _restricted_growth_strings(len(items)):
+        nblocks = max(rgs) + 1 if rgs else 0
+        blocks: list[list[int]] = [[] for _ in range(nblocks)]
+        for item, label in zip(items, rgs):
+            blocks[label].append(item)
+        yield Partition(tuple(frozenset(b) for b in blocks))
+
+
+def bell_number(n: int) -> int:
+    """Number of set partitions of an n-element set (triangle recurrence)."""
+    if n == 0:
+        return 1
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for val in row:
+            nxt.append(nxt[-1] + val)
+        row = nxt
+    return row[-1]
 
 
 def iter_subsets(items, min_size=0):
@@ -88,12 +160,12 @@ def sparse_by_def(G, F):
     )
 
 
-def count_sparse_def(G, F, a, b):
+def count_sparse_def(G, F, a, b, w=1):
     """(a,b)-sparse: every vertex set X that spans an edge of F spans at
-    most a|X| - b of them."""
+    most a|X| - b of them, each of weight w."""
     for X in iter_subsets(range(G.n), 2):
         count = induced(G, F, X)
-        if count and count > a * len(X) - b:
+        if count and w * count > a * len(X) - b:
             return False
     return True
 

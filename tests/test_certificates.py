@@ -17,6 +17,7 @@ from rigidpack.certificates import (
     build_certificate,
     certificate_hash,
     decomposition_payload,
+    density_payload,
     graph_hash,
     load_certificate,
     report_payload,
@@ -29,6 +30,7 @@ from rigidpack.ndt import ndt_decompose
 from rigidpack.union import decompose_sparse
 
 import corpus
+import oracles
 
 
 def test_graph_hash_ignores_endpoint_order_but_not_edge_order():
@@ -142,7 +144,7 @@ CLI_CASES = (
     ("k4", "ndt --k 0 --l 2"),
     ("tri", "ndt --k 0 --l 1"),
     ("tri", "gamma gamma2"),
-    ("k4", "gamma gamma --max-n 6"),
+    ("k4", "gamma gamma"),
     ("k4", "check cover --k 2"),
     ("k4", "check cover --k 2 --max-n 6"),
     ("k4", "check cover --k 1"),
@@ -304,7 +306,7 @@ def test_top_level_claim_is_bound_to_the_payload():
 
     # a decompose certificate carrying a density payload
     G, cert = _cert("k4: decompose --k 2")
-    _, density = _cert("k4: gamma gamma --max-n 6")
+    _, density = _cert("k4: gamma gamma")
     cert["payload"] = density["payload"]
     cert["cert_hash"] = certificate_hash(cert)
     assert not verify_certificate(cert, G)[0]
@@ -629,3 +631,47 @@ def test_density_certificate_round_trip():
     assert verify_certificate(cert, G) == (True, None)
     assert cert["payload"]["value"] == "1/1"
     assert cert["payload"]["argmax"] == [0, 1, 2]
+
+
+# A density certificate written when the argmax was the first maximizer in
+# subset enumeration order; the pebble-game iteration now stops at {0, 1}.
+EARLIER_DENSITY = (
+    Multigraph(5, ((0, 1), (0, 2), (0, 3), (1, 3), (2, 4), (3, 4))),
+    {"cert_hash": "63135dca99ae3093b60ea4bb85974df7ae4510a05b940283a063bf8f29b4bfa1",
+     "command": "gamma",
+     "created": "2026-10-18T16:19:27.238222+00:00",
+     "graph_hash": "4ea4ec286d144a8412766d3fe6734dd36d9d755290a361ba27141248563a9b9f",
+     "parameters": {"which": "gamma2"},
+     "payload": {"argmax": [0, 1, 3], "kind": "density", "value": "1/1", "which": "gamma2"},
+     "schema": "rigidpack-cert/2",
+     "verified": True},
+)
+
+
+def test_density_certificates_accept_any_maximizer():
+    G, cert = EARLIER_DENSITY
+    assert gamma2(G).argmax == {0, 1}
+    assert verify_certificate(cert, G) == (True, None)
+    # Not a maximizer: {0, 1, 2} holds two edges, 2/3 < 1.
+    bad = _rehashed(cert, ("payload", "argmax"), [0, 1, 2])
+    assert verify_certificate(bad, G) == (False, "argmax does not achieve the stated value")
+    # A value below the maximum that a set reaches: {0, 1, 2} again.
+    bad["payload"]["value"] = "2/3"
+    bad["cert_hash"] = certificate_hash(bad)
+    assert verify_certificate(bad, G) == (
+        False, "some vertex set is denser than the stated value")
+    # The value is a canonical "p/q" string.
+    for value in ("1", "2/2", 1):
+        bad = _rehashed(cert, ("payload", "value"), value)
+        assert verify_certificate(bad, G)[1].startswith("malformed certificate"), value
+
+
+@settings(max_examples=60, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=8).filter(lambda G: G.n >= 2))
+def test_first_maximizer_density_certificates_verify(G):
+    # Every maximizer is accepted, the scan's first one included.
+    for which, reference in (("gamma", oracles.gamma_reference),
+                             ("gamma2", oracles.gamma2_reference)):
+        cert = build_certificate("gamma", {"which": which}, G,
+                                 density_payload(which, *reference(G)))
+        assert verify_certificate(cert, G) == (True, None)

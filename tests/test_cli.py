@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpack import Multigraph, format_graph
+from rigidpack import Multigraph, format_graph, induced_edge_count, random_multigraph
 from rigidpack.certificates import certificate_hash
 from rigidpack.cli import build_parser, main
 
@@ -109,8 +111,10 @@ def test_input_file_after_the_options(k4_file, triangle_file, tmp_path, capsys):
         (["check", "cover", str(k4_file), "--k", "1"], ["check", "cover", "--k", "1", str(k4_file)]),
         (["check", "kwz", str(triangle_file), "--k", "1", "--d", "2"],
          ["check", "kwz", "--k", "1", "--d", "2", str(triangle_file)]),
-        (["gamma", "gamma2", str(triangle_file), "--max-n", "5"],
-         ["gamma", "gamma2", "--max-n", "5", str(triangle_file)]),
+        (["check", "necessary", str(triangle_file), "--k", "1", "--l", "0",
+          "--max-partitions", "5"],
+         ["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "5",
+          str(triangle_file)]),
         (["gamma", "gamma", str(k4_file)], ["gamma", "gamma", str(k4_file)]),
     ):
         outs = []
@@ -126,7 +130,7 @@ def test_input_file_after_the_options(k4_file, triangle_file, tmp_path, capsys):
     for argv in (
         ["check", "cover", "--k", "1", str(k4_file), str(k4_file)],
         ["check", "cover", str(k4_file), "--k", "1", str(k4_file)],
-        ["gamma", "gamma2", "--max-n", "5", str(k4_file), "extra"],
+        ["gamma", "gamma2", "--out", str(tmp_path / "stray.json"), str(k4_file), "extra"],
         ["gamma", "gamma2", str(k4_file), "extra"],
         ["check", "cover", "--k", "1", "--bogus", str(k4_file)],
         ["decompose", "--k", "1", str(k4_file), "extra"],
@@ -152,26 +156,38 @@ def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
 
 
 def test_parameter_guardrail_exit(tmp_path):
-    # kwz still scans every vertex subset (cover runs a pebble game and
-    # answers at any n).
+    # necessary still walks every partition (kwz and cover run a pebble
+    # game and answer at any n).  A path fails at its second partition.
     big = tmp_path / "big.txt"
-    big.write_text(format_graph(corpus.path(17)))
-    argv = ["check", "kwz", str(big), "--k", "1", "--d", "2"]
+    big.write_text(format_graph(corpus.path(13)))
+    argv = ["check", "necessary", str(big), "--k", "1", "--l", "0"]
     assert main(argv) == 3
-    assert main(argv + ["--max-n", "17"]) == 0
+    assert main(argv + ["--max-partitions", "13"]) == 1
+    assert main(["check", "kwz", str(big), "--k", "1", "--d", "2"]) == 0
+
+
+def test_negative_guardrails_are_input_errors(k4_file, capsys):
+    for argv in (["check", "pq-connected", "--p", "3", "--q", "1", "--max-n", "-5"],
+                 ["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "-1"],
+                 ["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "x"]):
+        assert main(argv + [str(k4_file)]) == 2, argv
+        assert "a guardrail is a non-negative integer" in capsys.readouterr().err
+    # Zero is a guardrail like any other: it refuses every scan.
+    assert main(["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "0",
+                 str(k4_file)]) == 3
 
 
 def test_guardrail_flags_only_on_scanning_commands(k4_file, tmp_path):
-    # decompose, pack and ndt scan nothing, so they take no guardrail, and
-    # certificates record none.
+    # decompose, pack, ndt and gamma scan nothing, so they take no
+    # guardrail, and certificates record none.
     for argv in (["decompose", "--k", "1"], ["pack", "--k", "0", "--l", "1"],
-                 ["ndt", "--k", "0", "--l", "1"]):
+                 ["ndt", "--k", "0", "--l", "1"], ["gamma", "gamma"], ["gamma", "gamma2"]):
         for flag in ("--max-n", "--max-partitions"):
             assert main(argv + [str(k4_file), flag, "5"]) == 2, (argv, flag)
     out = tmp_path / "cert.json"
     for argv in (["check", "cover", "--k", "2", "--max-n", "5"],
                  ["check", "parthm", "--k", "1", "--l", "0", "--max-partitions", "5"],
-                 ["gamma", "gamma", "--max-n", "5"]):
+                 ["gamma", "gamma"]):
         assert main(argv + [str(k4_file), "--out", str(out)]) in (0, 1), argv
         payload = json.loads(out.read_text())["payload"]
         assert not {"max_n", "max_partitions"} & (set(payload) | set(
@@ -377,9 +393,10 @@ def test_batch_mode(tmp_path, capsys):
 def test_repeated_main_calls_keep_no_parser_state(k4_file, tmp_path):
     # A guardrail raised in one call is not raised in the next.
     big = tmp_path / "big.txt"
-    big.write_text(format_graph(corpus.path(17)))
-    assert main(["gamma", "gamma", str(big), "--max-n", "17"]) == 0
-    assert main(["gamma", "gamma", str(big)]) == 3
+    big.write_text(format_graph(corpus.path(13)))
+    argv = ["check", "necessary", str(big), "--k", "1", "--l", "0"]
+    assert main(argv + ["--max-partitions", "13"]) == 1
+    assert main(argv) == 3
 
     assert main(["decompose", str(k4_file), "--k", "two"]) == 2
     assert main(["decompose", str(k4_file), "--k", "1"]) == 1
@@ -513,4 +530,43 @@ def test_polynomial_checks_certify_at_n_40(tmp_path, capsys):
         witness = json.loads(out.read_text())["payload"]["witness"]
         assert code == (0 if witness_kind is None else 1), argv
         assert (witness or {}).get("kind") == witness_kind, argv
+    capsys.readouterr()
+
+
+def test_density_certificates_verify_at_n_40(tmp_path, capsys):
+    # One pebble game at the stated value re-checks a density at any n.  An
+    # argmax less one vertex still verifies exactly when the smaller set
+    # reaches the value: in a Laman graph, dropping a vertex of degree 2.
+    for name, G in (("random", random_multigraph(40, 130, 1, seed=0)),
+                    ("laman", corpus.random_sparse_graph(40, seed=3))):
+        gfile, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.json"
+        gfile.write_text(format_graph(G))
+        assert main(["gamma", "gamma2", str(gfile), "--out", str(out)]) == 0
+        assert main(["verify", str(out), str(gfile)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        value, argmax = Fraction(payload["value"]), payload["argmax"]
+        codes = set()
+        for v in argmax:
+            X = [x for x in argmax if x != v]
+            reaches = len(X) >= 2 and Fraction(induced_edge_count(G, X), 2 * len(X) - 3) == value
+            bad = _rehashed_file(out, lambda cert: cert["payload"].__setitem__("argmax", X),
+                                 tmp_path)
+            code = main(["verify", str(bad), str(gfile)])
+            assert code == (0 if reaches else 1), (name, v)
+            codes.add(code)
+        assert 1 in codes and (name == "random" or 0 in codes), name
+    capsys.readouterr()
+
+
+def test_kwz_with_a_huge_degree_bound_answers_at_once(tmp_path, capsys):
+    # d = 1000000007/1000000 weighs each edge about 10^9 pebbles; a pull
+    # moves as many as its path carries, so the game takes no longer.
+    gfile, out = tmp_path / "g200.txt", tmp_path / "kwz.json"
+    gfile.write_text(format_graph(random_multigraph(200, 900, 2, seed=1)))
+    start = time.perf_counter()
+    code = main(["check", "kwz", str(gfile), "--k", "1", "--d", "1000000007/1000000",
+                 "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1)
+    assert main(["verify", str(out), str(gfile)]) == 0
     capsys.readouterr()

@@ -9,6 +9,7 @@ from rigidpack import (
     Multigraph,
     Partition,
     check_cover_condition,
+    check_kwz_condition,
     check_necessary_condition,
     check_parthm_condition,
     check_tree_packing_condition,
@@ -180,13 +181,18 @@ def test_forest_count_matches_gamma_ceiling():
 
 
 @settings(max_examples=100, deadline=None)
-@given(G=corpus.small_multigraphs(max_n=9), k=st.integers(0, 3), l=st.integers(1, 3))
-def test_polynomial_checks_match_definitions_up_to_n_9(G, k, l):
-    # cover and tree-packing are pebble games, pq-connected and edge
-    # connectivity minimum cuts; each failure's witness passes the
-    # verifier's counting check.
+@given(G=corpus.small_multigraphs(max_n=9), k=st.integers(0, 3), l=st.integers(1, 3),
+       extra=st.fractions(0, 4, max_denominator=7))
+def test_polynomial_checks_match_definitions_up_to_n_9(G, k, l, extra):
+    # cover, tree-packing and kwz (at a fractional d) are pebble games,
+    # gamma and gamma2 a few, pq-connected and edge connectivity minimum
+    # cuts; each failure's witness passes the verifier's counting check,
+    # and each density's argmax reaches its value.
+    kwz = (check_kwz_condition(G, k, k + 1 + extra),
+           oracles.check_kwz_condition_reference(G, k, k + 1 + extra).holds)
     for report, holds in ((check_cover_condition(G, k), oracles.sparse_cover_def(G, k)),
-                          (check_tree_packing_condition(G, l), oracles.tree_packing_def(G, l))):
+                          (check_tree_packing_condition(G, l), oracles.tree_packing_def(G, l)),
+                          kwz):
         assert report.holds == holds, report
         if not holds:
             check = CONDITIONS[report.condition].violated[report.witness_kind]
@@ -195,3 +201,12 @@ def test_polynomial_checks_match_definitions_up_to_n_9(G, k, l):
     for p, q in ((l, 1), (4, 2), (2 * l + 1, 2)):
         assert is_pq_connected(G, p, q) == oracles.pq_connected_def(G, p, q), (p, q)
     assert edge_connectivity(G) == oracles.edge_conn_within_def(G, range(G.n))
+    for density, reference, denominator in (
+        (gamma, oracles.gamma_reference, lambda x: x - 1),
+        (gamma2, oracles.gamma2_reference, lambda x: 2 * x - 3),
+    ):
+        if G.n >= 2:
+            value, X = density(G)
+            assert value == reference(G).value
+            assert len(X) >= 2
+            assert Fraction(oracles.induced(G, range(G.m), X), denominator(len(X))) == value

@@ -1,12 +1,8 @@
 import pytest
 
-from rigidpack import (
-    LimitExceededError,
-    Multigraph,
-    bell_number,
-    enumerate_partitions,
-    enumerate_vertex_subsets,
-)
+from rigidpack import LimitExceededError, Multigraph
+
+from oracles import bell_number, enumerate_partitions, enumerate_vertex_subsets
 
 
 def test_subset_counts():

@@ -233,7 +233,7 @@ def test_ab_pebble_game_matches_the_count_definition(G, a, data):
     # accepted edges are removed and the rejected ones offered again.
     b = data.draw(st.integers(0, 2 * a - 1), label="b")
     game = PebbleGame(G.n, a, b)
-    accepted, rejected = [], []
+    accepted, rejected, closures = [], [], []
 
     def offer(e):
         u, v = G.edges[e]
@@ -246,10 +246,13 @@ def test_ab_pebble_game_matches_the_count_definition(G, a, data):
         assert u in X and v in X
         assert oracles.induced(G, accepted + [e], X) > a * len(X) - b
         rejected.append(e)
+        closures.append((e, X))
 
     for e in range(G.m):
         offer(e)
-    assert [e for e, _ in pebble_rejections(G, a, b)] == rejected
+    # The one-shot game's breadth-first pulls orient the edges otherwise,
+    # but a closure does not depend on the orientation.
+    assert list(pebble_rejections(G, a, b)) == closures
     for e in data.draw(st.permutations(accepted), label="removals")[: len(accepted) // 2]:
         game.remove(*G.edges[e])
         accepted.remove(e)
@@ -272,3 +275,28 @@ def test_ab_pebble_game_range():
     triangle = [(0, 1), (1, 2), (0, 2)]
     assert [e for e, _ in pebble_rejections(Multigraph(3, tuple(triangle)), 1, 1)] == [2]
     assert list(pebble_rejections(Multigraph(3, tuple(triangle)), 1, 0)) == []
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(G=corpus.small_multigraphs(max_n=7), a=st.integers(0, 6), b=st.integers(0, 12),
+       w=st.integers(1, 4))
+def test_weighted_game_matches_the_weighted_count_definition(G, a, b, w):
+    # Whatever a, b and w, an edge is accepted iff the accepted edges stay
+    # within w i(X) <= a|X| - b with it, and each rejection's closure holds
+    # its endpoints and more than a|X| - b weight of the accepted edges
+    # plus the rejected one.
+    rejections = list(pebble_rejections(G, a, b, w))
+    closures = dict(rejections)
+    accepted = []
+    for e in range(G.m):
+        if oracles.count_sparse_def(G, accepted + [e], a, b, w):
+            assert e not in closures, (e, a, b, w)
+            accepted.append(e)
+            continue
+        X = closures[e]
+        assert set(G.edges[e]) <= X
+        assert w * oracles.induced(G, accepted + [e], X) > a * len(X) - b
+    # Scaled by about 10^9, the game moves as many pebbles per pull and
+    # gives the same answer.
+    big = 10**9 + 7
+    assert list(pebble_rejections(G, a * big, b * big, w * big)) == rejections

@@ -113,7 +113,7 @@ def test_adjacent_number_rejects_overlap():
 
 def test_adjacent_number_monotone_under_refinement():
     # Merging two blocks of any partition can only lower the adjacent number.
-    from rigidpack.enumeration import enumerate_partitions
+    from oracles import enumerate_partitions
 
     for G in corpus.random_corpus(15, seed=5, n_range=(3, 5)):
         Z = frozenset({0})
@@ -129,7 +129,7 @@ def test_adjacent_number_monotone_under_refinement():
 def test_induced_count_bounded_by_multiplicity():
     from math import comb
 
-    from rigidpack.enumeration import enumerate_vertex_subsets
+    from oracles import enumerate_vertex_subsets
 
     for G in corpus.random_corpus(20, seed=7, n_range=(2, 5), mult_max=3):
         mult = G.multiplicity()
@@ -138,7 +138,7 @@ def test_induced_count_bounded_by_multiplicity():
 
 
 def test_cross_plus_induced_identity():
-    from rigidpack.enumeration import enumerate_partitions
+    from oracles import enumerate_partitions
 
     for G in corpus.random_corpus(20, seed=6, n_range=(2, 5)):
         for pi in enumerate_partitions(G.vertices()):

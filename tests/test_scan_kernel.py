@@ -1,18 +1,20 @@
 """The bitmask scan kernel against the frozenset scans it replaced.
 
 Every condition checker that still scans must return the same whole report
-as its ``oracles.*_reference`` copy (verdict, witness, both sides, argmax)
-and refuse at the same point with the same message.  The checkers that no
-longer scan (cover, tree-packing, pq-connected, edge connectivity, and the
-cover failures of ``decompose``) must give the reference's verdict wherever
-the reference answers, refuse nothing it answered, and report failure
-witnesses that pass the verifier's counting check.
+as its ``oracles.*_reference`` copy (verdict, witness, both sides) and
+refuse at the same point with the same message.  The checkers that no
+longer scan (cover, tree-packing, kwz, gamma, gamma2, pq-connected, edge
+connectivity, and the cover failures of ``decompose``) must give the
+reference's verdict or value wherever the reference answers, refuse
+nothing it answered, and report failure witnesses that pass the
+verifier's counting check and maximizers that reach the value.
 """
 
 import itertools
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +30,11 @@ from rigidpack import (
     check_tree_packing_condition,
     cross_edge_count,
     edge_connectivity,
-    enumerate_partitions,
-    enumerate_vertex_subsets,
     essential_edge_connectivity,
     format_graph,
     gamma,
     gamma2,
+    induced_edge_count,
     is_bracket_partition_connected,
     is_pq_connected,
     pack_spanning_trees,
@@ -47,6 +48,7 @@ from rigidpack.enumeration import PartitionWalk, induced_table, mask_vertices
 
 import corpus
 import oracles
+from oracles import enumerate_partitions, enumerate_vertex_subsets
 
 
 def outcome(fn, *args, **kwargs):
@@ -58,11 +60,6 @@ def outcome(fn, *args, **kwargs):
 
 def subset_scans(G, max_n):
     """(kernel call, reference call) pairs of every subset scan on G."""
-    for k, d in ((0, 1), (0, Fraction(5, 2)), (1, 2), (1, Fraction(7, 3)), (1, 3),
-                 (2, Fraction(10, 3))):
-        yield (check_kwz_condition, oracles.check_kwz_condition_reference, (G, k, d))
-    yield (gamma, oracles.gamma_reference, (G,))
-    yield (gamma2, oracles.gamma2_reference, (G,))
     yield (essential_edge_connectivity, oracles.essential_edge_connectivity_reference, (G,))
 
 
@@ -117,6 +114,24 @@ def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
         report = count_condition_report(G, name, params, a, b)
         assert report.holds == (union_rank(G, k, l).rank == G.m), (name, params)
         assert_witness_violates(G, report)
+    for k, d in ((0, 1), (0, Fraction(5, 2)), (1, 2), (1, Fraction(7, 3)), (1, 3),
+                 (2, Fraction(10, 3))):
+        agree(check_kwz_condition(G, k, d),
+              outcome(oracles.check_kwz_condition_reference, G, k, d, max_n=max_n))
+    for density, ref, denominator in ((gamma, oracles.gamma_reference, lambda x: x - 1),
+                                      (gamma2, oracles.gamma2_reference, lambda x: 2 * x - 3)):
+        new = outcome(density, G)
+        expected = outcome(ref, G, max_n=max_n)
+        if expected[0] == "value":
+            assert new[0] == "value" and new[1].value == expected[1].value, (new, expected)
+        elif new[0] == "value":
+            assert expected[0] is rigidpack.LimitExceededError
+        else:
+            assert new == expected
+        if new[0] == "value":
+            X = new[1].argmax
+            assert len(X) >= 2
+            assert Fraction(induced_edge_count(G, X), denominator(len(X))) == new[1].value
     for p, q in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (2, 3)):
         new = outcome(is_pq_connected, G, p, q, max_n=max_n)
         ref = outcome(oracles.is_pq_connected_reference, G, p, q, max_n=max_n)
@@ -261,7 +276,12 @@ def _forbid(monkeypatch, *names):
 
 
 def test_check_and_gamma_runs_call_no_enumerator(tmp_path, monkeypatch):
-    calls = _forbid(monkeypatch, "enumerate_vertex_subsets", "enumerate_partitions")
+    # The set-at-a-time enumerators live only in the oracles, and no check
+    # or gamma run builds a subset table.
+    for name in ("enumerate_vertex_subsets", "enumerate_partitions", "bell_number",
+                 "first_dense_set"):
+        assert not hasattr(enumeration, name) and not hasattr(rigidpack, name), name
+    calls = _forbid(monkeypatch, "induced_table")
     runs = {
         "k4.txt": (corpus.k4(), [
             (["check", "cover", "--k", "1"], 1), (["check", "cover", "--k", "2"], 0),
@@ -298,8 +318,8 @@ def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
 
     for module in (enumeration, rigidpack.conditions):
         monkeypatch.setattr(module, "induced_table", counting)
-    # A failing decompose, cover and pq-connected answer at n = 17 with no
-    # table: a pebble game and minimum cuts, not a scan.
+    # A failing decompose, cover, pq-connected, kwz and gamma answer at
+    # n = 17 with no table: pebble games and minimum cuts, not a scan.
     doubled_path = Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2))
     gfile = tmp_path / "dp17.txt"
     gfile.write_text(format_graph(doubled_path))
@@ -307,9 +327,10 @@ def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
     assert "witness X=[0, 1]" in capsys.readouterr().out
     assert main(["check", "cover", str(gfile), "--k", "1"]) == 1
     assert main(["check", "pq-connected", str(gfile), "--p", "1", "--q", "1"]) == 0
-    for argv in (["check", "kwz", "--k", "1", "--d", "2"], ["gamma", "gamma"]):
-        assert main(_with_input(argv, gfile)) == 3
-        assert "limited to n <= 16 vertices (got n=17)" in capsys.readouterr().err
+    # kwz fails on V, 6*17 - 4*32 - 1 < 0; every subpath has density 2.
+    for argv, code in ((["check", "kwz", "--k", "1", "--d", "2"], 1), (["gamma", "gamma"], 0)):
+        assert main(_with_input(argv, gfile)) == code, argv
+    assert "gamma = 2/1" in capsys.readouterr().out
     # pq-connected counts cut steps: the 18 cuts of |X| <= 1 on 17 vertices
     # already take more than 2^7 cuts on 7 vertices.
     assert main(["check", "pq-connected", str(gfile), "--p", "3", "--q", "1",
@@ -317,9 +338,10 @@ def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
     assert "limited to the cut steps of 2^7 cuts on 7 vertices (got at least 18 cuts" in (
         capsys.readouterr().err)
     assert built == []
-    # The tables do get built below the guardrail.
-    assert main(["gamma", "gamma", str(gfile), "--max-n", "17"]) == 0
-    assert built and set(built) == {17}
+    # The library's essential edge connectivity still builds one below its
+    # guardrail.
+    essential_edge_connectivity(doubled_path, max_n=17)
+    assert built == [17]
 
 
 def test_subset_ceiling_refuses_a_raised_guardrail(tmp_path, capsys):
@@ -327,10 +349,13 @@ def test_subset_ceiling_refuses_a_raised_guardrail(tmp_path, capsys):
     gfile.write_text(format_graph(corpus.path(23)))
     tracemalloc.start()
     try:
+        # Only essential edge connectivity builds a table, and not above
+        # the ceiling, whatever its guardrail says.
+        with pytest.raises(rigidpack.LimitExceededError, match="limited to n <= 22 vertices"):
+            essential_edge_connectivity(corpus.path(23), max_n=40)
+        # kwz, gamma2, cover and pq-connected build no table at all.
         for argv in (["check", "kwz", "--k", "1", "--d", "2"], ["gamma", "gamma2"]):
-            assert main(_with_input(argv, gfile) + ["--max-n", "40"]) == 3, argv
-            assert "limited to n <= 22 vertices" in capsys.readouterr().err
-        # cover and pq-connected build no table at all.
+            assert main(_with_input(argv, gfile)) == 0, argv
         for argv in (["check", "cover", "--k", "1"], ["check", "pq-connected", "--p", "2",
                                                       "--q", "1"]):
             assert main(_with_input(argv, gfile) + ["--max-n", "40"]) in (0, 1), argv

@@ -24,7 +24,7 @@ from rigidpack import (
     union_rank,
     verify_decomposition,
 )
-from rigidpack.matroids import PebbleGame
+from rigidpack.matroids import PebbleGame, pebble_rejections
 
 import corpus
 import oracles
@@ -388,3 +388,16 @@ def test_union_bound_is_tight_at_the_closed_set_and_sound_everywhere(case):
     ur = union_rank(G, k, l)
     assert _union_bound(G, k, l, ur.closed) == ur.rank == rank
     assert _union_bound(G, k, l, F) >= rank
+
+
+def test_the_count_game_never_decides_the_union():
+    # The 4-cycle with every edge doubled is (3,4)-sparse, the count
+    # condition (2k+l, 3k+l) at k = l = 1, so that game rejects nothing.
+    # But a sparse class takes at most one copy of each pair and a forest
+    # at most 3 edges, so the union of one of each has rank 7 < 8.  The
+    # count game must never decide packing or union-cover.
+    G = Multigraph(4, tuple(e for e in corpus.cycle(4).edges for _ in range(2)))
+    assert list(pebble_rejections(G, 3, 4)) == []
+    assert union_rank(G, 1, 1).rank == 7
+    report = union_mod.decompose(G, 1, 1)
+    assert isinstance(report, ConditionReport) and report.condition == "union-cover"
