@@ -382,7 +382,7 @@ def verify_certificate(
         if command not in commands:
             return False, f"command {command!r} gives no {kind} payload"
         if command in _FAILURES:
-            _check_k_l(command, top)
+            _check_k_l(command, top, G)
         verify(G, command, top, payload, (max_n, max_partitions))
         return True, None
     except _Rejected as exc:
@@ -399,11 +399,13 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _check_k_l(command, top):
+def _check_k_l(command, top, G):
     k, l = top.get("k"), top.get("l")
     if set(top) != {"k", "l"} or type(k) is not int or type(l) is not int:
         raise _Rejected("top-level parameters must be the integers k and l")
-    if min(k, l) < 0 or k + l < 1 or (command == "ndt" and not k + 1 <= l <= 2 * k + 2):
+    # ndt also needs k <= m, as its producer does.
+    ndt_range = k + 1 <= l <= 2 * k + 2 and k <= G.m
+    if min(k, l) < 0 or k + l < 1 or (command == "ndt" and not ndt_range):
         raise _Rejected(f"k={k}, l={l} is outside the range of {command}")
 
 

@@ -168,7 +168,7 @@ def _capped_forest(H: Multigraph, S: list, head: dict, cap: list) -> frozenset |
 def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionReport:
     """Cover a connected graph by l forests and 2k+2-l degree-bounded parts.
 
-    Requires k >= 0 and k+1 <= l <= 2k+2.  Returns a ConditionReport when
+    Requires 0 <= k <= m and k+1 <= l <= 2k+2.  Returns a ConditionReport when
     the sparse-cover density exceeds k+1 (with a violating vertex set), or
     when a class admits no forest-plus-bounded split (possible only below
     the n >= 6 guarantee).
@@ -177,6 +177,8 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
         raise GraphInputError("need k >= 0")
     if not (k + 1 <= l <= 2 * k + 2):
         raise GraphInputError(f"need k + 1 <= l <= 2k + 2 (got k={k}, l={l})")
+    if k > G.m:
+        raise GraphInputError(f"need k <= m = {G.m}: every sparse class past the m-th is empty")
     result = decompose_sparse(G, k + 1)
     if isinstance(result, ConditionReport):
         return result

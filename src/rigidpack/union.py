@@ -54,14 +54,19 @@ class Decomposition:
     l: int
     assignment: tuple[int, ...]
 
-    def color_class(self, color: int) -> frozenset:
-        return frozenset(e for e, c in enumerate(self.assignment) if c == color)
+    def _classes(self, first: int, count: int) -> tuple[frozenset, ...]:
+        # Colours first..first+count-1, grouped in one pass.
+        groups: list[list[int]] = [[] for _ in range(count)]
+        for e, c in enumerate(self.assignment):
+            if 0 <= c - first < count:
+                groups[c - first].append(e)
+        return tuple(map(frozenset, groups))
 
     def sparse_classes(self) -> tuple[frozenset, ...]:
-        return tuple(self.color_class(j) for j in range(1, self.k + 1))
+        return self._classes(1, self.k)
 
     def forest_classes(self) -> tuple[frozenset, ...]:
-        return tuple(self.color_class(j) for j in range(self.k + 1, self.k + self.l + 1))
+        return self._classes(self.k + 1, self.l)
 
     def covered(self) -> frozenset:
         return frozenset(e for e, c in enumerate(self.assignment) if c != 0)

@@ -142,17 +142,21 @@ def connected_gamma2_bounded(count: int, bound: int, seed: int, *, n_range=(6, 8
 
 @st.composite
 def insert_remove_runs(draw):
-    """A vertex count and a list of operations: ``("insert", u, v)`` offers
-    an edge, ``("remove", i)`` deletes the i-th accepted edge (modulo the
-    number currently held).  Few vertices make parallel edges common."""
+    """A vertex count, a game's (a, b, w) and a list of operations:
+    ``("insert", u, v)`` offers an edge, ``("remove", i)`` deletes the
+    i-th accepted edge (modulo the number currently held).  Few vertices
+    make parallel edges common; b runs one past the matroid range 2a - 1."""
     n = draw(st.integers(2, 6))
+    a = draw(st.integers(0, 6))
+    b = draw(st.integers(0, 2 * a))
+    w = draw(st.integers(1, 3))
     vertex = st.integers(0, n - 1)
     pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
     op = st.one_of(
         st.tuples(st.just("insert"), pair),
         st.tuples(st.just("remove"), st.integers(0, 100)),
     )
-    return n, draw(st.lists(op, max_size=40))
+    return n, (a, b, w), draw(st.lists(op, max_size=40))
 
 
 @st.composite

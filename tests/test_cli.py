@@ -155,6 +155,29 @@ def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
     assert main(["ndt", str(big), "--k", "0", "--l", "1", "--search-budget", "1"]) == 2
 
 
+def test_ndt_refuses_more_sparse_classes_than_edges(tmp_path, capsys):
+    # Every sparse class past the m-th is empty, so k > m is an input
+    # error: at k = 10^9 on five edges ndt answers at once, with no part
+    # lists.  A certificate that states k > m is refused too, although
+    # its extra parts, all empty, would cover and bound nothing wrong.
+    gfile, out = tmp_path / "g.txt", tmp_path / "ndt.json"
+    gfile.write_text("4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n")
+    start = time.perf_counter()
+    assert main(["ndt", str(gfile), "--k", "1000000000", "--l", "1000000001"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "need k <= m = 5" in capsys.readouterr().err
+    assert main(["ndt", str(gfile), "--k", "5", "--l", "6", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["parameters"] = {"k": 6, "l": 7}
+    cert["payload"]["forests"].append([])
+    cert["payload"]["bounded_parts"].append([])
+    cert["cert_hash"] = certificate_hash(cert)
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", str(out), str(gfile)]) == 1
+    assert "k=6, l=7 is outside the range of ndt" in capsys.readouterr().out
+
+
 def test_parameter_guardrail_exit(tmp_path):
     # necessary still walks every partition (kwz and cover run a pebble
     # game and answer at any n).  A path fails at its second partition.
@@ -471,7 +494,12 @@ def _argvs(draw, inputs, outs, batch):
     elif skeleton != "random":
         argv.append(draw(st.sampled_from(inputs)))
     for flag in _SKELETONS[skeleton]:
-        argv += [flag, str(draw(st.integers(0, 4)))]
+        # A huge k or l must not make any command build that many parts;
+        # random's --n and --m stay small.
+        values = st.integers(0, 4)
+        if flag in ("--k", "--l"):
+            values = st.one_of(values, st.just(10**9))
+        argv += [flag, str(draw(values))]
     if draw(st.booleans()):
         argv += ["--out", draw(st.sampled_from(outs))]
     items = st.one_of(

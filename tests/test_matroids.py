@@ -168,28 +168,31 @@ def test_rigid_graphs_are_two_connected():
 @settings(max_examples=300, deadline=None, database=None)
 @given(corpus.insert_remove_runs())
 def test_pebble_remove_keeps_game_exact(run):
-    n, ops = run
-    game = PebbleGame(n)
+    # After every insert and removal the weighted game accepts exactly
+    # what the count definition allows, each rejection's closure violates
+    # the count, and the arcs are the held edges, w units each.
+    n, (a, b, w), ops = run
+    game = PebbleGame(n, a, b, w)
     held: list[tuple[int, int]] = []
     for op in ops:
         if op[0] == "insert":
             u, v = op[1]
             G = Multigraph(n, tuple(held) + ((u, v),))
-            expected, witness = sparse_independent(G, range(G.m))
+            expected = oracles.count_sparse_def(G, range(G.m), a, b, w)
             assert game.try_insert(u, v) == expected
             if expected:
                 held.append((u, v))
             else:
                 X = game.last_witness()
-                assert oracles.induced(G, range(G.m), X) > 2 * len(X) - 3
+                assert w * oracles.induced(G, range(G.m), X) > a * len(X) - b
         elif held:
             u, v = held.pop(op[1] % len(held))
             game.remove(u, v)
         for x in range(n):
-            assert game.pebbles[x] + len(game.out[x]) == 2
-        assert sorted(tuple(sorted((x, y))) for x in range(n) for y in game.out[x]) == sorted(
-            tuple(sorted(p)) for p in held
-        )
+            assert game.pebbles[x] + sum(game.out[x].values()) == a
+        arcs = [tuple(sorted((x, y))) for x in range(n) for y, c in game.out[x].items()
+                for _ in range(c)]
+        assert sorted(arcs) == sorted(tuple(sorted(p)) for p in held for _ in range(w))
 
 
 def test_pebble_remove_missing_edge_raises():
@@ -204,10 +207,10 @@ def test_pebble_remove_missing_edge_raises():
 @settings(max_examples=300, deadline=None, database=None)
 @given(corpus.insert_remove_runs())
 def test_last_witness_is_the_reach_closure(run):
-    # The witness read off the marks of the two failed searches against a
-    # fresh search of the orientation, after every rejected insert.
-    n, ops = run
-    game = PebbleGame(n)
+    # The witness read off the failed search's queue against a fresh
+    # search of the orientation, after every rejected insert.
+    n, (a, b, w), ops = run
+    game = PebbleGame(n, a, b, w)
     held: list[tuple[int, int]] = []
     rejected = 0
     for op in ops:
@@ -250,23 +253,29 @@ def test_ab_pebble_game_matches_the_count_definition(G, a, data):
 
     for e in range(G.m):
         offer(e)
-    # The one-shot game's breadth-first pulls orient the edges otherwise,
-    # but a closure does not depend on the orientation.
+    # Offered to a fresh game in one pass, the edges meet the same
+    # rejections and closures.
     assert list(pebble_rejections(G, a, b)) == closures
     for e in data.draw(st.permutations(accepted), label="removals")[: len(accepted) // 2]:
         game.remove(*G.edges[e])
         accepted.remove(e)
     for x in range(G.n):
-        assert game.pebbles[x] + len(game.out[x]) == a
+        assert game.pebbles[x] + sum(game.out[x].values()) == a
     again, rejected[:] = rejected[:], []
     for e in again:
         offer(e)
 
 
 def test_ab_pebble_game_range():
-    for a, b in ((0, 1), (1, 2), (2, 4), (1, -1)):
+    for a, b, w in ((1, -1, 1), (-1, 0, 1), (1, 1, 0)):
         with pytest.raises(ValueError):
-            PebbleGame(3, a, b)
+            PebbleGame(3, a, b, w)
+    # With b >= 2a, a|X| - b < 1 at |X| = 2, so the count definition
+    # allows no edge: each is rejected and its closure is its endpoints.
+    for a, b in ((0, 1), (1, 2), (2, 4)):
+        game = PebbleGame(3, a, b)
+        for u, v in ((0, 1), (1, 2), (0, 2)):
+            assert not game.try_insert(u, v) and game.last_witness() == {u, v}
     # (0,0) accepts no edge; the closure is the edge's endpoints.
     game = PebbleGame(3, 0, 0)
     assert not game.try_insert(0, 2) and game.last_witness() == {0, 2}

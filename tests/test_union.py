@@ -260,7 +260,8 @@ def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, independent
     # The closure read-off against the pebble-moving search it replaced,
     # after every rejected insert of a live class under inserts and removals;
     # each probe agrees with a fresh independence test of the members.
-    n, ops = run
+    # The class fixes its own (a, b), so the run's game parameters go unused.
+    n, _, ops = run
     G = Multigraph(n, tuple(op[1] for op in ops if op[0] == "insert"))
     cls = union_mod._CountClass(G, [], a, b)
     eid = 0
