@@ -57,15 +57,12 @@ from .ndt import (
 from .packing import (
     Packing,
     pack_rigid_and_trees,
-    pack_spanning_trees,
     verify_packing,
 )
 from .union import (
     Decomposition,
     UnionRank,
     decompose,
-    decompose_forests,
-    decompose_sparse,
     union_rank,
     verify_decomposition,
 )

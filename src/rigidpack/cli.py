@@ -17,7 +17,7 @@ from .conditions import gamma, gamma2
 from .errors import GraphInputError, LimitExceededError
 from .multigraph import Multigraph, load_graph, random_multigraph, write_graph
 from .ndt import BoundedCover, ndt_decompose
-from .packing import Packing, pack_rigid_and_trees, pack_spanning_trees
+from .packing import Packing, pack_rigid_and_trees
 from .union import Decomposition, decompose
 
 
@@ -60,10 +60,7 @@ def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
 
 def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
     k, l = args.k, args.l
-    if k == 0:
-        result = pack_spanning_trees(G, l)
-    else:
-        result = pack_rigid_and_trees(G, k, l)
+    result = pack_rigid_and_trees(G, k, l)
     if isinstance(result, Packing):
         payload = certs.packing_payload(result)
         return 0, payload, f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)"

@@ -33,6 +33,7 @@ from .enumeration import (
     induced_table,
     mask_vertices,
     masks_by_size,
+    multiplicities,
 )
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
@@ -230,20 +231,20 @@ def _min_cut(adj: dict[int, dict[int, int]]) -> int:
     return best
 
 
-def _multigraph_weights(G: Multigraph, X=frozenset()) -> dict[int, dict[int, int]]:
-    """G - X as vertex -> neighbour -> number of parallel edges."""
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(G.n) if v not in X}
-    for u, v in G.edges:
-        if u in adj and v in adj:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
+def _weights_without(mult: list[dict[int, int]], X=frozenset()) -> dict[int, dict[int, int]]:
+    """G - X as vertex -> neighbour -> number of parallel edges, a fresh
+    copy (``_min_cut`` consumes it) of G's ``multiplicities``."""
+    adj = {v: row.copy() for v, row in enumerate(mult) if v not in X}
+    for x in X:
+        for u in mult[x]:
+            adj.get(u, {}).pop(x, None)
     return adj
 
 
 def edge_connectivity(G: Multigraph) -> int | None:
     """Global edge connectivity by one Stoer-Wagner minimum cut; None for
     graphs with fewer than 2 vertices."""
-    return _min_cut(_multigraph_weights(G)) if G.n >= 2 else None
+    return _min_cut(_weights_without(multiplicities(G))) if G.n >= 2 else None
 
 
 def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) -> bool:
@@ -270,9 +271,10 @@ def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) 
                 f"(p,q)-connectivity is limited to the cut steps of 2^{L} cuts on {L} "
                 f"vertices (got at least {count} cuts on n={G.n})"
             )
+    mult = multiplicities(G)
     for s in sizes:
         for X in itertools.combinations(range(G.n), s):
-            if G.n - s >= 2 and _min_cut(_multigraph_weights(G, frozenset(X))) < p - q * s:
+            if G.n - s >= 2 and _min_cut(_weights_without(mult, frozenset(X))) < p - q * s:
                 return False
     return True
 

@@ -52,7 +52,7 @@ def mask_vertices(n: int, mask: int) -> frozenset:
     return frozenset(v for v in range(n) if mask >> (n - 1 - v) & 1)
 
 
-def _multiplicities(G: Multigraph) -> list[dict[int, int]]:
+def multiplicities(G: Multigraph) -> list[dict[int, int]]:
     """Per vertex, its neighbours and the number of edges to each."""
     mult: list[dict[int, int]] = [{} for _ in range(G.n)]
     for u, v in G.edges:
@@ -71,7 +71,7 @@ def induced_table(G: Multigraph) -> list[int]:
             f"subset tables are limited to n <= {SUBSET_CEILING} vertices "
             f"whatever the guardrail (got n={n})"
         )
-    mult = _multiplicities(G)
+    mult = multiplicities(G)
     ind = [0]
     for b in range(n):
         # Masks below bit b gain vertex n - 1 - b; into[mask] counts its
@@ -114,7 +114,7 @@ class PartitionWalk:
         self.z = z
         bit = [1 << (n - 1 - v) for v in range(n)]
         items = [v for v in range(n) if ground & bit[v]]
-        mult = _multiplicities(G)
+        mult = multiplicities(G)
         self.bits = [bit[v] for v in items]
         self.adjacency = [sum(bit[u] for u in mult[v]) for v in items]
         # Binary digits of the multiplicities inside the ground set: the

@@ -1,6 +1,6 @@
 """Degree-bounded forest covering.
 
-Pipeline: a connected graph whose sparse-cover density is at most k+1
+Pipeline: a graph whose sparse-cover density is at most k+1
 splits into k+1 sparse classes; each class then either splits into two
 forests (always possible for sparse sets) or into one forest plus a
 remainder of maximum degree at most floor((2n-5)/3).  The forest-plus-
@@ -20,7 +20,7 @@ from .conditions import ConditionReport
 from .errors import GraphInputError
 from .matroids import UnionFind, graphic_independent, pebble_rejections, sparse_independent
 from .multigraph import Multigraph, induced_edge_count
-from .union import decompose_sparse, union_rank
+from .union import decompose, union_rank
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def _capped_forest(H: Multigraph, S: list, head: dict, cap: list) -> frozenset |
 
 
 def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionReport:
-    """Cover a connected graph by l forests and 2k+2-l degree-bounded parts.
+    """Cover a graph by l forests and 2k+2-l degree-bounded parts.
 
     Requires 0 <= k <= m and k+1 <= l <= 2k+2.  Returns a ConditionReport when
     the sparse-cover density exceeds k+1 (with a violating vertex set), or
@@ -179,7 +179,7 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
         raise GraphInputError(f"need k + 1 <= l <= 2k + 2 (got k={k}, l={l})")
     if k > G.m:
         raise GraphInputError(f"need k <= m = {G.m}: every sparse class past the m-th is empty")
-    result = decompose_sparse(G, k + 1)
+    result = decompose(G, k + 1, 0)
     if isinstance(result, ConditionReport):
         return result
     classes = result.sparse_classes()

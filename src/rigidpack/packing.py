@@ -4,6 +4,11 @@ A successful pack of k spanning rigid subgraphs and l spanning trees is a
 matroid-union independent set hitting the full rank k(2n-3) + l(n-1); the
 size count then forces every rigidity class to be a base (a spanning
 minimally rigid subgraph) and every graphic class a spanning tree.
+
+``pack_rigid_and_trees`` decides, then splits.  With k = 0 the packing
+exists iff the (l,l) count game accepts l(n - 1) edges (Nash-Williams and
+Tutte), so that game answers before the union runs, and the union runs
+only to build trees that exist.
 """
 
 from __future__ import annotations
@@ -23,38 +28,29 @@ class Packing:
     tree_parts: tuple[frozenset, ...]
 
 
-def pack_spanning_trees(G: Multigraph, l: int) -> Packing | ConditionReport:
-    """Extract l edge-disjoint spanning trees, or report a partition pi
-    with fewer than l(|pi| - 1) crossing edges."""
-    if l < 1:
-        raise GraphInputError("need l >= 1")
-    if G.n < 1:
-        raise GraphInputError("need at least one vertex")
-    ur = union_rank(G, 0, l)
-    target = l * (G.n - 1)
-    if ur.rank == target:
-        return Packing((), ur.decomposition.forest_classes())
-    report = check_tree_packing_condition(G, l)
-    if report.holds:
-        raise RuntimeError("tree packing failed but every partition satisfies the bound")
-    return report
-
-
 def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | ConditionReport:
     """Extract k spanning minimally rigid subgraphs and l spanning trees,
-    all pairwise edge-disjoint, or report an edge set F with
+    all pairwise edge-disjoint, or say why not: with k = 0 a partition pi
+    with fewer than l(|pi| - 1) crossing edges, found by one count game
+    before the union runs; otherwise an edge set F with
     m - |F| + k r_rig(F) + l r_gr(F) < k(2n - 3) + l(n - 1), which bounds
     the union rank below the packing's size."""
-    if k < 1 or l < 0:
-        raise GraphInputError("need k >= 1 and l >= 0")
-    if G.n < 2:
-        raise GraphInputError("need at least two vertices")
+    if k < 0 or l < 0 or k + l < 1:
+        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    if G.n < (2 if k else 1):
+        raise GraphInputError("need at least two vertices" if k else "need at least one vertex")
+    if k == 0:
+        report = check_tree_packing_condition(G, l)
+        if not report.holds:
+            return report
     ur = union_rank(G, k, l)
     target = k * (2 * G.n - 3) + l * (G.n - 1)
-    if ur.rank != target:
-        return ConditionReport("packing", {"k": k, "l": l}, False, ur.closed, "edge-set",
-                               ur.rank, target)
-    return Packing(ur.decomposition.sparse_classes(), ur.decomposition.forest_classes())
+    if ur.rank == target:
+        return Packing(ur.decomposition.sparse_classes(), ur.decomposition.forest_classes())
+    if k == 0:
+        raise RuntimeError("tree packing failed but every partition satisfies the bound")
+    return ConditionReport("packing", {"k": k, "l": l}, False, ur.closed, "edge-set",
+                           ur.rank, target)
 
 
 def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:

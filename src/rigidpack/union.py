@@ -31,6 +31,11 @@ with its own edges inside F, and every uncovered edge is in F, so the
 rank is m - |F| + k r_rig(F) + l r_gr(F).  ``UnionRank.closed`` hands it
 out (all of E when the rank cap stopped the offers, which is tight then
 too), and a union failure's certificate is checked by those two ranks.
+
+``decompose`` decides, then splits.  With l = 0 or k = 0 the union is a
+count matroid, (2k,3k) by the paper's cover theorem and (l,l) by
+Nash-Williams', so one pebble game answers before the union runs, and
+the union runs only to build a split that exists.
 """
 
 from __future__ import annotations
@@ -45,6 +50,16 @@ from .matroids import PebbleGame, graphic_independent, sparse_independent
 from .multigraph import Multigraph
 
 
+def _colour_groups(assignment) -> dict[int, list[int]]:
+    """Each colour but 0 that ``assignment`` uses -> its edge ids in
+    ascending order, in one pass."""
+    groups: dict[int, list[int]] = {}
+    for e, c in enumerate(assignment):
+        if c:
+            groups.setdefault(c, []).append(e)
+    return groups
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Edge colouring produced by the union: colours ``1..k`` are sparse
@@ -55,12 +70,8 @@ class Decomposition:
     assignment: tuple[int, ...]
 
     def _classes(self, first: int, count: int) -> tuple[frozenset, ...]:
-        # Colours first..first+count-1, grouped in one pass.
-        groups: list[list[int]] = [[] for _ in range(count)]
-        for e, c in enumerate(self.assignment):
-            if 0 <= c - first < count:
-                groups[c - first].append(e)
-        return tuple(map(frozenset, groups))
+        groups = _colour_groups(self.assignment)
+        return tuple(frozenset(groups.get(c, ())) for c in range(first, first + count))
 
     def sparse_classes(self) -> tuple[frozenset, ...]:
         return self._classes(1, self.k)
@@ -144,10 +155,7 @@ def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
     # An empty class accepts any edge (there are no loops), and fewer than
     # m classes are ever non-empty, so a class past the first m of its
     # kind would never be used.
-    members: dict[int, list[int]] = {}
-    for e, c in enumerate(color):
-        if c:
-            members.setdefault(c, []).append(e)
+    members = _colour_groups(color)
     classes: dict[int, _CountClass] = {}
     for j in range(1, min(k, G.m) + 1):
         classes[j] = _CountClass(G, members.get(j, []), 2, 3)
@@ -251,12 +259,9 @@ def verify_decomposition(
         return False, "assignment uses an out-of-range colour"
     if require_complete and not dec.is_complete():
         return False, "decomposition leaves edges uncovered"
-    # One pass groups the edges by colour; an unused colour is an empty
-    # class, independent in both matroids, so only used colours are checked.
-    classes: dict[int, list[int]] = {}
-    for e, c in enumerate(dec.assignment):
-        if c:
-            classes.setdefault(c, []).append(e)
+    # An unused colour is an empty class, independent in both matroids, so
+    # only used colours are checked.
+    classes = _colour_groups(dec.assignment)
     for j in sorted(classes):
         if j <= dec.k:
             if not sparse_independent(G, classes[j])[0]:
@@ -266,55 +271,24 @@ def verify_decomposition(
     return True, None
 
 
-def _count_failure(G: Multigraph, condition: str, parameters: dict, a: int, b: int):
-    """The vertex set at which a cover that the union could not build
-    breaks the count: the (a,b) game over G's edges rejects one, since the
-    count matroid is the union's (the paper's cover theorem for
-    (a,b) = (2k,3k), Nash-Williams' for (l,l))."""
-    report = count_condition_report(G, condition, parameters, a, b)
-    if report.holds:
-        raise RuntimeError("decomposition failed but the count matroid accepts every edge")
-    return report
-
-
-def decompose_sparse(G: Multigraph, k: int) -> Decomposition | ConditionReport:
-    """Split a connected graph into k sparse classes, or return a witness
-    vertex set X with i(X) > k(2|X| - 3)."""
-    if k < 1:
-        raise GraphInputError("need k >= 1")
-    if not G.is_connected():
-        raise GraphInputError("sparse decomposition is characterized for connected graphs only")
-    ur = union_rank(G, k, 0)
-    if ur.rank == G.m:
-        return ur.decomposition
-    return _count_failure(G, "sparse-cover", {"k": k}, 2 * k, 3 * k)
-
-
-def decompose_forests(G: Multigraph, l: int) -> Decomposition | ConditionReport:
-    """Split a connected graph into l forests, or return a witness vertex
-    set X with i(X) > l(|X| - 1)."""
-    if l < 1:
-        raise GraphInputError("need l >= 1")
-    if not G.is_connected():
-        raise GraphInputError("forest decomposition is characterized for connected graphs only")
-    ur = union_rank(G, 0, l)
-    if ur.rank == G.m:
-        return ur.decomposition
-    return _count_failure(G, "forest-cover", {"l": l}, l, l)
-
-
 def decompose(G: Multigraph, k: int, l: int) -> Decomposition | ConditionReport:
-    """Split G into k sparse classes and l forests, or say why not (see
-    ``decompose_sparse`` and ``decompose_forests`` when l or k is 0)."""
+    """Split G into k sparse classes and l forests, or say why not: with
+    l = 0 or k = 0 a vertex set X with i(X) > k(2|X| - 3) or
+    i(X) > l(|X| - 1), found by one count game before the union runs;
+    otherwise the union's closed set F."""
     if k < 0 or l < 0 or k + l < 1:
         raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
-    if l == 0:
-        return decompose_sparse(G, k)
-    if k == 0:
-        return decompose_forests(G, l)
+    counted = k == 0 or l == 0
+    if counted:
+        report = (count_condition_report(G, "sparse-cover", {"k": k}, 2 * k, 3 * k) if l == 0
+                  else count_condition_report(G, "forest-cover", {"l": l}, l, l))
+        if not report.holds:
+            return report
     ur = union_rank(G, k, l)
     if ur.rank == G.m:
         return ur.decomposition
+    if counted:
+        raise RuntimeError("the count matroid accepts every edge but the union does not")
     return ConditionReport(
         "union-cover", {"k": k, "l": l}, False, ur.closed, "edge-set", ur.rank, G.m
     )

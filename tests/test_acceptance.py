@@ -14,8 +14,7 @@ from rigidpack import (
     check_cover_condition,
     check_necessary_condition,
     check_parthm_condition,
-    decompose_forests,
-    decompose_sparse,
+    decompose,
     essential_edge_connectivity,
     format_graph,
     gamma2,
@@ -23,7 +22,6 @@ from rigidpack import (
     is_pq_connected,
     is_rigid,
     pack_rigid_and_trees,
-    pack_spanning_trees,
     rigidity_rank,
     sparse_independent,
     union_rank,
@@ -79,7 +77,7 @@ def test_criterion_03_sparse_cover_iff():
     for G in corpus.connected_corpus(500, seed=103, n_range=(2, 6), m_max=12, mult_max=3):
         density = gamma2(G).value
         for k in (1, 2, 3):
-            result = decompose_sparse(G, k)
+            result = decompose(G, k, 0)
             decomposed = isinstance(result, Decomposition)
             condition = check_cover_condition(G, k).holds
             if not (decomposed == condition == (density <= k)):
@@ -100,12 +98,12 @@ def test_criterion_04_forest_cover_and_tree_packing_iff():
     mixed = corpus.random_corpus(250, seed=105, n_range=(1, 6), m_max=12, mult_max=3)
     for G in connected:
         for l in (1, 2, 3):
-            decomposed = isinstance(decompose_forests(G, l), Decomposition)
+            decomposed = isinstance(decompose(G, 0, l), Decomposition)
             if decomposed != oracles.forest_cover_def(G, l):
                 failures.append(("forest-cover", G, l))
     for G in connected + mixed:
         for l in (1, 2, 3):
-            result = pack_spanning_trees(G, l)
+            result = pack_rigid_and_trees(G, 0, l)
             packed = isinstance(result, Packing)
             if packed != oracles.tree_packing_def(G, l):
                 failures.append(("tree-packing", G, l))
@@ -217,7 +215,7 @@ def test_criterion_09_rigid_graph_corollaries():
         if cut is not None and cut < 3:
             failures.append((G, "essential connectivity", cut))
         if G.m >= 2 * (G.n - 1):
-            result = pack_spanning_trees(G, 2)
+            result = pack_rigid_and_trees(G, 0, 2)
             if not isinstance(result, Packing) or not verify_packing(G, result)[0]:
                 failures.append((G, "two spanning trees"))
     assert rigid_count > 0

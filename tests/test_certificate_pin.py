@@ -36,8 +36,8 @@ REQUESTS = (
 
 
 def _graphs(count=30):
-    """``count`` connected multigraphs (``decompose`` and ``ndt`` refuse
-    disconnected ones) around the union thresholds, n = 6..12."""
+    """``count`` connected multigraphs around the union thresholds,
+    n = 6..12.  The pinned digest was recorded on this pool."""
     graphs, seed = [], 0
     while len(graphs) < count:
         n = 6 + seed % 7

@@ -27,7 +27,7 @@ from rigidpack.certificates import (
 from rigidpack.conditions import check_cover_condition, gamma2
 from rigidpack.matroids import graphic_rank, rigidity_rank
 from rigidpack.ndt import ndt_decompose
-from rigidpack.union import decompose_sparse
+from rigidpack.union import decompose
 
 import corpus
 import oracles
@@ -43,7 +43,7 @@ def test_graph_hash_ignores_endpoint_order_but_not_edge_order():
 
 def test_round_trip_decomposition_certificate(tmp_path):
     G = corpus.k4()
-    dec = decompose_sparse(G, 2)
+    dec = decompose(G, 2, 0)
     cert = build_certificate("decompose", {"k": 2, "l": 0}, G, decomposition_payload(dec))
     assert verify_certificate(cert, G) == (True, None)
     path = tmp_path / "cert.json"
@@ -61,7 +61,7 @@ def test_round_trip_report_certificate():
 def test_verify_fails_against_wrong_graph():
     G = corpus.k4()
     cert = build_certificate(
-        "decompose", {"k": 2, "l": 0}, G, decomposition_payload(decompose_sparse(G, 2))
+        "decompose", {"k": 2, "l": 0}, G, decomposition_payload(decompose(G, 2, 0))
     )
     ok, reason = verify_certificate(cert, corpus.k5())
     assert not ok and "graph hash" in reason
@@ -82,7 +82,7 @@ def test_non_object_report_fields_rejected_cleanly(field, value):
 def test_non_object_parameters_rejected_cleanly():
     G = corpus.k4()
     cert = build_certificate(
-        "decompose", {"k": 2, "l": 0}, G, decomposition_payload(decompose_sparse(G, 2))
+        "decompose", {"k": 2, "l": 0}, G, decomposition_payload(decompose(G, 2, 0))
     )
     cert["parameters"] = [2, 0]
     cert["cert_hash"] = certificate_hash(cert)
@@ -376,7 +376,7 @@ def test_payload_mutations_never_raise(mutation):
 
 def test_byte_determinism_modulo_timestamp(tmp_path):
     G = corpus.k33()
-    payload = decomposition_payload(decompose_sparse(G, 1))
+    payload = decomposition_payload(decompose(G, 1, 0))
     a = build_certificate("decompose", {"k": 1, "l": 0}, G, payload)
     b = build_certificate("decompose", {"k": 1, "l": 0}, G, payload)
     for cert in (a, b):
@@ -387,7 +387,7 @@ def test_byte_determinism_modulo_timestamp(tmp_path):
 
 def test_emit_refuses_inconsistent_payload():
     G = corpus.k4()
-    payload = decomposition_payload(decompose_sparse(G, 2))
+    payload = decomposition_payload(decompose(G, 2, 0))
     payload["assignment"] = [1] * 6  # all of K4 in one class: not sparse
     with pytest.raises(RuntimeError):
         build_certificate("decompose", {"k": 2, "l": 0}, G, payload)

@@ -169,15 +169,15 @@ def test_edge_connectivity_helper():
 def test_forest_count_matches_gamma_ceiling():
     from math import ceil
 
-    from rigidpack import Decomposition, decompose_forests
+    from rigidpack import Decomposition, decompose
 
     for G in corpus.connected_corpus(25, seed=48, n_range=(2, 6), m_max=12):
         if G.m == 0:
             continue
         need = ceil(gamma(G).value)
-        assert isinstance(decompose_forests(G, need), Decomposition)
+        assert isinstance(decompose(G, 0, need), Decomposition)
         if need > 1:
-            assert not isinstance(decompose_forests(G, need - 1), Decomposition)
+            assert not isinstance(decompose(G, 0, need - 1), Decomposition)
 
 
 @settings(max_examples=100, deadline=None)

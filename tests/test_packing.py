@@ -7,7 +7,6 @@ from rigidpack import (
     check_necessary_condition,
     check_parthm_condition,
     pack_rigid_and_trees,
-    pack_spanning_trees,
     verify_packing,
 )
 
@@ -17,7 +16,7 @@ import oracles
 
 def test_tree_itself_is_its_packing():
     G = corpus.path(5)
-    result = pack_spanning_trees(G, 1)
+    result = pack_rigid_and_trees(G, 0, 1)
     assert isinstance(result, Packing)
     assert result.tree_parts == (frozenset(range(4)),)
     assert verify_packing(G, result) == (True, None)
@@ -25,7 +24,7 @@ def test_tree_itself_is_its_packing():
 
 def test_k4_two_spanning_trees():
     G = corpus.k4()
-    result = pack_spanning_trees(G, 2)
+    result = pack_rigid_and_trees(G, 0, 2)
     assert isinstance(result, Packing)
     assert len(result.tree_parts) == 2
     ok, reason = verify_packing(G, result)
@@ -33,7 +32,7 @@ def test_k4_two_spanning_trees():
 
 
 def test_cycle_cannot_pack_two_trees():
-    result = pack_spanning_trees(corpus.cycle(4), 2)
+    result = pack_rigid_and_trees(corpus.cycle(4), 0, 2)
     assert isinstance(result, ConditionReport)
     assert not result.holds
     pi = result.witness
@@ -67,15 +66,15 @@ def test_pack_bowtie_fails():
 
 
 def test_pack_parameter_validation():
+    # k = 0 packs trees only, so (0, 1) packs and (0, 0) asks for nothing.
+    assert isinstance(pack_rigid_and_trees(corpus.triangle(), 0, 1), Packing)
     with pytest.raises(GraphInputError):
-        pack_rigid_and_trees(corpus.triangle(), 0, 1)
-    with pytest.raises(GraphInputError):
-        pack_spanning_trees(corpus.triangle(), 0)
+        pack_rigid_and_trees(corpus.triangle(), 0, 0)
 
 
 def test_verify_packing_rejects_overlap_and_cycles():
     G = corpus.k4()
-    packing = pack_spanning_trees(G, 2)
+    packing = pack_rigid_and_trees(G, 0, 2)
     assert isinstance(packing, Packing)
     t1, t2 = packing.tree_parts
     overlapping = Packing((), (t1, t1))
@@ -97,7 +96,7 @@ def test_verify_packing_rejects_wrong_sizes():
 def test_tree_packing_iff_partition_condition():
     for G in corpus.random_corpus(40, seed=31, n_range=(1, 6), m_max=12):
         for l in (1, 2):
-            result = pack_spanning_trees(G, l)
+            result = pack_rigid_and_trees(G, 0, l)
             packed = isinstance(result, Packing)
             assert packed == oracles.tree_packing_def(G, l)
             if packed:

@@ -37,7 +37,7 @@ from rigidpack import (
     induced_edge_count,
     is_bracket_partition_connected,
     is_pq_connected,
-    pack_spanning_trees,
+    pack_rigid_and_trees,
     union_rank,
 )
 from rigidpack import enumeration
@@ -96,7 +96,7 @@ def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
               outcome(oracles.check_tree_packing_condition_reference, G, l,
                       max_partition_n=max_partition_n))
     for l in (1, 2):
-        new = outcome(pack_spanning_trees, G, l)
+        new = outcome(pack_rigid_and_trees, G, 0, l)
         ref = outcome(oracles.pack_spanning_trees_reference, G, l,
                       max_partition_n=max_partition_n)
         if new[0] == "value" and not isinstance(new[1], rigidpack.Packing):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigidpack.packing as packing_mod
 import rigidpack.union as union_mod
 from rigidpack import (
     ConditionReport,
@@ -13,11 +14,12 @@ from rigidpack import (
     GraphInputError,
     LimitExceededError,
     Multigraph,
-    decompose_forests,
-    decompose_sparse,
+    decompose,
     gamma2,
     graphic_independent,
     graphic_rank,
+    ndt_decompose,
+    pack_rigid_and_trees,
     random_multigraph,
     rigidity_rank,
     sparse_independent,
@@ -103,7 +105,7 @@ def test_union_monotone_in_parameters_and_edges():
 
 
 def test_decompose_sparse_k4_fails_with_witness():
-    result = decompose_sparse(corpus.k4(), 1)
+    result = decompose(corpus.k4(), 1, 0)
     assert isinstance(result, ConditionReport)
     assert not result.holds
     assert result.witness == frozenset(range(4))
@@ -112,35 +114,80 @@ def test_decompose_sparse_k4_fails_with_witness():
 
 def test_decompose_sparse_k4_with_two_classes():
     G = corpus.k4()
-    result = decompose_sparse(G, 2)
+    result = decompose(G, 2, 0)
     assert isinstance(result, Decomposition)
     _check_classes(G, result, complete=True)
 
 
 def test_decompose_sparse_double_edge():
-    result = decompose_sparse(corpus.double_edge(), 2)
+    result = decompose(corpus.double_edge(), 2, 0)
     assert isinstance(result, Decomposition)
     assert sorted(result.assignment) == [1, 2]  # copies in separate classes
 
 
-def test_decompose_sparse_rejects_disconnected():
-    with pytest.raises(GraphInputError):
-        decompose_sparse(corpus.two_triangles_disjoint(), 2)
+def test_decompose_accepts_disconnected():
+    # Both count conditions hold iff they hold on every component, so the
+    # count game decides a disconnected graph too.
+    G = corpus.two_triangles_disjoint()
+    result = decompose(G, 1, 0)
+    assert isinstance(result, Decomposition)
+    _check_classes(G, result, complete=True)
+    result = decompose(G, 0, 1)
+    assert isinstance(result, ConditionReport) and result.condition == "forest-cover"
+    assert result.witness == frozenset({0, 1, 2}) and (result.lhs, result.rhs) == (3, 2)
+
+
+def test_count_covers_are_exact_on_any_graph():
+    graphs = corpus.random_corpus(150, seed=25, n_range=(1, 7), m_max=12)
+    assert sum(not G.is_connected() for G in graphs) > 50
+    for G in graphs:
+        for k, l in ((1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)):
+            result = decompose(G, k, l)
+            decomposed = isinstance(result, Decomposition)
+            if l == 0:
+                assert decomposed == oracles.sparse_cover_def(G, k), (G, k, l)
+            else:
+                assert decomposed == oracles.forest_cover_def(G, l), (G, k, l)
+            if decomposed:
+                _check_classes(G, result, complete=True)
+            else:
+                a, b = (2 * k, 3 * k) if l == 0 else (l, l)
+                X = result.witness
+                assert result.lhs == oracles.induced(G, range(G.m), X) > a * len(X) - b
+
+
+def test_the_count_game_answers_before_the_union(monkeypatch):
+    # With l = 0 or k = 0 a failure is decided and witnessed by one count
+    # game; the union runs only to build a split that exists.
+    def union_rank(*args):
+        raise AssertionError("the union ran")
+
+    monkeypatch.setattr(union_mod, "union_rank", union_rank)
+    monkeypatch.setattr(packing_mod, "union_rank", union_rank)
+    doubled_k4 = Multigraph(4, tuple(e for e in corpus.k4().edges for _ in range(2)))
+    for result, condition in (
+        (decompose(doubled_k4, 2, 0), "sparse-cover"),
+        (decompose(doubled_k4, 0, 3), "forest-cover"),
+        (pack_rigid_and_trees(corpus.cycle(4), 0, 2), "tree-packing"),
+        (ndt_decompose(doubled_k4, 1, 2), "sparse-cover"),
+    ):
+        assert isinstance(result, ConditionReport) and not result.holds
+        assert result.condition == condition
 
 
 def test_decompose_forests_examples():
-    result = decompose_forests(corpus.triangle(), 1)
+    result = decompose(corpus.triangle(), 0, 1)
     assert isinstance(result, ConditionReport)
     assert result.witness == frozenset(range(3))
     assert result.lhs == 3 and result.rhs == 2
 
     G = corpus.k4()
-    result = decompose_forests(G, 2)
+    result = decompose(G, 0, 2)
     assert isinstance(result, Decomposition)
     _check_classes(G, result, complete=True)
 
     tree = corpus.path(5)
-    result = decompose_forests(tree, 1)
+    result = decompose(tree, 0, 1)
     assert isinstance(result, Decomposition)
     assert result.assignment == (1,) * 4
 
@@ -149,7 +196,7 @@ def test_theorem_style_iff_on_connected_corpus():
     # decomposability into k sparse classes <=> subset condition <=> gamma2 <= k
     for G in corpus.connected_corpus(40, seed=23, n_range=(2, 6), m_max=12):
         for k in (1, 2, 3):
-            result = decompose_sparse(G, k)
+            result = decompose(G, k, 0)
             succeeded = isinstance(result, Decomposition)
             assert succeeded == oracles.sparse_cover_def(G, k)
             if G.n >= 2:
@@ -160,7 +207,7 @@ def test_theorem_style_iff_on_connected_corpus():
                 X = result.witness
                 assert oracles.induced(G, range(G.m), X) > k * (2 * len(X) - 3)
         for l in (1, 2, 3):
-            result = decompose_forests(G, l)
+            result = decompose(G, 0, l)
             succeeded = isinstance(result, Decomposition)
             assert succeeded == oracles.forest_cover_def(G, l)
             if succeeded:
@@ -169,7 +216,7 @@ def test_theorem_style_iff_on_connected_corpus():
 
 def test_verify_decomposition_rejects_tampering():
     G = corpus.k4()
-    dec = decompose_sparse(G, 2)
+    dec = decompose(G, 2, 0)
     assert isinstance(dec, Decomposition)
     # move every edge into the first class: not sparse any more
     broken = Decomposition(2, 0, tuple(1 for _ in dec.assignment))
@@ -351,6 +398,8 @@ def test_verify_decomposition_checks_only_used_colours(monkeypatch):
     assert verify_decomposition(tri, Decomposition(big, big, (1, big, 2 * big))) == (True, None)
     assert len(calls) == 3
     assert verify_decomposition(tri, Decomposition(big, big, (0, 0, 0))) == (True, None)
+    # Colour 0 marks uncovered edges, not a class: K4's six are not sparse.
+    assert verify_decomposition(corpus.k4(), Decomposition(1, 0, (0,) * 6)) == (True, None)
     assert verify_decomposition(corpus.k4(), Decomposition(big, 0, (7,) * 6)) == (
         False, "class 7 is not (2,3)-sparse")
     assert verify_decomposition(tri, Decomposition(1, big, (1, big + 1, big + 1))) == (True, None)
