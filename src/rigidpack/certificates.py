@@ -12,10 +12,10 @@ matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
 every split into k sparse classes and l forests.  Nor does it re-run the
 density iteration: one weighted pebble game at the stated value must
 accept every edge, and the stated argmax must reach it.  A claim that only an
-exhaustive scan can re-check is re-checked under the caller's guardrails:
-the producing command's own when a certificate is built, the defaults for
-``rigidpack verify``.  A certificate states no guardrails, so a forged
-claim costs the verifier no more than an honest one.  Certificates of
+exhaustive scan can re-check is re-checked under the same fixed guardrails
+its producer ran under, so every certificate that a command writes can be
+re-checked.  A certificate states no guardrails, so a forged claim costs
+the verifier no more than an honest one.  Certificates of
 another schema, earlier ones included, are rejected.
 
 ``CONDITIONS`` is the one table of the conditions a report can name: its
@@ -79,12 +79,8 @@ def certificate_hash(cert: dict) -> str:
     return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
 
 
-def build_certificate(
-    command: str, parameters: dict, G: Multigraph, payload: dict, *,
-    max_n: int | None = None, max_partitions: int | None = None,
-) -> dict:
-    """The certificate, after it passes ``verify_certificate`` under the
-    producing command's guardrails."""
+def build_certificate(command: str, parameters: dict, G: Multigraph, payload: dict) -> dict:
+    """The certificate, after it passes ``verify_certificate``."""
     cert = {
         "schema": SCHEMA,
         "command": command,
@@ -93,9 +89,7 @@ def build_certificate(
         "payload": payload,
         "verified": True,
     }
-    ok, reason = verify_certificate(
-        cert, G, check_hash=False, max_n=max_n, max_partitions=max_partitions
-    )
+    ok, reason = verify_certificate(cert, G, check_hash=False)
     if not ok:
         raise RuntimeError(f"refusing to emit a certificate that fails self-check: {reason}")
     cert["cert_hash"] = certificate_hash(cert)
@@ -241,11 +235,11 @@ def density_payload(which: str, value: Fraction, argmax: frozenset) -> dict:
 
 class Condition(NamedTuple):
     """``params``: the names of its report's parameters, which ``check``
-    requires.  ``run(G, params, max_n, max_partitions)``: its producer, None
-    when it is only ever reported failing.  ``violated``: for each witness
-    kind a failure carries, ``(G, params, witness) -> (violated, lhs, rhs)``
-    recomputed with the counting primitives or two matroid ranks; empty
-    when failures carry no witness and the producer's verdict is re-run."""
+    requires.  ``run(G, params)``: its producer, None when it is only ever
+    reported failing.  ``violated``: for each witness kind a failure
+    carries, ``(G, params, witness) -> (violated, lhs, rhs)`` recomputed
+    with the counting primitives or two matroid ranks; empty when failures
+    carry no witness and the producer's verdict is re-run."""
 
     params: tuple[str, ...]
     run: Callable | None
@@ -302,24 +296,22 @@ _OVER_SPARSE = _dense_set(2, lambda p, x: p["k"] * (2 * x - 3))
 # The seven conditions ``check`` evaluates come first, in its order.  The
 # producers are looked up at call time.
 CONDITIONS = {
-    "cover": Condition(("k",), lambda G, p, mn, mp: check_cover_condition(
-        G, p["k"]), {"vertex-set": _OVER_SPARSE}),
-    "tree-packing": Condition(("l",), lambda G, p, mn, mp: check_tree_packing_condition(
-        G, p["l"]), {"partition": _short_partition(lambda p: (p["l"], 0, 0))}),
-    "parthm": Condition(("k", "l"), lambda G, p, mn, mp: check_parthm_condition(
-        G, p["k"], p["l"], max_partition_n=mp),
+    "cover": Condition(("k",), lambda G, p: check_cover_condition(G, p["k"]),
+                       {"vertex-set": _OVER_SPARSE}),
+    "tree-packing": Condition(("l",), lambda G, p: check_tree_packing_condition(G, p["l"]),
+                              {"partition": _short_partition(lambda p: (p["l"], 0, 0))}),
+    "parthm": Condition(("k", "l"), lambda G, p: check_parthm_condition(
+        G, p["k"], p["l"]),
         {"z-partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], p["k"]))}),
-    "necessary": Condition(("k", "l"), lambda G, p, mn, mp: check_necessary_condition(
-        G, p["k"], p["l"], max_partition_n=mp),
+    "necessary": Condition(("k", "l"), lambda G, p: check_necessary_condition(
+        G, p["k"], p["l"]),
         {"partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], 0))}),
-    "pq-connected": Condition(("p", "q"), lambda G, p, mn, mp: ConditionReport(
-        "pq-connected", {"p": p["p"], "q": p["q"]},
-        is_pq_connected(G, p["p"], p["q"], max_n=mn)), {}),
-    "bracket-partition": Condition(("p", "q"), lambda G, p, mn, mp: ConditionReport(
-        "bracket-partition", {"p": p["p"], "q": p["q"]},
-        is_bracket_partition_connected(G, p["p"], p["q"], max_partition_n=mp)), {}),
-    "kwz": Condition(("k", "d"), lambda G, p, mn, mp: check_kwz_condition(
-        G, p["k"], p["d"]), {"vertex-set": _kwz_violated}),
+    "pq-connected": Condition(("p", "q"), lambda G, p: ConditionReport(
+        "pq-connected", p, is_pq_connected(G, p["p"], p["q"])), {}),
+    "bracket-partition": Condition(("p", "q"), lambda G, p: ConditionReport(
+        "bracket-partition", p, is_bracket_partition_connected(G, p["p"], p["q"])), {}),
+    "kwz": Condition(("k", "d"), lambda G, p: check_kwz_condition(G, p["k"], p["d"]),
+                     {"vertex-set": _kwz_violated}),
     "sparse-cover": Condition(("k",), None, {"vertex-set": _OVER_SPARSE}),
     "forest-cover": Condition(("l",), None, {
         "vertex-set": _dense_set(1, lambda p, x: p["l"] * (x - 1))}),
@@ -354,12 +346,11 @@ def _ensure(verdict: tuple[bool, str | None]) -> None:
 
 
 def verify_certificate(
-    cert: dict, G: Multigraph, *, check_hash: bool = True,
-    max_n: int | None = None, max_partitions: int | None = None,
+    cert: dict, G: Multigraph, *, check_hash: bool = True
 ) -> tuple[bool, str | None]:
     """Recompute the certificate's claims from scratch against ``G``.  A
-    scan that the check re-runs obeys ``max_n`` and ``max_partitions``
-    (None: the defaults); above them the claim cannot be re-checked."""
+    scan that the check re-runs obeys the guardrails; above them the claim
+    cannot be re-checked."""
     try:
         if cert.get("schema") != SCHEMA:
             return False, f"unknown schema {cert.get('schema')!r}"
@@ -383,7 +374,7 @@ def verify_certificate(
             return False, f"command {command!r} gives no {kind} payload"
         if command in _FAILURES:
             _check_k_l(command, top, G)
-        verify(G, command, top, payload, (max_n, max_partitions))
+        verify(G, command, top, payload)
         return True, None
     except _Rejected as exc:
         return False, str(exc)
@@ -407,9 +398,11 @@ def _check_k_l(command, top, G):
     ndt_range = k + 1 <= l <= 2 * k + 2 and k <= G.m
     if min(k, l) < 0 or k + l < 1 or (command == "ndt" and not ndt_range):
         raise _Rejected(f"k={k}, l={l} is outside the range of {command}")
+    if command == "pack" and G.n < 2:
+        raise _Rejected("pack needs at least two vertices")
 
 
-def _verify_decomposition_payload(G, command, top, payload, limits):
+def _verify_decomposition_payload(G, command, top, payload):
     k, l = top["k"], top["l"]
     dec = Decomposition(k, l, tuple(payload["assignment"]))
     _ensure(verify_decomposition(G, dec, require_complete=True))
@@ -428,7 +421,7 @@ def _edge_parts(G, parts) -> tuple[frozenset, ...]:
     return tuple(frozenset(p) for p in parts)
 
 
-def _verify_packing_payload(G, command, top, payload, limits):
+def _verify_packing_payload(G, command, top, payload):
     packing = Packing(
         _edge_parts(G, payload["rigid_parts"]), _edge_parts(G, payload["tree_parts"])
     )
@@ -437,7 +430,7 @@ def _verify_packing_payload(G, command, top, payload, limits):
         raise _Rejected("part counts do not match parameters")
 
 
-def _verify_bounded_cover_payload(G, command, top, payload, limits):
+def _verify_bounded_cover_payload(G, command, top, payload):
     if payload["degree_bound"] != _num(Fraction(payload["degree_bound"])):
         raise TypeError('degree_bound must be a "p/q" string')
     cover = BoundedCover(
@@ -453,7 +446,7 @@ def _verify_bounded_cover_payload(G, command, top, payload, limits):
         raise _Rejected(f"expected {2 * k + 2 - l} bounded parts")
 
 
-def _verify_density_payload(G, command, top, payload, limits):
+def _verify_density_payload(G, command, top, payload):
     # One pebble game at the stated value, not the producer's iteration.
     which = payload["which"]
     if top != {"which": which}:
@@ -473,7 +466,7 @@ def _verify_density_payload(G, command, top, payload, limits):
         raise _Rejected("some vertex set is denser than the stated value")
 
 
-def _verify_report_payload(G, command, top, payload, limits):
+def _verify_report_payload(G, command, top, payload):
     name = payload["condition"]
     cond = CONDITIONS.get(name)
     if cond is None:
@@ -499,7 +492,7 @@ def _verify_report_payload(G, command, top, payload, limits):
             raise _Rejected(f"condition {name!r} cannot be certified as holding")
         if (witness, payload["lhs"], payload["rhs"]) != (None, None, None):
             raise _Rejected("a recomputed verdict states no witness and no sides")
-        report = cond.run(G, params, *limits)
+        report = cond.run(G, params)
         if report.holds != holds:
             raise _Rejected("recomputed verdict disagrees with the certificate")
         return

@@ -36,16 +36,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
-def _guardrail(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a guardrail is a non-negative integer (got {text!r})")
-    return value
-
-
 def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
     k, l = args.k, args.l
     result = decompose(G, k, l)
@@ -73,7 +63,7 @@ def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
     condition = certs.CONDITIONS[name]
     _require(args, *condition.params)
     params = {p: getattr(args, p) for p in condition.params}
-    report = condition.run(G, params, args.max_n, args.max_partitions)
+    report = condition.run(G, params)
     payload = certs.report_payload(report)
     if report.holds:
         return 0, payload, f"condition {name} holds"
@@ -120,10 +110,7 @@ def _command_parameters(command: str, args) -> dict:
 def _process_file(command: str, path: Path, args, out_path: Path | None) -> tuple[int, str]:
     G = load_graph(path)
     code, payload, summary = _RUNNERS[command](G, args)
-    cert = certs.build_certificate(
-        command, _command_parameters(command, args), G, payload,
-        max_n=args.max_n, max_partitions=args.max_partitions,
-    )
+    cert = certs.build_certificate(command, _command_parameters(command, args), G, payload)
     if out_path is not None:
         certs.write_certificate(out_path, cert)
     return code, summary
@@ -197,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="graph file ('n m' header, then 'u v' lines)")
         p.add_argument("--batch", metavar="DIR", help="process every *.txt graph in DIR")
         p.add_argument("--out", help="certificate output path (directory in batch mode)")
-        # Only check's scans take guardrails.
-        p.set_defaults(max_n=None, max_partitions=None)
 
     p = sub.add_parser("decompose", help="decompose into k sparse classes and l forests")
     p.add_argument("--k", type=int, default=0)
@@ -218,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--d", type=_fraction, default=None,
                    help="degree bound for kwz: an integer or an exact fraction p/q")
-    p.add_argument("--max-n", type=_guardrail, metavar="N",
-                   help="guardrail for pq-connected: at most the cut steps of 2^N cuts "
-                   "on N vertices, N capped at 22 (default 16)")
-    p.add_argument("--max-partitions", type=_guardrail, metavar="N",
-                   help="guardrail for partition scans: at most N vertices (default 12)")
     add_common(p)
 
     p = sub.add_parser("gamma", help="fractional density parameters")

@@ -24,10 +24,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .enumeration import (
-    SUBSET_CEILING,
     SUBSET_LIMIT,
     check_partition_limit,
-    check_subset_limit,
     degree_sum_table,
     first_short_partition,
     induced_table,
@@ -120,13 +118,11 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
                            cross_edge_count(G, pi), l * (len(pi) - 1))
 
 
-def _first_short_z_partition(
-    G: Multigraph, slope: int, per_singleton: int, per_touch: int, max_partition_n: int | None
-):
+def _first_short_z_partition(G: Multigraph, slope: int, per_singleton: int, per_touch: int):
     # Z runs over the proper subsets of V, smallest first so the Z = empty
-    # set cases are scanned before any vertex deletions.
-    check_subset_limit(G.n, max_partition_n)
-    check_partition_limit(G.n, max_partition_n)
+    # set cases are scanned before any vertex deletions.  The partition
+    # guardrail is below the subset one, so it bounds both.
+    check_partition_limit(G.n)
     for z in masks_by_size(G.n, range(G.n)):
         found = first_short_partition(G, z, slope, per_singleton, per_touch)
         if found is not None:
@@ -134,9 +130,7 @@ def _first_short_z_partition(
     return None
 
 
-def check_parthm_condition(
-    G: Multigraph, k: int, l: int, *, max_partition_n: int | None = None
-) -> ConditionReport:
+def check_parthm_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Sufficient packing condition: for every proper subset Z and every
     partition p of V - Z,
 
@@ -148,21 +142,19 @@ def check_parthm_condition(
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
-    found = _first_short_z_partition(G, 3 * k + l, k, k, max_partition_n)
+    found = _first_short_z_partition(G, 3 * k + l, k, k)
     if found is not None:
         return ConditionReport("parthm", params, False, found[0], "z-partition", *found[1:])
     return ConditionReport("parthm", params, True)
 
 
-def check_necessary_condition(
-    G: Multigraph, k: int, l: int, *, max_partition_n: int | None = None
-) -> ConditionReport:
+def check_necessary_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Necessary packing condition: every partition p of V satisfies
     cross(p) >= (3k + l)(|p| - 1) - k*n0."""
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
-    check_partition_limit(G.n, max_partition_n)
+    check_partition_limit(G.n)
     found = first_short_partition(G, 0, 3 * k + l, k, 0)
     if found is not None:
         return ConditionReport("necessary", params, False, found[0], "partition", *found[1:])
@@ -247,19 +239,19 @@ def edge_connectivity(G: Multigraph) -> int | None:
     return _min_cut(_weights_without(multiplicities(G))) if G.n >= 2 else None
 
 
-def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) -> bool:
+def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
 
     Only |X| < p/q asks for any connectivity, and n > p/q keeps such X
     proper.  Each such X costs one minimum cut of at most n^3 steps.  The
     guardrail, checked before any cut, allows as many steps as 2^L cuts on
-    L vertices, L = max_n capped at ``SUBSET_CEILING``: every check the
-    exhaustive scan ran under the same max_n, and no more."""
+    L = ``SUBSET_LIMIT`` vertices: every check the exhaustive scan ran, and
+    no more."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    L = max(0, min(SUBSET_LIMIT if max_n is None else max_n, SUBSET_CEILING))
+    L = SUBSET_LIMIT
     budget = L**3 << L
     sizes = range((p - 1) // q + 1)
     count = term = 0
@@ -279,22 +271,24 @@ def is_pq_connected(G: Multigraph, p: int, q: int, *, max_n: int | None = None) 
     return True
 
 
-def is_bracket_partition_connected(
-    G: Multigraph, p: int, q: int, *, max_partition_n: int | None = None
-) -> bool:
+def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and cross_{G-Z}(pi) >= p(|pi| - 1) - q*nZ(pi) for every
     proper subset Z and partition pi of V - Z."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    return _first_short_z_partition(G, p, 0, q, max_partition_n) is None
+    return _first_short_z_partition(G, p, 0, q) is None
 
 
-def essential_edge_connectivity(G: Multigraph, *, max_n: int | None = None) -> int | None:
+def essential_edge_connectivity(G: Multigraph) -> int | None:
     """Minimum number of edges crossing a bipartition with both sides of
     size >= 2; None ("unbounded") when no such bipartition exists."""
-    check_subset_limit(G.n, max_n, "essential connectivity scan")
+    if G.n > SUBSET_LIMIT:
+        raise LimitExceededError(
+            f"essential connectivity scan is limited to n <= {SUBSET_LIMIT} vertices "
+            f"(got n={G.n})"
+        )
     if G.n <= 3:
         return None
     ind, dsum = induced_table(G), degree_sum_table(G)
@@ -307,6 +301,6 @@ def essential_edge_connectivity(G: Multigraph, *, max_n: int | None = None) -> i
     )
 
 
-def is_essentially_edge_connected(G: Multigraph, p: int, *, max_n: int | None = None) -> bool:
-    cut = essential_edge_connectivity(G, max_n=max_n)
+def is_essentially_edge_connected(G: Multigraph, p: int) -> bool:
+    cut = essential_edge_connectivity(G)
     return cut is None or cut >= p

@@ -10,9 +10,8 @@ Vertex v of an n-vertex graph is the bit ``1 << (n - 1 - v)``.
 up to date as vertices move between blocks, and needs no table; the
 partition conditions run on it.  ``induced_table`` gives i(X) for every
 mask in one O(2^n) pass (a list of 2^n ints, about 1 MB at the peak of
-its build for n = 16) and refuses n above ``SUBSET_CEILING`` whatever the
-guardrail says; only the library-only essential edge connectivity builds
-one.  Only a reported witness is turned back into a ``frozenset`` or
+its build for n = 16); only the library-only essential edge connectivity
+builds one.  Only a reported witness is turned back into a ``frozenset`` or
 ``Partition``.  The set-at-a-time enumerators the kernel replaced are
 test oracles now.
 """
@@ -27,21 +26,12 @@ from .multigraph import Multigraph, Partition
 
 SUBSET_LIMIT = 16
 PARTITION_LIMIT = 12
-# Largest n for which a 2^n subset table is built (about 4M entries).
-SUBSET_CEILING = 22
 
 
-def check_subset_limit(n: int, max_n: int | None, what: str = "subset enumeration") -> None:
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if n > limit:
-        raise LimitExceededError(f"{what} is limited to n <= {limit} vertices (got n={n})")
-
-
-def check_partition_limit(size: int, max_size: int | None) -> None:
-    limit = PARTITION_LIMIT if max_size is None else max_size
-    if size > limit:
+def check_partition_limit(size: int) -> None:
+    if size > PARTITION_LIMIT:
         raise LimitExceededError(
-            f"partition enumeration is limited to {limit} elements (got {size})"
+            f"partition enumeration is limited to {PARTITION_LIMIT} elements (got {size})"
         )
 
 
@@ -63,14 +53,8 @@ def multiplicities(G: Multigraph) -> list[dict[int, int]]:
 
 def induced_table(G: Multigraph) -> list[int]:
     """``ind[mask]`` = number of edges inside the vertex set ``mask``, for
-    all 2^n masks.  Run the caller's guardrail first: this refuses only
-    n > ``SUBSET_CEILING``."""
+    all 2^n masks.  Run the caller's guardrail first."""
     n = G.n
-    if n > SUBSET_CEILING:
-        raise LimitExceededError(
-            f"subset tables are limited to n <= {SUBSET_CEILING} vertices "
-            f"whatever the guardrail (got n={n})"
-        )
     mult = multiplicities(G)
     ind = [0]
     for b in range(n):

@@ -37,8 +37,8 @@ def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | ConditionRe
     the union rank below the packing's size."""
     if k < 0 or l < 0 or k + l < 1:
         raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
-    if G.n < (2 if k else 1):
-        raise GraphInputError("need at least two vertices" if k else "need at least one vertex")
+    if G.n < 2:
+        raise GraphInputError("need at least two vertices")
     if k == 0:
         report = check_tree_packing_condition(G, l)
         if not report.holds:

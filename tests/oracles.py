@@ -28,7 +28,7 @@ from rigidpack import (
     Partition,
 )
 from rigidpack.conditions import ConditionReport, GammaResult
-from rigidpack.enumeration import SUBSET_LIMIT, check_partition_limit, check_subset_limit
+from rigidpack.enumeration import PARTITION_LIMIT, SUBSET_LIMIT
 from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
 from rigidpack.multigraph import (
     adjacent_number,
@@ -41,6 +41,13 @@ from rigidpack.packing import Packing
 from rigidpack.union import Decomposition, UnionRank, union_rank
 
 
+def _check_subset_limit(n: int, max_n: int | None = None, what: str = "subset enumeration"):
+    """The library's subset guardrail, which an enumerator's caller may move."""
+    limit = SUBSET_LIMIT if max_n is None else max_n
+    if n > limit:
+        raise LimitExceededError(f"{what} is limited to n <= {limit} vertices (got n={n})")
+
+
 def enumerate_vertex_subsets(
     G: Multigraph, min_size: int = 0, *, max_n: int | None = None
 ) -> Iterator[frozenset]:
@@ -49,7 +56,7 @@ def enumerate_vertex_subsets(
     Order: decreasing size, lexicographic within a size, so the whole
     vertex set comes first.
     """
-    check_subset_limit(G.n, max_n)
+    _check_subset_limit(G.n, max_n)
     verts = range(G.n)
     for size in range(G.n, min_size - 1, -1):
         if size < 0:
@@ -88,7 +95,11 @@ def enumerate_partitions(
     partition last; blocks are ordered by first appearance.
     """
     items = sorted(S)
-    check_partition_limit(len(items), max_size)
+    limit = PARTITION_LIMIT if max_size is None else max_size
+    if len(items) > limit:
+        raise LimitExceededError(
+            f"partition enumeration is limited to {limit} elements (got {len(items)})"
+        )
     for rgs in _restricted_growth_strings(len(items)):
         nblocks = max(rgs) + 1 if rgs else 0
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
@@ -622,13 +633,11 @@ def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
 # witness, both sides, argmax) and refuse at the same point.
 
 
-def check_cover_condition_reference(
-    G: Multigraph, k: int, *, max_n: int | None = None
-) -> ConditionReport:
+def check_cover_condition_reference(G: Multigraph, k: int) -> ConditionReport:
     """Does every X with |X| >= 2 satisfy i(X) <= k(2|X| - 3)?"""
     if k < 0:
         raise GraphInputError("need k >= 0")
-    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+    for X in enumerate_vertex_subsets(G, 2):
         lhs = induced_edge_count(G, X)
         rhs = k * (2 * len(X) - 3)
         if lhs > rhs:
@@ -636,13 +645,11 @@ def check_cover_condition_reference(
     return ConditionReport("cover", {"k": k}, True)
 
 
-def check_tree_packing_condition_reference(
-    G: Multigraph, l: int, *, max_partition_n: int | None = None
-) -> ConditionReport:
+def check_tree_packing_condition_reference(G: Multigraph, l: int) -> ConditionReport:
     """Does every partition p of V satisfy cross(p) >= l(|p| - 1)?"""
     if l < 0:
         raise GraphInputError("need l >= 0")
-    for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
+    for pi in enumerate_partitions(G.vertices()):
         lhs = cross_edge_count(G, pi)
         rhs = l * (len(pi) - 1)
         if lhs < rhs:
@@ -650,23 +657,17 @@ def check_tree_packing_condition_reference(
     return ConditionReport("tree-packing", {"l": l}, True)
 
 
-def proper_subsets_reference(G: Multigraph, *, max_n: int | None = None):
+def proper_subsets_reference(G: Multigraph):
     # All proper subsets of V (empty included), smallest first so the
     # Z = empty-set cases are scanned before any vertex deletions.
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"subset enumeration is limited to n <= {limit} vertices (got n={G.n})"
-        )
+    _check_subset_limit(G.n)
     verts = range(G.n)
     for size in range(G.n):
         for combo in itertools.combinations(verts, size):
             yield frozenset(combo)
 
 
-def check_parthm_condition_reference(
-    G: Multigraph, k: int, l: int, *, max_partition_n: int | None = None
-) -> ConditionReport:
+def check_parthm_condition_reference(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Sufficient packing condition: for every proper subset Z and every
     partition p of V - Z,
 
@@ -679,9 +680,9 @@ def check_parthm_condition_reference(
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
     vertices = frozenset(G.vertices())
-    for Z in proper_subsets_reference(G, max_n=max_partition_n):
+    for Z in proper_subsets_reference(G):
         rest = vertices - Z
-        for pi in enumerate_partitions(rest, max_size=max_partition_n):
+        for pi in enumerate_partitions(rest):
             lhs = cross_edge_count(G, pi)
             rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count - k * adjacent_number(G, Z, pi)
             if lhs < rhs:
@@ -691,15 +692,13 @@ def check_parthm_condition_reference(
     return ConditionReport("parthm", params, True)
 
 
-def check_necessary_condition_reference(
-    G: Multigraph, k: int, l: int, *, max_partition_n: int | None = None
-) -> ConditionReport:
+def check_necessary_condition_reference(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Necessary packing condition: every partition p of V satisfies
     cross(p) >= (3k + l)(|p| - 1) - k*n0."""
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
-    for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
+    for pi in enumerate_partitions(G.vertices()):
         lhs = cross_edge_count(G, pi)
         rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count
         if lhs < rhs:
@@ -707,23 +706,23 @@ def check_necessary_condition_reference(
     return ConditionReport("necessary", params, True)
 
 
-def gamma_reference(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
+def gamma_reference(G: Multigraph) -> GammaResult:
     """Fractional arboricity: max of i(X) / (|X| - 1) over |X| >= 2,
     as an exact fraction with the first maximizer in enumeration order."""
-    return density_max_reference(G, lambda x: x - 1, max_n=max_n)
+    return density_max_reference(G, lambda x: x - 1)
 
 
-def gamma2_reference(G: Multigraph, *, max_n: int | None = None) -> GammaResult:
+def gamma2_reference(G: Multigraph) -> GammaResult:
     """Sparse-cover density: max of i(X) / (2|X| - 3) over |X| >= 2."""
-    return density_max_reference(G, lambda x: 2 * x - 3, max_n=max_n)
+    return density_max_reference(G, lambda x: 2 * x - 3)
 
 
-def density_max_reference(G: Multigraph, denominator, *, max_n: int | None) -> GammaResult:
+def density_max_reference(G: Multigraph, denominator) -> GammaResult:
     if G.n < 2:
         raise GraphInputError("density parameters need at least 2 vertices")
     best: Fraction | None = None
     arg: frozenset | None = None
-    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+    for X in enumerate_vertex_subsets(G, 2):
         val = Fraction(induced_edge_count(G, X), denominator(len(X)))
         if best is None or val > best:
             best, arg = val, X
@@ -755,25 +754,21 @@ def min_cut_within_reference(G: Multigraph, W: frozenset) -> int | None:
     return best
 
 
-def edge_connectivity_reference(G: Multigraph, *, max_n: int | None = None) -> int | None:
+def edge_connectivity_reference(G: Multigraph) -> int | None:
     """Global edge connectivity by scanning all bipartitions; None for
     graphs with fewer than 2 vertices."""
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"edge connectivity scan is limited to n <= {limit} vertices (got n={G.n})"
-        )
+    _check_subset_limit(G.n, what="edge connectivity scan")
     return min_cut_within_reference(G, frozenset(G.vertices()))
 
 
-def is_pq_connected_reference(G: Multigraph, p: int, q: int, *, max_n: int | None = None) -> bool:
+def is_pq_connected_reference(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
     vertices = frozenset(G.vertices())
-    for X in proper_subsets_reference(G, max_n=max_n):
+    for X in proper_subsets_reference(G):
         need = p - q * len(X)
         if need <= 0:
             continue
@@ -783,9 +778,7 @@ def is_pq_connected_reference(G: Multigraph, p: int, q: int, *, max_n: int | Non
     return True
 
 
-def is_bracket_partition_connected_reference(
-    G: Multigraph, p: int, q: int, *, max_partition_n: int | None = None
-) -> bool:
+def is_bracket_partition_connected_reference(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and cross_{G-Z}(pi) >= p(|pi| - 1) - q*nZ(pi) for every
     proper subset Z and partition pi of V - Z."""
     if p < 1 or q < 1:
@@ -793,22 +786,18 @@ def is_bracket_partition_connected_reference(
     if G.n * q <= p:
         return False
     vertices = frozenset(G.vertices())
-    for Z in proper_subsets_reference(G, max_n=max_partition_n):
+    for Z in proper_subsets_reference(G):
         rest = vertices - Z
-        for pi in enumerate_partitions(rest, max_size=max_partition_n):
+        for pi in enumerate_partitions(rest):
             if cross_edge_count(G, pi) < p * (len(pi) - 1) - q * adjacent_number(G, Z, pi):
                 return False
     return True
 
 
-def essential_edge_connectivity_reference(G: Multigraph, *, max_n: int | None = None) -> int | None:
+def essential_edge_connectivity_reference(G: Multigraph) -> int | None:
     """Minimum number of edges crossing a bipartition with both sides of
     size >= 2; None ("unbounded") when no such bipartition exists."""
-    limit = SUBSET_LIMIT if max_n is None else max_n
-    if G.n > limit:
-        raise LimitExceededError(
-            f"essential connectivity scan is limited to n <= {limit} vertices (got n={G.n})"
-        )
+    _check_subset_limit(G.n, what="essential connectivity scan")
     if G.n <= 3:
         return None
     best: int | None = None
@@ -825,9 +814,7 @@ def essential_edge_connectivity_reference(G: Multigraph, *, max_n: int | None = 
     return best
 
 
-def check_kwz_condition_reference(
-    G: Multigraph, k: int, d, *, max_n: int | None = None
-) -> ConditionReport:
+def check_kwz_condition_reference(G: Multigraph, k: int, d) -> ConditionReport:
     """Does every nonempty X satisfy
     (k+1)(k+d)|X| - (k+d+1) i(X) - k^2 >= 0?
 
@@ -840,29 +827,27 @@ def check_kwz_condition_reference(
     if d < k + 1:
         raise GraphInputError(f"the degree bound requires d >= k + 1 (got d={d}, k={k})")
     params = {"k": k, "d": str(d)}
-    for X in enumerate_vertex_subsets(G, 1, max_n=max_n):
+    for X in enumerate_vertex_subsets(G, 1):
         lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
         if lhs < 0:
             return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
     return ConditionReport("kwz", params, True)
 
 
-def pack_spanning_trees_reference(
-    G: Multigraph, l: int, *, max_partition_n: int | None = None
-) -> Packing | ConditionReport:
+def pack_spanning_trees_reference(G: Multigraph, l: int) -> Packing | ConditionReport:
     """Extract l edge-disjoint spanning trees, or report a partition pi
     with fewer than l(|pi| - 1) crossing edges."""
     if l < 1:
         raise GraphInputError("need l >= 1")
-    if G.n < 1:
-        raise GraphInputError("need at least one vertex")
+    if G.n < 2:
+        raise GraphInputError("need at least two vertices")
     ur = union_rank(G, 0, l)
     target = l * (G.n - 1)
     if ur.rank == target:
         return Packing((), ur.decomposition.forest_classes())
     params = {"l": l}
     try:
-        for pi in enumerate_partitions(G.vertices(), max_size=max_partition_n):
+        for pi in enumerate_partitions(G.vertices()):
             lhs = cross_edge_count(G, pi)
             rhs = l * (len(pi) - 1)
             if lhs < rhs:
@@ -874,13 +859,11 @@ def pack_spanning_trees_reference(
     raise RuntimeError("tree packing failed but every partition satisfies the bound")
 
 
-def sparse_independent_bruteforce(
-    G: Multigraph, F: Iterable[int], *, max_n: int | None = None
-) -> bool:
+def sparse_independent_bruteforce(G: Multigraph, F: Iterable[int]) -> bool:
     """Definitional sparsity check: scan every vertex subset."""
     ids = check_edge_subset(G, F)
     pairs = [G.edges[e] for e in ids]
-    for X in enumerate_vertex_subsets(G, 2, max_n=max_n):
+    for X in enumerate_vertex_subsets(G, 2):
         induced = sum(1 for u, v in pairs if u in X and v in X)
         if induced > 2 * len(X) - 3:
             return False

@@ -10,6 +10,7 @@ import json
 from rigidpack import (
     BoundedCover,
     Decomposition,
+    GraphInputError,
     Packing,
     check_cover_condition,
     check_necessary_condition,
@@ -103,6 +104,13 @@ def test_criterion_04_forest_cover_and_tree_packing_iff():
                 failures.append(("forest-cover", G, l))
     for G in connected + mixed:
         for l in (1, 2, 3):
+            if G.n < 2:  # pack needs two vertices, for every k
+                try:
+                    pack_rigid_and_trees(G, 0, l)
+                    failures.append(("tree-packing-one-vertex", G, l))
+                except GraphInputError:
+                    pass
+                continue
             result = pack_rigid_and_trees(G, 0, l)
             packed = isinstance(result, Packing)
             if packed != oracles.tree_packing_def(G, l):

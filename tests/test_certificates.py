@@ -146,12 +146,10 @@ CLI_CASES = (
     ("tri", "gamma gamma2"),
     ("k4", "gamma gamma"),
     ("k4", "check cover --k 2"),
-    ("k4", "check cover --k 2 --max-n 6"),
     ("k4", "check cover --k 1"),
     ("k4", "check tree-packing --l 2"),
     ("tri", "check tree-packing --l 2"),
     ("tri", "check parthm --k 1 --l 0"),
-    ("tri", "check parthm --k 1 --l 0 --max-partitions 5"),
     ("bowtie", "check parthm --k 1 --l 0"),
     ("tri", "check necessary --k 1 --l 0"),
     ("p4", "check necessary --k 1 --l 0"),
@@ -608,6 +606,24 @@ def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
     assert cli.main(["verify", str(cfile), str(gfile)]) == 1
     assert time.perf_counter() - start < 1.0
     assert "cannot re-check the claim" in capsys.readouterr().out
+
+
+def test_pack_certificate_on_one_vertex_is_refused():
+    # Any number of empty trees spans one vertex, but pack needs two
+    # vertices, and so does its certificate.
+    G = Multigraph(1)
+    cert = {
+        "schema": "rigidpack-cert/2", "command": "pack", "graph_hash": graph_hash(G),
+        "parameters": {"k": 0, "l": 3}, "verified": True,
+        "payload": {"kind": "packing", "rigid_parts": [], "tree_parts": [[], [], []]},
+    }
+    cert["cert_hash"] = certificate_hash(cert)
+    assert verify_certificate(cert, G) == (False, "pack needs at least two vertices")
+    cert["parameters"]["l"] = 0
+    cert["payload"]["tree_parts"] = []
+    cert["cert_hash"] = certificate_hash(cert)
+    assert verify_certificate(cert, G) == (False, "k=0, l=0 is outside the range of pack")
+
 
 def test_load_certificate_errors(tmp_path):
     missing = tmp_path / "nope.json"

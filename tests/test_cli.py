@@ -111,10 +111,8 @@ def test_input_file_after_the_options(k4_file, triangle_file, tmp_path, capsys):
         (["check", "cover", str(k4_file), "--k", "1"], ["check", "cover", "--k", "1", str(k4_file)]),
         (["check", "kwz", str(triangle_file), "--k", "1", "--d", "2"],
          ["check", "kwz", "--k", "1", "--d", "2", str(triangle_file)]),
-        (["check", "necessary", str(triangle_file), "--k", "1", "--l", "0",
-          "--max-partitions", "5"],
-         ["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "5",
-          str(triangle_file)]),
+        (["check", "necessary", str(triangle_file), "--k", "1", "--l", "0"],
+         ["check", "necessary", "--k", "1", "--l", "0", str(triangle_file)]),
         (["gamma", "gamma", str(k4_file)], ["gamma", "gamma", str(k4_file)]),
     ):
         outs = []
@@ -178,43 +176,70 @@ def test_ndt_refuses_more_sparse_classes_than_edges(tmp_path, capsys):
     assert "k=6, l=7 is outside the range of ndt" in capsys.readouterr().out
 
 
-def test_parameter_guardrail_exit(tmp_path):
+def test_parameter_guardrail_exit(tmp_path, capsys):
     # necessary still walks every partition (kwz and cover run a pebble
-    # game and answer at any n).  A path fails at its second partition.
-    big = tmp_path / "big.txt"
-    big.write_text(format_graph(corpus.path(13)))
-    argv = ["check", "necessary", str(big), "--k", "1", "--l", "0"]
-    assert main(argv) == 3
-    assert main(argv + ["--max-partitions", "13"]) == 1
-    assert main(["check", "kwz", str(big), "--k", "1", "--d", "2"]) == 0
+    # game and answer at any n), up to 12 vertices.  A path fails at its
+    # second partition.
+    for n, code in ((12, 1), (13, 3)):
+        gfile = tmp_path / f"p{n}.txt"
+        gfile.write_text(format_graph(corpus.path(n)))
+        assert main(["check", "necessary", str(gfile), "--k", "1", "--l", "0"]) == code
+        assert main(["check", "kwz", str(gfile), "--k", "1", "--d", "2"]) == 0
+    assert "partition enumeration is limited to 12 elements (got 13)" in capsys.readouterr().err
 
 
 def test_negative_guardrails_are_input_errors(k4_file, capsys):
-    for argv in (["check", "pq-connected", "--p", "3", "--q", "1", "--max-n", "-5"],
-                 ["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "-1"],
-                 ["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "x"]):
-        assert main(argv + [str(k4_file)]) == 2, argv
-        assert "a guardrail is a non-negative integer" in capsys.readouterr().err
-    # Zero is a guardrail like any other: it refuses every scan.
-    assert main(["check", "necessary", "--k", "1", "--l", "0", "--max-partitions", "0",
-                 str(k4_file)]) == 3
+    # The guardrails are fixed, so a guardrail option, whatever its value,
+    # is an unrecognized argument.
+    for flag in ("--max-n", "--max-partitions"):
+        for value in ("-5", "x", "0", "13"):
+            argv = ["check", "necessary", "--k", "1", "--l", "0", flag, value, str(k4_file)]
+            assert main(argv) == 2, argv
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_guardrail_flags_only_on_scanning_commands(k4_file, tmp_path):
-    # decompose, pack, ndt and gamma scan nothing, so they take no
-    # guardrail, and certificates record none.
+def test_guardrail_flags_on_no_command(k4_file, tmp_path):
+    # No command takes a guardrail, and certificates record none.
     for argv in (["decompose", "--k", "1"], ["pack", "--k", "0", "--l", "1"],
-                 ["ndt", "--k", "0", "--l", "1"], ["gamma", "gamma"], ["gamma", "gamma2"]):
+                 ["ndt", "--k", "0", "--l", "1"], ["gamma", "gamma"], ["gamma", "gamma2"],
+                 ["check", "cover", "--k", "2"], ["check", "pq-connected", "--p", "3", "--q", "1"],
+                 ["check", "bracket-partition", "--p", "3", "--q", "1"]):
         for flag in ("--max-n", "--max-partitions"):
             assert main(argv + [str(k4_file), flag, "5"]) == 2, (argv, flag)
     out = tmp_path / "cert.json"
-    for argv in (["check", "cover", "--k", "2", "--max-n", "5"],
-                 ["check", "parthm", "--k", "1", "--l", "0", "--max-partitions", "5"],
+    for argv in (["check", "cover", "--k", "2"], ["check", "parthm", "--k", "1", "--l", "0"],
                  ["gamma", "gamma"]):
         assert main(argv + [str(k4_file), "--out", str(out)]) in (0, 1), argv
         payload = json.loads(out.read_text())["payload"]
         assert not {"max_n", "max_partitions"} & (set(payload) | set(
             payload.get("parameters", {}))), argv
+
+
+def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys):
+    # Producer and verifier run under the same fixed guardrails.  At the
+    # partition guardrail a path fails each scan at its second partition;
+    # the bracket-partition failure carries no witness, so verify re-runs
+    # its scan.  One vertex more and each check refuses, writing nothing.
+    out = tmp_path / "cert.json"
+    for n, code in ((12, 1), (13, 3)):
+        gfile = tmp_path / f"p{n}.txt"
+        gfile.write_text(format_graph(corpus.path(n)))
+        for argv in (["check", "necessary", "--k", "1", "--l", "0"],
+                     ["check", "parthm", "--k", "1", "--l", "0"],
+                     ["check", "bracket-partition", "--p", "2", "--q", "1"]):
+            assert main(argv[:2] + [str(gfile)] + argv[2:] + ["--out", str(out)]) == code, argv
+            if code == 1:
+                assert main(["verify", str(out), str(gfile)]) == 0, argv
+                out.unlink()
+            assert not out.exists(), argv
+    # pq-connected's cut steps: |X| <= 6 asks for 60460 cuts on 20 vertices,
+    # more steps than 2^16 cuts on 16.
+    gfile = tmp_path / "g20.txt"
+    assert main(["random", "--n", "20", "--m", "40", "--seed", "1", "--out", str(gfile)]) == 0
+    argv = ["check", "pq-connected", str(gfile), "--p", "7", "--q", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+    capsys.readouterr()
 
 
 def test_verify_round_trip_and_tamper(k4_file, tmp_path):
@@ -414,12 +439,13 @@ def test_batch_mode(tmp_path, capsys):
 
 
 def test_repeated_main_calls_keep_no_parser_state(k4_file, tmp_path):
-    # A guardrail raised in one call is not raised in the next.
-    big = tmp_path / "big.txt"
-    big.write_text(format_graph(corpus.path(13)))
-    argv = ["check", "necessary", str(big), "--k", "1", "--l", "0"]
-    assert main(argv + ["--max-partitions", "13"]) == 1
-    assert main(argv) == 3
+    # Options given in one call are not kept for the next.
+    out = tmp_path / "cert.json"
+    argv = ["check", "necessary", str(k4_file), "--k", "1"]
+    assert main(argv + ["--l", "0", "--out", str(out)]) == 0
+    out.unlink()
+    assert main(argv) == 2  # --l is required
+    assert not out.exists()
 
     assert main(["decompose", str(k4_file), "--k", "two"]) == 2
     assert main(["decompose", str(k4_file), "--k", "1"]) == 1
@@ -463,8 +489,7 @@ def argv_files(tmp_path_factory):
 
 
 _NUMBERS = ["-2", "-1", "0", "1", "2", "3", "5", "40", "1.5", "2/3", "1/0", "x", ""]
-_FLAGS = ["--k", "--l", "--p", "--q", "--d", "--max-n", "--max-partitions",
-          "--n", "--m", "--mult", "--seed"]
+_FLAGS = ["--k", "--l", "--p", "--q", "--d", "--n", "--m", "--mult", "--seed"]
 # Each command with the options it needs, so that most command lines get
 # past the parser; extra items then add bad values, files and options.
 _SKELETONS = {

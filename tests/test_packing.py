@@ -1,14 +1,20 @@
+import time
+
 import pytest
 
 from rigidpack import (
     ConditionReport,
     GraphInputError,
+    Multigraph,
     Packing,
+    format_graph,
     check_necessary_condition,
     check_parthm_condition,
     pack_rigid_and_trees,
     verify_packing,
 )
+
+from rigidpack.cli import main
 
 import corpus
 import oracles
@@ -65,11 +71,22 @@ def test_pack_bowtie_fails():
     assert result.lhs == 6 and result.rhs == 7
 
 
-def test_pack_parameter_validation():
+def test_pack_parameter_validation(tmp_path):
     # k = 0 packs trees only, so (0, 1) packs and (0, 0) asks for nothing.
     assert isinstance(pack_rigid_and_trees(corpus.triangle(), 0, 1), Packing)
     with pytest.raises(GraphInputError):
         pack_rigid_and_trees(corpus.triangle(), 0, 0)
+    # Every k needs two vertices; one vertex would pack any l empty trees.
+    for G in (Multigraph(0), Multigraph(1)):
+        for k, l in ((0, 1), (1, 0), (0, 10**9)):
+            with pytest.raises(GraphInputError, match="need at least two vertices"):
+                pack_rigid_and_trees(G, k, l)
+    gfile, out = tmp_path / "one.txt", tmp_path / "cert.json"
+    gfile.write_text(format_graph(Multigraph(1)))
+    start = time.perf_counter()
+    assert main(["pack", str(gfile), "--k", "0", "--l", "1000000000", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not out.exists()
 
 
 def test_verify_packing_rejects_overlap_and_cycles():
@@ -96,6 +113,10 @@ def test_verify_packing_rejects_wrong_sizes():
 def test_tree_packing_iff_partition_condition():
     for G in corpus.random_corpus(40, seed=31, n_range=(1, 6), m_max=12):
         for l in (1, 2):
+            if G.n < 2:
+                with pytest.raises(GraphInputError, match="need at least two vertices"):
+                    pack_rigid_and_trees(G, 0, l)
+                continue
             result = pack_rigid_and_trees(G, 0, l)
             packed = isinstance(result, Packing)
             assert packed == oracles.tree_packing_def(G, l)

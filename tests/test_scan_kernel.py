@@ -58,15 +58,10 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def subset_scans(G, max_n):
-    """(kernel call, reference call) pairs of every subset scan on G."""
-    yield (essential_edge_connectivity, oracles.essential_edge_connectivity_reference, (G,))
-
-
-def assert_subset_scans_match(G, max_n=None):
-    for new, ref, args in subset_scans(G, max_n):
-        assert outcome(new, *args, max_n=max_n) == outcome(ref, *args, max_n=max_n), (
-            new.__name__, args, max_n)
+def assert_subset_scans_match(G):
+    # Essential edge connectivity is the one subset scan left.
+    assert outcome(essential_edge_connectivity, G) == outcome(
+        oracles.essential_edge_connectivity_reference, G), G
 
 
 def assert_witness_violates(G, report):
@@ -79,7 +74,7 @@ def assert_witness_violates(G, report):
     assert violated(G, params, report.witness) == (True, report.lhs, report.rhs), report
 
 
-def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
+def assert_polynomial_checks_agree(G):
     """The checks that no longer scan against the reference scans: the same
     verdict wherever the reference answers, and a refusal only where the
     reference refuses too."""
@@ -90,15 +85,13 @@ def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
 
     for k in range(4):
         agree(check_cover_condition(G, k),
-              outcome(oracles.check_cover_condition_reference, G, k, max_n=max_n))
+              outcome(oracles.check_cover_condition_reference, G, k))
     for l in range(4):
         agree(check_tree_packing_condition(G, l),
-              outcome(oracles.check_tree_packing_condition_reference, G, l,
-                      max_partition_n=max_partition_n))
+              outcome(oracles.check_tree_packing_condition_reference, G, l))
     for l in (1, 2):
         new = outcome(pack_rigid_and_trees, G, 0, l)
-        ref = outcome(oracles.pack_spanning_trees_reference, G, l,
-                      max_partition_n=max_partition_n)
+        ref = outcome(oracles.pack_spanning_trees_reference, G, l)
         if new[0] == "value" and not isinstance(new[1], rigidpack.Packing):
             assert ref[0] == "value" and not isinstance(ref[1], rigidpack.Packing)
             assert_witness_violates(G, new[1])
@@ -117,11 +110,11 @@ def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
     for k, d in ((0, 1), (0, Fraction(5, 2)), (1, 2), (1, Fraction(7, 3)), (1, 3),
                  (2, Fraction(10, 3))):
         agree(check_kwz_condition(G, k, d),
-              outcome(oracles.check_kwz_condition_reference, G, k, d, max_n=max_n))
+              outcome(oracles.check_kwz_condition_reference, G, k, d))
     for density, ref, denominator in ((gamma, oracles.gamma_reference, lambda x: x - 1),
                                       (gamma2, oracles.gamma2_reference, lambda x: 2 * x - 3)):
         new = outcome(density, G)
-        expected = outcome(ref, G, max_n=max_n)
+        expected = outcome(ref, G)
         if expected[0] == "value":
             assert new[0] == "value" and new[1].value == expected[1].value, (new, expected)
         elif new[0] == "value":
@@ -133,34 +126,35 @@ def assert_polynomial_checks_agree(G, max_n=None, max_partition_n=None):
             assert len(X) >= 2
             assert Fraction(induced_edge_count(G, X), denominator(len(X))) == new[1].value
     for p, q in ((1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (2, 3)):
-        new = outcome(is_pq_connected, G, p, q, max_n=max_n)
-        ref = outcome(oracles.is_pq_connected_reference, G, p, q, max_n=max_n)
+        new = outcome(is_pq_connected, G, p, q)
+        ref = outcome(oracles.is_pq_connected_reference, G, p, q)
         if ref[0] is rigidpack.LimitExceededError:
-            assert new[0] in ("value", rigidpack.LimitExceededError), (p, q, max_n)
+            assert new[0] in ("value", rigidpack.LimitExceededError), (p, q)
         else:
-            assert new == ref, (p, q, max_n)
+            assert new == ref, (p, q)
     if G.n <= 16:
         assert edge_connectivity(G) == oracles.edge_connectivity_reference(G)
 
 
-def partition_scans(G, z_scans):
-    for k, l in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)):
+def partition_scans(G, z_scans, cases=None):
+    # cases: the (k, l) of necessary and parthm and the (p, q) of
+    # bracket-partition, when not all of them.
+    kls, pqs = cases or (((0, 0), (0, 1), (1, 0), (1, 1), (2, 1)), ((1, 1), (2, 1), (3, 2)))
+    for k, l in kls:
         yield (check_necessary_condition, oracles.check_necessary_condition_reference,
                (G, k, l))
         if z_scans:
             yield (check_parthm_condition, oracles.check_parthm_condition_reference, (G, k, l))
     if z_scans:
-        for p, q in ((1, 1), (2, 1), (3, 2)):
+        for p, q in pqs:
             yield (is_bracket_partition_connected,
                    oracles.is_bracket_partition_connected_reference, (G, p, q))
 
 
-def assert_partition_scans_match(G, max_partition_n=None, z_scans=None):
+def assert_partition_scans_match(G, z_scans=None, cases=None):
     # Scans over every (Z, partition) pair are kept to n <= 6 for time.
-    for new, ref, args in partition_scans(G, G.n <= 6 if z_scans is None else z_scans):
-        kw = {"max_partition_n": max_partition_n}
-        assert outcome(new, *args, **kw) == outcome(ref, *args, **kw), (
-            new.__name__, args, max_partition_n)
+    for new, ref, args in partition_scans(G, G.n <= 6 if z_scans is None else z_scans, cases):
+        assert outcome(new, *args) == outcome(ref, *args), (new.__name__, args)
 
 
 def named_graphs():
@@ -180,30 +174,40 @@ def test_named_and_seeded_corpus_reports_match_reference():
 
 
 @settings(max_examples=120, deadline=None)
-@given(G=corpus.small_multigraphs(max_n=8), limit=st.sampled_from([None, -1, 0, 1]))
-def test_subset_scans_match_reference(G, limit):
-    # limit -1 / 0 / 1 sets the guardrail just below, at or above n.
-    max_n = None if limit is None else G.n + limit
-    assert_subset_scans_match(G, max_n)
-    assert_polynomial_checks_agree(G, max_n=max_n)
+@given(G=corpus.small_multigraphs(max_n=8))
+def test_subset_scans_match_reference(G):
+    assert_subset_scans_match(G)
+    assert_polynomial_checks_agree(G)
 
 
 @settings(max_examples=60, deadline=None)
-@given(G=corpus.small_multigraphs(max_n=8), limit=st.sampled_from([None, -1, 0]))
-def test_partition_scans_match_reference(G, limit):
-    max_partition_n = None if limit is None else G.n + limit
-    assert_partition_scans_match(G, max_partition_n)
-    assert_polynomial_checks_agree(G, max_partition_n=max_partition_n)
+@given(G=corpus.small_multigraphs(max_n=8))
+def test_partition_scans_match_reference(G):
+    assert_partition_scans_match(G)
+    assert_polynomial_checks_agree(G)
 
 
 def test_refusal_points_match_reference():
-    # n = 13 passes the subset guardrail and fails the partition one;
-    # n = 17 fails the subset guardrail first.  The polynomial checks
-    # answer at both, where the reference scans refuse.
+    # The guardrails are fixed: partition scans answer at n = 12 and refuse
+    # at 13, essential edge connectivity answers at 16 and refuses at 17.
+    # A path fails each scan run at n = 12 at its second partition, so none
+    # walks all Bell(12) partitions.
+    failing = (((1, 0), (1, 1), (2, 1)), ((2, 1), (3, 2)))
+    assert_partition_scans_match(corpus.path(12), z_scans=True, cases=failing)
+    assert_partition_scans_match(corpus.path(13), z_scans=True)
+    # At n = 17 the reference Z scans refuse at their subset guardrail; the
+    # library's partition guardrail, the lower one, bounds both.
+    assert_partition_scans_match(corpus.path(17), z_scans=False)
+    for scan, args in ((check_parthm_condition, (1, 0)), (is_bracket_partition_connected, (2, 1))):
+        assert outcome(scan, corpus.path(17), *args) == (
+            rigidpack.LimitExceededError,
+            "partition enumeration is limited to 12 elements (got 17)")
+    # The polynomial checks answer where the reference scans refuse.
     for n in (13, 17):
-        assert_partition_scans_match(corpus.path(n), z_scans=True)
         assert_polynomial_checks_agree(corpus.path(n))
-    assert_subset_scans_match(corpus.path(17))
+    for n in (16, 17):
+        assert_subset_scans_match(corpus.path(n))
+    assert essential_edge_connectivity(corpus.path(16)) == 1
 
 
 def test_mask_order_is_subset_enumeration_order():
@@ -331,75 +335,79 @@ def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
     for argv, code in ((["check", "kwz", "--k", "1", "--d", "2"], 1), (["gamma", "gamma"], 0)):
         assert main(_with_input(argv, gfile)) == code, argv
     assert "gamma = 2/1" in capsys.readouterr().out
-    # pq-connected counts cut steps: the 18 cuts of |X| <= 1 on 17 vertices
-    # already take more than 2^7 cuts on 7 vertices.
-    assert main(["check", "pq-connected", str(gfile), "--p", "3", "--q", "1",
-                 "--max-n", "7"]) == 3
-    assert "limited to the cut steps of 2^7 cuts on 7 vertices (got at least 18 cuts" in (
+    # pq-connected counts cut steps: the 65536 cuts of |X| <= 8 on 17
+    # vertices take more than 2^16 cuts on 16 vertices.
+    assert main(["check", "pq-connected", str(gfile), "--p", "9", "--q", "1"]) == 3
+    assert "limited to the cut steps of 2^16 cuts on 16 vertices (got at least 65536 cuts" in (
         capsys.readouterr().err)
+    # The library's essential edge connectivity refuses n = 17 before its
+    # table too, and builds one at its guardrail.
+    with pytest.raises(rigidpack.LimitExceededError, match="limited to n <= 16 vertices"):
+        essential_edge_connectivity(doubled_path)
     assert built == []
-    # The library's essential edge connectivity still builds one below its
-    # guardrail.
-    essential_edge_connectivity(doubled_path, max_n=17)
-    assert built == [17]
+    essential_edge_connectivity(Multigraph(16, doubled_path.edges[:30]))
+    assert built == [16]
 
 
-def test_subset_ceiling_refuses_a_raised_guardrail(tmp_path, capsys):
+def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
     gfile = tmp_path / "p23.txt"
     gfile.write_text(format_graph(corpus.path(23)))
     tracemalloc.start()
     try:
-        # Only essential edge connectivity builds a table, and not above
-        # the ceiling, whatever its guardrail says.
-        with pytest.raises(rigidpack.LimitExceededError, match="limited to n <= 22 vertices"):
-            essential_edge_connectivity(corpus.path(23), max_n=40)
+        # Only essential edge connectivity builds a table, and it refuses
+        # above the subset guardrail.
+        with pytest.raises(rigidpack.LimitExceededError, match="limited to n <= 16 vertices"):
+            essential_edge_connectivity(corpus.path(23))
         # kwz, gamma2, cover and pq-connected build no table at all.
         for argv in (["check", "kwz", "--k", "1", "--d", "2"], ["gamma", "gamma2"]):
             assert main(_with_input(argv, gfile)) == 0, argv
         for argv in (["check", "cover", "--k", "1"], ["check", "pq-connected", "--p", "2",
                                                       "--q", "1"]):
-            assert main(_with_input(argv, gfile) + ["--max-n", "40"]) in (0, 1), argv
-        # But pq-connected's cut steps stay within those of 2^22 cuts on 22
+            assert main(_with_input(argv, gfile)) in (0, 1), argv
+        # But pq-connected's cut steps stay within those of 2^16 cuts on 16
         # vertices: |X| <= 11 asks for about 4.2M cuts on 23 vertices.
-        argv = ["check", "pq-connected", "--p", "12", "--q", "1", "--max-n", "40"]
+        argv = ["check", "pq-connected", "--p", "12", "--q", "1"]
         assert main(_with_input(argv, gfile)) == 3
-        assert "limited to the cut steps of 2^22 cuts on 22 vertices" in capsys.readouterr().err
+        assert "limited to the cut steps of 2^16 cuts on 16 vertices" in capsys.readouterr().err
         # A 2^23-entry table would take tens of MB.
         assert tracemalloc.get_traced_memory()[1] < 2_000_000
     finally:
         tracemalloc.stop()
 
 
-def test_raised_partition_guardrail_walks_without_recursion(tmp_path, capsys):
+def test_partition_walk_is_linear_without_recursion(tmp_path, capsys):
     # A long path fails every partition scan at its second partition,
-    # {V - {n-1}, {n-1}}; a raised guardrail then finds that witness at
-    # once, with scan state linear in n.  (tree-packing and pack --k 0
-    # need no guardrail: a pebble game finds their witness.)  The
-    # bracket-partition failure carries no witness, and ``verify`` will
-    # not re-run its scan above its own guardrails.
+    # {V - {n-1}, {n-1}}.  The walk finds that witness at once, with state
+    # linear in n, whatever the ground set's size: the scans' guardrail
+    # bounds their time, not their memory or recursion depth.
+    # tree-packing and pack --k 0 scan nothing: a pebble game finds their
+    # witness at any n.
     out = tmp_path / "cert.json"
     for n, argv in ((1500, ["check", "tree-packing", "--l", "2"]),
-                    (1500, ["check", "necessary", "--k", "1", "--l", "0"]),
-                    (1500, ["check", "parthm", "--k", "1", "--l", "0"]),
-                    (1500, ["check", "bracket-partition", "--p", "2", "--q", "1"]),
                     (60, ["pack", "--k", "0", "--l", "2"])):
         gfile = tmp_path / f"path{n}.txt"
         gfile.write_text(format_graph(corpus.path(n)))
         tracemalloc.start()
         try:
-            # pack scans nothing and takes no guardrail.
-            raised = ["--max-partitions", str(n)] if argv[0] == "check" else []
-            code = main(_with_input(argv, gfile) + raised + ["--out", str(out)])
+            code = main(_with_input(argv, gfile) + ["--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1, argv
         assert peak < 8_000_000, (argv, peak)  # an n-by-n table at n = 1500 is 18 MB
-        capsys.readouterr()
-        if argv[1] == "bracket-partition":
-            assert main(["verify", str(out), str(gfile)]) == 1
-            assert "cannot re-check the claim" in capsys.readouterr().out
-        else:
-            assert main(["verify", str(out), str(gfile)]) == 0
+        assert main(["verify", str(out), str(gfile)]) == 0
+    capsys.readouterr()
+    # The walk of necessary, parthm (at Z = empty) and bracket-partition,
+    # driven directly: the command refuses n = 1500.
+    G = corpus.path(1500)
+    for weights in ((3, 1, 0), (3, 1, 1), (2, 0, 1)):
+        tracemalloc.start()
+        try:
+            found = enumeration.first_short_partition(G, 0, *weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is not None and found[0].blocks[1] == {1499}, weights
+        assert peak < 8_000_000, (weights, peak)
     walk = PartitionWalk(corpus.path(60), (1 << 60) - 1)
     assert len(list(itertools.islice(walk, 1000))) == 1000
