@@ -9,11 +9,9 @@ from .conditions import (
     check_parthm_condition,
     check_tree_packing_condition,
     edge_connectivity,
-    essential_edge_connectivity,
     gamma,
     gamma2,
     is_bracket_partition_connected,
-    is_essentially_edge_connected,
     is_pq_connected,
 )
 from .enumeration import PARTITION_LIMIT, SUBSET_LIMIT

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import certificates as certs
 from .conditions import gamma, gamma2
 from .errors import GraphInputError, LimitExceededError
-from .multigraph import Multigraph, load_graph, random_multigraph, write_graph
+from .multigraph import Multigraph, format_graph, load_graph, random_multigraph, write_graph
 from .ndt import BoundedCover, ndt_decompose
 from .packing import Packing, pack_rigid_and_trees
 from .union import Decomposition, decompose
@@ -166,9 +166,7 @@ def _cmd_random(args) -> int:
         write_graph(args.out, G)
         print(f"wrote random multigraph n={G.n} m={G.m} to {args.out}")
     else:
-        sys.stdout.write(
-            f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges)
-        )
+        sys.stdout.write(format_graph(G))
     return 0
 
 

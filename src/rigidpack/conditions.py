@@ -9,11 +9,12 @@ paper's cover theorem) and ``tree-packing`` one (l,l) game
 of Dinkelbach's iteration; ``pq-connected`` and ``edge_connectivity``
 take a Stoer-Wagner minimum cut of G - X for each of the few X that need
 one.  The partition checkers scan their full quantifier range
-exhaustively, under the enumeration guardrails, and report the first
+exhaustively, under the enumeration guardrails (the Z scans of
+``parthm`` and ``bracket-partition`` walk Bell(n + 1) - 1 partitions, so
+they stop at one vertex fewer than ``necessary``), and report the first
 violator in enumeration order together with the two sides of the
 violated inequality; they walk the partitions incrementally on the
-bitmask kernel of ``enumeration``.  Only the library-only
-``essential_edge_connectivity`` still builds a subset table.
+bitmask kernel of ``enumeration``.  None builds a subset table.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .enumeration import (
+    PARTITION_LIMIT,
     SUBSET_LIMIT,
     check_partition_limit,
-    degree_sum_table,
     first_short_partition,
-    induced_table,
     mask_vertices,
     masks_by_size,
     multiplicities,
@@ -120,9 +120,14 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
 
 def _first_short_z_partition(G: Multigraph, slope: int, per_singleton: int, per_touch: int):
     # Z runs over the proper subsets of V, smallest first so the Z = empty
-    # set cases are scanned before any vertex deletions.  The partition
-    # guardrail is below the subset one, so it bounds both.
-    check_partition_limit(G.n)
+    # set cases are scanned before any vertex deletions.  Over all Z the
+    # walks visit Bell(n + 1) - 1 partitions, so the partition guardrail
+    # applies to n + 1.
+    if G.n + 1 > PARTITION_LIMIT:
+        raise LimitExceededError(
+            f"(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
+            f"n <= {PARTITION_LIMIT - 1} vertices (got n={G.n})"
+        )
     for z in masks_by_size(G.n, range(G.n)):
         found = first_short_partition(G, z, slope, per_singleton, per_touch)
         if found is not None:
@@ -279,28 +284,3 @@ def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:
     if G.n * q <= p:
         return False
     return _first_short_z_partition(G, p, 0, q) is None
-
-
-def essential_edge_connectivity(G: Multigraph) -> int | None:
-    """Minimum number of edges crossing a bipartition with both sides of
-    size >= 2; None ("unbounded") when no such bipartition exists."""
-    if G.n > SUBSET_LIMIT:
-        raise LimitExceededError(
-            f"essential connectivity scan is limited to n <= {SUBSET_LIMIT} vertices "
-            f"(got n={G.n})"
-        )
-    if G.n <= 3:
-        return None
-    ind, dsum = induced_table(G), degree_sum_table(G)
-    full = (1 << G.n) - 1
-    # Sides holding vertex 0 (the top bit) and leaving two vertices out.
-    return min(
-        dsum[S] - 2 * ind[S]
-        for S in range(1 << (G.n - 1), full)
-        if 2 <= S.bit_count() <= G.n - 2
-    )
-
-
-def is_essentially_edge_connected(G: Multigraph, p: int) -> bool:
-    cut = essential_edge_connectivity(G)
-    return cut is None or cut >= p

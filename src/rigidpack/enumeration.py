@@ -1,19 +1,17 @@
-"""The guardrails and the bitmask kernel of the exhaustive scans.
+"""The guardrails and the bitmask kernel of the partition scans.
 
-Subset scans refuse n beyond ``SUBSET_LIMIT`` and partition scans refuse
-ground sets beyond ``PARTITION_LIMIT`` (Bell numbers blow up fast;
-Bell(12) is about 4.2M).  Orders are deterministic so that reported
-witnesses are reproducible.
+Partition scans refuse ground sets beyond ``PARTITION_LIMIT`` (Bell
+numbers blow up fast; Bell(12) is about 4.2M), and ``SUBSET_LIMIT`` sizes
+the cut-step budget of ``pq-connected``.  Orders are deterministic so
+that reported witnesses are reproducible.
 
 Vertex v of an n-vertex graph is the bit ``1 << (n - 1 - v)``.
 ``PartitionWalk`` visits the partitions of a ground set with counts kept
 up to date as vertices move between blocks, and needs no table; the
-partition conditions run on it.  ``induced_table`` gives i(X) for every
-mask in one O(2^n) pass (a list of 2^n ints, about 1 MB at the peak of
-its build for n = 16); only the library-only essential edge connectivity
-builds one.  Only a reported witness is turned back into a ``frozenset`` or
-``Partition``.  The set-at-a-time enumerators the kernel replaced are
-test oracles now.
+partition conditions run on it.  Nothing here builds a table over all
+2^n vertex sets.  Only a reported witness is turned back into a
+``frozenset`` or ``Partition``.  The set-at-a-time enumerators the kernel
+replaced are test oracles now.
 """
 
 from __future__ import annotations
@@ -49,34 +47,6 @@ def multiplicities(G: Multigraph) -> list[dict[int, int]]:
         mult[u][v] = mult[u].get(v, 0) + 1
         mult[v][u] = mult[v].get(u, 0) + 1
     return mult
-
-
-def induced_table(G: Multigraph) -> list[int]:
-    """``ind[mask]`` = number of edges inside the vertex set ``mask``, for
-    all 2^n masks.  Run the caller's guardrail first."""
-    n = G.n
-    mult = multiplicities(G)
-    ind = [0]
-    for b in range(n):
-        # Masks below bit b gain vertex n - 1 - b; into[mask] counts its
-        # edges into mask, built one lower bit at a time.
-        row = mult[n - 1 - b]
-        into = [0]
-        for c in range(b):
-            w = row.get(n - 1 - c, 0)
-            into += [x + w for x in into] if w else into
-        ind += [i + e for i, e in zip(ind, into)]
-    return ind
-
-
-def degree_sum_table(G: Multigraph) -> list[int]:
-    """``dsum[mask]`` = sum of the degrees of the vertices in ``mask``."""
-    deg = G.degrees()
-    dsum = [0]
-    for b in range(G.n):
-        d = deg[G.n - 1 - b]
-        dsum += [x + d for x in dsum]
-    return dsum
 
 
 class PartitionWalk:

@@ -80,20 +80,6 @@ class Multigraph:
             adj[v].add(u)
         return adj
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
-
     def subgraph_of(self, F: Iterable[int]) -> "Multigraph":
         """Spanning subgraph keeping only edge ids ``F`` (ids are remapped
         to ``0..|F|-1`` in ascending order of the original ids)."""

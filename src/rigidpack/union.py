@@ -82,9 +82,6 @@ class Decomposition:
     def covered(self) -> frozenset:
         return frozenset(e for e, c in enumerate(self.assignment) if c != 0)
 
-    def uncovered(self) -> frozenset:
-        return frozenset(e for e, c in enumerate(self.assignment) if c == 0)
-
     def is_complete(self) -> bool:
         return all(c != 0 for c in self.assignment)
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from rigidpack import Multigraph, random_multigraph
 from rigidpack.matroids import PebbleGame
 
+from oracles import connected_def
+
 
 def triangle() -> Multigraph:
     return Multigraph(3, ((0, 1), (1, 2), (0, 2)))
@@ -99,7 +101,7 @@ def connected_corpus(count: int, seed: int, *, n_range=(2, 6), m_max=12, mult_ma
         m = rng.randint(lo, hi)
         G = random_multigraph(n, m, mult, seed=seed * 99991 + attempt)
         attempt += 1
-        if G.is_connected():
+        if connected_def(G):
             graphs.append(G)
     return graphs
 
@@ -133,7 +135,7 @@ def connected_gamma2_bounded(count: int, bound: int, seed: int, *, n_range=(6, 8
             cap = min(bound * (2 * n - 3), 2 * n + rng.randint(0, n), n * (n - 1) // 2)
             m = rng.randint(n, cap)
             G = random_multigraph(n, m, 1, seed=seed * 7919 + attempt)
-        if not G.is_connected():
+        if not connected_def(G):
             continue
         if gamma2(G).value <= bound:
             graphs.append(G)

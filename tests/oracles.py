@@ -378,12 +378,15 @@ def kwz_def(G, k, d):
 
 def two_connected_def(G):
     """Connected, n >= 3, and still connected after removing any vertex."""
-    if G.n < 3 or not _connected_def(G, set(range(G.n))):
+    if G.n < 3 or not connected_def(G):
         return False
-    return all(_connected_def(G, set(range(G.n)) - {v}) for v in range(G.n))
+    return all(connected_def(G, set(range(G.n)) - {v}) for v in range(G.n))
 
 
-def _connected_def(G, W):
+def connected_def(G, W=None):
+    """Is the subgraph induced by W (all of V by default) connected?"""
+    if W is None:
+        W = set(range(G.n))
     if not W:
         return True
     adj = {v: set() for v in W}
@@ -667,6 +670,16 @@ def proper_subsets_reference(G: Multigraph):
             yield frozenset(combo)
 
 
+def _check_z_scan_limit(G: Multigraph) -> None:
+    """The library's bound on a scan over every (Z, partition) pair, which
+    walks Bell(n + 1) - 1 partitions."""
+    if G.n + 1 > PARTITION_LIMIT:
+        raise LimitExceededError(
+            f"(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
+            f"n <= {PARTITION_LIMIT - 1} vertices (got n={G.n})"
+        )
+
+
 def check_parthm_condition_reference(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Sufficient packing condition: for every proper subset Z and every
     partition p of V - Z,
@@ -679,6 +692,7 @@ def check_parthm_condition_reference(G: Multigraph, k: int, l: int) -> Condition
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     params = {"k": k, "l": l}
+    _check_z_scan_limit(G)
     vertices = frozenset(G.vertices())
     for Z in proper_subsets_reference(G):
         rest = vertices - Z
@@ -785,6 +799,7 @@ def is_bracket_partition_connected_reference(G: Multigraph, p: int, q: int) -> b
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
+    _check_z_scan_limit(G)
     vertices = frozenset(G.vertices())
     for Z in proper_subsets_reference(G):
         rest = vertices - Z

@@ -16,7 +16,6 @@ from rigidpack import (
     check_necessary_condition,
     check_parthm_condition,
     decompose,
-    essential_edge_connectivity,
     format_graph,
     gamma2,
     is_bracket_partition_connected,
@@ -219,7 +218,7 @@ def test_criterion_09_rigid_graph_corollaries():
         if not is_rigid(G):
             continue
         rigid_count += 1
-        cut = essential_edge_connectivity(G)
+        cut = oracles.essential_def(G)
         if cut is not None and cut < 3:
             failures.append((G, "essential connectivity", cut))
         if G.m >= 2 * (G.n - 1):

@@ -584,6 +584,35 @@ def test_forged_holding_scan_claim_is_refused_within_the_verifiers_guardrail(
 
 
 
+def test_holding_z_scan_on_12_vertices_is_refused_at_once(tmp_path, capsys):
+    # The Z scans walk Bell(n + 1) - 1 partitions, so they stop at 11
+    # vertices.  On the 12-cycle a holding bracket-partition check, and
+    # verify of a holding certificate rehashed for that graph, refuse
+    # before any walk instead of walking Bell(13) partitions.
+    G = corpus.cycle(12)
+    gfile, cfile = tmp_path / "c12.txt", tmp_path / "bracket.json"
+    gfile.write_text(format_graph(G))
+    start = time.perf_counter()
+    assert cli.main(["check", "bracket-partition", str(gfile), "--p", "1", "--q", "1",
+                     "--out", str(cfile)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "limited to n <= 11 vertices (got n=12)" in capsys.readouterr().err
+    assert not cfile.exists()
+    cert = {
+        "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
+        "parameters": {"condition": "bracket-partition", "p": 1, "q": 1}, "verified": True,
+        "payload": {"kind": "report", "condition": "bracket-partition", "holds": True,
+                    "parameters": {"p": 1, "q": 1},
+                    "witness": None, "lhs": None, "rhs": None},
+    }
+    cert["cert_hash"] = certificate_hash(cert)
+    write_certificate(cfile, cert)
+    start = time.perf_counter()
+    assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "cannot re-check the claim" in capsys.readouterr().out
+
+
 def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
     tmp_path, capsys
 ):

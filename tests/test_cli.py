@@ -216,22 +216,25 @@ def test_guardrail_flags_on_no_command(k4_file, tmp_path):
 
 
 def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys):
-    # Producer and verifier run under the same fixed guardrails.  At the
-    # partition guardrail a path fails each scan at its second partition;
-    # the bracket-partition failure carries no witness, so verify re-runs
-    # its scan.  One vertex more and each check refuses, writing nothing.
+    # Producer and verifier run under the same fixed guardrails.  At its
+    # bound a path fails each scan at its second partition: 12 vertices for
+    # necessary, 11 for the Z scans of parthm and bracket-partition, which
+    # walk Bell(n + 1) - 1 partitions.  The bracket-partition failure
+    # carries no witness, so verify re-runs its scan.  One vertex more and
+    # each check refuses, writing nothing.
     out = tmp_path / "cert.json"
-    for n, code in ((12, 1), (13, 3)):
-        gfile = tmp_path / f"p{n}.txt"
-        gfile.write_text(format_graph(corpus.path(n)))
-        for argv in (["check", "necessary", "--k", "1", "--l", "0"],
-                     ["check", "parthm", "--k", "1", "--l", "0"],
-                     ["check", "bracket-partition", "--p", "2", "--q", "1"]):
-            assert main(argv[:2] + [str(gfile)] + argv[2:] + ["--out", str(out)]) == code, argv
-            if code == 1:
-                assert main(["verify", str(out), str(gfile)]) == 0, argv
-                out.unlink()
-            assert not out.exists(), argv
+    for bound, argvs in ((12, [["check", "necessary", "--k", "1", "--l", "0"]]),
+                         (11, [["check", "parthm", "--k", "1", "--l", "0"],
+                               ["check", "bracket-partition", "--p", "2", "--q", "1"]])):
+        for n, code in ((bound, 1), (bound + 1, 3)):
+            gfile = tmp_path / f"p{n}.txt"
+            gfile.write_text(format_graph(corpus.path(n)))
+            for argv in argvs:
+                assert main(argv[:2] + [str(gfile)] + argv[2:] + ["--out", str(out)]) == code, argv
+                if code == 1:
+                    assert main(["verify", str(out), str(gfile)]) == 0, argv
+                    out.unlink()
+                assert not out.exists(), argv
     # pq-connected's cut steps: |X| <= 6 asks for 60460 cuts on 20 vertices,
     # more steps than 2^16 cuts on 16.
     gfile = tmp_path / "g20.txt"
@@ -369,6 +372,13 @@ def test_decompose_failure_above_subset_guardrail(tmp_path):
     assert payload["witness"] == {"kind": "vertex-set", "vertices": [0, 1]}
     assert (payload["lhs"], payload["rhs"]) == (2, 1) and "note" not in payload
     assert main(["verify", str(out), str(gfile)]) == 0
+
+
+def test_random_stdout_is_format_graph(capsys):
+    for n, m, mult, seed in ((5, 8, 2, 42), (4, 0, 1, 0), (1, 0, 1, 3)):
+        argv = ["random", "--n", str(n), "--m", str(m), "--mult", str(mult), "--seed", str(seed)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == format_graph(random_multigraph(n, m, mult, seed))
 
 
 def test_random_command_deterministic(tmp_path):

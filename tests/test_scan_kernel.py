@@ -10,11 +10,12 @@ nothing it answered, and report failure witnesses that pass the
 verifier's counting check and maximizers that reach the value.
 """
 
+import importlib
 import itertools
+import pkgutil
 import tracemalloc
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,6 @@ from rigidpack import (
     check_tree_packing_condition,
     cross_edge_count,
     edge_connectivity,
-    essential_edge_connectivity,
     format_graph,
     gamma,
     gamma2,
@@ -44,7 +44,7 @@ from rigidpack import enumeration
 from rigidpack.certificates import CONDITIONS
 from rigidpack.cli import main
 from rigidpack.conditions import count_condition_report
-from rigidpack.enumeration import PartitionWalk, induced_table, mask_vertices
+from rigidpack.enumeration import PartitionWalk, mask_vertices
 
 import corpus
 import oracles
@@ -56,12 +56,6 @@ def outcome(fn, *args, **kwargs):
         return "value", fn(*args, **kwargs)
     except (RigidpackError, RuntimeError) as exc:
         return type(exc), str(exc)
-
-
-def assert_subset_scans_match(G):
-    # Essential edge connectivity is the one subset scan left.
-    assert outcome(essential_edge_connectivity, G) == outcome(
-        oracles.essential_edge_connectivity_reference, G), G
 
 
 def assert_witness_violates(G, report):
@@ -168,7 +162,6 @@ def named_graphs():
 def test_named_and_seeded_corpus_reports_match_reference():
     graphs = list(named_graphs()) + corpus.random_corpus(80, seed=61, n_range=(0, 8), m_max=30)
     for G in graphs:
-        assert_subset_scans_match(G)
         assert_partition_scans_match(G)
         assert_polynomial_checks_agree(G)
 
@@ -176,7 +169,6 @@ def test_named_and_seeded_corpus_reports_match_reference():
 @settings(max_examples=120, deadline=None)
 @given(G=corpus.small_multigraphs(max_n=8))
 def test_subset_scans_match_reference(G):
-    assert_subset_scans_match(G)
     assert_polynomial_checks_agree(G)
 
 
@@ -188,26 +180,26 @@ def test_partition_scans_match_reference(G):
 
 
 def test_refusal_points_match_reference():
-    # The guardrails are fixed: partition scans answer at n = 12 and refuse
-    # at 13, essential edge connectivity answers at 16 and refuses at 17.
-    # A path fails each scan run at n = 12 at its second partition, so none
-    # walks all Bell(12) partitions.
+    # The guardrails are fixed: necessary answers at n = 12 and refuses at
+    # 13.  The Z scans of parthm and bracket-partition walk Bell(n + 1) - 1
+    # partitions, so they answer at n = 11 and refuse from 12 on.  A path
+    # fails each scan run where it answers at its second partition, so none
+    # walks a whole partition space.
     failing = (((1, 0), (1, 1), (2, 1)), ((2, 1), (3, 2)))
-    assert_partition_scans_match(corpus.path(12), z_scans=True, cases=failing)
-    assert_partition_scans_match(corpus.path(13), z_scans=True)
-    # At n = 17 the reference Z scans refuse at their subset guardrail; the
-    # library's partition guardrail, the lower one, bounds both.
-    assert_partition_scans_match(corpus.path(17), z_scans=False)
-    for scan, args in ((check_parthm_condition, (1, 0)), (is_bracket_partition_connected, (2, 1))):
-        assert outcome(scan, corpus.path(17), *args) == (
-            rigidpack.LimitExceededError,
-            "partition enumeration is limited to 12 elements (got 17)")
+    for n in (11, 12):
+        assert_partition_scans_match(corpus.path(n), z_scans=True, cases=failing)
+    for n in (13, 17):
+        assert_partition_scans_match(corpus.path(n), z_scans=True)
+    for n in (12, 17):
+        for scan, args in ((check_parthm_condition, (1, 0)),
+                           (is_bracket_partition_connected, (2, 1))):
+            assert outcome(scan, corpus.path(n), *args) == (
+                rigidpack.LimitExceededError,
+                "(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
+                f"n <= 11 vertices (got n={n})")
     # The polynomial checks answer where the reference scans refuse.
     for n in (13, 17):
         assert_polynomial_checks_agree(corpus.path(n))
-    for n in (16, 17):
-        assert_subset_scans_match(corpus.path(n))
-    assert essential_edge_connectivity(corpus.path(16)) == 1
 
 
 def test_mask_order_is_subset_enumeration_order():
@@ -246,14 +238,18 @@ def test_walk_counts_match_partition_counts(G, data):
     assert seen == list(enumerate_partitions(set(range(G.n)) - Z, max_size=G.n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(G=corpus.small_multigraphs(max_n=8))
-def test_induced_table_counts_every_set(G):
-    ind = induced_table(G)
-    assert len(ind) == 1 << G.n
-    for mask in range(1 << G.n):
-        X = mask_vertices(G.n, mask)
-        assert ind[mask] == sum(1 for u, v in G.edges if u in X and v in X)
+def test_no_subset_table_in_the_library():
+    # Every scan left in the library is one that a command certifies.
+    # Essential edge connectivity, the one quantity that needed a table over
+    # all 2^n vertex sets, is an oracle only (oracles.essential_def), and
+    # connectivity is oracles.connected_def.
+    modules = [importlib.import_module(f"rigidpack.{info.name}")
+               for info in pkgutil.iter_modules(rigidpack.__path__)]
+    for module in [rigidpack] + modules:
+        for name in ("induced_table", "degree_sum_table", "essential_edge_connectivity",
+                     "is_essentially_edge_connected"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(Multigraph, "is_connected")
 
 
 def _with_input(argv, path):
@@ -262,30 +258,12 @@ def _with_input(argv, path):
     return argv[:at] + [str(path)] + argv[at:]
 
 
-def _forbid(monkeypatch, *names):
-    """Replace every module binding of the named enumeration functions."""
-    calls = []
-    for name in names:
-        original = getattr(enumeration, name)
-
-        def refuse(*args, _name=name, **kwargs):
-            calls.append(_name)
-            raise AssertionError(f"{_name} called")
-
-        for module in list(vars(rigidpack).values()) + [rigidpack]:
-            if getattr(module, "__name__", "").startswith("rigidpack"):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, refuse)
-    return calls
-
-
-def test_check_and_gamma_runs_call_no_enumerator(tmp_path, monkeypatch):
-    # The set-at-a-time enumerators live only in the oracles, and no check
-    # or gamma run builds a subset table.
+def test_check_and_gamma_runs_call_no_enumerator(tmp_path):
+    # The set-at-a-time enumerators and the subset tables live only in the
+    # oracles, so no check or gamma run can build one.
     for name in ("enumerate_vertex_subsets", "enumerate_partitions", "bell_number",
-                 "first_dense_set"):
+                 "first_dense_set", "induced_table", "degree_sum_table"):
         assert not hasattr(enumeration, name) and not hasattr(rigidpack, name), name
-    calls = _forbid(monkeypatch, "induced_table")
     runs = {
         "k4.txt": (corpus.k4(), [
             (["check", "cover", "--k", "1"], 1), (["check", "cover", "--k", "2"], 0),
@@ -310,18 +288,9 @@ def test_check_and_gamma_runs_call_no_enumerator(tmp_path, monkeypatch):
             out = tmp_path / "cert.json"
             assert main(_with_input(argv, gfile) + ["--out", str(out)]) == code, argv
             assert main(["verify", str(out), str(gfile)]) == 0, argv
-    assert calls == []
 
 
-def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
-    built = []
-
-    def counting(G, real=enumeration.induced_table):
-        built.append(G.n)
-        return real(G)
-
-    for module in (enumeration, rigidpack.conditions):
-        monkeypatch.setattr(module, "induced_table", counting)
+def test_guardrails_refuse_before_any_table(tmp_path, capsys):
     # A failing decompose, cover, pq-connected, kwz and gamma answer at
     # n = 17 with no table: pebble games and minimum cuts, not a scan.
     doubled_path = Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2))
@@ -340,13 +309,6 @@ def test_guardrails_refuse_before_any_table(tmp_path, monkeypatch, capsys):
     assert main(["check", "pq-connected", str(gfile), "--p", "9", "--q", "1"]) == 3
     assert "limited to the cut steps of 2^16 cuts on 16 vertices (got at least 65536 cuts" in (
         capsys.readouterr().err)
-    # The library's essential edge connectivity refuses n = 17 before its
-    # table too, and builds one at its guardrail.
-    with pytest.raises(rigidpack.LimitExceededError, match="limited to n <= 16 vertices"):
-        essential_edge_connectivity(doubled_path)
-    assert built == []
-    essential_edge_connectivity(Multigraph(16, doubled_path.edges[:30]))
-    assert built == [16]
 
 
 def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
@@ -354,10 +316,6 @@ def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
     gfile.write_text(format_graph(corpus.path(23)))
     tracemalloc.start()
     try:
-        # Only essential edge connectivity builds a table, and it refuses
-        # above the subset guardrail.
-        with pytest.raises(rigidpack.LimitExceededError, match="limited to n <= 16 vertices"):
-            essential_edge_connectivity(corpus.path(23))
         # kwz, gamma2, cover and pq-connected build no table at all.
         for argv in (["check", "kwz", "--k", "1", "--d", "2"], ["gamma", "gamma2"]):
             assert main(_with_input(argv, gfile)) == 0, argv
