@@ -8,7 +8,6 @@ from .conditions import (
     check_necessary_condition,
     check_parthm_condition,
     check_tree_packing_condition,
-    edge_connectivity,
     gamma,
     gamma2,
     is_bracket_partition_connected,
@@ -25,12 +24,12 @@ from .matroids import (
     RankResult,
     graphic_independent,
     graphic_rank,
-    is_minimally_rigid,
     is_rigid,
     rigidity_rank,
     sparse_independent,
 )
 from .multigraph import (
+    VERTEX_LIMIT,
     Multigraph,
     Partition,
     adjacent_number,

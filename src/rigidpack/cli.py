@@ -10,7 +10,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import certificates as certs
 from .conditions import gamma, gamma2
@@ -107,44 +106,12 @@ def _command_parameters(command: str, args) -> dict:
     return {"k": args.k, "l": args.l}
 
 
-def _process_file(command: str, path: Path, args, out_path: Path | None) -> tuple[int, str]:
-    G = load_graph(path)
+def _run(command: str, args) -> int:
+    G = load_graph(args.input)
     code, payload, summary = _RUNNERS[command](G, args)
     cert = certs.build_certificate(command, _command_parameters(command, args), G, payload)
-    if out_path is not None:
-        certs.write_certificate(out_path, cert)
-    return code, summary
-
-
-def _run_single_or_batch(command: str, args) -> int:
-    if args.batch is not None:
-        if args.input is not None:
-            raise GraphInputError("give either an input file or --batch, not both")
-        batch_dir = Path(args.batch)
-        if not batch_dir.is_dir():
-            raise GraphInputError(f"--batch {batch_dir} is not a directory")
-        files = sorted(batch_dir.glob("*.txt"))
-        if not files:
-            raise GraphInputError(f"no *.txt graph files in {batch_dir}")
-        out_dir = Path(args.out) if args.out else batch_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-        worst = 0
-        for f in files:
-            try:
-                code, summary = _process_file(
-                    command, f, args, out_dir / f"{f.stem}.{command}.json"
-                )
-            except GraphInputError as exc:
-                code, summary = 2, f"input error: {exc}"
-            except LimitExceededError as exc:
-                code, summary = 3, f"refused: {exc}"
-            print(f"{f.name}: {summary}")
-            worst = max(worst, code)
-        return worst
-    if args.input is None:
-        raise GraphInputError("an input graph file is required (or use --batch)")
-    out_path = Path(args.out) if args.out else None
-    code, summary = _process_file(command, Path(args.input), args, out_path)
+    if args.out:
+        certs.write_certificate(args.out, cert)
     print(summary)
     return code
 
@@ -179,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_common(p):
-        p.add_argument("input", nargs="?", help="graph file ('n m' header, then 'u v' lines)")
-        p.add_argument("--batch", metavar="DIR", help="process every *.txt graph in DIR")
-        p.add_argument("--out", help="certificate output path (directory in batch mode)")
+        p.add_argument("input", help="graph file ('n m' header, then 'u v' lines)")
+        p.add_argument("--out", help="certificate output path")
 
     p = sub.add_parser("decompose", help="decompose into k sparse classes and l forests")
     p.add_argument("--k", type=int, default=0)
@@ -233,27 +199,9 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse(argv) -> argparse.Namespace:
-    parser = _shared_parser()
-    args, extra = parser.parse_known_args(argv)
-    # argparse hands the optional input positional of `check` and `gamma`
-    # out empty together with the condition, so an input file given after
-    # the options (`check cover --k 1 g.txt`) is left over here.
-    if (
-        len(extra) == 1
-        and not extra[0].startswith("-")
-        and args.cmd in ("check", "gamma")
-        and args.input is None
-    ):
-        args.input = extra.pop()
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
-
-
 def main(argv=None) -> int:
     try:
-        args = _parse(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
@@ -261,7 +209,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.cmd == "random":
             return _cmd_random(args)
-        return _run_single_or_batch(args.cmd, args)
+        return _run(args.cmd, args)
     except (GraphInputError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -6,15 +6,15 @@ checker runs it at any n: ``cover`` is one (2k,3k) pebble game (the
 paper's cover theorem) and ``tree-packing`` one (l,l) game
 (Nash-Williams and Tutte), each reporting a violator read off the game;
 ``gamma`` and ``gamma2`` take a few weighted pebble games, one per guess
-of Dinkelbach's iteration; ``pq-connected`` and ``edge_connectivity``
-take a Stoer-Wagner minimum cut of G - X for each of the few X that need
-one.  The partition checkers scan their full quantifier range
-exhaustively, under the enumeration guardrails (the Z scans of
-``parthm`` and ``bracket-partition`` walk Bell(n + 1) - 1 partitions, so
-they stop at one vertex fewer than ``necessary``), and report the first
-violator in enumeration order together with the two sides of the
-violated inequality; they walk the partitions incrementally on the
-bitmask kernel of ``enumeration``.  None builds a subset table.
+of Dinkelbach's iteration; ``pq-connected`` takes a Stoer-Wagner
+minimum cut of G - X for each of the few X that need one.  The partition
+checkers scan their full quantifier range exhaustively, under the
+enumeration guardrails (the Z scans of ``parthm`` and
+``bracket-partition`` walk Bell(n + 1) - 1 partitions, so they stop at
+one vertex fewer than ``necessary``), and report the first violator in
+enumeration order together with the two sides of the violated
+inequality; they walk the partitions incrementally on the bitmask kernel
+of ``enumeration``.  None builds a subset table.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def _min_cut(adj: dict[int, dict[int, int]]) -> int:
     return best
 
 
-def _weights_without(mult: list[dict[int, int]], X=frozenset()) -> dict[int, dict[int, int]]:
+def _weights_without(mult: list[dict[int, int]], X: frozenset) -> dict[int, dict[int, int]]:
     """G - X as vertex -> neighbour -> number of parallel edges, a fresh
     copy (``_min_cut`` consumes it) of G's ``multiplicities``."""
     adj = {v: row.copy() for v, row in enumerate(mult) if v not in X}
@@ -236,12 +236,6 @@ def _weights_without(mult: list[dict[int, int]], X=frozenset()) -> dict[int, dic
         for u in mult[x]:
             adj.get(u, {}).pop(x, None)
     return adj
-
-
-def edge_connectivity(G: Multigraph) -> int | None:
-    """Global edge connectivity by one Stoer-Wagner minimum cut; None for
-    graphs with fewer than 2 vertices."""
-    return _min_cut(_weights_without(multiplicities(G))) if G.n >= 2 else None
 
 
 def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:

@@ -14,5 +14,5 @@ class GraphInputError(RigidpackError):
 
 
 class LimitExceededError(RigidpackError):
-    """An exhaustive enumeration was refused because the instance exceeds
-    the configured guardrail."""
+    """An instance was refused because it exceeds a fixed guardrail: the
+    vertex bound of a graph file, or the size of an exhaustive scan."""

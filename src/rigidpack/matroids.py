@@ -260,7 +260,3 @@ def is_rigid(G: Multigraph) -> bool:
     if G.n <= 1:
         raise GraphInputError("rigidity is defined for graphs with at least 2 vertices")
     return rigidity_rank(G, range(G.m)).rank == 2 * G.n - 3
-
-
-def is_minimally_rigid(G: Multigraph) -> bool:
-    return is_rigid(G) and G.m == 2 * G.n - 3

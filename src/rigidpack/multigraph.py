@@ -15,7 +15,11 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import GraphInputError
+from .errors import GraphInputError, LimitExceededError
+
+# Every command builds per-vertex lists (a pebble game holds about 250
+# bytes a vertex), so a graph file may not promise more vertices than this.
+VERTEX_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -55,15 +59,6 @@ class Multigraph:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def multiplicity(self) -> int:
-        """Largest number of parallel edges between any vertex pair."""
-        if not self.edges:
-            return 0
-        counts: dict[tuple[int, int], int] = {}
-        for pair in self.edges:
-            counts[pair] = counts.get(pair, 0) + 1
-        return max(counts.values())
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -240,6 +235,8 @@ def parse_graph(text: str) -> Multigraph:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise GraphInputError(f"line {lineno}: expected integers in header") from None
+    if n > VERTEX_LIMIT:
+        raise LimitExceededError(f"graphs are limited to {VERTEX_LIMIT} vertices (got n={n})")
     if len(rows) - 1 != m:
         raise GraphInputError(
             f"line {lineno}: header promises {m} edges, file has {len(rows) - 1} edge lines"

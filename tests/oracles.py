@@ -406,6 +406,14 @@ def connected_def(G, W=None):
     return seen == W
 
 
+def multiplicity(G):
+    """Largest number of parallel edges between any vertex pair."""
+    counts: dict[tuple[int, int], int] = {}
+    for pair in G.edges:
+        counts[pair] = counts.get(pair, 0) + 1
+    return max(counts.values(), default=0)
+
+
 def bounded_split_exists_def(G, d):
     """Is there an acyclic T with the remaining edges of max degree <= d?"""
     for T in iter_subsets(range(G.m)):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpack import Multigraph, format_graph, induced_edge_count, random_multigraph
+from rigidpack import (
+    VERTEX_LIMIT,
+    Multigraph,
+    format_graph,
+    induced_edge_count,
+    parse_graph,
+    random_multigraph,
+)
 from rigidpack.certificates import certificate_hash
 from rigidpack.cli import build_parser, main
 
@@ -429,23 +436,61 @@ def test_certificates_byte_identical_modulo_timestamp(tmp_path):
 
 
 def test_batch_mode(tmp_path, capsys):
+    # There is no batch mode: one request per call, and a shell loop over
+    # the files writes one certificate each.  --batch is a usage error that
+    # writes nothing.
     gdir = tmp_path / "graphs"
     gdir.mkdir()
     (gdir / "k4.txt").write_text(format_graph(corpus.k4()))
-    (gdir / "tri.txt").write_text(format_graph(corpus.triangle()))
     out_dir = tmp_path / "certs"
-    code = main(["decompose", "--batch", str(gdir), "--k", "2", "--out", str(out_dir)])
-    assert code == 0
-    assert sorted(p.name for p in out_dir.iterdir()) == [
-        "k4.decompose.json",
-        "tri.decompose.json",
-    ]
-    # every batch certificate verifies against its input
-    for stem in ("k4", "tri"):
-        assert main(["verify", str(out_dir / f"{stem}.decompose.json"), str(gdir / f"{stem}.txt")]) == 0
-    # worst exit code propagates
-    code = main(["decompose", "--batch", str(gdir), "--k", "1", "--out", str(out_dir)])
-    assert code == 1
+    for argv in (["decompose", "--batch", str(gdir), "--k", "2", "--out", str(out_dir)],
+                 ["decompose", str(gdir / "k4.txt"), "--batch", str(gdir), "--k", "2"]):
+        assert main(argv) == 2, argv
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in gdir.iterdir()) == ["k4.txt"]
+
+
+@pytest.mark.parametrize("words", [
+    ["check", "cover", "--k", "1"],
+    ["check", "kwz", "--k", "1", "--d", "7/3", "--out", "c.json"],
+    ["check", "pq-connected", "--p", "3", "--q", "1"],
+    ["gamma", "gamma2"],
+    ["gamma", "gamma", "--out", "c.json"],
+])
+def test_input_parses_before_or_after_the_options(words):
+    # input is a required positional: argparse places it wherever it stands
+    # after the command words, and a missing one is a usage error.
+    parser = build_parser()
+    before = parser.parse_args(words[:2] + ["g.txt"] + words[2:])
+    assert vars(before)["input"] == "g.txt"
+    assert parser.parse_args(words + ["g.txt"]) == before
+    if words[0] == "check":
+        assert parser.parse_args(words[:1] + words[2:] + [words[1], "g.txt"]) == before
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(words) == 2
+    assert "the following arguments are required: input" in err.getvalue()
+
+
+def test_vertex_bound_refuses_before_any_vertex_list(tmp_path, capsys):
+    # A 23-byte file whose header promises 10^15 vertices is refused (exit 3)
+    # before any per-vertex list is built, by every command and by verify.
+    k4, cert = tmp_path / "k4.txt", tmp_path / "k4.json"
+    k4.write_text(format_graph(corpus.k4()))
+    assert main(["decompose", str(k4), "--k", "2", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    for n in (VERTEX_LIMIT + 1, 10**15):
+        gfile = tmp_path / f"v{n}.txt"
+        gfile.write_text(f"{n} 1\n0 1\n")
+        for argv in (["check", "cover", str(gfile), "--k", "1"],
+                     ["decompose", str(gfile), "--k", "1"],
+                     ["gamma", "gamma", str(gfile)],
+                     ["verify", str(cert), str(gfile)]):
+            assert main(argv) == 3, argv
+            err = capsys.readouterr().err
+            assert err == f"refused: graphs are limited to {VERTEX_LIMIT} vertices (got n={n})\n"
+    G = parse_graph(f"{VERTEX_LIMIT} 1\n0 1\n")
+    assert G.n == VERTEX_LIMIT and G.edges == ((0, 1),)
 
 
 def test_repeated_main_calls_keep_no_parser_state(k4_file, tmp_path):

@@ -13,7 +13,6 @@ from rigidpack import (
     check_necessary_condition,
     check_parthm_condition,
     check_tree_packing_condition,
-    edge_connectivity,
     gamma,
     gamma2,
     is_bracket_partition_connected,
@@ -158,12 +157,20 @@ def test_essential_edge_connectivity():
         assert oracles.essential_def(G) == oracles.essential_edge_connectivity_reference(G)
 
 
+def assert_min_cut(G, lam):
+    """Stoer-Wagner through pq-connected: with p = q only X = {} asks for
+    a cut, so (p,p)-connected means a whole-graph cut of at least p."""
+    if lam:
+        assert is_pq_connected(G, lam, lam)
+    assert not is_pq_connected(G, lam + 1, lam + 1)
+
+
 def test_edge_connectivity_helper():
-    assert edge_connectivity(corpus.cycle(5)) == 2
-    assert edge_connectivity(corpus.k4()) == 3
-    assert edge_connectivity(corpus.two_triangles_disjoint()) == 0
-    assert edge_connectivity(Multigraph(1)) is None
-    assert edge_connectivity(corpus.double_edge()) == 2
+    for G, lam in ((corpus.cycle(5), 2), (corpus.k4(), 3),
+                   (corpus.two_triangles_disjoint(), 0), (corpus.double_edge(), 2)):
+        assert oracles.edge_connectivity_reference(G) == lam
+        assert_min_cut(G, lam)
+    assert oracles.edge_connectivity_reference(Multigraph(1)) is None
 
 
 def test_forest_count_matches_gamma_ceiling():
@@ -200,7 +207,8 @@ def test_polynomial_checks_match_definitions_up_to_n_9(G, k, l, extra):
                 True, report.lhs, report.rhs)
     for p, q in ((l, 1), (4, 2), (2 * l + 1, 2)):
         assert is_pq_connected(G, p, q) == oracles.pq_connected_def(G, p, q), (p, q)
-    assert edge_connectivity(G) == oracles.edge_conn_within_def(G, range(G.n))
+    if G.n >= 2:
+        assert_min_cut(G, oracles.edge_conn_within_def(G, range(G.n)))
     for density, reference, denominator in (
         (gamma, oracles.gamma_reference, lambda x: x - 1),
         (gamma2, oracles.gamma2_reference, lambda x: 2 * x - 3),

@@ -3,8 +3,8 @@
 Every condition checker that still scans must return the same whole report
 as its ``oracles.*_reference`` copy (verdict, witness, both sides) and
 refuse at the same point with the same message.  The checkers that no
-longer scan (cover, tree-packing, kwz, gamma, gamma2, pq-connected, edge
-connectivity, and the cover failures of ``decompose``) must give the
+longer scan (cover, tree-packing, kwz, gamma, gamma2, pq-connected, and
+the cover failures of ``decompose``) must give the
 reference's verdict or value wherever the reference answers, refuse
 nothing it answered, and report failure witnesses that pass the
 verifier's counting check and maximizers that reach the value.
@@ -30,7 +30,6 @@ from rigidpack import (
     check_parthm_condition,
     check_tree_packing_condition,
     cross_edge_count,
-    edge_connectivity,
     format_graph,
     gamma,
     gamma2,
@@ -126,8 +125,12 @@ def assert_polynomial_checks_agree(G):
             assert new[0] in ("value", rigidpack.LimitExceededError), (p, q)
         else:
             assert new == ref, (p, q)
-    if G.n <= 16:
-        assert edge_connectivity(G) == oracles.edge_connectivity_reference(G)
+    if 2 <= G.n <= 16:
+        # Stoer-Wagner through pq-connected at p = q: one whole-graph cut.
+        lam = oracles.edge_connectivity_reference(G)
+        if lam:
+            assert is_pq_connected(G, lam, lam)
+        assert not is_pq_connected(G, lam + 1, lam + 1)
 
 
 def partition_scans(G, z_scans, cases=None):
