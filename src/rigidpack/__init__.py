@@ -1,5 +1,6 @@
 """rigidpack: (2,3)-sparse decompositions, rigid-subgraph and spanning-tree
-packings, and exhaustive partition-condition checking on multigraphs."""
+packings, and exact partition-condition checking on multigraphs, by
+branch and bound over the partitions."""
 
 from .conditions import (
     ConditionReport,

@@ -24,11 +24,17 @@ parameters, its producer, and the inequality a failure's witness violates.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, NamedTuple
+
+# The interpreter's built-in SHA-256, not hashlib's: hashlib loads OpenSSL,
+# which adds megabytes of memory and milliseconds to every start-up.
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    from _sha256 import sha256
 
 from .conditions import (
     DENSITY_COUNTS,
@@ -67,7 +73,7 @@ SCHEMA = "rigidpack-cert/2"
 def graph_hash(G: Multigraph) -> str:
     """SHA-256 of the canonical edge list (endpoint-sorted, id order)."""
     body = f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges)
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
+    return sha256(body.encode("ascii")).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -76,7 +82,7 @@ def canonical_json(obj) -> str:
 
 def certificate_hash(cert: dict) -> str:
     core = {k: v for k, v in cert.items() if k not in ("cert_hash", "created")}
-    return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(core).encode("utf-8")).hexdigest()
 
 
 def build_certificate(command: str, parameters: dict, G: Multigraph, payload: dict) -> dict:

@@ -8,13 +8,15 @@ paper's cover theorem) and ``tree-packing`` one (l,l) game
 ``gamma`` and ``gamma2`` take a few weighted pebble games, one per guess
 of Dinkelbach's iteration; ``pq-connected`` takes a Stoer-Wagner
 minimum cut of G - X for each of the few X that need one.  The partition
-checkers scan their full quantifier range exhaustively, under the
-enumeration guardrails (the Z scans of ``parthm`` and
-``bracket-partition`` walk Bell(n + 1) - 1 partitions, so they stop at
-one vertex fewer than ``necessary``), and report the first violator in
-enumeration order together with the two sides of the violated
-inequality; they walk the partitions incrementally on the bitmask kernel
-of ``enumeration``.  None builds a subset table.
+checkers scan their full quantifier range, under the enumeration
+guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
+over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
+``necessary``), and report the first violator in enumeration order
+together with the two sides of the violated inequality.  They walk the
+partitions incrementally on the bitmask kernel of ``enumeration``, which
+skips every prefix that a bound shows holds no violator; the tables of a
+graph are built once per scan, not once per Z.  None builds a subset
+table.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from .enumeration import (
     SUBSET_LIMIT,
     check_partition_limit,
     first_short_partition,
+    mask_partition,
     mask_vertices,
     masks_by_size,
     multiplicities,
+    short_partitions,
 )
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
@@ -120,18 +124,17 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
 
 def _first_short_z_partition(G: Multigraph, slope: int, per_singleton: int, per_touch: int):
     # Z runs over the proper subsets of V, smallest first so the Z = empty
-    # set cases are scanned before any vertex deletions.  Over all Z the
-    # walks visit Bell(n + 1) - 1 partitions, so the partition guardrail
-    # applies to n + 1.
+    # set cases are scanned before any vertex deletions.  Over all Z there
+    # are Bell(n + 1) - 1 partitions, so the partition guardrail applies to
+    # n + 1.
     if G.n + 1 > PARTITION_LIMIT:
         raise LimitExceededError(
             f"(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
             f"n <= {PARTITION_LIMIT - 1} vertices (got n={G.n})"
         )
-    for z in masks_by_size(G.n, range(G.n)):
-        found = first_short_partition(G, z, slope, per_singleton, per_touch)
-        if found is not None:
-            return (mask_vertices(G.n, z), found[0]), found[1], found[2]
+    zs = masks_by_size(G.n, range(G.n))
+    for z, blocks, lhs, rhs in short_partitions(G, zs, slope, per_singleton, per_touch):
+        return (mask_vertices(G.n, z), mask_partition(G.n, blocks)), lhs, rhs
     return None
 
 

@@ -1,17 +1,19 @@
 """The guardrails and the bitmask kernel of the partition scans.
 
 Partition scans refuse ground sets beyond ``PARTITION_LIMIT`` (Bell
-numbers blow up fast; Bell(12) is about 4.2M), and ``SUBSET_LIMIT`` sizes
-the cut-step budget of ``pq-connected``.  Orders are deterministic so
-that reported witnesses are reproducible.
+numbers blow up fast; Bell(12) is about 4.2M, the most a scan may walk),
+and ``SUBSET_LIMIT`` sizes the cut-step budget of ``pq-connected``.
+Orders are deterministic so that reported witnesses are reproducible.
 
 Vertex v of an n-vertex graph is the bit ``1 << (n - 1 - v)``.
-``PartitionWalk`` visits the partitions of a ground set with counts kept
-up to date as vertices move between blocks, and needs no table; the
-partition conditions run on it.  Nothing here builds a table over all
-2^n vertex sets.  Only a reported witness is turned back into a
-``frozenset`` or ``Partition``.  The set-at-a-time enumerators the kernel
-replaced are test oracles now.
+``short_partitions`` walks the partitions of V - Z in restricted-growth
+order with counts kept up to date as vertices are placed, and drops each
+prefix that no short partition extends (branch and bound), so it reports
+the full walk's short partitions, in its order, from a fraction of the
+partitions; the partition conditions run on it.  Nothing here builds a
+table over all 2^n vertex sets.  Only a reported witness is turned back
+into a ``frozenset`` or ``Partition``.  The set-at-a-time enumerators the
+kernel replaced are test oracles now.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def mask_vertices(n: int, mask: int) -> frozenset:
     return frozenset(v for v in range(n) if mask >> (n - 1 - v) & 1)
 
 
+def mask_partition(n: int, blocks: Iterable[int]) -> Partition:
+    """The partition whose blocks are the vertex masks ``blocks``."""
+    return Partition(tuple(mask_vertices(n, m) for m in blocks))
+
+
 def multiplicities(G: Multigraph) -> list[dict[int, int]]:
     """Per vertex, its neighbours and the number of edges to each."""
     mult: list[dict[int, int]] = [{} for _ in range(G.n)]
@@ -49,125 +56,137 @@ def multiplicities(G: Multigraph) -> list[dict[int, int]]:
     return mult
 
 
-class PartitionWalk:
-    """The partitions of ``ground`` (a vertex mask of G) in lexicographic
-    restricted-growth-string order, one block per first-appearance label:
-    the single block first, the singletons last.
+def short_partitions(
+    G: Multigraph, zs: Iterable[int], slope: int, per_singleton: int, per_touch: int
+) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+    """Each (z, pi, lhs, rhs) with pi a partition of V - Z, as its block
+    masks, and
 
-    Iterating yields ``(blocks, inside, singletons, touching)`` after each
-    partition: its number of blocks, the edges inside blocks, the number of
-    one-vertex blocks and the adjacent number with respect to the vertex
-    mask ``z`` (over blocks, the vertices of z with a neighbour in the
-    block).  ``partition()`` builds the current partition.  The walk is
-    iterative and holds O(n) state, whatever the ground set's size.
+        lhs = cross_{G-Z}(pi) < slope(|pi| - 1) - per_singleton*n0 - per_touch*nZ = rhs,
+
+    Z running over the vertex masks ``zs`` and pi over restricted-growth
+    order, one block per first-appearance label: the single block first,
+    the singletons last.  The caller runs the guardrails.
+
+    Branch and bound: the walk places the vertices of V - Z one at a time,
+    children in label order, and drops a prefix when no completion can
+    have a negative slack lhs - rhs, so what it reports and the order are
+    those of the full walk.  Placing the rest only adds crossing edges and
+    adjacent vertices.  With P the placed vertices, an unplaced vertex v
+    that opens a block changes the slack by at least e(v, P) - slope +
+    per_singleton; one that joins a prefix block B by at least e(v, P) -
+    e(v, B) - per_singleton [|B| = 1], and one that joins a block with no
+    placed vertex by at least as much as opening one.  That needs slope >=
+    2 per_singleton >= 0 and per_touch >= 0.  The bound is the prefix's
+    slack plus each unplaced v's least change.  A block v has no edge to
+    does no better than a new one, so v's best block is updated only as
+    its neighbours are placed; a block that has stopped being a singleton
+    may be overstated, which only weakens the bound.  The state is
+    O(n + m).
     """
-
-    def __init__(self, G: Multigraph, ground: int, z: int = 0) -> None:
-        n = G.n
-        self.n = n
-        self.z = z
-        bit = [1 << (n - 1 - v) for v in range(n)]
-        items = [v for v in range(n) if ground & bit[v]]
-        mult = multiplicities(G)
-        self.bits = [bit[v] for v in items]
-        self.adjacency = [sum(bit[u] for u in mult[v]) for v in items]
-        # Binary digits of the multiplicities inside the ground set: the
-        # edges from v into a block B are sum(|levels[t] & B| << t).
-        self.levels = []
-        for v in items:
-            row = {u: m for u, m in mult[v].items() if ground & bit[u]}
-            self.levels.append([
-                (t, sum(bit[u] for u, m in row.items() if m >> t & 1))
-                for t in range(max(row.values(), default=0).bit_length())
-            ])
-        self.total = sum(1 for u, v in G.edges if ground & bit[u] and ground & bit[v])
-        self.labels = [0] * len(items)
-        self.masks = [0] * len(items)
-
-    def partition(self) -> Partition:
-        used = max(self.labels, default=-1) + 1
-        return Partition(tuple(mask_vertices(self.n, m) for m in self.masks[:used]))
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        bits, adjacency, levels, z = self.bits, self.adjacency, self.levels, self.z
-        labels, masks = self.labels, self.masks
-        r = len(bits)
-        labels[:] = [0] * r
-        masks[:] = [0] * r
+    if not (slope >= 2 * per_singleton >= 0 and per_touch >= 0):
+        raise ValueError("the bound needs slope >= 2*per_singleton >= 0 and per_touch >= 0")
+    n = G.n
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    mult = multiplicities(G)
+    adjacency = [sum(bit[u] for u in row) for row in mult]
+    # Binary digits of the multiplicities: the edges from v into a block B
+    # are sum(|levels[v][t] & B| << t).
+    levels = [[(t, sum(bit[u] for u, m in row.items() if m >> t & 1))
+               for t in range(max(row.values(), default=0).bit_length())] for row in mult]
+    later = [[(u, m) for u, m in row.items() if u > v] for v, row in enumerate(mult)]
+    opening = slope - per_singleton  # what opening a block costs the slack, net of e(v, P)
+    for z in zs:
+        items = [v for v in range(n) if not z & bit[v]]
+        r = len(items)
+        if not r:
+            continue
+        touched = z if per_touch else 0
+        # Per item: its unplaced neighbours in V - Z, with multiplicities.
+        ahead = [[um for um in later[v] if not z & bit[um[0]]] for v in items]
+        placed_edges = [0] * n  # e(v, P)
+        # Each unplaced v changes the slack by at least e(v, P) - opening -
+        # gain[v], gain[v] its best block's e(v, B) + per_singleton [|B| = 1]
+        # above opening, if any.
+        gain = [0] * n
+        labels = [0] * r
+        masks = [0] * r
         sizes = [0] * r
         near = [0] * r  # per block: the union of its vertices' neighbourhoods
-        undo = [(0, 0)] * r  # per item: its edges into its block, the block's old `near`
-        blocks = inside = singletons = touching = 0
+        undo = [None] * r
+        saved = []  # the old gain[u] of each u a placement raised, as flat (u, gain) pairs
+        blocks = cross = singletons = touching = 0
+        rest = 0  # sum over unplaced v of e(v, P) - gain[v]
         i = 0
-        while True:
-            # Items i.. join the blocks their labels name.
-            for i in range(i, r):
+        while i >= 0:
+            # Place item i in the block its label names.
+            v = items[i]
+            j = labels[i]
+            block = masks[j] | bit[v]
+            old = near[j]
+            undo[i] = (blocks, cross, singletons, touching, rest, old, len(saved))
+            into = 0
+            for t, level in levels[v]:
+                into += (level & block).bit_count() << t
+            cross += placed_edges[v] - into
+            rest -= placed_edges[v] - gain[v]
+            masks[j] = block
+            size = sizes[j] = sizes[j] + 1
+            if size == 1:
+                blocks += 1
+                singletons += 1
+            elif size == 2:
+                singletons -= 1
+            if touched:
+                new = near[j] = old | adjacency[v]
+                touching += (new & touched).bit_count() - (old & touched).bit_count()
+            bonus = (per_singleton if size == 1 else 0) - opening
+            for u, m in ahead[i]:
+                edges = placed_edges[u] = placed_edges[u] + m
+                rest += m
+                if edges + bonus <= gain[u]:
+                    continue  # e(u, B) <= e(u, P)
+                value = bonus
+                for t, level in levels[u]:
+                    value += (level & block).bit_count() << t
+                if value > gain[u]:
+                    saved += u, gain[u]
+                    rest -= value - gain[u]
+                    gain[u] = value
+            slack = cross - slope * (blocks - 1) + per_singleton * singletons + per_touch * touching
+            if slack + rest < opening * (r - 1 - i):
+                if i + 1 < r:
+                    i += 1
+                    labels[i] = 0
+                    continue
+                yield z, tuple(masks[:blocks]), cross, cross - slack
+            # The next prefix: the last placed item whose label may grow (up
+            # to the number of blocks among earlier items) takes the next
+            # label.
+            while i >= 0:
+                v = items[i]
                 j = labels[i]
-                block = masks[j]
-                into = 0
-                for t, level in levels[i]:
-                    into += (level & block).bit_count() << t
-                old = near[j]
-                new = old | adjacency[i]
-                undo[i] = (into, old)
-                masks[j] = block | bits[i]
-                near[j] = new
-                size = sizes[j]
-                sizes[j] = size + 1
-                if size == 0:
-                    blocks += 1
-                    singletons += 1
-                elif size == 1:
-                    singletons -= 1
-                inside += into
-                if z:
-                    touching += (new & z).bit_count() - (old & z).bit_count()
-            yield blocks, inside, singletons, touching
-            # The next restricted-growth string: the last item whose label
-            # may grow (up to the number of blocks among earlier items)
-            # takes the next label, and every later item goes to block 0.
-            i = r - 1
-            while i > 0:
-                j = labels[i]
-                into, old = undo[i]
-                new = near[j]
-                masks[j] ^= bits[i]
-                near[j] = old
-                size = sizes[j] - 1
-                sizes[j] = size
-                if size == 0:
-                    blocks -= 1
-                    singletons -= 1
-                elif size == 1:
-                    singletons += 1
-                inside -= into
-                if z:
-                    touching -= (new & z).bit_count() - (old & z).bit_count()
+                blocks, cross, singletons, touching, rest, near[j], mark = undo[i]
+                masks[j] ^= bit[v]
+                sizes[j] -= 1
+                for u, m in ahead[i]:
+                    placed_edges[u] -= m
+                while len(saved) > mark:
+                    value = saved.pop()
+                    gain[saved.pop()] = value
                 if j < blocks:
+                    labels[i] = j + 1
                     break
                 i -= 1
-            else:
-                return
-            labels[i] += 1
-            labels[i + 1:] = [0] * (r - 1 - i)
 
 
 def first_short_partition(
     G: Multigraph, z: int, slope: int, per_singleton: int, per_touch: int
 ) -> tuple[Partition, int, int] | None:
-    """The first partition pi of V - Z in ``PartitionWalk`` order with
-
-        cross_{G-Z}(pi) < slope(|pi| - 1) - per_singleton*n0 - per_touch*nZ
-
-    as (pi, lhs, rhs); None when there is none.  Z is the vertex mask ``z``;
-    the caller runs the guardrails."""
-    walk = PartitionWalk(G, ((1 << G.n) - 1) ^ z, z)
-    total = walk.total
-    for blocks, inside, singletons, touching in walk:
-        lhs = total - inside
-        rhs = slope * (blocks - 1) - per_singleton * singletons - per_touch * touching
-        if lhs < rhs:
-            return walk.partition(), lhs, rhs
+    """The first short partition of V - Z in ``short_partitions`` order, as
+    (pi, lhs, rhs); None when there is none."""
+    for _, blocks, lhs, rhs in short_partitions(G, (z,), slope, per_singleton, per_touch):
+        return mask_partition(G.n, blocks), lhs, rhs
     return None
 
 

@@ -728,6 +728,20 @@ def check_necessary_condition_reference(G: Multigraph, k: int, l: int) -> Condit
     return ConditionReport("necessary", params, True)
 
 
+def short_partitions_reference(G: Multigraph, Z: frozenset, slope: int, per_singleton: int,
+                               per_touch: int) -> Iterator[tuple[Partition, int, int]]:
+    """Every partition pi of V - Z with cross_{G-Z}(pi) < slope(|pi| - 1) -
+    per_singleton*n0 - per_touch*nZ, as (pi, lhs, rhs), in enumeration
+    order: each one ``enumeration.short_partitions`` must report, in its
+    order, with no pruning."""
+    for pi in enumerate_partitions(frozenset(G.vertices()) - Z, max_size=G.n):
+        lhs = cross_edge_count(G, pi)
+        rhs = (slope * (len(pi) - 1) - per_singleton * pi.trivial_count
+               - per_touch * adjacent_number(G, Z, pi))
+        if lhs < rhs:
+            yield pi, lhs, rhs
+
+
 def gamma_reference(G: Multigraph) -> GammaResult:
     """Fractional arboricity: max of i(X) / (|X| - 1) over |X| >= 2,
     as an exact fraction with the first maximizer in enumeration order."""

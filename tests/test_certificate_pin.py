@@ -13,12 +13,14 @@ import functools
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import rigidpack
 from rigidpack import cli, format_graph, random_multigraph
-from rigidpack.certificates import verify_certificate
+from rigidpack.certificates import canonical_json, graph_hash, verify_certificate
 
 from oracles import connected_def
 from test_certificates import cli_certificates
@@ -82,6 +84,28 @@ def _pool_digest() -> str:
 
 def test_certificate_bytes_match_the_pinned_digest():
     assert _pool_digest() == PINNED_DIGEST
+
+
+def test_builtin_sha256_digests_are_hashlibs():
+    # The certificates hash with the interpreter's built-in SHA-256.  On the
+    # pool, every graph hash and certificate hash is hashlib's digest.
+    for _, G, *_, cert in _pool_runs():
+        body = f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges)
+        assert graph_hash(G) == hashlib.sha256(body.encode("ascii")).hexdigest()
+        if cert is not None:
+            core = {key: value for key, value in cert.items() if key not in ("cert_hash", "created")}
+            core = canonical_json(core).encode("utf-8")
+            assert cert["cert_hash"] == hashlib.sha256(core).hexdigest()
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL (_hashlib), which every start-up would pay for.
+    src = str(Path(rigidpack.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import rigidpack.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True).stdout
+    assert "'rigidpack.certificates'" in loaded
+    assert "'_hashlib'" not in loaded and "'hashlib'" not in loaded
 
 
 def test_union_certificates_verify_without_the_union(monkeypatch):

@@ -23,13 +23,11 @@ import rigidpack
 from rigidpack import (
     Multigraph,
     RigidpackError,
-    adjacent_number,
     check_cover_condition,
     check_kwz_condition,
     check_necessary_condition,
     check_parthm_condition,
     check_tree_packing_condition,
-    cross_edge_count,
     format_graph,
     gamma,
     gamma2,
@@ -43,7 +41,7 @@ from rigidpack import enumeration
 from rigidpack.certificates import CONDITIONS
 from rigidpack.cli import main
 from rigidpack.conditions import count_condition_report
-from rigidpack.enumeration import PartitionWalk, mask_vertices
+from rigidpack.enumeration import mask_partition, mask_vertices, short_partitions
 
 import corpus
 import oracles
@@ -213,32 +211,63 @@ def test_mask_order_is_subset_enumeration_order():
 
 
 def test_walk_order_is_partition_enumeration_order():
+    # With no edges every partition but the single block is short under
+    # slope 1, and no prefix can be dropped: the walk reports them all, in
+    # enumeration order.
     for n in range(11):
         bit = [1 << (n - 1 - v) for v in range(n)]
         want = [tuple(sum(bit[v] for v in b) for b in pi)
                 for pi in enumerate_partitions(range(n), max_size=n)]
-        walk = PartitionWalk(Multigraph(n), (1 << n) - 1)
-        got = [tuple(walk.masks[:blocks]) for blocks, _, _, _ in walk]
-        assert got == want
+        got = [blocks for _, blocks, _, _ in short_partitions(Multigraph(n), (0,), 1, 0, 0)]
+        assert got == want[1:]
+
+
+def z_masks(data, n):
+    """A drawn proper subset Z of range(n), as a vertex mask and a set."""
+    z = data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << data.draw(st.integers(0, max(n - 1, 0))))
+    return z, mask_vertices(n, z)
 
 
 @settings(max_examples=80, deadline=None)
 @given(G=corpus.small_multigraphs(max_n=7), data=st.data())
 def test_walk_counts_match_partition_counts(G, data):
-    full = (1 << G.n) - 1
-    z = data.draw(st.integers(0, full)) & ~(1 << data.draw(st.integers(0, max(G.n - 1, 0))))
-    Z = mask_vertices(G.n, z)
-    walk = PartitionWalk(G, full ^ z, z)
-    assert walk.total == sum(1 for u, v in G.edges if u not in Z and v not in Z)
-    seen = []
-    for blocks, inside, singletons, touching in walk:
-        pi = walk.partition()
-        seen.append(pi)
-        assert blocks == len(pi)
-        assert inside == walk.total - cross_edge_count(G, pi)
-        assert singletons == pi.trivial_count
-        assert touching == adjacent_number(G, Z, pi)
-    assert seen == list(enumerate_partitions(set(range(G.n)) - Z, max_size=G.n))
+    # Every short partition, with both sides, under any weights the bound
+    # allows: a dropped prefix never held one.
+    z, Z = z_masks(data, G.n)
+    per_singleton = data.draw(st.integers(0, 3))
+    slope = data.draw(st.integers(2 * per_singleton, 2 * per_singleton + 4))
+    per_touch = data.draw(st.integers(0, 3))
+    got = [(mask_partition(G.n, blocks), lhs, rhs)
+           for _, blocks, lhs, rhs in short_partitions(G, (z,), slope, per_singleton, per_touch)]
+    assert got == list(oracles.short_partitions_reference(G, Z, slope, per_singleton, per_touch))
+
+
+# The weights (slope, per_singleton, per_touch) of necessary and parthm,
+# (3k + l, k, 0) and (3k + l, k, k) for k, l in 0..2, and of
+# bracket-partition, (p, 0, q) for p, q in 1..3.
+SCAN_WEIGHTS = sorted({(3 * k + l, k, t) for k in range(3) for l in range(3) for t in (0, k)}
+                      | {(p, 0, q) for p in range(1, 4) for q in range(1, 4)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(G=corpus.small_multigraphs(max_n=7), data=st.data(), weights=st.sampled_from(SCAN_WEIGHTS))
+def test_pruned_scan_finds_the_reference_first_violator(G, data, weights):
+    z, Z = z_masks(data, G.n)
+    want = next(oracles.short_partitions_reference(G, Z, *weights), None)
+    assert enumeration.first_short_partition(G, z, *weights) == want
+
+
+def test_short_partitions_need_the_bound_weights():
+    # The bound holds for slope >= 2 per_singleton >= 0 and per_touch >= 0.
+    G = corpus.cycle(4)
+    for weights in ((3, 2, 0), (1, 1, 1), (-1, 0, 0), (2, -1, 0), (3, 1, -1)):
+        try:
+            enumeration.first_short_partition(G, 0, *weights)
+        except ValueError as exc:
+            assert "slope >= 2*per_singleton >= 0 and per_touch >= 0" in str(exc)
+        else:
+            raise AssertionError(weights)
+    assert enumeration.first_short_partition(G, 0, 2, 1, 0) is None
 
 
 def test_no_subset_table_in_the_library():
@@ -370,5 +399,6 @@ def test_partition_walk_is_linear_without_recursion(tmp_path, capsys):
             tracemalloc.stop()
         assert found is not None and found[0].blocks[1] == {1499}, weights
         assert peak < 8_000_000, (weights, peak)
-    walk = PartitionWalk(corpus.path(60), (1 << 60) - 1)
-    assert len(list(itertools.islice(walk, 1000))) == 1000
+    # The short partitions come one at a time, each where the walk finds it.
+    short = short_partitions(corpus.path(60), (0,), 3, 1, 0)
+    assert len(list(itertools.islice(short, 1000))) == 1000
