@@ -94,7 +94,6 @@ def short_partitions(
     # are sum(|levels[v][t] & B| << t).
     levels = [[(t, sum(bit[u] for u, m in row.items() if m >> t & 1))
                for t in range(max(row.values(), default=0).bit_length())] for row in mult]
-    later = [[(u, m) for u, m in row.items() if u > v] for v, row in enumerate(mult)]
     opening = slope - per_singleton  # what opening a block costs the slack, net of e(v, P)
     for z in zs:
         items = [v for v in range(n) if not z & bit[v]]
@@ -103,7 +102,8 @@ def short_partitions(
             continue
         touched = z if per_touch else 0
         # Per item: its unplaced neighbours in V - Z, with multiplicities.
-        ahead = [[um for um in later[v] if not z & bit[um[0]]] for v in items]
+        ahead = [[(u, m) for u, m in mult[v].items() if u > v and not z & bit[u]]
+                 for v in items]
         placed_edges = [0] * n  # e(v, P)
         # Each unplaced v changes the slack by at least e(v, P) - opening -
         # gain[v], gain[v] its best block's e(v, B) + per_singleton [|B| = 1]

@@ -732,8 +732,7 @@ def short_partitions_reference(G: Multigraph, Z: frozenset, slope: int, per_sing
                                per_touch: int) -> Iterator[tuple[Partition, int, int]]:
     """Every partition pi of V - Z with cross_{G-Z}(pi) < slope(|pi| - 1) -
     per_singleton*n0 - per_touch*nZ, as (pi, lhs, rhs), in enumeration
-    order: each one ``enumeration.short_partitions`` must report, in its
-    order, with no pruning."""
+    order: what the pruned ``enumeration.short_partitions`` must report."""
     for pi in enumerate_partitions(frozenset(G.vertices()) - Z, max_size=G.n):
         lhs = cross_edge_count(G, pi)
         rhs = (slope * (len(pi) - 1) - per_singleton * pi.trivial_count

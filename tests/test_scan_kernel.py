@@ -16,6 +16,7 @@ import pkgutil
 import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -261,12 +262,8 @@ def test_short_partitions_need_the_bound_weights():
     # The bound holds for slope >= 2 per_singleton >= 0 and per_touch >= 0.
     G = corpus.cycle(4)
     for weights in ((3, 2, 0), (1, 1, 1), (-1, 0, 0), (2, -1, 0), (3, 1, -1)):
-        try:
+        with pytest.raises(ValueError, match=r"slope >= 2\*per_singleton >= 0 and per_touch >= 0"):
             enumeration.first_short_partition(G, 0, *weights)
-        except ValueError as exc:
-            assert "slope >= 2*per_singleton >= 0 and per_touch >= 0" in str(exc)
-        else:
-            raise AssertionError(weights)
     assert enumeration.first_short_partition(G, 0, 2, 1, 0) is None
 
 
