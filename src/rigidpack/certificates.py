@@ -25,9 +25,9 @@ parameters, its producer, and the inequality a failure's witness violates.
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+import time
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 # The interpreter's built-in SHA-256, not hashlib's: hashlib loads OpenSSL,
 # which adds megabytes of memory and milliseconds to every start-up.
@@ -99,7 +99,9 @@ def build_certificate(command: str, parameters: dict, G: Multigraph, payload: di
     if not ok:
         raise RuntimeError(f"refusing to emit a certificate that fails self-check: {reason}")
     cert["cert_hash"] = certificate_hash(cert)
-    cert["created"] = datetime.now(timezone.utc).isoformat()
+    us = time.time_ns() // 1000
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(us // 1_000_000))
+    cert["created"] = f"{stamp}.{us % 1_000_000:06d}+00:00"
     return cert
 
 
@@ -239,7 +241,7 @@ def density_payload(which: str, value: Fraction, argmax: frozenset) -> dict:
 
 # -------------------------------------------------------------- conditions
 
-class Condition(NamedTuple):
+class Condition(namedtuple("Condition", "params run violated")):
     """``params``: the names of its report's parameters, which ``check``
     requires.  ``run(G, params)``: its producer, None when it is only ever
     reported failing.  ``violated``: for each witness kind a failure
@@ -247,9 +249,7 @@ class Condition(NamedTuple):
     with the counting primitives or two matroid ranks; empty when failures
     carry no witness and the producer's verdict is re-run."""
 
-    params: tuple[str, ...]
-    run: Callable | None
-    violated: dict
+    __slots__ = ()
 
 
 def _dense_set(min_size: int, cap):

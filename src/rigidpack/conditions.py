@@ -22,9 +22,8 @@ table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .enumeration import (
     PARTITION_LIMIT,
@@ -42,34 +41,28 @@ from .matroids import UnionFind, pebble_rejections
 from .multigraph import Multigraph, Partition, cross_edge_count, induced_edge_count
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(namedtuple(
+        "ConditionReport", "condition parameters holds witness witness_kind lhs rhs")):
     """Outcome of a condition check.
 
-    ``witness_kind`` is one of ``vertex-set``, ``partition``,
+    ``parameters`` is a tuple of (name, value) pairs, sorted when given as
+    a dict.  ``witness_kind`` is one of ``vertex-set``, ``partition``,
     ``z-partition``, ``edge-set`` or None; ``lhs``/``rhs`` record the two
     sides of the checked inequality at the witness (None for a
     forest-plus-bounded class, which has no count to state).
     """
 
-    condition: str
-    parameters: tuple[tuple[str, object], ...]
-    holds: bool
-    witness: object = None
-    witness_kind: str | None = None
-    lhs: object = None
-    rhs: object = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        params = self.parameters
-        if isinstance(params, dict):
-            params = sorted(params.items())
-        object.__setattr__(self, "parameters", tuple(params))
+    def __new__(cls, condition: str, parameters, holds: bool, witness=None,
+                witness_kind: str | None = None, lhs=None, rhs=None):
+        if isinstance(parameters, dict):
+            parameters = sorted(parameters.items())
+        return super().__new__(cls, condition, tuple(parameters), holds, witness,
+                               witness_kind, lhs, rhs)
 
 
-class GammaResult(NamedTuple):
-    value: Fraction
-    argmax: frozenset
+GammaResult = namedtuple("GammaResult", "value argmax")
 
 
 def count_condition_report(

@@ -19,7 +19,7 @@ kernel replaced are test oracles now.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import LimitExceededError
 from .multigraph import Multigraph, Partition

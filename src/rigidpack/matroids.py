@@ -31,17 +31,14 @@ a|X| - b.  The failed search has just queued exactly that set, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import GraphInputError
 from .multigraph import Multigraph, check_edge_subset
 
 
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    basis: frozenset
+RankResult = namedtuple("RankResult", "rank basis")
 
 
 class UnionFind:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import bisect
 import random
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .errors import GraphInputError, LimitExceededError
 
@@ -22,35 +21,62 @@ from .errors import GraphInputError, LimitExceededError
 VERTEX_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class _Record:
+    """A value whose fields are its ``__slots__``: equal, hashed and shown
+    by its fields, and never assigned after ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Multigraph(_Record):
     """An undirected multigraph with no loops.
 
     ``edges`` is a tuple of endpoint pairs; each pair is normalized to
     ``(min, max)`` on construction.  The index of a pair is its edge id.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        if n < 0:
             raise GraphInputError("vertex count must be non-negative")
         norm = []
-        for idx, pair in enumerate(self.edges):
+        for idx, pair in enumerate(edges):
             try:
                 u, v = pair
             except (TypeError, ValueError):
                 raise GraphInputError(f"edge {idx}: expected an endpoint pair") from None
             if type(u) is not int or type(v) is not int:  # bools are ints too
                 raise GraphInputError(f"edge {idx}: endpoints must be integers: ({u!r}, {v!r})")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphInputError(
-                    f"edge {idx}: endpoint out of range 0..{self.n - 1}: ({u}, {v})"
-                )
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphInputError(f"edge {idx}: endpoint out of range 0..{n - 1}: ({u}, {v})")
             if u == v:
                 raise GraphInputError(f"edge {idx}: loops are not allowed")
             norm.append((u, v) if u <= v else (v, u))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
 
     @property
@@ -98,14 +124,13 @@ def check_edge_subset(G: Multigraph, F: Iterable[int]) -> list[int]:
     return ids
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A partition of some vertex set into disjoint nonempty blocks."""
 
-    blocks: tuple[frozenset, ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self) -> None:
-        norm = tuple(frozenset(b) for b in self.blocks)
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        norm = tuple(frozenset(b) for b in blocks)
         seen: set[int] = set()
         for b in norm:
             if not b:

@@ -12,8 +12,7 @@ legitimately come back empty (a triangle has no such split: the bound is
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from .conditions import ConditionReport
@@ -23,13 +22,8 @@ from .multigraph import Multigraph, induced_edge_count
 from .union import decompose, union_rank
 
 
-@dataclass(frozen=True)
-class BoundedCover:
-    """l forests plus degree-bounded remainder parts covering all edges."""
-
-    forests: tuple[frozenset, ...]
-    bounded_parts: tuple[frozenset, ...]
-    degree_bound: Fraction
+# l forests plus degree-bounded remainder parts covering all edges.
+BoundedCover = namedtuple("BoundedCover", "forests bounded_parts degree_bound")
 
 
 def degree_bound(n: int) -> Fraction:

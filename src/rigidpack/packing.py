@@ -13,7 +13,7 @@ only to build trees that exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError
@@ -22,10 +22,7 @@ from .multigraph import Multigraph
 from .union import union_rank
 
 
-@dataclass(frozen=True)
-class Packing:
-    rigid_parts: tuple[frozenset, ...]
-    tree_parts: tuple[frozenset, ...]
+Packing = namedtuple("Packing", "rigid_parts tree_parts")
 
 
 def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | ConditionReport:

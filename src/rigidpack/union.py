@@ -41,8 +41,7 @@ the union runs only to build a split that exists.
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
@@ -60,14 +59,11 @@ def _colour_groups(assignment) -> dict[int, list[int]]:
     return groups
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "k l assignment")):
     """Edge colouring produced by the union: colours ``1..k`` are sparse
     classes, ``k+1..k+l`` forest classes, ``0`` marks uncovered edges."""
 
-    k: int
-    l: int
-    assignment: tuple[int, ...]
+    __slots__ = ()
 
     def _classes(self, first: int, count: int) -> tuple[frozenset, ...]:
         groups = _colour_groups(self.assignment)
@@ -86,14 +82,8 @@ class Decomposition:
         return all(c != 0 for c in self.assignment)
 
 
-@dataclass(frozen=True)
-class UnionRank:
-    """``closed``: an edge set F with rank = m - |F| + k r_rig(F) + l r_gr(F)."""
-
-    rank: int
-    independent_set: frozenset
-    decomposition: Decomposition
-    closed: frozenset
+# ``closed``: an edge set F with rank = m - |F| + k r_rig(F) + l r_gr(F).
+UnionRank = namedtuple("UnionRank", "rank independent_set decomposition closed")
 
 
 class _CountClass:
@@ -237,9 +227,6 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
             break
         if _augment(G, classes, color, e, dead):
             rank += 1
-    # Cheap paranoia: rebuilding the class oracles re-validates that every
-    # class is still independent after all the exchanges.
-    _build_classes(G, k, l, color)
     dec = Decomposition(k, l, tuple(color))
     return UnionRank(rank, dec.covered(), dec, frozenset(dead))
 

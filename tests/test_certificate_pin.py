@@ -99,13 +99,20 @@ def test_builtin_sha256_digests_are_hashlibs():
 
 
 def test_cli_import_leaves_openssl_unloaded():
-    # hashlib loads OpenSSL (_hashlib), which every start-up would pay for.
-    src = str(Path(rigidpack.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import rigidpack.cli; print(sorted(sys.modules))"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True).stdout
-    assert "'rigidpack.certificates'" in loaded
-    assert "'_hashlib'" not in loaded and "'hashlib'" not in loaded
+    # Start-up is most of a CLI call.  hashlib loads OpenSSL (_hashlib);
+    # dataclasses pulls in inspect, ast, dis and tokenize; typing and
+    # datetime would serve a few annotations and one timestamp.  Under -S
+    # no site hook loads any of them first.  Every module of the package
+    # is still loaded: nothing is deferred into a request.
+    package = Path(rigidpack.__file__).resolve().parent
+    code = (f"import sys; sys.path.insert(0, {str(package.parent)!r}); import rigidpack.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                                text=True, check=True).stdout.split())
+    banned = {"dataclasses", "inspect", "typing", "datetime", "hashlib", "_hashlib"}
+    assert not banned & loaded, sorted(banned & loaded)
+    modules = {f"rigidpack.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+    assert "rigidpack.certificates" in modules and not modules - loaded, sorted(modules - loaded)
 
 
 def test_union_certificates_verify_without_the_union(monkeypatch):

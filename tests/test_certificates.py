@@ -5,8 +5,10 @@ import io
 import itertools
 import json
 import os
+import re
 import tempfile
 import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -381,6 +383,18 @@ def test_byte_determinism_modulo_timestamp(tmp_path):
         cert.pop("created")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert certificate_hash(a) == certificate_hash(b)
+
+
+def test_created_is_a_utc_timestamp_with_microseconds():
+    G = corpus.k4()
+    before = datetime.now(timezone.utc)
+    created = build_certificate("decompose", {"k": 2, "l": 0}, G,
+                                decomposition_payload(decompose(G, 2, 0)))["created"]
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", created)
+    stamp = datetime.fromisoformat(created)
+    assert stamp.utcoffset() == timedelta(0)
+    assert before - timedelta(seconds=1) <= stamp <= after + timedelta(seconds=1)
 
 
 def test_emit_refuses_inconsistent_payload():

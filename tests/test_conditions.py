@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack import (
+    ConditionReport,
     GraphInputError,
     Multigraph,
     Partition,
@@ -22,6 +23,21 @@ from rigidpack.certificates import CONDITIONS
 
 import corpus
 import oracles
+
+
+def test_condition_report_sorts_dict_parameters_into_a_tuple():
+    by_dict = ConditionReport("kwz", {"k": 1, "d": "2"}, True)
+    by_tuple = ConditionReport("kwz", (("d", "2"), ("k", 1)), True, None, None, None, None)
+    assert by_dict == by_tuple and hash(by_dict) == hash(by_tuple)
+    assert by_dict.parameters == (("d", "2"), ("k", 1))
+    assert ConditionReport("cover", {"k": 1}, True) == ConditionReport("cover", (("k", 1),), True)
+    report = ConditionReport(condition="cover", parameters={"k": 1}, holds=False,
+                             witness=frozenset({0, 1}), witness_kind="vertex-set", lhs=2, rhs=1)
+    assert (report.witness, report.witness_kind, report.lhs, report.rhs) == (
+        frozenset({0, 1}), "vertex-set", 2, 1)
+    assert repr(report).startswith("ConditionReport(condition='cover', parameters=(('k', 1),),")
+    with pytest.raises(AttributeError):
+        report.holds = True
 
 
 def test_cover_condition_k4():

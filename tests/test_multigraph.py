@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from rigidpack import (
@@ -75,6 +78,38 @@ def test_overlapping_blocks_rejected():
 def test_empty_block_rejected():
     with pytest.raises(GraphInputError):
         Partition((frozenset(),))
+
+
+def test_records_compare_hash_and_print_by_their_normalized_fields():
+    G = Multigraph(3, [(1, 0)])
+    assert G == Multigraph(3, ((0, 1),)) == Multigraph(n=3, edges=iter([(0, 1)]))
+    assert hash(G) == hash(Multigraph(3, ((0, 1),)))
+    assert G != Multigraph(4, ((0, 1),)) and G != Multigraph(3, ((0, 1), (0, 1)))
+    assert G != (3, ((0, 1),)) and len({G, Multigraph(3, ((0, 1),))}) == 1
+    assert repr(G) == "Multigraph(n=3, edges=((0, 1),))"
+    assert Multigraph(2) == Multigraph(2, ()) and Multigraph(2).edges == ()
+    pi = Partition([{1, 0}, [2]])
+    assert pi == Partition(blocks=(frozenset({0, 1}), frozenset({2})))
+    assert hash(pi) == hash(Partition((frozenset({0, 1}), frozenset({2}))))
+    assert pi != Partition(([2], [0, 1]))  # block order is part of the value
+    assert repr(pi) == "Partition(blocks=(frozenset({0, 1}), frozenset({2})))"
+    for record in (G, pi):
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    with pytest.raises(AttributeError):
+        G.n = 4
+    with pytest.raises(AttributeError):
+        G.edges = ()
+    with pytest.raises(AttributeError):
+        del G.edges
+    with pytest.raises(AttributeError):
+        pi.blocks = ()
+    with pytest.raises(AttributeError):
+        pi.extra = 1
+    assert G.n == 3 and G.edges == ((0, 1),) and len(pi) == 2
+    for bad in (lambda: Multigraph(-1), lambda: Multigraph(2, [(0,)]), lambda: Multigraph(2, [5]),
+                lambda: Partition([[0], []]), lambda: Partition([[0, 1], [1]])):
+        with pytest.raises(GraphInputError):
+            bad()
 
 
 def test_trivial_count():

@@ -252,9 +252,9 @@ def test_union_rank_matches_reference_on_random_multigraphs():
 
 
 def test_union_rank_keeps_class_oracles_live(monkeypatch):
-    # One build at the start and one final re-check per call; fundamental
-    # circuits are read off the class's own pebble game without moving a
-    # pebble.
+    # One build per call, at the start, with no rebuild at the end;
+    # fundamental circuits are read off the class's own pebble game
+    # without moving a pebble.
     builds = []
     real_build = union_mod._build_classes
     monkeypatch.setattr(
@@ -290,8 +290,8 @@ def test_union_rank_keeps_class_oracles_live(monkeypatch):
         circuits.clear()
         union_rank(G, k, l)
         assert circuits
-        assert len(builds) == 2
-        assert len(games) == 2 * (k + l)
+        assert len(builds) == 1
+        assert len(games) == k + l
 
 
 _KINDS = [
@@ -375,8 +375,8 @@ def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
                         lambda c, G, m, a, b: built.append((a, b)) or real_init(c, G, m, a, b))
     ur = union_rank(corpus.triangle(), 10**6, 10**6)
     assert ur.rank == 3 and ur.decomposition.assignment == (1, 1, 1)
-    assert built.count((2, 3)) == built.count((1, 1)) == 2 * 3  # build and re-check
-    assert len(built) == 4 * 3
+    assert built.count((2, 3)) == built.count((1, 1)) == 3  # one build, no re-check
+    assert len(built) == 2 * 3
     tracemalloc.start()
     try:
         union_rank(corpus.triangle(), 10**5, 10**5)
