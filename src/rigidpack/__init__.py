@@ -25,7 +25,6 @@ from .matroids import (
     RankResult,
     graphic_independent,
     graphic_rank,
-    is_rigid,
     rigidity_rank,
     sparse_independent,
 )

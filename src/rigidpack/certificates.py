@@ -19,7 +19,9 @@ the verifier no more than an honest one.  Certificates of
 another schema, earlier ones included, are rejected.
 
 ``CONDITIONS`` is the one table of the conditions a report can name: its
-parameters, its producer, and the inequality a failure's witness violates.
+parameters, its producer, its witness kind and the inequality a failure's
+witness violates.  A report payload's two sides are that inequality's, at
+the report's witness, so producer and verifier compute them alike.
 """
 
 from __future__ import annotations
@@ -180,15 +182,20 @@ def summarize_witness(witness: dict | None) -> str:
     return " witness " + " ".join(f"{_FIELDS[f][0]}={witness[f]}" for f in fields)
 
 
-def report_payload(report: ConditionReport) -> dict:
+def report_payload(G: Multigraph, report: ConditionReport) -> dict:
+    """The report's payload; a witness's kind and both sides are those its
+    condition gives it on G."""
+    cond, witness = CONDITIONS[report.condition], report.witness
+    _, lhs, rhs = (None, None, None) if witness is None else cond.violated(
+        G, dict(report.parameters), witness)
     return {
         "kind": "report",
         "condition": report.condition,
         "parameters": {k: _num(v) for k, v in report.parameters},
         "holds": report.holds,
-        "witness": encode_witness(report.witness_kind, report.witness),
-        "lhs": _num(report.lhs),
-        "rhs": _num(report.rhs),
+        "witness": encode_witness(cond.kind, witness),
+        "lhs": _num(lhs),
+        "rhs": _num(rhs),
     }
 
 
@@ -241,13 +248,14 @@ def density_payload(which: str, value: Fraction, argmax: frozenset) -> dict:
 
 # -------------------------------------------------------------- conditions
 
-class Condition(namedtuple("Condition", "params run violated")):
+class Condition(namedtuple("Condition", "params run kind violated")):
     """``params``: the names of its report's parameters, which ``check``
     requires.  ``run(G, params)``: its producer, None when it is only ever
-    reported failing.  ``violated``: for each witness kind a failure
-    carries, ``(G, params, witness) -> (violated, lhs, rhs)`` recomputed
-    with the counting primitives or two matroid ranks; empty when failures
-    carry no witness and the producer's verdict is re-run."""
+    reported failing.  ``kind``: the witness kind a failure carries, and
+    ``violated(G, params, witness) -> (violated, lhs, rhs)`` the inequality
+    it violates, computed with the counting primitives or two matroid
+    ranks; both None when failures carry no witness and the producer's
+    verdict is re-run."""
 
     __slots__ = ()
 
@@ -260,17 +268,15 @@ def _dense_set(min_size: int, cap):
     return violated
 
 
-def _short_partition(weights):
-    """cross(pi) < slope(|pi| - 1) - per_singleton*n0 - per_touch*nZ at a
-    partition pi of V - Z, weighted as by ``first_short_partition``."""
-    def violated(G, p, witness):
-        Z, pi = witness if isinstance(witness, tuple) else (frozenset(), witness)
-        slope, per_singleton, per_touch = weights(p)
-        lhs = cross_edge_count(G, pi)
-        rhs = (slope * (len(pi) - 1) - per_singleton * pi.trivial_count
-               - per_touch * adjacent_number(G, Z, pi))
-        return lhs < rhs, lhs, rhs
-    return violated
+def _short_partition(G, p, witness):
+    """cross(pi) < (3k + l)(|pi| - 1) - k*n0 - k*nZ at a partition pi of
+    V - Z, Z empty unless the witness is the pair (Z, pi) and k = 0 when
+    the condition has none: the weights the partition checkers scan with."""
+    Z, pi = witness if isinstance(witness, tuple) else (frozenset(), witness)
+    k = p.get("k", 0)
+    lhs = cross_edge_count(G, pi)
+    rhs = (3 * k + p["l"]) * (len(pi) - 1) - k * pi.trivial_count - k * adjacent_number(G, Z, pi)
+    return lhs < rhs, lhs, rhs
 
 
 def _kwz_violated(G, p, X):
@@ -303,28 +309,27 @@ _OVER_SPARSE = _dense_set(2, lambda p, x: p["k"] * (2 * x - 3))
 # producers are looked up at call time.
 CONDITIONS = {
     "cover": Condition(("k",), lambda G, p: check_cover_condition(G, p["k"]),
-                       {"vertex-set": _OVER_SPARSE}),
+                       "vertex-set", _OVER_SPARSE),
     "tree-packing": Condition(("l",), lambda G, p: check_tree_packing_condition(G, p["l"]),
-                              {"partition": _short_partition(lambda p: (p["l"], 0, 0))}),
-    "parthm": Condition(("k", "l"), lambda G, p: check_parthm_condition(
-        G, p["k"], p["l"]),
-        {"z-partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], p["k"]))}),
-    "necessary": Condition(("k", "l"), lambda G, p: check_necessary_condition(
-        G, p["k"], p["l"]),
-        {"partition": _short_partition(lambda p: (3 * p["k"] + p["l"], p["k"], 0))}),
+                              "partition", _short_partition),
+    "parthm": Condition(("k", "l"), lambda G, p: check_parthm_condition(G, p["k"], p["l"]),
+                        "z-partition", _short_partition),
+    "necessary": Condition(("k", "l"), lambda G, p: check_necessary_condition(G, p["k"], p["l"]),
+                           "partition", _short_partition),
     "pq-connected": Condition(("p", "q"), lambda G, p: ConditionReport(
-        "pq-connected", p, is_pq_connected(G, p["p"], p["q"])), {}),
+        "pq-connected", p, is_pq_connected(G, p["p"], p["q"])), None, None),
     "bracket-partition": Condition(("p", "q"), lambda G, p: ConditionReport(
-        "bracket-partition", p, is_bracket_partition_connected(G, p["p"], p["q"])), {}),
+        "bracket-partition", p, is_bracket_partition_connected(G, p["p"], p["q"])),
+        None, None),
     "kwz": Condition(("k", "d"), lambda G, p: check_kwz_condition(G, p["k"], p["d"]),
-                     {"vertex-set": _kwz_violated}),
-    "sparse-cover": Condition(("k",), None, {"vertex-set": _OVER_SPARSE}),
-    "forest-cover": Condition(("l",), None, {
-        "vertex-set": _dense_set(1, lambda p, x: p["l"] * (x - 1))}),
-    "union-cover": Condition(("k", "l"), None, {"edge-set": _union_bound(lambda G, p: G.m)}),
-    "packing": Condition(("k", "l"), None, {"edge-set": _union_bound(
-        lambda G, p: p["k"] * (2 * G.n - 3) + p["l"] * (G.n - 1))}),
-    "forest-plus-bounded": Condition(("k", "l"), None, {"edge-set": _no_split}),
+                     "vertex-set", _kwz_violated),
+    "sparse-cover": Condition(("k",), None, "vertex-set", _OVER_SPARSE),
+    "forest-cover": Condition(("l",), None, "vertex-set",
+                              _dense_set(1, lambda p, x: p["l"] * (x - 1))),
+    "union-cover": Condition(("k", "l"), None, "edge-set", _union_bound(lambda G, p: G.m)),
+    "packing": Condition(("k", "l"), None, "edge-set", _union_bound(
+        lambda G, p: p["k"] * (2 * G.n - 3) + p["l"] * (G.n - 1))),
+    "forest-plus-bounded": Condition(("k", "l"), None, "edge-set", _no_split),
 }
 
 # The condition and parameters of the report a command gives on failure,
@@ -492,7 +497,7 @@ def _verify_report_payload(G, command, top, payload):
     holds, witness = payload["holds"], payload["witness"]
     if not isinstance(holds, bool):
         raise TypeError("holds must be true or false")
-    if holds or not cond.violated:
+    if holds or cond.kind is None:
         # No witness: the producer's verdict is recomputed.
         if cond.run is None:
             raise _Rejected(f"condition {name!r} cannot be certified as holding")
@@ -505,9 +510,9 @@ def _verify_report_payload(G, command, top, payload):
     if witness is None:
         raise _Rejected(f"a {name} failure carries no witness")
     kind, value = decode_witness(G, _json_object(witness, "witness"))
-    if kind not in cond.violated:
+    if kind != cond.kind:
         raise _Rejected(f"a {name} failure carries no {kind} witness")
-    ok, lhs, rhs = cond.violated[kind](G, params, value)
+    ok, lhs, rhs = cond.violated(G, params, value)
     if not ok:
         raise _Rejected("witness does not violate the stated inequality")
     if canonical_json([_num(lhs), _num(rhs)]) != canonical_json([payload["lhs"], payload["rhs"]]):

@@ -41,7 +41,7 @@ def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
     if isinstance(result, Decomposition):
         payload = certs.decomposition_payload(result)
         return 0, payload, f"decomposable: {k} sparse class(es) + {l} forest(s)"
-    payload = certs.report_payload(result)
+    payload = certs.report_payload(G, result)
     return 1, payload, (
         f"not decomposable ({result.condition}):" + certs.summarize_witness(payload["witness"])
     )
@@ -53,7 +53,7 @@ def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
     if isinstance(result, Packing):
         payload = certs.packing_payload(result)
         return 0, payload, f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)"
-    payload = certs.report_payload(result)
+    payload = certs.report_payload(G, result)
     return 1, payload, "no packing:" + certs.summarize_witness(payload["witness"])
 
 
@@ -63,7 +63,7 @@ def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
     _require(args, *condition.params)
     params = {p: getattr(args, p) for p in condition.params}
     report = condition.run(G, params)
-    payload = certs.report_payload(report)
+    payload = certs.report_payload(G, report)
     if report.holds:
         return 0, payload, f"condition {name} holds"
     return 1, payload, f"condition {name} fails:" + certs.summarize_witness(payload["witness"])
@@ -83,7 +83,7 @@ def _run_ndt(G: Multigraph, args) -> tuple[int, dict, str]:
             f"covered: {len(result.forests)} forest(s) + "
             f"{len(result.bounded_parts)} part(s) with max degree <= {payload['degree_bound']}"
         )
-    payload = certs.report_payload(result)
+    payload = certs.report_payload(G, result)
     return 1, payload, (
         f"no bounded cover ({result.condition}):" + certs.summarize_witness(payload["witness"])
     )

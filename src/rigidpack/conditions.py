@@ -11,12 +11,13 @@ minimum cut of G - X for each of the few X that need one.  The partition
 checkers scan their full quantifier range, under the enumeration
 guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
 over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
-``necessary``), and report the first violator in enumeration order
-together with the two sides of the violated inequality.  They walk the
-partitions incrementally on the bitmask kernel of ``enumeration``, which
-skips every prefix that a bound shows holds no violator; the tables of a
-graph are built once per scan, not once per Z.  None builds a subset
-table.
+``necessary``), and report the first violator in enumeration order.
+They walk the partitions incrementally on the bitmask kernel of
+``enumeration``, which skips every prefix that a bound shows holds no
+violator; the tables of a graph are built once per scan, not once per Z.
+None builds a subset table.  A report states its verdict and witness
+only: ``certificates.CONDITIONS`` gives the witness's kind and the two
+sides of the inequality it violates.
 """
 
 from __future__ import annotations
@@ -30,50 +31,42 @@ from .enumeration import (
     SUBSET_LIMIT,
     check_partition_limit,
     first_short_partition,
-    mask_partition,
-    mask_vertices,
     masks_by_size,
     multiplicities,
-    short_partitions,
 )
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
-from .multigraph import Multigraph, Partition, cross_edge_count, induced_edge_count
+from .multigraph import Multigraph, Partition, induced_edge_count
 
 
-class ConditionReport(namedtuple(
-        "ConditionReport", "condition parameters holds witness witness_kind lhs rhs")):
+class ConditionReport(namedtuple("ConditionReport", "condition parameters holds witness")):
     """Outcome of a condition check.
 
     ``parameters`` is a tuple of (name, value) pairs, sorted when given as
-    a dict.  ``witness_kind`` is one of ``vertex-set``, ``partition``,
-    ``z-partition``, ``edge-set`` or None; ``lhs``/``rhs`` record the two
-    sides of the checked inequality at the witness (None for a
-    forest-plus-bounded class, which has no count to state).
+    a dict; ``witness`` is what a failure was found at, or None.  The
+    witness's kind and the two sides of the inequality it violates are
+    the condition's, in ``certificates.CONDITIONS``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, condition: str, parameters, holds: bool, witness=None,
-                witness_kind: str | None = None, lhs=None, rhs=None):
+    def __new__(cls, condition: str, parameters, holds: bool, witness=None):
         if isinstance(parameters, dict):
             parameters = sorted(parameters.items())
-        return super().__new__(cls, condition, tuple(parameters), holds, witness,
-                               witness_kind, lhs, rhs)
+        return super().__new__(cls, condition, tuple(parameters), holds, witness)
 
 
 GammaResult = namedtuple("GammaResult", "value argmax")
 
 
 def count_condition_report(
-    G: Multigraph, condition: str, parameters: dict, a: int, b: int
+    G: Multigraph, condition: str, parameters: dict, a: int, b: int, w: int = 1
 ) -> ConditionReport:
-    """Does every X spanning an edge satisfy i(X) <= a|X| - b?  One (a,b)
-    pebble game decides; a failure's witness is the reach closure of the
-    first rejected edge."""
-    for _, X in pebble_rejections(G, a, b):
-        lhs = induced_edge_count(G, X)
-        return ConditionReport(condition, parameters, False, X, "vertex-set", lhs, a * len(X) - b)
+    """Does every X spanning an edge satisfy w i(X) <= a|X| - b?  One
+    (a,b) pebble game at weight w decides; a failure's witness is the reach
+    closure of the first rejected edge."""
+    for _, X in pebble_rejections(G, a, b, w):
+        return ConditionReport(condition, parameters, False, X)
     return ConditionReport(condition, parameters, True)
 
 
@@ -111,11 +104,10 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
     for v in range(G.n):
         blocks.setdefault(uf.find(v), []).append(v)
     pi = Partition(tuple(frozenset(b) for b in blocks.values()))
-    return ConditionReport("tree-packing", {"l": l}, False, pi, "partition",
-                           cross_edge_count(G, pi), l * (len(pi) - 1))
+    return ConditionReport("tree-packing", {"l": l}, False, pi)
 
 
-def _first_short_z_partition(G: Multigraph, slope: int, per_singleton: int, per_touch: int):
+def _every_z(G: Multigraph):
     # Z runs over the proper subsets of V, smallest first so the Z = empty
     # set cases are scanned before any vertex deletions.  Over all Z there
     # are Bell(n + 1) - 1 partitions, so the partition guardrail applies to
@@ -125,10 +117,7 @@ def _first_short_z_partition(G: Multigraph, slope: int, per_singleton: int, per_
             f"(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
             f"n <= {PARTITION_LIMIT - 1} vertices (got n={G.n})"
         )
-    zs = masks_by_size(G.n, range(G.n))
-    for z, blocks, lhs, rhs in short_partitions(G, zs, slope, per_singleton, per_touch):
-        return (mask_vertices(G.n, z), mask_partition(G.n, blocks)), lhs, rhs
-    return None
+    return masks_by_size(G.n, range(G.n))
 
 
 def check_parthm_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
@@ -142,11 +131,8 @@ def check_parthm_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     """
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
-    params = {"k": k, "l": l}
-    found = _first_short_z_partition(G, 3 * k + l, k, k)
-    if found is not None:
-        return ConditionReport("parthm", params, False, found[0], "z-partition", *found[1:])
-    return ConditionReport("parthm", params, True)
+    found = first_short_partition(G, _every_z(G), 3 * k + l, k, k)
+    return ConditionReport("parthm", {"k": k, "l": l}, found is None, found)
 
 
 def check_necessary_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
@@ -154,12 +140,9 @@ def check_necessary_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     cross(p) >= (3k + l)(|p| - 1) - k*n0."""
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
-    params = {"k": k, "l": l}
     check_partition_limit(G.n)
-    found = first_short_partition(G, 0, 3 * k + l, k, 0)
-    if found is not None:
-        return ConditionReport("necessary", params, False, found[0], "partition", *found[1:])
-    return ConditionReport("necessary", params, True)
+    found = first_short_partition(G, (0,), 3 * k + l, k, 0)
+    return ConditionReport("necessary", {"k": k, "l": l}, found is None, found and found[1])
 
 
 # Each density parameter is the max of i(X) / (a|X| - b) over |X| >= 2.
@@ -273,4 +256,4 @@ def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    return _first_short_z_partition(G, p, 0, q) is None
+    return first_short_partition(G, _every_z(G), p, 0, q) is None

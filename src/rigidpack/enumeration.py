@@ -181,12 +181,12 @@ def short_partitions(
 
 
 def first_short_partition(
-    G: Multigraph, z: int, slope: int, per_singleton: int, per_touch: int
-) -> tuple[Partition, int, int] | None:
-    """The first short partition of V - Z in ``short_partitions`` order, as
-    (pi, lhs, rhs); None when there is none."""
-    for _, blocks, lhs, rhs in short_partitions(G, (z,), slope, per_singleton, per_touch):
-        return mask_partition(G.n, blocks), lhs, rhs
+    G: Multigraph, zs: Iterable[int], slope: int, per_singleton: int, per_touch: int
+) -> tuple[frozenset, Partition] | None:
+    """The first short partition in ``short_partitions`` order, as (Z, pi);
+    None when there is none."""
+    for z, blocks, _, _ in short_partitions(G, zs, slope, per_singleton, per_touch):
+        return mask_vertices(G.n, z), mask_partition(G.n, blocks)
     return None
 
 

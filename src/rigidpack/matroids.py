@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .errors import GraphInputError
 from .multigraph import Multigraph, check_edge_subset
 
 
@@ -250,10 +249,3 @@ def rigidity_rank(G: Multigraph, F: Iterable[int]) -> RankResult:
     basis = [e for e in ids if game.try_insert(*G.edges[e])]
     return RankResult(len(basis), frozenset(basis))
 
-
-def is_rigid(G: Multigraph) -> bool:
-    """True iff some subset of the edges forms a spanning minimally rigid
-    subgraph, i.e. the rigidity rank of the whole edge set is 2n - 3."""
-    if G.n <= 1:
-        raise GraphInputError("rigidity is defined for graphs with at least 2 vertices")
-    return rigidity_rank(G, range(G.m)).rank == 2 * G.n - 3

@@ -15,10 +15,10 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from fractions import Fraction
 
-from .conditions import ConditionReport
+from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
-from .matroids import UnionFind, graphic_independent, pebble_rejections, sparse_independent
-from .multigraph import Multigraph, induced_edge_count
+from .matroids import UnionFind, graphic_independent, sparse_independent
+from .multigraph import Multigraph
 from .union import decompose, union_rank
 
 
@@ -51,12 +51,9 @@ def check_kwz_condition(G: Multigraph, k: int, d) -> ConditionReport:
     d = Fraction(d)
     if d < k + 1:
         raise GraphInputError(f"the degree bound requires d >= k + 1 (got d={d}, k={k})")
-    params = {"k": k, "d": str(d)}
     r, s = d.numerator, d.denominator
-    for _, X in pebble_rejections(G, (k + 1) * (s * k + r), s * k * k, s * k + r + s):
-        lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
-        return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
-    return ConditionReport("kwz", params, True)
+    return count_condition_report(G, "kwz", {"k": k, "d": str(d)},
+                                  (k + 1) * (s * k + r), s * k * k, s * k + r + s)
 
 
 def _require_sparse(H: Multigraph) -> None:
@@ -192,9 +189,7 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
         H = G.subgraph_of(ids)
         split = sparse_to_forest_plus_bounded(H)
         if split is None:
-            return ConditionReport(
-                "forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids), "edge-set"
-            )
+            return ConditionReport("forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids))
         forest, rest = split
         forests.append(frozenset(ids[e] for e in forest))
         bounded.append(frozenset(ids[e] for e in rest))

@@ -41,13 +41,11 @@ def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | ConditionRe
         if not report.holds:
             return report
     ur = union_rank(G, k, l)
-    target = k * (2 * G.n - 3) + l * (G.n - 1)
-    if ur.rank == target:
+    if ur.rank == k * (2 * G.n - 3) + l * (G.n - 1):
         return Packing(ur.decomposition.sparse_classes(), ur.decomposition.forest_classes())
     if k == 0:
         raise RuntimeError("tree packing failed but every partition satisfies the bound")
-    return ConditionReport("packing", {"k": k, "l": l}, False, ur.closed, "edge-set",
-                           ur.rank, target)
+    return ConditionReport("packing", {"k": k, "l": l}, False, ur.closed)
 
 
 def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:

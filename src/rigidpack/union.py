@@ -8,9 +8,13 @@ take x's slot in class j").  Breadth-first search guarantees a shortest
 path, which keeps the chain of exchanges simultaneously valid; skipping an
 edge that has no path is safe because the union is itself a matroid.
 
-The class oracles are built once per call and stay live: each class is
-one (a,b) pebble game, (2,3) for a sparse class and (1,1) for a forest
-(Lee & Streinu, "Pebble game algorithms and sparse graphs", 2008).  After
+The class oracles stay live: each class is one (a,b) pebble game, (2,3)
+for a sparse class and (1,1) for a forest (Lee & Streinu, "Pebble game
+algorithms and sparse graphs", 2008).  They are opened one at a time: an
+empty class takes any edge (there are no loops), so no search reaches a
+class past the first empty one, and class j + 1 opens once class j holds
+an edge.  No class empties again: an augmenting path swaps one edge in and
+one out of each class it passes, and adds one to the last.  After
 an augmenting path, each class it touched deletes its outgoing edges from
 its game and then inserts its incoming ones.  An offered edge is kept by
 the first class that accepts it, with no separate probe.  A fundamental
@@ -138,19 +142,6 @@ class _CountClass:
             insort(self.members, e)
 
 
-def _build_classes(G: Multigraph, k: int, l: int, color: list[int]):
-    # An empty class accepts any edge (there are no loops), and fewer than
-    # m classes are ever non-empty, so a class past the first m of its
-    # kind would never be used.
-    members = _colour_groups(color)
-    classes: dict[int, _CountClass] = {}
-    for j in range(1, min(k, G.m) + 1):
-        classes[j] = _CountClass(G, members.get(j, []), 2, 3)
-    for j in range(k + 1, k + min(l, G.m) + 1):
-        classes[j] = _CountClass(G, members.get(j, []), 1, 1)
-    return classes
-
-
 def _augment(G: Multigraph, classes: dict, color: list[int], start: int, dead: set) -> bool:
     """Try to absorb edge ``start``; on success the colouring and the live
     class oracles are updated.  ``dead`` holds the edges reached by earlier
@@ -217,7 +208,7 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
         raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
     cap = k * max(0, 2 * G.n - 3) + l * max(0, G.n - 1)
     color = [0] * G.m
-    classes = _build_classes(G, k, l, color)
+    classes: dict[int, _CountClass] = {}
     dead: set[int] = set()
     rank = 0
     for e in range(G.m):
@@ -225,6 +216,9 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
             # Edges left unoffered: all of E is the dual, as rank = cap.
             dead = range(G.m)
             break
+        j = len(classes)  # one empty class open, while any is left
+        if j < k + l and (j == 0 or classes[j].members):
+            classes[j + 1] = _CountClass(G, [], *((2, 3) if j < k else (1, 1)))
         if _augment(G, classes, color, e, dead):
             rank += 1
     dec = Decomposition(k, l, tuple(color))
@@ -273,6 +267,4 @@ def decompose(G: Multigraph, k: int, l: int) -> Decomposition | ConditionReport:
         return ur.decomposition
     if counted:
         raise RuntimeError("the count matroid accepts every edge but the union does not")
-    return ConditionReport(
-        "union-cover", {"k": k, "l": l}, False, ur.closed, "edge-set", ur.rank, G.m
-    )
+    return ConditionReport("union-cover", {"k": k, "l": l}, False, ur.closed)

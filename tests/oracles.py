@@ -9,14 +9,15 @@ condition scans and the ``*_bruteforce`` scans, are regression oracles
 rather than definitional ones.  So are the guarded enumerators at the
 start, ``enumerate_vertex_subsets``, ``enumerate_partitions`` and
 ``bell_number``: the reference scans draw from them, in the orders the
-library's bitmask kernel must match.
+library's bitmask kernel must match.  ``certified`` is no oracle: it reads
+what a library report's certificate states into the references' form.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -27,6 +28,7 @@ from rigidpack import (
     Multigraph,
     Partition,
 )
+from rigidpack.certificates import report_payload
 from rigidpack.conditions import ConditionReport, GammaResult
 from rigidpack.enumeration import PARTITION_LIMIT, SUBSET_LIMIT
 from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
@@ -368,6 +370,34 @@ def essential_def(G):
     return min(vals)
 
 
+def violated_def(G, condition, parameters, witness):
+    """(violated, lhs, rhs) of a failure's inequality at its witness, from
+    the definitions: what the failure's certificate must state."""
+    p = dict(parameters)
+    k, l = p.get("k", 0), p.get("l", 0)
+    if condition in ("union-cover", "packing"):
+        F = witness  # Edmonds: m - |F| + k r_rig(F) + l r_gr(F) bounds the union rank
+        lhs = G.m - len(F) + k * max_sparse_subset_size(G, F) + l * graphic_rank_def(G, F)
+        rhs = G.m if condition == "union-cover" else k * (2 * G.n - 3) + l * (G.n - 1)
+        return lhs < rhs, lhs, rhs
+    if condition in ("tree-packing", "necessary", "parthm"):
+        Z, pi = witness if condition == "parthm" else (frozenset(), witness)
+        blocks = [sorted(b) for b in pi.blocks]
+        n0 = sum(1 for b in blocks if len(b) == 1)
+        lhs = cross(G, blocks)
+        rhs = (3 * k + l) * (len(blocks) - 1) - k * n0 - k * adjacent_number_def(G, Z, blocks)
+        return lhs < rhs, lhs, rhs
+    size, inside = len(witness), induced(G, range(G.m), witness)
+    if condition == "kwz":
+        d = Fraction(p["d"])
+        lhs = (k + 1) * (k + d) * size - (k + d + 1) * inside - k * k
+        return size >= 1 and lhs < 0, lhs, 0
+    if condition == "forest-cover":
+        return size >= 1 and inside > l * (size - 1), inside, l * (size - 1)
+    # cover and sparse-cover
+    return size >= 2 and inside > k * (2 * size - 3), inside, k * (2 * size - 3)
+
+
 def kwz_def(G, k, d):
     d = Fraction(d)
     return all(
@@ -641,10 +671,34 @@ def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
 # kernel: one frozenset or Partition per set drawn from the public
 # enumerators, with the counting primitives of ``rigidpack.multigraph``.
 # Regression oracles: the kernel must give the same whole report (verdict,
-# witness, both sides, argmax) and refuse at the same point.
+# witness, argmax), its certificate the same witness kind and both sides,
+# and it must refuse at the same point.
 
 
-def check_cover_condition_reference(G: Multigraph, k: int) -> ConditionReport:
+class ReferenceReport(namedtuple(
+        "ReferenceReport", "condition parameters holds witness witness_kind lhs rhs")):
+    """A reference scan's answer: the library's report (the first four
+    fields), and the witness kind and the two sides of the violated
+    inequality that the report's certificate must state."""
+
+    __slots__ = ()
+
+    def __new__(cls, condition, parameters, holds, witness=None, witness_kind=None,
+                lhs=None, rhs=None):
+        report = ConditionReport(condition, parameters, holds, witness)
+        return super().__new__(cls, *report, witness_kind, lhs, rhs)
+
+
+def certified(G: Multigraph, report: ConditionReport) -> ReferenceReport:
+    """``report`` with the witness kind and both sides its certificate
+    states, in the form of the reference scans."""
+    payload = report_payload(G, report)
+    kind = payload["witness"] and payload["witness"]["kind"]
+    lhs, rhs = (None if x is None else Fraction(x) for x in (payload["lhs"], payload["rhs"]))
+    return ReferenceReport(*report, kind, lhs, rhs)
+
+
+def check_cover_condition_reference(G: Multigraph, k: int) -> ReferenceReport:
     """Does every X with |X| >= 2 satisfy i(X) <= k(2|X| - 3)?"""
     if k < 0:
         raise GraphInputError("need k >= 0")
@@ -652,11 +706,11 @@ def check_cover_condition_reference(G: Multigraph, k: int) -> ConditionReport:
         lhs = induced_edge_count(G, X)
         rhs = k * (2 * len(X) - 3)
         if lhs > rhs:
-            return ConditionReport("cover", {"k": k}, False, X, "vertex-set", lhs, rhs)
-    return ConditionReport("cover", {"k": k}, True)
+            return ReferenceReport("cover", {"k": k}, False, X, "vertex-set", lhs, rhs)
+    return ReferenceReport("cover", {"k": k}, True)
 
 
-def check_tree_packing_condition_reference(G: Multigraph, l: int) -> ConditionReport:
+def check_tree_packing_condition_reference(G: Multigraph, l: int) -> ReferenceReport:
     """Does every partition p of V satisfy cross(p) >= l(|p| - 1)?"""
     if l < 0:
         raise GraphInputError("need l >= 0")
@@ -664,8 +718,8 @@ def check_tree_packing_condition_reference(G: Multigraph, l: int) -> ConditionRe
         lhs = cross_edge_count(G, pi)
         rhs = l * (len(pi) - 1)
         if lhs < rhs:
-            return ConditionReport("tree-packing", {"l": l}, False, pi, "partition", lhs, rhs)
-    return ConditionReport("tree-packing", {"l": l}, True)
+            return ReferenceReport("tree-packing", {"l": l}, False, pi, "partition", lhs, rhs)
+    return ReferenceReport("tree-packing", {"l": l}, True)
 
 
 def proper_subsets_reference(G: Multigraph):
@@ -688,7 +742,7 @@ def _check_z_scan_limit(G: Multigraph) -> None:
         )
 
 
-def check_parthm_condition_reference(G: Multigraph, k: int, l: int) -> ConditionReport:
+def check_parthm_condition_reference(G: Multigraph, k: int, l: int) -> ReferenceReport:
     """Sufficient packing condition: for every proper subset Z and every
     partition p of V - Z,
 
@@ -708,13 +762,13 @@ def check_parthm_condition_reference(G: Multigraph, k: int, l: int) -> Condition
             lhs = cross_edge_count(G, pi)
             rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count - k * adjacent_number(G, Z, pi)
             if lhs < rhs:
-                return ConditionReport(
+                return ReferenceReport(
                     "parthm", params, False, (Z, pi), "z-partition", lhs, rhs
                 )
-    return ConditionReport("parthm", params, True)
+    return ReferenceReport("parthm", params, True)
 
 
-def check_necessary_condition_reference(G: Multigraph, k: int, l: int) -> ConditionReport:
+def check_necessary_condition_reference(G: Multigraph, k: int, l: int) -> ReferenceReport:
     """Necessary packing condition: every partition p of V satisfies
     cross(p) >= (3k + l)(|p| - 1) - k*n0."""
     if k < 0 or l < 0:
@@ -724,8 +778,8 @@ def check_necessary_condition_reference(G: Multigraph, k: int, l: int) -> Condit
         lhs = cross_edge_count(G, pi)
         rhs = (3 * k + l) * (len(pi) - 1) - k * pi.trivial_count
         if lhs < rhs:
-            return ConditionReport("necessary", params, False, pi, "partition", lhs, rhs)
-    return ConditionReport("necessary", params, True)
+            return ReferenceReport("necessary", params, False, pi, "partition", lhs, rhs)
+    return ReferenceReport("necessary", params, True)
 
 
 def short_partitions_reference(G: Multigraph, Z: frozenset, slope: int, per_singleton: int,
@@ -850,7 +904,7 @@ def essential_edge_connectivity_reference(G: Multigraph) -> int | None:
     return best
 
 
-def check_kwz_condition_reference(G: Multigraph, k: int, d) -> ConditionReport:
+def check_kwz_condition_reference(G: Multigraph, k: int, d) -> ReferenceReport:
     """Does every nonempty X satisfy
     (k+1)(k+d)|X| - (k+d+1) i(X) - k^2 >= 0?
 
@@ -866,11 +920,11 @@ def check_kwz_condition_reference(G: Multigraph, k: int, d) -> ConditionReport:
     for X in enumerate_vertex_subsets(G, 1):
         lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
         if lhs < 0:
-            return ConditionReport("kwz", params, False, X, "vertex-set", lhs, 0)
-    return ConditionReport("kwz", params, True)
+            return ReferenceReport("kwz", params, False, X, "vertex-set", lhs, 0)
+    return ReferenceReport("kwz", params, True)
 
 
-def pack_spanning_trees_reference(G: Multigraph, l: int) -> Packing | ConditionReport:
+def pack_spanning_trees_reference(G: Multigraph, l: int) -> Packing | ReferenceReport:
     """Extract l edge-disjoint spanning trees, or report a partition pi
     with fewer than l(|pi| - 1) crossing edges."""
     if l < 1:
@@ -887,11 +941,11 @@ def pack_spanning_trees_reference(G: Multigraph, l: int) -> Packing | ConditionR
             lhs = cross_edge_count(G, pi)
             rhs = l * (len(pi) - 1)
             if lhs < rhs:
-                return ConditionReport(
+                return ReferenceReport(
                     "tree-packing", params, False, pi, "partition", lhs, rhs
                 )
     except LimitExceededError:  # witness unavailable above the guardrail
-        return ConditionReport("tree-packing", params, False)
+        return ReferenceReport("tree-packing", params, False)
     raise RuntimeError("tree packing failed but every partition satisfies the bound")
 
 

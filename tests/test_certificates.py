@@ -9,15 +9,18 @@ import re
 import tempfile
 import time
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpack import GraphInputError, Multigraph, cli, format_graph
+from rigidpack import GraphInputError, Multigraph, cli, format_graph, random_multigraph
 from rigidpack.certificates import (
+    CONDITIONS,
     build_certificate,
     certificate_hash,
+    check_parameters,
     decomposition_payload,
     density_payload,
     graph_hash,
@@ -26,9 +29,10 @@ from rigidpack.certificates import (
     verify_certificate,
     write_certificate,
 )
-from rigidpack.conditions import check_cover_condition, gamma2
+from rigidpack.conditions import ConditionReport, check_cover_condition, gamma2
 from rigidpack.matroids import graphic_rank, rigidity_rank
 from rigidpack.ndt import ndt_decompose
+from rigidpack.packing import pack_rigid_and_trees
 from rigidpack.union import decompose
 
 import corpus
@@ -56,8 +60,46 @@ def test_round_trip_decomposition_certificate(tmp_path):
 def test_round_trip_report_certificate():
     G = corpus.k4()
     report = check_cover_condition(G, 1)
-    cert = build_certificate("check", {"condition": "cover", "k": 1}, G, report_payload(report))
+    payload = report_payload(G, report)
+    cert = build_certificate("check", {"condition": "cover", "k": 1}, G, payload)
     assert verify_certificate(cert, G) == (True, None)
+
+
+def _failures(G):
+    """(command, top-level parameters, result) for each witnessed condition
+    a command can report failing on G; the partition scans up to n = 6."""
+    checks = [("cover", {"k": 1}), ("tree-packing", {"l": 2}), ("kwz", {"k": 1, "d": 2})]
+    if G.n <= 6:
+        checks += [("necessary", {"k": 1, "l": 1}), ("parthm", {"k": 1, "l": 1})]
+    for name, params in checks:
+        yield "check", check_parameters(name, params), CONDITIONS[name].run(G, params)
+    for k, l in ((1, 0), (0, 1), (1, 1)):
+        yield "decompose", {"k": k, "l": l}, decompose(G, k, l)
+    if G.n >= 2:
+        yield "pack", {"k": 1, "l": 1}, pack_rigid_and_trees(G, 1, 1)
+
+
+def test_payload_sides_are_the_definitions():
+    # Each witnessed condition's certificate states the two sides that the
+    # definitions give at its witness (oracles.violated_def), and they
+    # violate the inequality.
+    seen = set()
+    # The first parthm violator of the last graph has Z = {5}, with an
+    # adjacent number of 3 in its rhs.
+    graphs = [corpus.k4(), corpus.k5(), corpus.cycle(4), corpus.bowtie(),
+              corpus.doubled_triangle(), corpus.two_triangles_disjoint(),
+              random_multigraph(6, 15, 3, seed=13)]
+    for G in graphs + corpus.random_corpus(40, seed=71, n_range=(2, 6), m_max=10):
+        for command, params, report in _failures(G):
+            if not isinstance(report, ConditionReport) or report.holds:
+                continue
+            cert = build_certificate(command, params, G, report_payload(G, report))
+            stated = [Fraction(cert["payload"][side]) for side in ("lhs", "rhs")]
+            found = oracles.violated_def(G, report.condition, report.parameters, report.witness)
+            assert found == (True, *stated), (command, params, G)
+            seen.add(report.condition)
+    assert seen == {"cover", "tree-packing", "parthm", "necessary", "kwz", "sparse-cover",
+                    "forest-cover", "union-cover", "packing"}
 
 
 def test_verify_fails_against_wrong_graph():
@@ -74,7 +116,8 @@ def test_verify_fails_against_wrong_graph():
 def test_non_object_report_fields_rejected_cleanly(field, value):
     G = corpus.k4()
     report = check_cover_condition(G, 1)
-    cert = build_certificate("check", {"condition": "cover", "k": 1}, G, report_payload(report))
+    payload = report_payload(G, report)
+    cert = build_certificate("check", {"condition": "cover", "k": 1}, G, payload)
     cert["payload"][field] = value
     cert["cert_hash"] = certificate_hash(cert)
     ok, reason = verify_certificate(cert, G)
@@ -409,7 +452,7 @@ def test_forged_forest_plus_bounded_failure_rejected():
     # The genuine small-n claim: a triangle is no forest plus a remainder
     # of max degree 0.
     tri = corpus.triangle()
-    payload = report_payload(ndt_decompose(tri, 0, 1))
+    payload = report_payload(tri, ndt_decompose(tri, 0, 1))
     assert payload["condition"] == "forest-plus-bounded"
     cert = build_certificate("ndt", {"k": 0, "l": 1}, tri, payload)
     assert verify_certificate(cert, tri) == (True, None)

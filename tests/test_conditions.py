@@ -19,7 +19,6 @@ from rigidpack import (
     is_bracket_partition_connected,
     is_pq_connected,
 )
-from rigidpack.certificates import CONDITIONS
 
 import corpus
 import oracles
@@ -27,15 +26,16 @@ import oracles
 
 def test_condition_report_sorts_dict_parameters_into_a_tuple():
     by_dict = ConditionReport("kwz", {"k": 1, "d": "2"}, True)
-    by_tuple = ConditionReport("kwz", (("d", "2"), ("k", 1)), True, None, None, None, None)
+    by_tuple = ConditionReport("kwz", (("d", "2"), ("k", 1)), True, None)
     assert by_dict == by_tuple and hash(by_dict) == hash(by_tuple)
     assert by_dict.parameters == (("d", "2"), ("k", 1))
     assert ConditionReport("cover", {"k": 1}, True) == ConditionReport("cover", (("k", 1),), True)
     report = ConditionReport(condition="cover", parameters={"k": 1}, holds=False,
-                             witness=frozenset({0, 1}), witness_kind="vertex-set", lhs=2, rhs=1)
-    assert (report.witness, report.witness_kind, report.lhs, report.rhs) == (
-        frozenset({0, 1}), "vertex-set", 2, 1)
-    assert repr(report).startswith("ConditionReport(condition='cover', parameters=(('k', 1),),")
+                             witness=frozenset({0, 1}))
+    assert ConditionReport._fields == ("condition", "parameters", "holds", "witness")
+    assert report.witness == frozenset({0, 1})
+    assert repr(report) == ("ConditionReport(condition='cover', parameters=(('k', 1),), "
+                            "holds=False, witness=frozenset({0, 1}))")
     with pytest.raises(AttributeError):
         report.holds = True
 
@@ -44,7 +44,7 @@ def test_cover_condition_k4():
     report = check_cover_condition(corpus.k4(), 1)
     assert not report.holds
     assert report.witness == frozenset(range(4))
-    assert (report.lhs, report.rhs) == (6, 5)
+    assert oracles.certified(corpus.k4(), report)[4:] == ("vertex-set", 6, 5)
     assert check_cover_condition(corpus.k4(), 2).holds
     assert check_cover_condition(corpus.path(5), 1).holds
 
@@ -66,14 +66,15 @@ def test_parthm_condition_examples():
     report = check_parthm_condition(corpus.cycle(4), 1, 0)
     assert not report.holds
     Z, pi = report.witness
-    assert report.lhs < report.rhs
+    stated = oracles.certified(corpus.cycle(4), report)
+    assert stated.witness_kind == "z-partition" and stated.lhs < stated.rhs
     # independently recompute the violated inequality
     blocks = [sorted(b) for b in pi.blocks]
     lhs = oracles.cross(corpus.cycle(4), blocks)
     n0 = sum(1 for b in blocks if len(b) == 1)
     nz = oracles.adjacent_number_def(corpus.cycle(4), Z, blocks)
-    assert lhs == report.lhs
-    assert 3 * (len(blocks) - 1) - n0 - nz == report.rhs
+    assert lhs == stated.lhs
+    assert 3 * (len(blocks) - 1) - n0 - nz == stated.rhs
     # k = l = 0 makes the right side nonpositive everywhere
     assert check_parthm_condition(corpus.cycle(4), 0, 0).holds
 
@@ -218,9 +219,9 @@ def test_polynomial_checks_match_definitions_up_to_n_9(G, k, l, extra):
                           kwz):
         assert report.holds == holds, report
         if not holds:
-            check = CONDITIONS[report.condition].violated[report.witness_kind]
-            assert check(G, dict(report.parameters), report.witness) == (
-                True, report.lhs, report.rhs)
+            stated = oracles.certified(G, report)
+            assert oracles.violated_def(G, report.condition, report.parameters,
+                                        report.witness) == (True, stated.lhs, stated.rhs)
     for p, q in ((l, 1), (4, 2), (2 * l + 1, 2)):
         assert is_pq_connected(G, p, q) == oracles.pq_connected_def(G, p, q), (p, q)
     if G.n >= 2:

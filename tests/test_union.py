@@ -109,7 +109,7 @@ def test_decompose_sparse_k4_fails_with_witness():
     assert isinstance(result, ConditionReport)
     assert not result.holds
     assert result.witness == frozenset(range(4))
-    assert result.lhs == 6 and result.rhs == 5
+    assert oracles.certified(corpus.k4(), result)[4:] == ("vertex-set", 6, 5)
 
 
 def test_decompose_sparse_k4_with_two_classes():
@@ -134,7 +134,8 @@ def test_decompose_accepts_disconnected():
     _check_classes(G, result, complete=True)
     result = decompose(G, 0, 1)
     assert isinstance(result, ConditionReport) and result.condition == "forest-cover"
-    assert result.witness == frozenset({0, 1, 2}) and (result.lhs, result.rhs) == (3, 2)
+    assert result.witness == frozenset({0, 1, 2})
+    assert oracles.certified(G, result)[4:] == ("vertex-set", 3, 2)
 
 
 def test_count_covers_are_exact_on_any_graph():
@@ -153,7 +154,8 @@ def test_count_covers_are_exact_on_any_graph():
             else:
                 a, b = (2 * k, 3 * k) if l == 0 else (l, l)
                 X = result.witness
-                assert result.lhs == oracles.induced(G, range(G.m), X) > a * len(X) - b
+                lhs = oracles.certified(G, result).lhs
+                assert lhs == oracles.induced(G, range(G.m), X) > a * len(X) - b
 
 
 def test_the_count_game_answers_before_the_union(monkeypatch):
@@ -179,7 +181,7 @@ def test_decompose_forests_examples():
     result = decompose(corpus.triangle(), 0, 1)
     assert isinstance(result, ConditionReport)
     assert result.witness == frozenset(range(3))
-    assert result.lhs == 3 and result.rhs == 2
+    assert oracles.certified(corpus.triangle(), result)[4:] == ("vertex-set", 3, 2)
 
     G = corpus.k4()
     result = decompose(G, 0, 2)
@@ -252,14 +254,9 @@ def test_union_rank_matches_reference_on_random_multigraphs():
 
 
 def test_union_rank_keeps_class_oracles_live(monkeypatch):
-    # One build per call, at the start, with no rebuild at the end;
+    # One game per class, built when the class opens and never rebuilt;
     # fundamental circuits are read off the class's own pebble game
     # without moving a pebble.
-    builds = []
-    real_build = union_mod._build_classes
-    monkeypatch.setattr(
-        union_mod, "_build_classes", lambda *a: builds.append(1) or real_build(*a)
-    )
     real_circuit = union_mod._CountClass.circuit
     games, moves, circuits = [], [], []
 
@@ -285,13 +282,13 @@ def test_union_rank_keeps_class_oracles_live(monkeypatch):
     monkeypatch.setattr(union_mod._CountClass, "circuit", circuit)
     G = random_multigraph(10, 70, 2, seed=25)
     for k, l in ((2, 0), (1, 1), (2, 2)):
-        builds.clear()
         games.clear()
         circuits.clear()
-        union_rank(G, k, l)
+        used = set(union_rank(G, k, l).decomposition.assignment) - {0}
         assert circuits
-        assert len(builds) == 1
-        assert len(games) == k + l
+        # The used classes come first; at most one more is open, and empty.
+        assert used == set(range(1, len(used) + 1))
+        assert len(used) <= len(games) <= min(len(used) + 1, k + l)
 
 
 _KINDS = [
@@ -363,9 +360,10 @@ def test_class_insert_breaking_independence_raises(a, b, G):
 
 
 def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
-    # A class past the first m of its kind is never used, so a huge k or l
-    # costs neither memory nor time, and the colouring is the one that a
-    # search over every class finds.
+    # An empty class takes any edge, so no search reaches a class past the
+    # first empty one: classes open one at a time, a huge k or l costs
+    # neither memory nor time, and the colouring is the one that a search
+    # over every class finds.
     for G in corpus.random_corpus(30, seed=27, m_max=8):
         for k, l in ((G.m + 2, 0), (0, G.m + 2), (G.m + 1, G.m + 1), (1, G.m + 3)):
             assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l)
@@ -375,8 +373,8 @@ def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
                         lambda c, G, m, a, b: built.append((a, b)) or real_init(c, G, m, a, b))
     ur = union_rank(corpus.triangle(), 10**6, 10**6)
     assert ur.rank == 3 and ur.decomposition.assignment == (1, 1, 1)
-    assert built.count((2, 3)) == built.count((1, 1)) == 3  # one build, no re-check
-    assert len(built) == 2 * 3
+    # Class 1 takes every edge; class 2 opens with its first and stays empty.
+    assert built == [(2, 3), (2, 3)]
     tracemalloc.start()
     try:
         union_rank(corpus.triangle(), 10**5, 10**5)
@@ -384,6 +382,20 @@ def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+def test_union_rank_memory_does_not_grow_with_k():
+    # 400 edges on 200 vertices: two sparse classes take them all, so three
+    # 200-vertex games at most are built, whatever k is.
+    G = random_multigraph(200, 400, 1, seed=3)
+    tracemalloc.start()
+    try:
+        ur = union_rank(G, 10**9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ur.rank == G.m and set(ur.decomposition.assignment) == {1, 2}
+    assert peak < 1_000_000, peak
 
 
 def test_verify_decomposition_checks_only_used_colours(monkeypatch):
