@@ -6,8 +6,8 @@ checker runs it at any n: ``cover`` is one (2k,3k) pebble game (the
 paper's cover theorem) and ``tree-packing`` one (l,l) game
 (Nash-Williams and Tutte), each reporting a violator read off the game;
 ``gamma`` and ``gamma2`` take a few weighted pebble games, one per guess
-of Dinkelbach's iteration; ``pq-connected`` takes a Stoer-Wagner
-minimum cut of G - X for each of the few X that need one.  The partition
+of Dinkelbach's iteration; ``pq-connected`` asks, for each of the few X
+that need it, whether G - X has a cut below p - q|X|.  The partition
 checkers scan their full quantifier range, under the enumeration
 guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
 over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
@@ -182,34 +182,42 @@ def _density_max(G: Multigraph, a: int, b: int) -> GammaResult:
     return GammaResult(value, X)
 
 
-def _min_cut(adj: dict[int, dict[int, int]]) -> int:
-    """Global minimum cut of a weighted graph with at least two vertices,
-    given as vertex -> neighbour -> weight, which it consumes (Stoer &
-    Wagner, "A simple min-cut algorithm", 1997).  Each phase adds the most
-    tightly connected vertex until all are in; the last one's connection is
-    a cut, and the last two are then merged."""
-    best = None
+def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
+    """Has a weighted graph, given as vertex -> neighbour -> weight, a cut
+    below lam >= 1?  It consumes adj (Nagamochi & Ibaraki, SIAM J. Discrete
+    Math. 5, 1992).  A phase looks for a vertex of degree below lam, then
+    adds the most tightly connected vertex until all are in.  One reached at
+    key 0 starts a second component.  No cut below lam separates the ends of
+    an edge whose later end's key reaches lam as it is scanned, so all such
+    edges are contracted; the last vertex's key is its degree, so a phase
+    merges at least one pair."""
     while len(adj) > 1:
+        if any(sum(row.values()) < lam for row in adj.values()):
+            return True
+        uf = UnionFind(max(adj) + 1)
         key = dict.fromkeys(adj, 0)
-        s = z = None
         while key:
-            s, z = z, max(key, key=key.get)
-            cut = key.pop(z)
+            z = max(key, key=key.get)
+            if key.pop(z) == 0 and len(key) < len(adj) - 1:
+                return True
             for v, w in adj[z].items():
                 if v in key:
                     key[v] += w
-        best = cut if best is None else min(best, cut)
-        merged = adj[s]
-        for v, w in adj.pop(z).items():
-            del adj[v][z]
-            if v != s:
-                merged[v] = adj[v][s] = merged.get(v, 0) + w
-    return best
+                    if key[v] >= lam:
+                        uf.union(z, v)
+        merged: dict[int, dict[int, int]] = {}
+        for u, row in adj.items():
+            into = merged.setdefault(ru := uf.find(u), {})
+            for v, w in row.items():
+                if (rv := uf.find(v)) != ru:
+                    into[rv] = into.get(rv, 0) + w
+        adj = merged
+    return False
 
 
 def _weights_without(mult: list[dict[int, int]], X: frozenset) -> dict[int, dict[int, int]]:
     """G - X as vertex -> neighbour -> number of parallel edges, a fresh
-    copy (``_min_cut`` consumes it) of G's ``multiplicities``."""
+    copy (``_cut_below`` consumes it) of G's ``multiplicities``."""
     adj = {v: row.copy() for v, row in enumerate(mult) if v not in X}
     for x in X:
         for u in mult[x]:
@@ -221,10 +229,10 @@ def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
 
     Only |X| < p/q asks for any connectivity, and n > p/q keeps such X
-    proper.  Each such X costs one minimum cut of at most n^3 steps.  The
-    guardrail, checked before any cut, allows as many steps as 2^L cuts on
-    L = ``SUBSET_LIMIT`` vertices: every check the exhaustive scan ran, and
-    no more."""
+    proper.  Each such X costs one threshold cut, counted as n^3 steps.
+    The guardrail, checked before any cut, allows as many steps as 2^L cuts
+    on L = ``SUBSET_LIMIT`` vertices: every check the exhaustive scan ran,
+    and no more."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
@@ -244,7 +252,7 @@ def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     mult = multiplicities(G)
     for s in sizes:
         for X in itertools.combinations(range(G.n), s):
-            if G.n - s >= 2 and _min_cut(_weights_without(mult, frozenset(X))) < p - q * s:
+            if G.n - s >= 2 and _cut_below(_weights_without(mult, frozenset(X)), p - q * s):
                 return False
     return True
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from rigidpack import (
     ConditionReport,
     GraphInputError,
+    LimitExceededError,
     Multigraph,
     Partition,
     check_cover_condition,
@@ -19,6 +21,8 @@ from rigidpack import (
     is_bracket_partition_connected,
     is_pq_connected,
 )
+from rigidpack import conditions
+from rigidpack.enumeration import multiplicities
 
 import corpus
 import oracles
@@ -133,9 +137,58 @@ def test_pq_connected_examples():
 
 
 def test_pq_connected_matches_oracle():
-    for G in corpus.random_corpus(25, seed=44, n_range=(2, 5), m_max=10):
-        for p, q in ((1, 1), (2, 1), (3, 1), (2, 2)):
-            assert is_pq_connected(G, p, q) == oracles.pq_connected_def(G, p, q)
+    # Multigraphs up to n = 7 at every (p, q) in 1..6 x 1..3: thresholds
+    # p - q|X| up to 6, and some holding at 3 or more after a deletion.
+    deleted = 0
+    for G in corpus.random_corpus(150, seed=44, n_range=(2, 7), m_max=42):
+        for p, q in itertools.product(range(1, 7), range(1, 4)):
+            holds = is_pq_connected(G, p, q)
+            assert holds == oracles.is_pq_connected_reference(G, p, q), (G, p, q)
+            deleted += holds and p - q >= 3
+    assert deleted > 0
+
+
+@st.composite
+def joined_blocks(draw):
+    """Two multigraphs, each pair inside one joined by 0-3 edges, and up to
+    three edges between them: the minimum cut often separates the two and
+    falls below every vertex degree."""
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    pairs = itertools.chain(itertools.combinations(range(a), 2),
+                            itertools.combinations(range(a, a + b), 2))
+    edges = [pair for pair in pairs for _ in range(draw(st.integers(0, 3)))]
+    edges += draw(st.lists(st.tuples(st.integers(0, a - 1), st.integers(a, a + b - 1)),
+                           max_size=3))
+    return Multigraph(a + b, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(G=st.one_of(corpus.small_multigraphs(max_n=9), joined_blocks()))
+def test_cut_below_matches_reference_cut(G):
+    # At every threshold from 1 to two past the minimum cut; a graph with
+    # at most one vertex has no cut.
+    cut = oracles.min_cut_within_reference(G, frozenset(G.vertices()))
+    for lam in range(1, (cut or 0) + 3):
+        adj = conditions._weights_without(multiplicities(G), frozenset())
+        assert conditions._cut_below(adj, lam) == (cut is not None and cut < lam), (G, lam)
+
+
+def two_hamiltonian_cycles(n):
+    order = [(7 * i) % n for i in range(n)]
+    return Multigraph(n, corpus.cycle(n).edges + tuple(zip(order, order[1:] + order[:1])))
+
+
+def test_pq_guardrail_is_checked_before_any_cut(monkeypatch):
+    # --p 4 --q 2 asks for n + 1 cuts, each counted as n^3 steps against
+    # 2^16 cuts on 16 vertices: 128 * 127^3 steps fit, 129 * 128^3 do not.
+    assert is_pq_connected(two_hamiltonian_cycles(127), 4, 2)
+
+    def no_cut(adj, lam):
+        raise AssertionError("a cut ran before the guardrail refused")
+
+    monkeypatch.setattr(conditions, "_cut_below", no_cut)
+    with pytest.raises(LimitExceededError):
+        is_pq_connected(two_hamiltonian_cycles(128), 4, 2)
 
 
 def test_bracket_partition_connected_examples():
@@ -175,7 +228,7 @@ def test_essential_edge_connectivity():
 
 
 def assert_min_cut(G, lam):
-    """Stoer-Wagner through pq-connected: with p = q only X = {} asks for
+    """The cut through pq-connected: with p = q only X = {} asks for
     a cut, so (p,p)-connected means a whole-graph cut of at least p."""
     if lam:
         assert is_pq_connected(G, lam, lam)

@@ -125,7 +125,7 @@ def assert_polynomial_checks_agree(G):
         else:
             assert new == ref, (p, q)
     if 2 <= G.n <= 16:
-        # Stoer-Wagner through pq-connected at p = q: one whole-graph cut.
+        # The threshold cut through pq-connected at p = q: one whole-graph cut.
         lam = oracles.edge_connectivity_reference(G)
         if lam:
             assert is_pq_connected(G, lam, lam)
