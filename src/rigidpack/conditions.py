@@ -7,7 +7,9 @@ paper's cover theorem) and ``tree-packing`` one (l,l) game
 (Nash-Williams and Tutte), each reporting a violator read off the game;
 ``gamma`` and ``gamma2`` take a few weighted pebble games, one per guess
 of Dinkelbach's iteration; ``pq-connected`` asks, for each of the few X
-that need it, whether G - X has a cut below p - q|X|.  The partition
+that need it, whether G - X has a cut below p - q|X|: one depth-first
+search answers a threshold of 1 or 2 (connectivity and bridges),
+Nagamochi-Ibaraki contraction one of 3 or more.  The partition
 checkers scan their full quantifier range, under the enumeration
 guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
 over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
@@ -184,13 +186,41 @@ def _density_max(G: Multigraph, a: int, b: int) -> GammaResult:
 
 def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
     """Has a weighted graph, given as vertex -> neighbour -> weight, a cut
-    below lam >= 1?  It consumes adj (Nagamochi & Ibaraki, SIAM J. Discrete
-    Math. 5, 1992).  A phase looks for a vertex of degree below lam, then
-    adds the most tightly connected vertex until all are in.  One reached at
-    key 0 starts a second component.  No cut below lam separates the ends of
-    an edge whose later end's key reaches lam as it is scanned, so all such
+    below lam >= 1?  It may consume adj.
+
+    lam <= 2 takes one depth-first search with low-link numbers (Tarjan,
+    IPL 2, 1974): a vertex it does not reach is a cut of 0, and for lam = 2
+    a bridge is a cut of 1.  A parallel copy of a tree edge counts as a back
+    edge, so only a tree edge of weight 1 can be a bridge.
+
+    lam >= 3 contracts (Nagamochi & Ibaraki, SIAM J. Discrete Math. 5,
+    1992).  A phase looks for a vertex of degree below lam, then adds the
+    most tightly connected vertex until all are in.  One reached at key 0
+    starts a second component.  No cut below lam separates the ends of an
+    edge whose later end's key reaches lam as it is scanned, so all such
     edges are contracted; the last vertex's key is its degree, so a phase
     merges at least one pair."""
+    if lam <= 2 and adj:
+        root = next(iter(adj))
+        low = {root: 0}
+        order = low.copy()
+        stack = [(root, None, iter(adj[root].items()))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for u, w in rest:
+                if u not in order:
+                    order[u] = low[u] = len(order)
+                    stack.append((u, v, iter(adj[u].items())))
+                    break
+                if order[u] < low[v] and (u != parent or w > 1):
+                    low[v] = order[u]
+            else:
+                stack.pop()
+                if parent is not None:
+                    if lam == 2 and low[v] > order[parent]:
+                        return True
+                    low[parent] = min(low[parent], low[v])
+        return len(order) < len(adj)
     while len(adj) > 1:
         if any(sum(row.values()) < lam for row in adj.values()):
             return True
@@ -229,7 +259,9 @@ def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
 
     Only |X| < p/q asks for any connectivity, and n > p/q keeps such X
-    proper.  Each such X costs one threshold cut, counted as n^3 steps.
+    proper.  Each such X costs one threshold cut.  The budget counts every
+    cut as n^3 steps, also one at threshold 1 or 2, which a depth-first
+    search answers in O(n + m).
     The guardrail, checked before any cut, allows as many steps as 2^L cuts
     on L = ``SUBSET_LIMIT`` vertices: every check the exhaustive scan ran,
     and no more."""

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidpack import (
@@ -137,11 +137,12 @@ def test_pq_connected_examples():
 
 
 def test_pq_connected_matches_oracle():
-    # Multigraphs up to n = 7 at every (p, q) in 1..6 x 1..3: thresholds
-    # p - q|X| up to 6, and some holding at 3 or more after a deletion.
+    # Multigraphs up to n = 7 at every (p, q) in 1..8 x 1..3, (8, 2) the
+    # k = l = 1 corollary: thresholds p - q|X| up to 8, and some holding at
+    # 3 or more after a deletion.
     deleted = 0
     for G in corpus.random_corpus(150, seed=44, n_range=(2, 7), m_max=42):
-        for p, q in itertools.product(range(1, 7), range(1, 4)):
+        for p, q in itertools.product(range(1, 9), range(1, 4)):
             holds = is_pq_connected(G, p, q)
             assert holds == oracles.is_pq_connected_reference(G, p, q), (G, p, q)
             deleted += holds and p - q >= 3
@@ -162,8 +163,14 @@ def joined_blocks(draw):
     return Multigraph(a + b, tuple(edges))
 
 
+TRIANGLES = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
+
+
 @settings(max_examples=200, deadline=None)
 @given(G=st.one_of(corpus.small_multigraphs(max_n=9), joined_blocks()))
+@example(G=Multigraph(6, TRIANGLES + ((2, 3), (2, 3))))  # a double edge is no bridge
+@example(G=Multigraph(6, TRIANGLES + ((2, 3),)))  # a bridge
+@example(G=Multigraph(4, ((0, 1), (1, 2), (0, 2))))  # an isolated vertex
 def test_cut_below_matches_reference_cut(G):
     # At every threshold from 1 to two past the minimum cut; a graph with
     # at most one vertex has no cut.
@@ -173,22 +180,32 @@ def test_cut_below_matches_reference_cut(G):
         assert conditions._cut_below(adj, lam) == (cut is not None and cut < lam), (G, lam)
 
 
-def two_hamiltonian_cycles(n):
-    order = [(7 * i) % n for i in range(n)]
-    return Multigraph(n, corpus.cycle(n).edges + tuple(zip(order, order[1:] + order[:1])))
+def hamiltonian_cycles(n, multipliers):
+    """The closed walks 0, c, 2c, ... mod n, one for each multiplier c: a
+    Hamiltonian cycle when c is prime to n."""
+    edges = ()
+    for c in multipliers:
+        order = [c * i % n for i in range(n)]
+        edges += tuple(zip(order, order[1:] + order[:1]))
+    return Multigraph(n, edges)
 
 
 def test_pq_guardrail_is_checked_before_any_cut(monkeypatch):
-    # --p 4 --q 2 asks for n + 1 cuts, each counted as n^3 steps against
-    # 2^16 cuts on 16 vertices: 128 * 127^3 steps fit, 129 * 128^3 do not.
-    assert is_pq_connected(two_hamiltonian_cycles(127), 4, 2)
+    # Each cut is counted as n^3 steps against 2^16 cuts on 16 vertices.
+    # --p 4 --q 2 asks for n + 1 cuts: 128 * 127^3 steps fit, 129 * 128^3 do
+    # not.  --p 6 --q 2 asks for 1 + n + C(n, 2), the last at threshold 2:
+    # 1541 * 55^3 fit, 1597 * 56^3 do not.
+    assert is_pq_connected(hamiltonian_cycles(127, (1, 7)), 4, 2)
+    assert is_pq_connected(hamiltonian_cycles(55, (1, 2, 3)), 6, 2)
 
     def no_cut(adj, lam):
         raise AssertionError("a cut ran before the guardrail refused")
 
     monkeypatch.setattr(conditions, "_cut_below", no_cut)
     with pytest.raises(LimitExceededError):
-        is_pq_connected(two_hamiltonian_cycles(128), 4, 2)
+        is_pq_connected(hamiltonian_cycles(128, (1, 7)), 4, 2)
+    with pytest.raises(LimitExceededError):
+        is_pq_connected(hamiltonian_cycles(56, (1, 2, 3)), 6, 2)
 
 
 def test_bracket_partition_connected_examples():
