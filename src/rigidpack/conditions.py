@@ -9,7 +9,9 @@ paper's cover theorem) and ``tree-packing`` one (l,l) game
 of Dinkelbach's iteration; ``pq-connected`` asks, for each of the few X
 that need it, whether G - X has a cut below p - q|X|: one depth-first
 search answers a threshold of 1 or 2 (connectivity and bridges),
-Nagamochi-Ibaraki contraction one of 3 or more.  The partition
+Nagamochi-Ibaraki contraction, in place, one of 3 or more; an X with a
+vertex of fewer than 2q + 2 edges into V - X needs none, since a smaller
+X already decides it.  The partition
 checkers scan their full quantifier range, under the enumeration
 guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
 over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
@@ -194,12 +196,15 @@ def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
     edge, so only a tree edge of weight 1 can be a bridge.
 
     lam >= 3 contracts (Nagamochi & Ibaraki, SIAM J. Discrete Math. 5,
-    1992).  A phase looks for a vertex of degree below lam, then adds the
-    most tightly connected vertex until all are in.  One reached at key 0
-    starts a second component.  No cut below lam separates the ends of an
-    edge whose later end's key reaches lam as it is scanned, so all such
-    edges are contracted; the last vertex's key is its degree, so a phase
-    merges at least one pair."""
+    1992).  Degrees are checked once: a vertex of degree below lam is a
+    cut.  A phase then adds the most tightly connected vertex until all are
+    in.  One reached at key 0 starts a second component.  No cut below lam
+    separates the ends of an edge whose later end's key reaches lam as it
+    is scanned, so all such pairs are merged into adj in place, each
+    absorbed vertex's row moved into its group's vertex.  A merged group of
+    degree below lam, with other vertices left, is a cut; otherwise every
+    degree is at least lam, and the last vertex's key is its degree, so
+    the next phase merges at least one pair."""
     if lam <= 2 and adj:
         root = next(iter(adj))
         low = {root: 0}
@@ -221,11 +226,12 @@ def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
                         return True
                     low[parent] = min(low[parent], low[v])
         return len(order) < len(adj)
+    deg = {v: sum(row.values()) for v, row in adj.items()}
+    if len(adj) > 1 and min(deg.values()) < lam:
+        return True
     while len(adj) > 1:
-        if any(sum(row.values()) < lam for row in adj.values()):
-            return True
-        uf = UnionFind(max(adj) + 1)
         key = dict.fromkeys(adj, 0)
+        pairs = []
         while key:
             z = max(key, key=key.get)
             if key.pop(z) == 0 and len(key) < len(adj) - 1:
@@ -234,14 +240,23 @@ def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
                 if v in key:
                     key[v] += w
                     if key[v] >= lam:
-                        uf.union(z, v)
-        merged: dict[int, dict[int, int]] = {}
-        for u, row in adj.items():
-            into = merged.setdefault(ru := uf.find(u), {})
-            for v, w in row.items():
-                if (rv := uf.find(v)) != ru:
-                    into[rv] = into.get(rv, 0) + w
-        adj = merged
+                        pairs.append((z, v))
+        group: dict[int, int] = {}
+        for a, b in pairs:
+            while a in group:
+                a = group[a]
+            while b in group:
+                b = group[b]
+            if a != b:
+                group[b] = a
+                row = adj.pop(b)
+                deg[a] += deg.pop(b) - 2 * row.pop(a)
+                del adj[a][b]
+                for v, w in row.items():
+                    adj[a][v] = adj[v][a] = adj[a].get(v, 0) + w
+                    del adj[v][b]
+                if deg[a] < lam and len(adj) > 1:
+                    return True
     return False
 
 
@@ -259,12 +274,15 @@ def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
 
     Only |X| < p/q asks for any connectivity, and n > p/q keeps such X
-    proper.  Each such X costs one threshold cut.  The budget counts every
-    cut as n^3 steps, also one at threshold 1 or 2, which a depth-first
-    search answers in O(n + m).
-    The guardrail, checked before any cut, allows as many steps as 2^L cuts
-    on L = ``SUBSET_LIMIT`` vertices: every check the exhaustive scan ran,
-    and no more."""
+    proper.  Each such X costs at most one threshold cut, smallest X
+    first.  X is skipped when some x in X has fewer than 2q + 2 edges into
+    V - X: G - (X - x) has already passed at p - q(|X| - 1), so a cut of
+    G - X below p - q|X| would need q + 1 edges from x into each side.
+    The budget counts every X, skipped or not, as a cut of n^3 steps,
+    also one at threshold 1 or 2, which a depth-first search answers in
+    O(n + m).  The guardrail, checked before any cut, allows as many steps
+    as 2^L cuts on L = ``SUBSET_LIMIT`` vertices: every check the
+    exhaustive scan ran, and no more."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
@@ -282,9 +300,14 @@ def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
                 f"vertices (got at least {count} cuts on n={G.n})"
             )
     mult = multiplicities(G)
+    deg = [sum(row.values()) for row in mult]
     for s in sizes:
         for X in itertools.combinations(range(G.n), s):
-            if G.n - s >= 2 and _cut_below(_weights_without(mult, frozenset(X)), p - q * s):
+            if G.n - s < 2 or any(
+                deg[x] - sum(mult[x].get(y, 0) for y in X) < 2 * q + 2 for x in X
+            ):
+                continue
+            if _cut_below(_weights_without(mult, frozenset(X)), p - q * s):
                 return False
     return True
 

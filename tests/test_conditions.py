@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,14 +136,39 @@ def test_pq_connected_examples():
     assert not is_pq_connected(corpus.triangle(), 6, 2)
     # p-edge-connectivity == (p,p)-connectivity
     assert is_pq_connected(corpus.cycle(5), 2, 2)
+    # Two K5s joined by one edge, and a vertex x with three neighbours in
+    # each: G is 4-edge-connected, but G - x has a bridge.  x has degree
+    # 2q + 2 = 6, so its cut must run at (4, 2).
+    k5s = [pair for part in (range(5), range(5, 10)) for pair in itertools.combinations(part, 2)]
+    G = Multigraph(11, (*k5s, (0, 5), *((10, v) for v in (1, 2, 3, 6, 7, 8))))
+    assert not is_pq_connected(G, 4, 2)
+    assert not oracles.is_pq_connected_reference(G, 4, 2)
+
+
+def near_regular_corpus(count, seed):
+    """Unions of 2-3 Hamiltonian cycles on 5-8 vertices, 0-2 edges removed:
+    every degree is 2-6, below 2q + 2 for every vertex at q = 3 and for
+    every vertex of a two-cycle union at q = 2, so many X skip their cut."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 8)
+        coprime = [c for c in range(1, n) if math.gcd(c, n) == 1]
+        G = hamiltonian_cycles(n, rng.choices(coprime, k=rng.randint(2, 3)))
+        edges = list(G.edges)
+        for _ in range(rng.randint(0, 2)):
+            edges.pop(rng.randrange(len(edges)))
+        yield Multigraph(n, tuple(edges))
 
 
 def test_pq_connected_matches_oracle():
     # Multigraphs up to n = 7 at every (p, q) in 1..8 x 1..3, (8, 2) the
     # k = l = 1 corollary: thresholds p - q|X| up to 8, and some holding at
-    # 3 or more after a deletion.
+    # 3 or more after a deletion.  The near-regular unions of Hamiltonian
+    # cycles skip the cut of many X by a vertex degree.
     deleted = 0
-    for G in corpus.random_corpus(150, seed=44, n_range=(2, 7), m_max=42):
+    graphs = itertools.chain(corpus.random_corpus(150, seed=44, n_range=(2, 7), m_max=42),
+                             near_regular_corpus(30, seed=49))
+    for G in graphs:
         for p, q in itertools.product(range(1, 9), range(1, 4)):
             holds = is_pq_connected(G, p, q)
             assert holds == oracles.is_pq_connected_reference(G, p, q), (G, p, q)
@@ -171,6 +198,12 @@ TRIANGLES = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
 @example(G=Multigraph(6, TRIANGLES + ((2, 3), (2, 3))))  # a double edge is no bridge
 @example(G=Multigraph(6, TRIANGLES + ((2, 3),)))  # a bridge
 @example(G=Multigraph(4, ((0, 1), (1, 2), (0, 2))))  # an isolated vertex
+# one phase merges 0 with 1 and then 1 with 2, so 1's group is looked up
+@example(G=Multigraph(3, ((0, 1),) * 3 + ((1, 2),) * 3))
+# one phase merges 0 with 2 and 0 with 1, then meets the pair (1, 2) again
+@example(G=Multigraph(3, ((0, 2),) * 3 + ((0, 1),) * 3 + ((1, 2),)))
+# every degree is 4 or 5, but {0, 1} has degree 2 once it is merged
+@example(G=Multigraph(4, ((0, 1),) * 4 + ((0, 2), (1, 3)) + ((2, 3),) * 3))
 def test_cut_below_matches_reference_cut(G):
     # At every threshold from 1 to two past the minimum cut; a graph with
     # at most one vertex has no cut.
@@ -188,6 +221,16 @@ def hamiltonian_cycles(n, multipliers):
         order = [c * i % n for i in range(n)]
         edges += tuple(zip(order, order[1:] + order[:1]))
     return Multigraph(n, edges)
+
+
+def test_pq_skips_each_x_a_smaller_x_decides(monkeypatch):
+    # A 4-regular graph at (4, 2): once G is 4-edge-connected, G - x has no
+    # cut below 2, since x has fewer than 2q + 2 = 6 edges.  Only X = {}
+    # takes a cut.
+    cut, lams = conditions._cut_below, []
+    monkeypatch.setattr(conditions, "_cut_below", lambda adj, lam: lams.append(lam) or cut(adj, lam))
+    assert is_pq_connected(hamiltonian_cycles(20, (1, 3)), 4, 2)
+    assert lams == [4]
 
 
 def test_pq_guardrail_is_checked_before_any_cut(monkeypatch):
