@@ -1,9 +1,12 @@
 """Certificates: JSON records binding a command's result to a graph.
 
 A certificate stores the graph's content hash rather than the graph, so
-verification needs the original input file.  ``cert_hash`` covers every
-field except itself and the timestamp; it is unkeyed, so it catches
-corruption, not forgery.  Semantic verification re-checks the claim from
+verification needs the original input file.  It is one line of
+``canonical_json``: the text ``cert_hash`` covers (every field except the
+hash and the timestamp), plus those two.  The hash is unkeyed, so it
+catches corruption, not forgery.  A certificate is emitted only after
+passing ``verify_certificate``, the call ``rigidpack verify`` makes on the
+file.  Semantic verification re-checks the claim from
 scratch against the graph and binds it to the command: the payload kind,
 the top-level parameters and every field the CLI fixes must be the ones
 that command gives.  No verifier re-runs the matroid union: a union
@@ -27,6 +30,7 @@ the report's witness, so producer and verifier compute them alike.
 from __future__ import annotations
 
 import json
+import re
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -97,10 +101,10 @@ def build_certificate(command: str, parameters: dict, G: Multigraph, payload: di
         "payload": payload,
         "verified": True,
     }
-    ok, reason = verify_certificate(cert, G, check_hash=False)
+    cert["cert_hash"] = certificate_hash(cert)
+    ok, reason = verify_certificate(cert, G)
     if not ok:
         raise RuntimeError(f"refusing to emit a certificate that fails self-check: {reason}")
-    cert["cert_hash"] = certificate_hash(cert)
     us = time.time_ns() // 1000
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(us // 1_000_000))
     cert["created"] = f"{stamp}.{us % 1_000_000:06d}+00:00"
@@ -109,8 +113,7 @@ def build_certificate(command: str, parameters: dict, G: Multigraph, payload: di
 
 def write_certificate(path, cert: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(canonical_json(cert) + "\n")
 
 
 def load_certificate(path) -> dict:
@@ -132,6 +135,18 @@ def _num(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return x
+
+
+def read_number(x) -> Fraction:
+    """``x`` in a form that certificates and ``--d`` are written in: an int
+    (not a bool), a Fraction, or a string "n" or "p/q" with q > 0, in ASCII
+    digits only.  Anything else, exponents included, raises ValueError
+    before a Fraction is built, so a forged number costs no more than its
+    text."""
+    if type(x) is int or isinstance(x, Fraction) or (
+            isinstance(x, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", x)):
+        return Fraction(x)
+    raise ValueError(f"not an integer or p/q fraction: {x!r}")
 
 
 # Each witness kind's JSON fields.  A z-partition witness is the pair
@@ -204,7 +219,7 @@ def check_parameters(condition: str, params: dict) -> dict:
     the parameters it takes, each an int, or "p/q" when it is not integral."""
     out = {"condition": condition}
     for name in CONDITIONS[condition].params:
-        x = Fraction(params[name])
+        x = read_number(params[name])
         out[name] = x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return out
 
@@ -280,7 +295,7 @@ def _short_partition(G, p, witness):
 
 
 def _kwz_violated(G, p, X):
-    k, d = p["k"], Fraction(p["d"])
+    k, d = p["k"], read_number(p["d"])
     lhs = (k + 1) * (k + d) * len(X) - (k + d + 1) * induced_edge_count(G, X) - k * k
     return len(X) >= 1 and lhs < 0, lhs, 0
 
@@ -356,18 +371,15 @@ def _ensure(verdict: tuple[bool, str | None]) -> None:
         raise _Rejected(verdict[1])
 
 
-def verify_certificate(
-    cert: dict, G: Multigraph, *, check_hash: bool = True
-) -> tuple[bool, str | None]:
+def verify_certificate(cert: dict, G: Multigraph) -> tuple[bool, str | None]:
     """Recompute the certificate's claims from scratch against ``G``.  A
     scan that the check re-runs obeys the guardrails; above them the claim
     cannot be re-checked."""
     try:
         if cert.get("schema") != SCHEMA:
             return False, f"unknown schema {cert.get('schema')!r}"
-        if check_hash:
-            if cert.get("cert_hash") != certificate_hash(cert):
-                return False, "certificate hash mismatch"
+        if cert.get("cert_hash") != certificate_hash(cert):
+            return False, "certificate hash mismatch"
         if cert.get("graph_hash") != graph_hash(G):
             return False, "graph hash mismatch"
         if cert.get("verified") is not True:
@@ -442,12 +454,13 @@ def _verify_packing_payload(G, command, top, payload):
 
 
 def _verify_bounded_cover_payload(G, command, top, payload):
-    if payload["degree_bound"] != _num(Fraction(payload["degree_bound"])):
+    bound = read_number(payload["degree_bound"])
+    if payload["degree_bound"] != _num(bound):
         raise TypeError('degree_bound must be a "p/q" string')
     cover = BoundedCover(
         _edge_parts(G, payload["forests"]),
         _edge_parts(G, payload["bounded_parts"]),
-        Fraction(payload["degree_bound"]),
+        bound,
     )
     _ensure(verify_bounded_cover(G, cover))
     k, l = top["k"], top["l"]
@@ -464,7 +477,7 @@ def _verify_density_payload(G, command, top, payload):
         raise _Rejected("top-level parameters do not match the payload")
     if which not in DENSITY_COUNTS:
         raise _Rejected(f"unknown density parameter {which!r}")
-    value = Fraction(payload["value"])
+    value = read_number(payload["value"])
     if payload["value"] != _num(value):
         raise TypeError('value must be a "p/q" string')
     X = check_vertex_subset(G, payload["argmax"])

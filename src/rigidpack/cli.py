@@ -27,11 +27,9 @@ def _require(args, *names):
 
 
 def _fraction(text: str) -> Fraction:
-    # Fraction("1/0") raises ZeroDivisionError, which argparse would not
-    # turn into a usage error.
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return certs.read_number(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 

@@ -36,11 +36,10 @@ from .enumeration import (
     check_partition_limit,
     first_short_partition,
     masks_by_size,
-    multiplicities,
 )
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
-from .multigraph import Multigraph, Partition, induced_edge_count
+from .multigraph import Multigraph, Partition, induced_edge_count, multiplicities
 
 
 class ConditionReport(namedtuple("ConditionReport", "condition parameters holds witness")):

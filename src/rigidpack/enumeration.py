@@ -22,7 +22,7 @@ import itertools
 from collections.abc import Iterable, Iterator
 
 from .errors import LimitExceededError
-from .multigraph import Multigraph, Partition
+from .multigraph import Multigraph, Partition, multiplicities
 
 SUBSET_LIMIT = 16
 PARTITION_LIMIT = 12
@@ -45,15 +45,6 @@ def mask_vertices(n: int, mask: int) -> frozenset:
 def mask_partition(n: int, blocks: Iterable[int]) -> Partition:
     """The partition whose blocks are the vertex masks ``blocks``."""
     return Partition(tuple(mask_vertices(n, m) for m in blocks))
-
-
-def multiplicities(G: Multigraph) -> list[dict[int, int]]:
-    """Per vertex, its neighbours and the number of edges to each."""
-    mult: list[dict[int, int]] = [{} for _ in range(G.n)]
-    for u, v in G.edges:
-        mult[u][v] = mult[u].get(v, 0) + 1
-        mult[v][u] = mult[v].get(u, 0) + 1
-    return mult
 
 
 def short_partitions(

@@ -93,19 +93,20 @@ class Multigraph(_Record):
             deg[v] += 1
         return deg
 
-    def adjacency(self) -> list[set[int]]:
-        """Neighbour sets; parallel edges collapse to one entry."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def subgraph_of(self, F: Iterable[int]) -> "Multigraph":
         """Spanning subgraph keeping only edge ids ``F`` (ids are remapped
         to ``0..|F|-1`` in ascending order of the original ids)."""
         ids = check_edge_subset(self, F)
         return Multigraph(self.n, tuple(self.edges[e] for e in ids))
+
+
+def multiplicities(G: Multigraph) -> list[dict[int, int]]:
+    """Per vertex, its neighbours and the number of edges to each."""
+    mult: list[dict[int, int]] = [{} for _ in range(G.n)]
+    for u, v in G.edges:
+        mult[u][v] = mult[u].get(v, 0) + 1
+        mult[v][u] = mult[v].get(u, 0) + 1
+    return mult
 
 
 def check_vertex_subset(G: Multigraph, X: Iterable[int]) -> frozenset:
@@ -203,11 +204,8 @@ def adjacent_number(G: Multigraph, Z: Iterable[int], pi: Partition) -> int:
         raise GraphInputError("Z intersects the partition's ground set")
     if Z | ground != frozenset(G.vertices()):
         raise GraphInputError("partition must cover exactly V(G) - Z")
-    adj = G.adjacency()
-    total = 0
-    for block in pi.blocks:
-        total += sum(1 for z in Z if adj[z] & block)
-    return total
+    mult = multiplicities(G)
+    return sum(1 for block in pi.blocks for z in Z if mult[z].keys() & block)
 
 
 def random_multigraph(n: int, m: int, max_multiplicity: int = 1, seed: int = 0) -> Multigraph:

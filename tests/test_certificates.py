@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from rigidpack import GraphInputError, Multigraph, cli, format_graph, random_multigraph
 from rigidpack.certificates import (
     CONDITIONS,
+    _num,
     build_certificate,
+    canonical_json,
     certificate_hash,
     check_parameters,
     decomposition_payload,
     density_payload,
     graph_hash,
     load_certificate,
+    read_number,
     report_payload,
     verify_certificate,
     write_certificate,
@@ -55,6 +58,29 @@ def test_round_trip_decomposition_certificate(tmp_path):
     path = tmp_path / "cert.json"
     write_certificate(path, cert)
     assert verify_certificate(load_certificate(path), G) == (True, None)
+
+
+def test_cli_writes_one_line_of_canonical_json(tmp_path):
+    # The file is the text cert_hash covers, plus cert_hash and created.
+    gfile, out = tmp_path / "k4.txt", tmp_path / "cert.json"
+    gfile.write_text(format_graph(corpus.k4()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["decompose", str(gfile), "--k", "2", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == canonical_json(json.loads(text)) + "\n"
+    assert text.count("\n") == 1
+
+
+def test_certificates_in_the_indented_layout_still_verify(tmp_path):
+    # Certificates used to be written with indent=2; verify parses JSON, so
+    # a certificate already on disk stays checkable.
+    gfile, cfile = tmp_path / "graph.txt", tmp_path / "cert.json"
+    for case, G, cert in cli_certificates():
+        gfile.write_text(format_graph(G))
+        with open(cfile, "w", encoding="utf-8") as fh:
+            json.dump(cert, fh, sort_keys=True, indent=2)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(cfile), str(gfile)]) == 0, case
 
 
 def test_round_trip_report_certificate():
@@ -370,6 +396,39 @@ def test_kwz_d_compares_as_a_fraction():
     for top in (3, "3", "5/2"):
         bad = _rehashed(cert, ("parameters", "d"), top)
         assert not verify_certificate(bad, G)[0], top
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.fractions())
+def test_read_number_reads_every_number_certificates_write(x):
+    written = (x, _num(x), str(x), check_parameters("kwz", {"k": 1, "d": x})["d"])
+    assert [read_number(w) for w in written] == [x] * len(written)
+    if x.denominator == 1:
+        assert read_number(int(x)) == x
+
+
+@pytest.mark.parametrize("bad", ["2.5", "1e3", " 3", "+3", "3/-2", "1/0", "", "\u0663", True,
+                                 "3\n", "1_000", "0x10", "inf", 2.5, None, [3]])
+def test_read_number_refuses_every_other_form(bad):
+    with pytest.raises(ValueError):
+        read_number(bad)
+
+
+@pytest.mark.parametrize("case, paths", [
+    ("k4: check kwz --k 1 --d 2", (("parameters", "d"), ("payload", "parameters", "d"))),
+    ("k4: ndt --k 1 --l 2", (("payload", "degree_bound"),)),
+    ("k4: gamma gamma", (("payload", "value"),)),
+])
+def test_an_exponent_costs_the_verifier_nothing(case, paths):
+    # Fraction("1e10000000") alone takes seconds; the forms written are
+    # read without it.
+    G, bad = _cert(case)
+    for path in paths:
+        bad = _rehashed(bad, path, "1e10000000")
+    start = time.perf_counter()
+    ok, reason = verify_certificate(bad, G)
+    assert time.perf_counter() - start < 1.0
+    assert not ok and reason.startswith("malformed certificate"), reason
 
 
 # Values that have broken verifiers: zero denominators, an infinite float

@@ -84,7 +84,7 @@ def test_check_conditions_and_exit_codes(k4_file, triangle_file):
     assert main(["check", "cover", str(k4_file)]) == 2
 
 
-def test_check_kwz_takes_exact_fraction_d(triangle_file, tmp_path):
+def test_check_kwz_takes_exact_fraction_d(triangle_file, tmp_path, capsys):
     out = tmp_path / "kwz.json"
     assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", "7/3",
                  "--out", str(out)]) in (0, 1)
@@ -96,8 +96,13 @@ def test_check_kwz_takes_exact_fraction_d(triangle_file, tmp_path):
     assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", "2",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["parameters"]["d"] == 2
-    for bad in ("x/3", "1/0"):
-        assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", bad]) == 2
+    # Only the forms written: Fraction() also reads decimals and exponents,
+    # and 1e5000 once ended in a traceback (a number of over 4300 digits).
+    capsys.readouterr()
+    for bad in ("x/3", "1/0", "1e5000", "1e3", "2.5", "+3", "3/-2"):
+        assert main(["check", "kwz", str(triangle_file), "--k", "1", "--d", bad]) == 2, bad
+        err = capsys.readouterr().err
+        assert "invalid fraction value" in err and "Traceback" not in err, bad
 
 
 def test_check_unknown_condition_lists_names(k4_file, capsys):

@@ -24,7 +24,7 @@ from rigidpack import (
     is_pq_connected,
 )
 from rigidpack import conditions
-from rigidpack.enumeration import multiplicities
+from rigidpack.multigraph import multiplicities
 
 import corpus
 import oracles
