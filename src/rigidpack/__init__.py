@@ -3,6 +3,7 @@ packings, and exact partition-condition checking on multigraphs, by
 branch and bound over the partitions."""
 
 from .conditions import (
+    PQ_STEP_LIMIT,
     ConditionReport,
     GammaResult,
     check_cover_condition,
@@ -14,7 +15,7 @@ from .conditions import (
     is_bracket_partition_connected,
     is_pq_connected,
 )
-from .enumeration import PARTITION_LIMIT, SUBSET_LIMIT
+from .enumeration import PARTITION_LIMIT
 from .errors import (
     GraphInputError,
     LimitExceededError,

@@ -6,12 +6,10 @@ checker runs it at any n: ``cover`` is one (2k,3k) pebble game (the
 paper's cover theorem) and ``tree-packing`` one (l,l) game
 (Nash-Williams and Tutte), each reporting a violator read off the game;
 ``gamma`` and ``gamma2`` take a few weighted pebble games, one per guess
-of Dinkelbach's iteration; ``pq-connected`` asks, for each of the few X
-that need it, whether G - X has a cut below p - q|X|: one depth-first
-search answers a threshold of 1 or 2 (connectivity and bridges),
-Nagamochi-Ibaraki contraction, in place, one of 3 or more; an X with a
-vertex of fewer than 2q + 2 edges into V - X needs none, since a smaller
-X already decides it.  The partition
+of Dinkelbach's iteration; ``pq-connected`` looks for one mixed
+vertex-edge cut below p: a Nagamochi-Ibaraki threshold cut, in place,
+for X = {}, then max flows in which each vertex of 2q + 2 or more edges
+costs q.  The partition
 checkers scan their full quantifier range, under the enumeration
 guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
 over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
@@ -26,13 +24,11 @@ sides of the inequality it violates.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
 from .enumeration import (
     PARTITION_LIMIT,
-    SUBSET_LIMIT,
     check_partition_limit,
     first_short_partition,
     masks_by_size,
@@ -40,6 +36,10 @@ from .enumeration import (
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
 from .multigraph import Multigraph, Partition, induced_edge_count, multiplicities
+
+# The steps ``is_pq_connected`` may take, its cut counted as n^3 and each
+# flow as p (n + arcs): as many as 2^16 cuts on 16 vertices.
+PQ_STEP_LIMIT = 16**3 << 16
 
 
 class ConditionReport(namedtuple("ConditionReport", "condition parameters holds witness")):
@@ -187,44 +187,18 @@ def _density_max(G: Multigraph, a: int, b: int) -> GammaResult:
 
 def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
     """Has a weighted graph, given as vertex -> neighbour -> weight, a cut
-    below lam >= 1?  It may consume adj.
+    below lam >= 1?  It consumes adj.
 
-    lam <= 2 takes one depth-first search with low-link numbers (Tarjan,
-    IPL 2, 1974): a vertex it does not reach is a cut of 0, and for lam = 2
-    a bridge is a cut of 1.  A parallel copy of a tree edge counts as a back
-    edge, so only a tree edge of weight 1 can be a bridge.
-
-    lam >= 3 contracts (Nagamochi & Ibaraki, SIAM J. Discrete Math. 5,
-    1992).  Degrees are checked once: a vertex of degree below lam is a
-    cut.  A phase then adds the most tightly connected vertex until all are
-    in.  One reached at key 0 starts a second component.  No cut below lam
+    Nagamochi-Ibaraki contraction (SIAM J. Discrete Math. 5, 1992).
+    Degrees are checked once: a vertex of degree below lam is a cut.  A
+    phase then adds the most tightly connected vertex until all are in.
+    One reached at key 0 starts a second component.  No cut below lam
     separates the ends of an edge whose later end's key reaches lam as it
     is scanned, so all such pairs are merged into adj in place, each
     absorbed vertex's row moved into its group's vertex.  A merged group of
     degree below lam, with other vertices left, is a cut; otherwise every
     degree is at least lam, and the last vertex's key is its degree, so
     the next phase merges at least one pair."""
-    if lam <= 2 and adj:
-        root = next(iter(adj))
-        low = {root: 0}
-        order = low.copy()
-        stack = [(root, None, iter(adj[root].items()))]
-        while stack:
-            v, parent, rest = stack[-1]
-            for u, w in rest:
-                if u not in order:
-                    order[u] = low[u] = len(order)
-                    stack.append((u, v, iter(adj[u].items())))
-                    break
-                if order[u] < low[v] and (u != parent or w > 1):
-                    low[v] = order[u]
-            else:
-                stack.pop()
-                if parent is not None:
-                    if lam == 2 and low[v] > order[parent]:
-                        return True
-                    low[parent] = min(low[parent], low[v])
-        return len(order) < len(adj)
     deg = {v: sum(row.values()) for v, row in adj.items()}
     if len(adj) > 1 and min(deg.values()) < lam:
         return True
@@ -259,56 +233,78 @@ def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
     return False
 
 
-def _weights_without(mult: list[dict[int, int]], X: frozenset) -> dict[int, dict[int, int]]:
-    """G - X as vertex -> neighbour -> number of parallel edges, a fresh
-    copy (``_cut_below`` consumes it) of G's ``multiplicities``."""
-    adj = {v: row.copy() for v, row in enumerate(mult) if v not in X}
-    for x in X:
-        for u in mult[x]:
-            adj.get(u, {}).pop(x, None)
-    return adj
+def _flow_below(net: list[dict[int, int]], s: int, t: int, lam: int) -> bool:
+    """Is the maximum flow from node s to node t below lam?  net is node ->
+    node -> residual capacity, each arc's reverse present; it is consumed.
+    Each breadth-first augmenting path carries its bottleneck, until the
+    flow reaches lam or t is cut off."""
+    flow = 0
+    while flow < lam:
+        parent = {s: s}
+        queue = [s]
+        for x in queue:
+            for y, c in net[x].items():
+                if c and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+            if t in parent:
+                break
+        else:
+            return True
+        arcs, y = [], t
+        while y != s:
+            arcs.append((parent[y], y))
+            y = parent[y]
+        push = min(net[x][y] for x, y in arcs)
+        for x, y in arcs:
+            net[x][y] -= push
+            net[y][x] += push
+        flow += push
+    return False
+
+
+def _check_pq_steps(steps: int) -> None:
+    if steps > PQ_STEP_LIMIT:
+        raise LimitExceededError(f"(p,q)-connectivity is limited to {PQ_STEP_LIMIT} steps "
+                                 f"(got {steps})")
 
 
 def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
 
-    Only |X| < p/q asks for any connectivity, and n > p/q keeps such X
-    proper.  Each such X costs at most one threshold cut, smallest X
-    first.  X is skipped when some x in X has fewer than 2q + 2 edges into
-    V - X: G - (X - x) has already passed at p - q(|X| - 1), so a cut of
-    G - X below p - q|X| would need q + 1 edges from x into each side.
-    The budget counts every X, skipped or not, as a cut of n^3 steps,
-    also one at threshold 1 or 2, which a depth-first search answers in
-    O(n + m).  The guardrail, checked before any cut, allows as many steps
-    as 2^L cuts on L = ``SUBSET_LIMIT`` vertices: every check the
-    exhaustive scan ran, and no more."""
+    That is, no mixed cut (X, F) has q|X| + |F| < p, F a set of edges that
+    separates G - X.  A least one keeps in X only vertices with q + 1 edges
+    into each side: moving any other x out costs at most q and saves q.
+    One threshold cut decides X = {}.  Max flows stopped at p decide the
+    rest (Even, SIAM J. Comput. 4, 1975): each vertex is split into an
+    entry and an exit, joined by capacity q at a degree of 2q + 2 or more
+    and by p, no bound, below; an edge's capacity is its multiplicity.
+    They run to every other vertex from one uncapped vertex if there is
+    one, else from each of the first (p - 1) // q + 1, one of which lies
+    outside X; and not at all when p <= q or no vertex is capped.  The
+    guardrail counts the cut as n^3 steps and each flow as p (n + arcs),
+    before the cut and before any flow."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
-    if G.n * q <= p:
+    n = G.n
+    if n * q <= p:
         return False
-    L = SUBSET_LIMIT
-    budget = L**3 << L
-    sizes = range((p - 1) // q + 1)
-    count = term = 0
-    for s in sizes:
-        term = 1 if s == 0 else term * (G.n - s + 1) // s  # C(n, s)
-        count += term
-        if count * G.n**3 > budget:
-            raise LimitExceededError(
-                f"(p,q)-connectivity is limited to the cut steps of 2^{L} cuts on {L} "
-                f"vertices (got at least {count} cuts on n={G.n})"
-            )
+    _check_pq_steps(n**3)
     mult = multiplicities(G)
-    deg = [sum(row.values()) for row in mult]
-    for s in sizes:
-        for X in itertools.combinations(range(G.n), s):
-            if G.n - s < 2 or any(
-                deg[x] - sum(mult[x].get(y, 0) for y in X) < 2 * q + 2 for x in X
-            ):
-                continue
-            if _cut_below(_weights_without(mult, frozenset(X)), p - q * s):
-                return False
-    return True
+    if _cut_below({v: row.copy() for v, row in enumerate(mult)}, p):
+        return False
+    capped = [sum(row.values()) >= 2 * q + 2 for row in mult]
+    if p <= q or not any(capped):
+        return True
+    sources = [capped.index(False)] if not all(capped) else range((p - 1) // q + 1)
+    _check_pq_steps(n**3 + len(sources) * (n - 1) * p * (n + sum(map(len, mult))))
+    net: list[dict[int, int]] = [{} for _ in range(2 * n)]  # v enters at 2v, leaves at 2v + 1
+    for v, row in enumerate(mult):
+        net[2 * v][2 * v + 1], net[2 * v + 1][2 * v] = q if capped[v] else p, 0
+        for u, c in row.items():
+            net[2 * v + 1][2 * u], net[2 * u][2 * v + 1] = c, 0
+    flows = ((s, t) for s in sources for t in range(n) if t != s)
+    return not any(_flow_below([row.copy() for row in net], 2 * s + 1, 2 * t, p) for s, t in flows)
 
 
 def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:

@@ -1,8 +1,7 @@
 """The guardrails and the bitmask kernel of the partition scans.
 
 Partition scans refuse ground sets beyond ``PARTITION_LIMIT`` (Bell
-numbers blow up fast; Bell(12) is about 4.2M, the most a scan may walk),
-and ``SUBSET_LIMIT`` sizes the cut-step budget of ``pq-connected``.
+numbers blow up fast; Bell(12) is about 4.2M, the most a scan may walk).
 Orders are deterministic so that reported witnesses are reproducible.
 
 Vertex v of an n-vertex graph is the bit ``1 << (n - 1 - v)``.
@@ -24,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from .errors import LimitExceededError
 from .multigraph import Multigraph, Partition, multiplicities
 
-SUBSET_LIMIT = 16
 PARTITION_LIMIT = 12
 
 

@@ -125,6 +125,19 @@ def check_edge_subset(G: Multigraph, F: Iterable[int]) -> list[int]:
     return ids
 
 
+def edge_parts_error(G: Multigraph, parts: Iterable[Iterable[int]]) -> str | None:
+    """Why ``parts`` are not disjoint sets of G's edge ids, or None."""
+    seen: set[int] = set()
+    for part in parts:
+        for e in part:
+            if not (type(e) is int and 0 <= e < G.m):
+                return f"invalid edge id {e!r}"
+            if e in seen:
+                return f"edge {e} appears in two parts"
+            seen.add(e)
+    return None
+
+
 class Partition(_Record):
     """A partition of some vertex set into disjoint nonempty blocks."""
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
 from .matroids import UnionFind, graphic_independent, sparse_independent
-from .multigraph import Multigraph
+from .multigraph import Multigraph, edge_parts_error
 from .union import decompose, union_rank
 
 
@@ -200,15 +200,10 @@ def verify_bounded_cover(G: Multigraph, cover: BoundedCover) -> tuple[bool, str 
     """Re-check a bounded cover from scratch."""
     if cover.degree_bound != degree_bound(G.n):
         return False, "stated degree bound does not match the graph"
-    seen: set[int] = set()
-    for part in cover.forests + cover.bounded_parts:
-        for e in part:
-            if not (type(e) is int and 0 <= e < G.m):
-                return False, f"invalid edge id {e!r}"
-            if e in seen:
-                return False, f"edge {e} appears in two parts"
-            seen.add(e)
-    if len(seen) != G.m:
+    parts = cover.forests + cover.bounded_parts
+    if error := edge_parts_error(G, parts):
+        return False, error
+    if sum(map(len, parts)) != G.m:
         return False, "parts do not cover every edge"
     for i, part in enumerate(cover.forests):
         if not graphic_independent(G, part):

@@ -18,7 +18,7 @@ from collections import namedtuple
 from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError
 from .matroids import graphic_independent, sparse_independent
-from .multigraph import Multigraph
+from .multigraph import Multigraph, edge_parts_error
 from .union import union_rank
 
 
@@ -56,14 +56,8 @@ def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:
     edges is a spanning tree.
     """
     n = G.n
-    seen: set[int] = set()
-    for part in packing.rigid_parts + packing.tree_parts:
-        for e in part:
-            if not (type(e) is int and 0 <= e < G.m):
-                return False, f"invalid edge id {e!r}"
-            if e in seen:
-                return False, f"edge {e} appears in two parts"
-            seen.add(e)
+    if error := edge_parts_error(G, packing.rigid_parts + packing.tree_parts):
+        return False, error
     for i, part in enumerate(packing.rigid_parts):
         if len(part) != 2 * n - 3:
             return False, f"rigid part {i} has {len(part)} edges, expected {2 * n - 3}"

@@ -29,22 +29,27 @@ from rigidpack import (
     Partition,
 )
 from rigidpack.certificates import report_payload
-from rigidpack.conditions import ConditionReport, GammaResult
-from rigidpack.enumeration import PARTITION_LIMIT, SUBSET_LIMIT
+from rigidpack.conditions import ConditionReport, GammaResult, _cut_below
+from rigidpack.enumeration import PARTITION_LIMIT
 from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
 from rigidpack.multigraph import (
     adjacent_number,
     check_edge_subset,
     cross_edge_count,
     induced_edge_count,
+    multiplicities,
 )
 from rigidpack.ndt import degree_bound_floor
 from rigidpack.packing import Packing
 from rigidpack.union import Decomposition, UnionRank, union_rank
 
 
+# The exhaustive subset scans here refuse more vertices than this.
+SUBSET_LIMIT = 16
+
+
 def _check_subset_limit(n: int, max_n: int | None = None, what: str = "subset enumeration"):
-    """The library's subset guardrail, which an enumerator's caller may move."""
+    """The subset scans' guardrail, which an enumerator's caller may move."""
     limit = SUBSET_LIMIT if max_n is None else max_n
     if n > limit:
         raise LimitExceededError(f"{what} is limited to n <= {limit} vertices (got n={n})")
@@ -864,6 +869,32 @@ def is_pq_connected_reference(G: Multigraph, p: int, q: int) -> bool:
         cut = min_cut_within_reference(G, vertices - X)
         if cut is not None and cut < need:
             return False
+    return True
+
+
+def is_pq_connected_per_x_reference(G: Multigraph, p: int, q: int) -> bool:
+    """(p,q)-connectivity by one threshold cut of G - X for each X with
+    q|X| < p, smallest X first, and no guardrail.  X is skipped when some x
+    in X has fewer than 2q + 2 edges into V - X: G - (X - x) has already
+    passed at p - q(|X| - 1), so a cut of G - X below p - q|X| would need
+    q + 1 edges from x into each side.  Polynomial in n for a fixed p/q,
+    so it reaches the sizes where the exhaustive reference refuses."""
+    if p < 1 or q < 1:
+        raise GraphInputError("need p >= 1 and q >= 1")
+    if G.n * q <= p:
+        return False
+    mult = multiplicities(G)
+    deg = [sum(row.values()) for row in mult]
+    for s in range((p - 1) // q + 1):
+        for X in itertools.combinations(range(G.n), s):
+            if G.n - s < 2 or any(
+                deg[x] - sum(mult[x].get(y, 0) for y in X) < 2 * q + 2 for x in X
+            ):
+                continue
+            adj = {v: {u: c for u, c in row.items() if u not in X}
+                   for v, row in enumerate(mult) if v not in X}
+            if _cut_below(adj, p - q * s):
+                return False
     return True
 
 

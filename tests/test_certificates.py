@@ -240,7 +240,7 @@ GRAPHS = {
     "dtri": corpus.doubled_triangle,
     "c14": lambda: corpus.cycle(14),
     "bowtie": corpus.bowtie,
-    # a doubled path above the subset guardrail
+    # a doubled path above the exhaustive test scans' 16 vertices
     "dp17": lambda: Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2)),
 }
 
@@ -732,24 +732,25 @@ def test_holding_z_scan_on_12_vertices_is_refused_at_once(tmp_path, capsys):
 def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
     tmp_path, capsys
 ):
-    # A holding (2,1)-connectivity report on a 300-vertex cycle: its re-run
-    # would take 301 minimum cuts of 300 vertices each, more cut steps than
-    # the verifier's guardrail allows, so it is refused before any cut.
-    G = corpus.cycle(300)
-    cert = {
-        "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
-        "parameters": {"condition": "pq-connected", "p": 2, "q": 1}, "verified": True,
-        "payload": {"kind": "report", "condition": "pq-connected", "holds": True,
-                    "parameters": {"p": 2, "q": 1},
-                    "witness": None, "lhs": None, "rhs": None},
-    }
-    cert["cert_hash"] = certificate_hash(cert)
-    gfile, cfile = tmp_path / "c300.txt", tmp_path / "forged.json"
-    gfile.write_text(format_graph(G))
-    write_certificate(cfile, cert)
-    start = time.perf_counter()
-    assert cli.main(["verify", str(cfile), str(gfile)]) == 1
-    assert time.perf_counter() - start < 1.0
+    # A holding (2,1)-connectivity report on a cycle is true, and verify
+    # re-runs its one cut up to 645 vertices.  On 646 the cut's n^3 steps
+    # pass the verifier's guardrail, so the claim is refused before any cut.
+    for n, code in ((300, 0), (646, 1)):
+        G = corpus.cycle(n)
+        cert = {
+            "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
+            "parameters": {"condition": "pq-connected", "p": 2, "q": 1}, "verified": True,
+            "payload": {"kind": "report", "condition": "pq-connected", "holds": True,
+                        "parameters": {"p": 2, "q": 1},
+                        "witness": None, "lhs": None, "rhs": None},
+        }
+        cert["cert_hash"] = certificate_hash(cert)
+        gfile, cfile = tmp_path / f"c{n}.txt", tmp_path / "forged.json"
+        gfile.write_text(format_graph(G))
+        write_certificate(cfile, cert)
+        start = time.perf_counter()
+        assert cli.main(["verify", str(cfile), str(gfile)]) == code
+        assert time.perf_counter() - start < 1.0
     assert "cannot re-check the claim" in capsys.readouterr().out
 
 

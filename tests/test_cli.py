@@ -247,13 +247,23 @@ def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys)
                     assert main(["verify", str(out), str(gfile)]) == 0, argv
                     out.unlink()
                 assert not out.exists(), argv
-    # pq-connected's cut steps: |X| <= 6 asks for 60460 cuts on 20 vertices,
-    # more steps than 2^16 cuts on 16.
+    # pq-connected counts one cut of n^3 steps and its flows against 2^28
+    # steps.  A random graph on 20 vertices fails --p 7 --q 1 at its cut;
+    # a path fails its cut up to 645 vertices and is refused on 646.  The
+    # failure carries no witness, so verify re-runs the check.
     gfile = tmp_path / "g20.txt"
     assert main(["random", "--n", "20", "--m", "40", "--seed", "1", "--out", str(gfile)]) == 0
-    argv = ["check", "pq-connected", str(gfile), "--p", "7", "--q", "1", "--out", str(out)]
-    assert main(argv) == 3
-    assert not out.exists()
+    cases = [(gfile, "7", 1)]
+    for n, code in ((645, 1), (646, 3)):
+        cases.append((tmp_path / f"p{n}.txt", "2", code))
+        cases[-1][0].write_text(format_graph(corpus.path(n)))
+    for gfile, p, code in cases:
+        argv = ["check", "pq-connected", str(gfile), "--p", p, "--q", "1", "--out", str(out)]
+        assert main(argv) == code, argv
+        if code == 1:
+            assert main(["verify", str(out), str(gfile)]) == 0, argv
+            out.unlink()
+        assert not out.exists(), argv
     capsys.readouterr()
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rigidpack import (
@@ -209,7 +209,7 @@ def test_cut_below_matches_reference_cut(G):
     # at most one vertex has no cut.
     cut = oracles.min_cut_within_reference(G, frozenset(G.vertices()))
     for lam in range(1, (cut or 0) + 3):
-        adj = conditions._weights_without(multiplicities(G), frozenset())
+        adj = {v: row.copy() for v, row in enumerate(multiplicities(G))}
         assert conditions._cut_below(adj, lam) == (cut is not None and cut < lam), (G, lam)
 
 
@@ -234,21 +234,123 @@ def test_pq_skips_each_x_a_smaller_x_decides(monkeypatch):
 
 
 def test_pq_guardrail_is_checked_before_any_cut(monkeypatch):
-    # Each cut is counted as n^3 steps against 2^16 cuts on 16 vertices.
-    # --p 4 --q 2 asks for n + 1 cuts: 128 * 127^3 steps fit, 129 * 128^3 do
-    # not.  --p 6 --q 2 asks for 1 + n + C(n, 2), the last at threshold 2:
-    # 1541 * 55^3 fit, 1597 * 56^3 do not.
-    assert is_pq_connected(hamiltonian_cycles(127, (1, 7)), 4, 2)
-    assert is_pq_connected(hamiltonian_cycles(55, (1, 2, 3)), 6, 2)
+    # The cut counts n^3 steps and each flow p (n + arcs), against 2^28
+    # steps.  On a cycle (2, 1) runs no flow: 645^3 steps fit, 646^3 do
+    # not, and the refusal comes before the cut.
+    assert conditions.PQ_STEP_LIMIT == 1 << 28
+    assert 645**3 <= conditions.PQ_STEP_LIMIT < 646**3
+    assert is_pq_connected(corpus.cycle(645), 2, 1)
 
-    def no_cut(adj, lam):
-        raise AssertionError("a cut ran before the guardrail refused")
+    def refused(*args):
+        raise AssertionError("a cut or flow ran before the guardrail refused")
 
-    monkeypatch.setattr(conditions, "_cut_below", no_cut)
-    with pytest.raises(LimitExceededError):
-        is_pq_connected(hamiltonian_cycles(128, (1, 7)), 4, 2)
-    with pytest.raises(LimitExceededError):
-        is_pq_connected(hamiltonian_cycles(56, (1, 2, 3)), 6, 2)
+    monkeypatch.setattr(conditions, "_flow_below", refused)
+    monkeypatch.setattr(conditions, "_cut_below", refused)
+    with pytest.raises(LimitExceededError, match=f"limited to {1 << 28} steps \\(got {646**3}\\)"):
+        is_pq_connected(corpus.cycle(646), 2, 1)
+    # K_n at (n - 1, 1) caps every vertex and takes n - 1 sources, so
+    # (n - 1)^2 flows of (n - 1)(n + n(n - 1)) steps each: n = 49 fits,
+    # n = 50 is refused once its cut has passed, before any flow.
+    flows = []
+    monkeypatch.setattr(conditions, "_cut_below", lambda adj, lam: False)
+    monkeypatch.setattr(conditions, "_flow_below", lambda net, s, t, lam: flows.append(s))
+    for n in (49, 50):
+        steps = n**3 + (n - 1) ** 3 * (n + n * (n - 1))
+        assert (steps <= conditions.PQ_STEP_LIMIT) == (n == 49)
+    assert is_pq_connected(complete(49), 48, 1)
+    assert len(flows) == 48 * 48
+    monkeypatch.setattr(conditions, "_flow_below", refused)
+    with pytest.raises(LimitExceededError, match=f"got {50**3 + 49**3 * 50 * 50}\\)"):
+        is_pq_connected(complete(50), 49, 1)
+
+
+def complete(n, mult=1):
+    return Multigraph(n, tuple(pair for pair in itertools.combinations(range(n), 2)
+                               for _ in range(mult)))
+
+
+@st.composite
+def capped_complete(draw):
+    """K_n with 1-3 edges per pair and q in 1..2, every degree at least
+    2q + 2, so every vertex is capped and (p - 1) // q + 1 sources run."""
+    n, q = draw(st.integers(2, 7)), draw(st.integers(1, 2))
+    edges = [pair for pair in itertools.combinations(range(n), 2)
+             for _ in range(draw(st.integers(1, 3)))]
+    G = Multigraph(n, tuple(edges))
+    assume(all(sum(row.values()) >= 2 * q + 2 for row in multiplicities(G)))
+    return G, draw(st.integers(q + 1, 9)), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=capped_complete())
+# X = {0, 1, 2} and the single edge between 3 and 4 cut at 3 + 1 < 5,
+# below every vertex degree
+@example(case=(Multigraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3),
+                              (2, 4), (3, 4)) + ((0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)) * 2),
+               5, 1))
+# Only X = {0, 1} cuts below p = 6, at 2q + 1: the third source finds it.
+@example(case=(Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)) * 3 + ((2, 3),)), 6, 2))
+# Only X = {0} cuts below p = 6, at q + 3 edges around 4: the second
+# source finds it.
+@example(case=(Multigraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)) * 3
+                           + ((1, 4), (2, 4), (3, 4))), 6, 2))
+def test_pq_flows_from_several_sources_match_reference(case):
+    G, p, q = case
+    assert is_pq_connected(G, p, q) == oracles.is_pq_connected_reference(G, p, q), case
+
+
+def test_pq_runs_no_flow_when_p_is_at_most_q(monkeypatch):
+    # Only X = {} has q|X| < p, so the one cut decides, capped vertices
+    # or not.
+    def no_flow(*args):
+        raise AssertionError("a flow ran with p <= q")
+
+    monkeypatch.setattr(conditions, "_flow_below", no_flow)
+    assert is_pq_connected(complete(7), 2, 2)  # degree 6 = 2q + 2
+    assert is_pq_connected(complete(5), 1, 1)
+    # every vertex of the doubled K_7 is capped; vertex 7 has degree 2
+    assert not is_pq_connected(Multigraph(8, complete(7, 2).edges + ((7, 0), (7, 1))), 3, 3)
+
+
+def test_pq_k5_k5_plus_x_fails_through_a_flow(monkeypatch):
+    # G is 4-edge-connected, so the cut at X = {} passes; x = 10 has
+    # degree 2q + 2 = 6 and is the one capped vertex, and the flow from
+    # vertex 0 (exit node 1) to vertex 5 (entry node 10) meets the bridge
+    # and x: 1 + q < 4.
+    k5s = [pair for part in (range(5), range(5, 10)) for pair in itertools.combinations(part, 2)]
+    G = Multigraph(11, (*k5s, (0, 5), *((10, v) for v in (1, 2, 3, 6, 7, 8))))
+    cut, flow, cuts, below = conditions._cut_below, conditions._flow_below, [], []
+    monkeypatch.setattr(conditions, "_cut_below",
+                        lambda adj, lam: cuts.append(cut(adj, lam)) or cuts[-1])
+    monkeypatch.setattr(conditions, "_flow_below",
+                        lambda net, s, t, lam: below.append((s, t, flow(net, s, t, lam)))
+                        or below[-1][2])
+    assert not is_pq_connected(G, 4, 2)
+    assert cuts == [False]
+    assert below[-1] == (1, 2 * 5, True) and not any(b for *_, b in below[:-1])
+
+
+def test_pq_matches_per_x_enumeration_beyond_the_exhaustive_reference():
+    # Unions of 2-3 Hamiltonian cycles on 17-24 vertices, 0-2 edges
+    # removed: every degree is 2q + 2 or more in some, and a removed edge
+    # leaves one uncapped source in others.
+    rng = random.Random(50)
+    holds = fails = 0
+    for n in range(17, 25):
+        coprime = [c for c in range(1, n // 2 + 1) if math.gcd(c, n) == 1]
+        G = hamiltonian_cycles(n, rng.sample(coprime, rng.randint(2, 3)))
+        edges = list(G.edges)
+        for _ in range(rng.randint(0, 2)):
+            edges.pop(rng.randrange(len(edges)))
+        G = Multigraph(n, tuple(edges))
+        with pytest.raises(LimitExceededError):
+            oracles.is_pq_connected_reference(G, 4, 2)
+        for p, q in ((4, 2), (6, 2), (3, 1), (5, 1), (6, 3)):
+            answer = is_pq_connected(G, p, q)
+            assert answer == oracles.is_pq_connected_per_x_reference(G, p, q), (G, p, q)
+            holds += answer
+            fails += not answer
+    assert holds and fails
 
 
 def test_bracket_partition_connected_examples():

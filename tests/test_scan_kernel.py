@@ -332,15 +332,17 @@ def test_guardrails_refuse_before_any_table(tmp_path, capsys):
     assert "witness X=[0, 1]" in capsys.readouterr().out
     assert main(["check", "cover", str(gfile), "--k", "1"]) == 1
     assert main(["check", "pq-connected", str(gfile), "--p", "1", "--q", "1"]) == 0
+    assert main(["check", "pq-connected", str(gfile), "--p", "9", "--q", "1"]) == 1
     # kwz fails on V, 6*17 - 4*32 - 1 < 0; every subpath has density 2.
     for argv, code in ((["check", "kwz", "--k", "1", "--d", "2"], 1), (["gamma", "gamma"], 0)):
         assert main(_with_input(argv, gfile)) == code, argv
     assert "gamma = 2/1" in capsys.readouterr().out
-    # pq-connected counts cut steps: the 65536 cuts of |X| <= 8 on 17
-    # vertices take more than 2^16 cuts on 16 vertices.
-    assert main(["check", "pq-connected", str(gfile), "--p", "9", "--q", "1"]) == 3
-    assert "limited to the cut steps of 2^16 cuts on 16 vertices (got at least 65536 cuts" in (
-        capsys.readouterr().err)
+    # pq-connected counts steps: K_50 passes its cut at --p 49 --q 1, but
+    # its 49 * 49 flows would take more than 2^28 steps.
+    k50 = tmp_path / "k50.txt"
+    k50.write_text(format_graph(Multigraph(50, tuple(itertools.combinations(range(50), 2)))))
+    assert main(["check", "pq-connected", str(k50), "--p", "49", "--q", "1"]) == 3
+    assert "limited to 268435456 steps (got 294247500)" in capsys.readouterr().err
 
 
 def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
@@ -354,11 +356,11 @@ def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
         for argv in (["check", "cover", "--k", "1"], ["check", "pq-connected", "--p", "2",
                                                       "--q", "1"]):
             assert main(_with_input(argv, gfile)) in (0, 1), argv
-        # But pq-connected's cut steps stay within those of 2^16 cuts on 16
-        # vertices: |X| <= 11 asks for about 4.2M cuts on 23 vertices.
+        # pq-connected at --p 12 --q 1, where |X| <= 11 would be 4.2M sets
+        # X, takes one cut: an end of the path has degree 1.
         argv = ["check", "pq-connected", "--p", "12", "--q", "1"]
-        assert main(_with_input(argv, gfile)) == 3
-        assert "limited to the cut steps of 2^16 cuts on 16 vertices" in capsys.readouterr().err
+        assert main(_with_input(argv, gfile)) == 1
+        assert "fails" in capsys.readouterr().out
         # A 2^23-entry table would take tens of MB.
         assert tracemalloc.get_traced_memory()[1] < 2_000_000
     finally:
