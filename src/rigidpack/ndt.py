@@ -63,13 +63,17 @@ def _require_sparse(H: Multigraph) -> None:
 
 
 def sparse_to_two_forests(H: Multigraph) -> tuple[frozenset, frozenset]:
-    """Split a sparse graph's edges into two forests.
+    """Split a sparse graph's edges into two forests, checked sparse first.
 
     Sparse sets satisfy i(X) <= 2|X| - 3 <= 2(|X| - 1) on every component,
     so the two-forest union always covers everything; connectivity is not
     required.
     """
     _require_sparse(H)
+    return _two_forests(H)
+
+
+def _two_forests(H: Multigraph) -> tuple[frozenset, frozenset]:
     ur = union_rank(H, 0, 2)
     if ur.rank != H.m:
         raise RuntimeError("two-forest split failed on a sparse graph")
@@ -78,11 +82,15 @@ def sparse_to_two_forests(H: Multigraph) -> tuple[frozenset, frozenset]:
 
 
 def sparse_to_forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] | None:
-    """Split a sparse graph into a forest and a remainder of maximum degree
-    at most b = floor((2n-5)/3); None when no split exists (possible only
-    below n = 6).
+    """Split a sparse graph, checked sparse first, into a forest and a
+    remainder of maximum degree at most b = floor((2n-5)/3); None when no
+    split exists (possible only below n = 6)."""
+    _require_sparse(H)
+    return _forest_plus_bounded(H)
 
-    Only a vertex of degree above b needs forest edges, deg - b of them;
+
+def _forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] | None:
+    """Only a vertex of degree above b needs forest edges, deg - b of them;
     call it high.  Degrees of a sparse graph sum to at most 4n - 6, so from
     n = 6 on there are at most six high vertices and at most nine edges
     among them.  For each acyclic choice S of those edges, the rest of the
@@ -90,7 +98,6 @@ def sparse_to_forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] 
     edges: the graphic matroid with S contracted, and the partition matroid
     that takes at each high end what S leaves it needing.
     """
-    _require_sparse(H)
     bound = degree_bound_floor(H.n)
     need = [max(0, d - bound) for d in H.degrees()]
     high_high, head = [], {}
@@ -159,6 +166,7 @@ def _capped_forest(H: Multigraph, S: list, head: dict, cap: list) -> frozenset |
 def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionReport:
     """Cover a graph by l forests and 2k+2-l degree-bounded parts.
 
+    The union held its k+1 classes sparse, so they are split unchecked.
     Requires 0 <= k <= m and k+1 <= l <= 2k+2.  Returns a ConditionReport when
     the sparse-cover density exceeds k+1 (with a violating vertex set), or
     when a class admits no forest-plus-bounded split (possible only below
@@ -181,13 +189,13 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
     for cls in two_forest_classes:
         ids = sorted(cls)
         H = G.subgraph_of(ids)
-        f1, f2 = sparse_to_two_forests(H)
+        f1, f2 = _two_forests(H)
         forests.append(frozenset(ids[e] for e in f1))
         forests.append(frozenset(ids[e] for e in f2))
     for cls in bounded_classes:
         ids = sorted(cls)
         H = G.subgraph_of(ids)
-        split = sparse_to_forest_plus_bounded(H)
+        split = _forest_plus_bounded(H)
         if split is None:
             return ConditionReport("forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids))
         forest, rest = split

@@ -25,6 +25,16 @@ leaves it, so the circuit is the edge plus every class edge inside X.  In
 a forest's (1,1) game, X is the vertex set of the tree path between the
 endpoints.
 
+No pebble search runs whose answer is known.  A class of a|V| - b edges
+rejects every edge (one more breaks the count on V), so it is asked only
+once a search starts.  A (1,1) game's orientation is a rooted forest (a
+vertex holds its pebble or one out-arc), so a forest probe walks u and v
+to their roots.  A search skips class j for an edge inside a closure X
+that j gave earlier in it: X is tight, tight sets sharing two vertices
+(one, in a forest) meet in a tight set, so the edge's closure lies in X,
+whose members are all reached or dead.  No verdict, closure or circuit
+depends on the orientations this leaves.
+
 The edges a failed search reaches are closed for good (Edmonds, "Minimum
 partition of a matroid into independent subsets", 1965): each is spanned,
 in every class but its own, by reached edges, and later paths recolour
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque, namedtuple
+from itertools import count
 
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
@@ -98,6 +109,8 @@ class _CountClass:
     def __init__(self, G: Multigraph, members: list[int], a: int, b: int) -> None:
         self.G = G
         self.members = members  # ascending edge ids
+        self.full = a * G.n - b  # this many members reject every edge
+        self.forest = a == 1
         self.game = PebbleGame(G.n, a, b)
         for e in members:
             self._insert(e)
@@ -116,7 +129,20 @@ class _CountClass:
         return False, self.game.last_witness()
 
     def probe(self, u: int, v: int) -> tuple[bool, frozenset | None]:
+        """Would the class take a u-v edge, and if not, the closure a
+        rejected insert leaves?  A forest moves no pebble: u and v walk to
+        their roots, and a common root closes the tree path between them."""
         game = self.game
+        if self.forest:
+            out, up = game.out, [u]
+            while out[up[-1]]:
+                up += out[up[-1]]  # the one out-arc's head
+            on_up, walk = set(up), [v]
+            while walk[-1] not in on_up:
+                if not out[walk[-1]]:
+                    return True, None
+                walk += out[walk[-1]]
+            return False, frozenset(walk + up[:up.index(walk[-1])])
         if game.try_insert(u, v):
             game.remove(u, v)
             return True, None
@@ -148,31 +174,41 @@ def _augment(G: Multigraph, classes: dict, color: list[int], start: int, dead: s
     failed searches, which are never expanded again; a failed search adds
     the edges it reached."""
     # The first class that accepts the offered edge keeps it; a search
-    # from the edge would stop at that class too.
+    # from the edge would stop at that class too.  A full class is passed
+    # by, and asked for its witness only if the search starts.
     rejections = []
     for j, oracle in classes.items():
-        ok, witness = oracle.take(start)
+        ok, witness = (False, None) if len(oracle.members) == oracle.full else oracle.take(start)
         if ok:
             color[start] = j
             return True
         rejections.append((j, witness))
     pred: dict[int, tuple[int, int] | None] = {start: None}
     queue: deque[int] = deque()
+    # Per class: vertex -> the closures of this search holding it, as bits.
+    labels: dict[int, dict[int, int]] = {j: {} for j in classes}
+    bits = count()
 
     def expand(y: int, j: int, witness) -> None:
+        label, bit = labels[j], 1 << next(bits)
+        for x in witness:
+            label[x] = label.get(x, 0) | bit
         for x in classes[j].circuit(y, witness):
             if x not in pred and x not in dead:
                 pred[x] = (y, j)
                 queue.append(x)
 
+    u, v = G.edges[start]
     for j, witness in rejections:
-        expand(start, j, witness)
+        expand(start, j, witness or classes[j].probe(u, v)[1])
     found = None
     while queue and found is None:
         y = queue.popleft()
         u, v = G.edges[y]
         for j, oracle in classes.items():
-            if color[y] == j:
+            # y inside a closure that class j gave in this search adds nothing.
+            label = labels[j]
+            if color[y] == j or label.get(u, 0) & label.get(v, 0):
                 continue
             ok, witness = oracle.probe(u, v)
             if ok:

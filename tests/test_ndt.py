@@ -20,6 +20,7 @@ from rigidpack import (
     sparse_to_two_forests,
     verify_bounded_cover,
 )
+import rigidpack.ndt as ndt_mod
 from rigidpack.ndt import _capped_forest
 
 import corpus
@@ -253,3 +254,25 @@ def test_verify_bounded_cover_rejects_bad_parts():
     cyclic = BoundedCover((frozenset({0, 1, 2}), frozenset()), (), result.degree_bound)
     ok, reason = verify_bounded_cover(G, cyclic)
     assert not ok and "cycle" in reason
+
+
+def test_ndt_splits_the_union_classes_with_no_second_sparsity_game(monkeypatch):
+    # The union held each sparse class in a live (2,3) game, so ndt splits
+    # them unchecked; the public splitters still check their input.
+    def sparse_independent(*args):
+        raise AssertionError("a second sparsity game ran")
+
+    for n, seed in ((8, 60), (10, 61), (12, 62)):
+        edges = corpus.random_sparse_graph(n, seed).edges + corpus.random_sparse_graph(n, seed + 1).edges
+        G = Multigraph(n, edges[2:])
+        with monkeypatch.context() as patch:
+            patch.setattr(ndt_mod, "sparse_independent", sparse_independent)
+            results = {l: ndt_decompose(G, 1, l) for l in (2, 3, 4)}
+        for l, result in results.items():
+            assert isinstance(result, BoundedCover), (n, l)
+            assert verify_bounded_cover(G, result) == (True, None)
+            assert len(result.forests) == l
+    with pytest.raises(GraphInputError):
+        sparse_to_two_forests(corpus.k4())
+    with pytest.raises(GraphInputError):
+        sparse_to_forest_plus_bounded(corpus.k4())

@@ -10,6 +10,7 @@ from rigidpack import (
     format_graph,
     check_necessary_condition,
     check_parthm_condition,
+    is_pq_connected,
     pack_rigid_and_trees,
     verify_packing,
 )
@@ -168,3 +169,25 @@ def test_parthm_implies_packing_and_packing_implies_necessary():
             if packed:
                 assert check_necessary_condition(G, k, l).holds
     assert interesting > 0
+
+
+def _cycle_union(n, multipliers):
+    """Hamiltonian cycles i -> i + c (mod n), one for each multiplier c:
+    a 2|multipliers|-regular simple graph for prime n >= 2 max(c) + 1."""
+    return Multigraph(n, tuple((c * i % n, c * (i + 1) % n) for c in multipliers for i in range(n)))
+
+
+@pytest.mark.parametrize("n, multipliers, k, l", [
+    (7, (1, 2, 3), 1, 0), (11, (1, 2, 3), 1, 0), (13, (1, 2, 3), 1, 0),
+    (11, (1, 2, 3, 4), 1, 1), (13, (1, 2, 3, 4), 1, 1),
+])
+def test_pq_connected_cycle_unions_pack(n, multipliers, k, l):
+    # The paper's corollary, the multigraph form of Cheriyan, Durand de
+    # Gevigney and Szigeti: a (6k + 2l, 2k)-connected multigraph packs k
+    # spanning rigid subgraphs and l spanning trees.
+    G = _cycle_union(n, multipliers)
+    assert oracles.multiplicity(G) == 1
+    assert is_pq_connected(G, 6 * k + 2 * l, 2 * k)
+    result = pack_rigid_and_trees(G, k, l)
+    assert isinstance(result, Packing)
+    assert verify_packing(G, result) == (True, None)

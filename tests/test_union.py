@@ -463,3 +463,152 @@ def test_the_count_game_never_decides_the_union():
     assert union_rank(G, 1, 1).rank == 7
     report = union_mod.decompose(G, 1, 1)
     assert isinstance(report, ConditionReport) and report.condition == "union-cover"
+
+
+def _laman_union(n, seed, laman, trees):
+    """Edge list of ``laman`` random Laman graphs and ``trees`` random
+    spanning trees on n vertices, in random order."""
+    rng = random.Random(seed)
+    edges = []
+    for i in range(laman):
+        edges += corpus.random_sparse_graph(n, seed=1000 * seed + i).edges
+    for _ in range(trees):
+        order = rng.sample(range(n), n)
+        edges += [(order[rng.randrange(i)], order[i]) for i in range(1, n)]
+    rng.shuffle(edges)
+    return edges, rng
+
+
+def test_a_full_class_is_passed_by_when_a_later_class_takes_the_edge(monkeypatch):
+    # A (2,3) class of 2n - 3 edges rejects every edge, so its game sees an
+    # insert only when every class rejects the offered edge and a search
+    # reads its witness.
+    inserts = []
+    real_insert = PebbleGame.try_insert
+    monkeypatch.setattr(PebbleGame, "try_insert",
+                        lambda g, u, v: inserts.append(g) or real_insert(g, u, v))
+    taken = []
+    real_take = union_mod._CountClass.take
+
+    def take(c, e):
+        result = real_take(c, e)
+        taken.append(result[0])
+        return result
+
+    monkeypatch.setattr(union_mod._CountClass, "take", take)
+    real_augment = union_mod._augment
+    passed = 0
+
+    def augment(G, classes, color, start, dead):
+        nonlocal passed
+        full = [c for c in classes.values() if len(c.members) == 2 * G.n - 3]
+        del inserts[:], taken[:]
+        absorbed = real_augment(G, classes, color, start, dead)
+        if any(taken):  # a class took the edge outright: no search ran
+            assert not any(c.game in inserts for c in full), start
+            passed += len(full)
+        return absorbed
+
+    monkeypatch.setattr(union_mod, "_augment", augment)
+    for n, seed in ((8, 1), (11, 2), (14, 3)):
+        shuffled, _ = _laman_union(n, seed, 2, 0)
+        # One Laman graph after the other: class 1 fills with the first and
+        # is passed by for each edge of the second.
+        in_turn = [e for i in range(2) for e in corpus.random_sparse_graph(n, 1000 * seed + i).edges]
+        for edges in (shuffled, in_turn):
+            before = passed
+            G = Multigraph(n, tuple(edges))
+            result = decompose(G, 2, 0)
+            assert isinstance(result, Decomposition)
+            _check_classes(G, result, complete=True)
+            assert passed > before
+        assert passed - before == 2 * n - 3
+
+
+def test_a_forest_probe_moves_no_pebble():
+    # In a (1,1) game every vertex holds its pebble or has one out-arc, so
+    # a probe walks u and v to their roots.  Its witness is the reach
+    # closure that a rejected insert leaves: the tree path between them.
+    rng = random.Random(28)
+    rejected = 0
+    for trial in range(40):
+        n = rng.randint(2, 12)
+        G = random_multigraph(n, rng.randint(1, min(3 * n, n * (n - 1))), 2, seed=2800 + trial)
+        cls = union_mod._CountClass(G, [], 1, 1)
+        for e in range(G.m):
+            if cls.probe(*G.edges[e])[0]:
+                cls.update([], [e])
+        if cls.members:  # reorient the forest a little
+            cls.update([cls.members[0]], [])
+        for u, v in itertools.combinations(range(n), 2):
+            pebbles, out = list(cls.game.pebbles), [dict(arcs) for arcs in cls.game.out]
+            ok, witness = cls.probe(u, v)
+            assert cls.game.pebbles == pebbles and cls.game.out == out
+            game = PebbleGame(n, 1, 1)
+            game.pebbles, game.out = list(pebbles), [dict(arcs) for arcs in out]
+            assert game.try_insert(u, v) == ok
+            if not ok:
+                assert witness == oracles.reach_closure(game, u, v)
+                rejected += 1
+    assert rejected > 100
+
+
+def test_a_search_does_not_probe_inside_a_closure_it_expanded(monkeypatch):
+    # If class j returned a closure X earlier in the same search and both
+    # ends of y lie in X, y's closure lies inside X, whose members were all
+    # reached already: the probe of y in class j would add nothing.
+    closures: dict = {}
+    real_take, real_probe = union_mod._CountClass.take, union_mod._CountClass.probe
+    probes = 0
+
+    def note(c, result):
+        if not result[0]:
+            closures.setdefault(c, []).append(result[1])
+        return result
+
+    def probe(c, u, v):
+        nonlocal probes
+        assert not any(u in X and v in X for X in closures.get(c, ())), (u, v)
+        probes += 1
+        return note(c, real_probe(c, u, v))
+
+    real_augment = union_mod._augment
+    monkeypatch.setattr(union_mod._CountClass, "take", lambda c, e: note(c, real_take(c, e)))
+    monkeypatch.setattr(union_mod._CountClass, "probe", probe)
+    monkeypatch.setattr(union_mod, "_augment",
+                        lambda *args: closures.clear() or real_augment(*args))
+    failures = 0
+    for n, seed in ((9, 4), (12, 5), (15, 6)):
+        edges, rng = _laman_union(n, seed, 1, 2)
+        del edges[:2]
+        cluster = rng.sample(range(n), 4)
+        edges += [pair for pair in itertools.combinations(cluster, 2) for _ in range(2)]
+        report = decompose(Multigraph(n, tuple(edges)), 1, 2)
+        assert isinstance(report, ConditionReport) and report.condition == "union-cover"
+        failures += 1
+    assert failures == 3 and probes > 50
+
+
+def _benchmark_shape(n, seed, k, l, shape):
+    """A union of k Laman graphs and l spanning trees on n vertices with two
+    edges removed or two added, or with a doubled K4 offered last."""
+    edges, rng = _laman_union(n, seed, k, l)
+    if shape == "removed":
+        del edges[:2]
+    elif shape == "added":
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(2)]
+    else:
+        del edges[:2]
+        cluster = rng.sample(range(n), 4)
+        edges += [pair for pair in itertools.combinations(cluster, 2) for _ in range(2)]
+    return Multigraph(n, tuple(edges))
+
+
+def test_union_rank_matches_reference_at_the_benchmark_sizes():
+    # n = 17-20, around the threshold k(2n - 3) + l(n - 1), where classes
+    # fill and searches expand many closures, unlike the n <= 14 sweeps.
+    shapes = itertools.cycle(("removed", "added", "doubled K4"))
+    for i, (n, shape) in enumerate(zip((17, 18, 19, 20) * 2, shapes)):
+        for k, l in ((2, 0), (1, 1), (1, 2), (0, 3)):
+            G = _benchmark_shape(n, 40 + i, k, l, shape)
+            assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l), (n, shape, k, l)
