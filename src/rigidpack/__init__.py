@@ -15,7 +15,7 @@ from .conditions import (
     is_bracket_partition_connected,
     is_pq_connected,
 )
-from .enumeration import PARTITION_LIMIT
+from .enumeration import PARTITION_BUDGET
 from .errors import (
     GraphInputError,
     LimitExceededError,

@@ -16,9 +16,10 @@ every split into k sparse classes and l forests.  Nor does it re-run the
 density iteration: one weighted pebble game at the stated value must
 accept every edge, and the stated argmax must reach it.  A claim that only an
 exhaustive scan can re-check is re-checked under the same fixed guardrails
-its producer ran under, so every certificate that a command writes can be
-re-checked.  A certificate states no guardrails, so a forged claim costs
-the verifier no more than an honest one.  Certificates of
+its producer ran under (for a partition walk, ``PARTITION_BUDGET``, which
+producer and verifier charge alike), so every certificate that a command
+writes can be re-checked.  A certificate states no guardrails, so a forged
+claim costs the verifier no more than an honest one.  Certificates of
 another schema, earlier ones included, are rejected.
 
 ``CONDITIONS`` is the one table of the conditions a report can name: its
@@ -66,8 +67,8 @@ from .multigraph import (
 )
 from .ndt import (
     BoundedCover,
+    _forest_plus_bounded,
     check_kwz_condition,
-    sparse_to_forest_plus_bounded,
     verify_bounded_cover,
 )
 from .packing import Packing, verify_packing
@@ -312,10 +313,10 @@ def _union_bound(target):
 
 
 def _no_split(G, p, F):
-    # The split test is exact and polynomial, so it is simply re-run.
+    # The split test is exact and polynomial: re-run once this game finds F sparse.
     if not sparse_independent(G, F)[0]:
         raise _Rejected("witness class is not (2,3)-sparse")
-    return sparse_to_forest_plus_bounded(G.subgraph_of(F)) is None, None, None
+    return _forest_plus_bounded(G.subgraph_of(F)) is None, None, None
 
 
 _OVER_SPARSE = _dense_set(2, lambda p, x: p["k"] * (2 * x - 3))

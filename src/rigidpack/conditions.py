@@ -10,10 +10,9 @@ of Dinkelbach's iteration; ``pq-connected`` looks for one mixed
 vertex-edge cut below p: a Nagamochi-Ibaraki threshold cut, in place,
 for X = {}, then max flows in which each vertex of 2q + 2 or more edges
 costs q.  The partition
-checkers scan their full quantifier range, under the enumeration
-guardrails (the Z scans of ``parthm`` and ``bracket-partition`` range
-over Bell(n + 1) - 1 partitions, so they stop at one vertex fewer than
-``necessary``), and report the first violator in enumeration order.
+checkers scan their full quantifier range, under the walk budget of
+``enumeration`` (``PARTITION_BUDGET``, charged per placed vertex and per
+Z), and report the first violator in enumeration order.
 They walk the partitions incrementally on the bitmask kernel of
 ``enumeration``, which skips every prefix that a bound shows holds no
 violator; the tables of a graph are built once per scan, not once per Z.
@@ -27,12 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .enumeration import (
-    PARTITION_LIMIT,
-    check_partition_limit,
-    first_short_partition,
-    masks_by_size,
-)
+from .enumeration import first_short_partition, masks_by_size
 from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
 from .multigraph import Multigraph, Partition, induced_edge_count, multiplicities
@@ -110,19 +104,6 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
     return ConditionReport("tree-packing", {"l": l}, False, pi)
 
 
-def _every_z(G: Multigraph):
-    # Z runs over the proper subsets of V, smallest first so the Z = empty
-    # set cases are scanned before any vertex deletions.  Over all Z there
-    # are Bell(n + 1) - 1 partitions, so the partition guardrail applies to
-    # n + 1.
-    if G.n + 1 > PARTITION_LIMIT:
-        raise LimitExceededError(
-            f"(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
-            f"n <= {PARTITION_LIMIT - 1} vertices (got n={G.n})"
-        )
-    return masks_by_size(G.n, range(G.n))
-
-
 def check_parthm_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Sufficient packing condition: for every proper subset Z and every
     partition p of V - Z,
@@ -134,7 +115,8 @@ def check_parthm_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     """
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
-    found = first_short_partition(G, _every_z(G), 3 * k + l, k, k)
+    # Z runs over the proper subsets of V, smallest first: Z = {} first.
+    found = first_short_partition(G, masks_by_size(G.n, range(G.n)), 3 * k + l, k, k)
     return ConditionReport("parthm", {"k": k, "l": l}, found is None, found)
 
 
@@ -143,7 +125,6 @@ def check_necessary_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     cross(p) >= (3k + l)(|p| - 1) - k*n0."""
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
-    check_partition_limit(G.n)
     found = first_short_partition(G, (0,), 3 * k + l, k, 0)
     return ConditionReport("necessary", {"k": k, "l": l}, found is None, found and found[1])
 
@@ -314,4 +295,4 @@ def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    return first_short_partition(G, _every_z(G), p, 0, q) is None
+    return first_short_partition(G, masks_by_size(G.n, range(G.n)), p, 0, q) is None

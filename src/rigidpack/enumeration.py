@@ -1,8 +1,11 @@
-"""The guardrails and the bitmask kernel of the partition scans.
+"""The guardrail and the bitmask kernel of the partition scans.
 
-Partition scans refuse ground sets beyond ``PARTITION_LIMIT`` (Bell
-numbers blow up fast; Bell(12) is about 4.2M, the most a scan may walk).
-Orders are deterministic so that reported witnesses are reproducible.
+A partition scan is refused once its walk has charged more than
+``PARTITION_BUDGET``: one unit per vertex placed, and r + C(r, 2) for the
+set-up of each Z, r = |V - Z|, charged before it is built.  The charge
+counts the walk's work, not the vertices, so a walk that branch and bound
+keeps short answers on large graphs.  Orders are deterministic so that
+reported witnesses are reproducible.
 
 Vertex v of an n-vertex graph is the bit ``1 << (n - 1 - v)``.
 ``short_partitions`` walks the partitions of V - Z in restricted-growth
@@ -23,14 +26,13 @@ from collections.abc import Iterable, Iterator
 from .errors import LimitExceededError
 from .multigraph import Multigraph, Partition, multiplicities
 
-PARTITION_LIMIT = 12
-
-
-def check_partition_limit(size: int) -> None:
-    if size > PARTITION_LIMIT:
-        raise LimitExceededError(
-            f"partition enumeration is limited to {PARTITION_LIMIT} elements (got {size})"
-        )
+# The most one ``short_partitions`` call may charge: the unpruned Z walk
+# at n = 11 places sum_{s=0}^{10} C(11, s) sum_{i=1}^{11-s} Bell(i) =
+# 5,268,881 vertices, and its set-up on K_11 is sum C(11, s)(r + C(r, 2)) =
+# 39,424.  The walk of necessary at n = 12 charges at most 5,034,584 + 78.
+# Pruning only drops prefixes, so every walk of necessary up to 12
+# vertices and of the Z scans up to 11 is admitted.
+PARTITION_BUDGET = 5_308_305
 
 
 # ------------------------------------------------------------ bitmask kernel
@@ -55,7 +57,8 @@ def short_partitions(
 
     Z running over the vertex masks ``zs`` and pi over restricted-growth
     order, one block per first-appearance label: the single block first,
-    the singletons last.  The caller runs the guardrails.
+    the singletons last.  Past ``PARTITION_BUDGET``, charged over all of
+    ``zs``, it raises LimitExceededError.
 
     Branch and bound: the walk places the vertices of V - Z one at a time,
     children in label order, and drops a prefix when no completion can
@@ -76,19 +79,25 @@ def short_partitions(
     if not (slope >= 2 * per_singleton >= 0 and per_touch >= 0):
         raise ValueError("the bound needs slope >= 2*per_singleton >= 0 and per_touch >= 0")
     n = G.n
-    bit = [1 << (n - 1 - v) for v in range(n)]
-    mult = multiplicities(G)
-    adjacency = [sum(bit[u] for u in row) for row in mult]
-    # Binary digits of the multiplicities: the edges from v into a block B
-    # are sum(|levels[v][t] & B| << t).
-    levels = [[(t, sum(bit[u] for u, m in row.items() if m >> t & 1))
-               for t in range(max(row.values(), default=0).bit_length())] for row in mult]
     opening = slope - per_singleton  # what opening a block costs the slack, net of e(v, P)
+    budget, spent, bit = PARTITION_BUDGET, 0, []
     for z in zs:
-        items = [v for v in range(n) if not z & bit[v]]
-        r = len(items)
+        r = n - z.bit_count()
         if not r:
             continue
+        spent += r + r * (r - 1) // 2
+        if spent > budget:
+            raise _over_budget(spent, budget)
+        if not bit:  # the graph's tables, of n^2 bits, once a Z's set-up is charged
+            bit = [1 << (n - 1 - v) for v in range(n)]
+            mult = multiplicities(G)
+            adjacency = [sum(bit[u] for u in row) for row in mult]
+            # Binary digits of the multiplicities: the edges from v into a
+            # block B are sum(|levels[v][t] & B| << t).
+            levels = [[(t, sum(bit[u] for u, m in row.items() if m >> t & 1))
+                       for t in range(max(row.values(), default=0).bit_length())]
+                      for row in mult]
+        items = [v for v in range(n) if not z & bit[v]]
         touched = z if per_touch else 0
         # Per item: its unplaced neighbours in V - Z, with multiplicities.
         ahead = [[(u, m) for u, m in mult[v].items() if u > v and not z & bit[u]]
@@ -109,6 +118,9 @@ def short_partitions(
         i = 0
         while i >= 0:
             # Place item i in the block its label names.
+            spent += 1
+            if spent > budget:
+                raise _over_budget(spent, budget)
             v = items[i]
             j = labels[i]
             block = masks[j] | bit[v]
@@ -167,6 +179,10 @@ def short_partitions(
                     labels[i] = j + 1
                     break
                 i -= 1
+
+
+def _over_budget(spent: int, budget: int) -> LimitExceededError:
+    return LimitExceededError(f"partition walks are limited to {budget} steps (charged {spent})")
 
 
 def first_short_partition(

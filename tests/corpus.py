@@ -42,6 +42,13 @@ def cycle(n: int) -> Multigraph:
     return Multigraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
+def henneberg_strip(n: int) -> Multigraph:
+    """Each vertex from 2 on joined to the two before it, plus the edges
+    0-1 and 0-(n - 1): a rigid graph on which the partition walks branch
+    widely before the bound drops a prefix."""
+    return Multigraph(n, ((0, 1), *((i, i - d) for i in range(2, n) for d in (1, 2)), (0, n - 1)))
+
+
 def star(leaves: int) -> Multigraph:
     return Multigraph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 

@@ -30,7 +30,6 @@ from rigidpack import (
 )
 from rigidpack.certificates import report_payload
 from rigidpack.conditions import ConditionReport, GammaResult, _cut_below
-from rigidpack.enumeration import PARTITION_LIMIT
 from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
 from rigidpack.multigraph import (
     adjacent_number,
@@ -46,6 +45,10 @@ from rigidpack.union import Decomposition, UnionRank, union_rank
 
 # The exhaustive subset scans here refuse more vertices than this.
 SUBSET_LIMIT = 16
+# The partition enumerator here refuses ground sets larger than this, so
+# the necessary reference refuses above 12 vertices and the Z scan
+# references, which walk Bell(n + 1) - 1 partitions, above 11.
+PARTITION_LIMIT = 12
 
 
 def _check_subset_limit(n: int, max_n: int | None = None, what: str = "subset enumeration"):
@@ -676,8 +679,8 @@ def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
 # kernel: one frozenset or Partition per set drawn from the public
 # enumerators, with the counting primitives of ``rigidpack.multigraph``.
 # Regression oracles: the kernel must give the same whole report (verdict,
-# witness, argmax), its certificate the same witness kind and both sides,
-# and it must refuse at the same point.
+# witness, argmax) wherever the reference answers, and its certificate the
+# same witness kind and both sides.
 
 
 class ReferenceReport(namedtuple(
@@ -738,8 +741,8 @@ def proper_subsets_reference(G: Multigraph):
 
 
 def _check_z_scan_limit(G: Multigraph) -> None:
-    """The library's bound on a scan over every (Z, partition) pair, which
-    walks Bell(n + 1) - 1 partitions."""
+    """The reference's bound on a scan over every (Z, partition) pair,
+    which walks Bell(n + 1) - 1 partitions."""
     if G.n + 1 > PARTITION_LIMIT:
         raise LimitExceededError(
             f"(Z, partition) scans walk Bell(n + 1) partitions and are limited to "

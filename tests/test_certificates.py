@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidpack import GraphInputError, Multigraph, cli, format_graph, random_multigraph
+from rigidpack import (
+    GraphInputError,
+    Multigraph,
+    cli,
+    enumeration,
+    format_graph,
+    random_multigraph,
+)
 from rigidpack.certificates import (
     CONDITIONS,
     _num,
@@ -33,7 +40,7 @@ from rigidpack.certificates import (
     write_certificate,
 )
 from rigidpack.conditions import ConditionReport, check_cover_condition, gamma2
-from rigidpack.matroids import graphic_rank, rigidity_rank
+from rigidpack.matroids import PebbleGame, graphic_rank, rigidity_rank
 from rigidpack.ndt import ndt_decompose
 from rigidpack.packing import pack_rigid_and_trees
 from rigidpack.union import decompose
@@ -533,6 +540,24 @@ def test_forged_forest_plus_bounded_failure_rejected():
     assert not ok and "not (2,3)-sparse" in reason
 
 
+def test_a_forest_plus_bounded_failure_is_verified_with_one_sparsity_game(monkeypatch):
+    # The verifier finds the witness class sparse by one (2,3) pebble game,
+    # and then runs the exact split test without the public splitter's own
+    # sparsity check.
+    tri = corpus.triangle()
+    payload = report_payload(tri, ndt_decompose(tri, 0, 1))
+    cert = build_certificate("ndt", {"k": 0, "l": 1}, tri, payload)
+    games, init = [], PebbleGame.__init__
+
+    def counted(self, n, a=2, b=3, w=1):
+        games.append((a, b))
+        init(self, n, a, b, w)
+
+    monkeypatch.setattr(PebbleGame, "__init__", counted)
+    assert verify_certificate(cert, tri) == (True, None)
+    assert games.count((2, 3)) == 1
+
+
 def test_full_forest_bounded_cover_still_verifies():
     # A certificate in the shape of the earlier backtracking search, which
     # put every edge it could into the forest: all of path(6) in the forest
@@ -676,11 +701,12 @@ def test_schema_1_certificates_are_rejected(tmp_path, capsys):
 
 
 def test_forged_holding_scan_claim_is_refused_within_the_verifiers_guardrail(
-    tmp_path, capsys
+    tmp_path, capsys, monkeypatch
 ):
-    # A holding parthm report on K13: re-run, the check would walk Bell(13)
-    # partitions for each Z.  A certificate states no guardrail, and the
-    # verifier keeps its own and refuses at once.
+    # A holding parthm report on K13, which no check wrote.  A certificate
+    # states no guardrail: the verifier re-walks the claim under its own
+    # budget, and refuses once the walk charges more.  The claim is true, so
+    # under the full budget verify accepts it.
     G = Multigraph(13, tuple(itertools.combinations(range(13), 2)))
     cert = {
         "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
@@ -693,26 +719,33 @@ def test_forged_holding_scan_claim_is_refused_within_the_verifiers_guardrail(
     gfile, cfile = tmp_path / "k13.txt", tmp_path / "forged.json"
     gfile.write_text(format_graph(G))
     write_certificate(cfile, cert)
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", 10_000)
     start = time.perf_counter()
     assert cli.main(["verify", str(cfile), str(gfile)]) == 1
     assert time.perf_counter() - start < 1.0
-    assert "cannot re-check the claim" in capsys.readouterr().out
+    assert "cannot re-check the claim: partition walks are limited to 10000 steps" in (
+        capsys.readouterr().out)
+    monkeypatch.undo()
+    assert cli.main(["verify", str(cfile), str(gfile)]) == 0
 
 
-
-def test_holding_z_scan_on_12_vertices_is_refused_at_once(tmp_path, capsys):
-    # The Z scans walk Bell(n + 1) - 1 partitions, so they stop at 11
-    # vertices.  On the 12-cycle a holding bracket-partition check, and
-    # verify of a holding certificate rehashed for that graph, refuse
-    # before any walk instead of walking Bell(13) partitions.
+def test_holding_z_scan_past_the_budget_is_refused_by_check_and_verify(
+    tmp_path, capsys, monkeypatch
+):
+    # On the 12-cycle a holding bracket-partition walk charges 261,175,
+    # more than a budget of 20,000.  The check refuses (exit 3) and
+    # writes nothing, and verify of a holding certificate rehashed for that
+    # graph refuses within the same budget: a forged claim costs the
+    # verifier no more than the producer.
     G = corpus.cycle(12)
     gfile, cfile = tmp_path / "c12.txt", tmp_path / "bracket.json"
     gfile.write_text(format_graph(G))
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", 20_000)
     start = time.perf_counter()
     assert cli.main(["check", "bracket-partition", str(gfile), "--p", "1", "--q", "1",
                      "--out", str(cfile)]) == 3
     assert time.perf_counter() - start < 1.0
-    assert "limited to n <= 11 vertices (got n=12)" in capsys.readouterr().err
+    assert "partition walks are limited to 20000 steps (charged 20001)" in capsys.readouterr().err
     assert not cfile.exists()
     cert = {
         "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
@@ -726,7 +759,8 @@ def test_holding_z_scan_on_12_vertices_is_refused_at_once(tmp_path, capsys):
     start = time.perf_counter()
     assert cli.main(["verify", str(cfile), str(gfile)]) == 1
     assert time.perf_counter() - start < 1.0
-    assert "cannot re-check the claim" in capsys.readouterr().out
+    assert "cannot re-check the claim: partition walks are limited to 20000 steps" in (
+        capsys.readouterr().out)
 
 
 def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidpack import (
+    PARTITION_BUDGET,
     VERTEX_LIMIT,
     Multigraph,
     format_graph,
@@ -17,6 +19,7 @@ from rigidpack import (
     parse_graph,
     random_multigraph,
 )
+from rigidpack import enumeration
 from rigidpack.certificates import certificate_hash
 from rigidpack.cli import build_parser, main
 
@@ -188,16 +191,45 @@ def test_ndt_refuses_more_sparse_classes_than_edges(tmp_path, capsys):
     assert "k=6, l=7 is outside the range of ndt" in capsys.readouterr().out
 
 
-def test_parameter_guardrail_exit(tmp_path, capsys):
-    # necessary still walks every partition (kwz and cover run a pebble
-    # game and answer at any n), up to 12 vertices.  A path fails at its
-    # second partition.
-    for n, code in ((12, 1), (13, 3)):
+def test_parameter_guardrail_exit(tmp_path, capsys, monkeypatch):
+    # The partition scans still walk (kwz and cover run a pebble game and
+    # answer at any n), under a budget that counts the walk's work, not the
+    # vertices.  A path fails each scan at its second partition (at Z = {}
+    # for the Z scans), so each fails at any size, and verify accepts its
+    # certificate.
+    out = tmp_path / "cert.json"
+    scans = (["necessary", "--k", "1", "--l", "0"], ["parthm", "--k", "1", "--l", "0"],
+             ["bracket-partition", "--p", "2", "--q", "1"])
+    for n in (12, 13, 40):
         gfile = tmp_path / f"p{n}.txt"
         gfile.write_text(format_graph(corpus.path(n)))
-        assert main(["check", "necessary", str(gfile), "--k", "1", "--l", "0"]) == code
+        for name, *options in scans:
+            assert main(["check", name, str(gfile), *options, "--out", str(out)]) == 1, (n, name)
+            assert main(["verify", str(out), str(gfile)]) == 0, (n, name)
         assert main(["check", "kwz", str(gfile), "--k", "1", "--d", "2"]) == 0
-    assert "partition enumeration is limited to 12 elements (got 13)" in capsys.readouterr().err
+    # The walk charges n + C(n, 2) for the set-up of Z = {} and places
+    # n + 1 vertices.  One unit less, and necessary refuses (exit 3),
+    # stating the charge and the budget; kwz still answers.
+    charge = 40 + 40 * 39 // 2 + 41
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", charge - 1)
+    capsys.readouterr()
+    assert main(["check", "necessary", str(gfile), "--k", "1", "--l", "0"]) == 3
+    assert main(["check", "kwz", str(gfile), "--k", "1", "--d", "2"]) == 0
+    assert (f"partition walks are limited to {charge - 1} steps (charged {charge})"
+            in capsys.readouterr().err)
+
+
+def test_a_walk_whose_every_z_is_dropped_at_once_is_refused_by_its_set_up(tmp_path, capsys):
+    # On K_40 bracket-partition --p 1 --q 1 drops each Z at its first
+    # placement, so placements alone would admit millions of Z.  Each Z's
+    # set-up charges r + C(r, 2), r = |V - Z|, 820 at Z = {}, so the walk
+    # is refused after a few thousand Z.
+    gfile = tmp_path / "k40.txt"
+    gfile.write_text(format_graph(Multigraph(40, tuple(itertools.combinations(range(40), 2)))))
+    start = time.perf_counter()
+    assert main(["check", "bracket-partition", str(gfile), "--p", "1", "--q", "1"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert f"limited to {PARTITION_BUDGET} steps (charged " in capsys.readouterr().err
 
 
 def test_negative_guardrails_are_input_errors(k4_file, capsys):
@@ -227,26 +259,28 @@ def test_guardrail_flags_on_no_command(k4_file, tmp_path):
             payload.get("parameters", {}))), argv
 
 
-def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys):
-    # Producer and verifier run under the same fixed guardrails.  At its
-    # bound a path fails each scan at its second partition: 12 vertices for
-    # necessary, 11 for the Z scans of parthm and bracket-partition, which
-    # walk Bell(n + 1) - 1 partitions.  The bracket-partition failure
-    # carries no witness, so verify re-runs its scan.  One vertex more and
-    # each check refuses, writing nothing.
+def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys, monkeypatch):
+    # Producer and verifier charge the walk budget alike.  A 40-vertex path
+    # fails each partition scan at its second partition, at Z = {} for the
+    # Z scans: n + C(n, 2) for the set-up and n + 1 placements.  With the
+    # budget at that charge each check writes a certificate that verify
+    # accepts; the bracket-partition failure carries no witness, so verify
+    # re-runs its walk.  One unit less, and each check refuses, writing
+    # nothing.
     out = tmp_path / "cert.json"
-    for bound, argvs in ((12, [["check", "necessary", "--k", "1", "--l", "0"]]),
-                         (11, [["check", "parthm", "--k", "1", "--l", "0"],
-                               ["check", "bracket-partition", "--p", "2", "--q", "1"]])):
-        for n, code in ((bound, 1), (bound + 1, 3)):
-            gfile = tmp_path / f"p{n}.txt"
-            gfile.write_text(format_graph(corpus.path(n)))
-            for argv in argvs:
-                assert main(argv[:2] + [str(gfile)] + argv[2:] + ["--out", str(out)]) == code, argv
-                if code == 1:
-                    assert main(["verify", str(out), str(gfile)]) == 0, argv
-                    out.unlink()
-                assert not out.exists(), argv
+    gfile = tmp_path / "p40.txt"
+    gfile.write_text(format_graph(corpus.path(40)))
+    charge = 40 + 40 * 39 // 2 + 41
+    for budget, code in ((charge, 1), (charge - 1, 3)):
+        monkeypatch.setattr(enumeration, "PARTITION_BUDGET", budget)
+        for name, *options in (["necessary", "--k", "1", "--l", "0"],
+                               ["parthm", "--k", "1", "--l", "0"],
+                               ["bracket-partition", "--p", "2", "--q", "1"]):
+            assert main(["check", name, str(gfile), *options, "--out", str(out)]) == code, name
+            if code == 1:
+                assert main(["verify", str(out), str(gfile)]) == 0, name
+                out.unlink()
+            assert not out.exists(), name
     # pq-connected counts one cut of n^3 steps and its flows against 2^28
     # steps.  A random graph on 20 vertices fails --p 7 --q 1 at its cut;
     # a path fails its cut up to 645 vertices and is refused on 646.  The

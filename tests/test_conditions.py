@@ -23,7 +23,8 @@ from rigidpack import (
     is_bracket_partition_connected,
     is_pq_connected,
 )
-from rigidpack import conditions
+from rigidpack import conditions, enumeration, format_graph
+from rigidpack.cli import main
 from rigidpack.multigraph import multiplicities
 
 import corpus
@@ -95,6 +96,34 @@ def test_necessary_condition_examples():
             check_necessary_condition(G, 0, 1).holds
             == check_tree_packing_condition(G, 1).holds
         )
+
+
+# The holding necessary --k 1 --l 0 walk on the 12-vertex Henneberg strip
+# places 35,594 vertices, and its one Z's set-up charges 12 + C(12, 2).
+STRIP12_CHARGE = 35_594 + 78
+
+
+def test_a_holding_walk_answers_at_its_exact_charge(tmp_path, capsys, monkeypatch):
+    # At a budget of exactly its charge the walk holds, and check writes a
+    # certificate that verify, charging the same, accepts.  One unit less
+    # and both refuse, stating the charge and the budget.
+    G = corpus.henneberg_strip(12)
+    gfile, out = tmp_path / "strip12.txt", tmp_path / "cert.json"
+    gfile.write_text(format_graph(G))
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", STRIP12_CHARGE)
+    assert check_necessary_condition(G, 1, 0).holds
+    assert main(["check", "necessary", str(gfile), "--k", "1", "--l", "0",
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out), str(gfile)]) == 0
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", STRIP12_CHARGE - 1)
+    message = (f"partition walks are limited to {STRIP12_CHARGE - 1} steps "
+               f"(charged {STRIP12_CHARGE})")
+    with pytest.raises(LimitExceededError) as exc:
+        check_necessary_condition(G, 1, 0)
+    assert str(exc.value) == message
+    capsys.readouterr()
+    assert main(["verify", str(out), str(gfile)]) == 1
+    assert f"cannot re-check the claim: {message}" in capsys.readouterr().out
 
 
 def test_condition_checkers_match_oracles():

@@ -1,6 +1,9 @@
+from math import comb
+
 import pytest
 
-from rigidpack import LimitExceededError, Multigraph
+from rigidpack import PARTITION_BUDGET, LimitExceededError, Multigraph, enumeration
+from rigidpack.enumeration import masks_by_size, short_partitions
 
 from oracles import bell_number, enumerate_partitions, enumerate_vertex_subsets
 
@@ -59,3 +62,41 @@ def test_matches_recursive_oracle():
     want = [tuple(sorted(tuple(sorted(b)) for b in p)) for p in oracles.set_partitions(range(5))]
     assert sorted(got) == sorted(want)
     assert len(got) == len(set(got))
+
+
+def unpruned_z_walk_charge(n):
+    """The placements and the set-up of the walk over every proper Z of n
+    vertices that drops no prefix: each prefix of each partition of V - Z
+    is placed once, and each Z's set-up is r + C(r, 2), r = |V - Z|."""
+    placements = sum(comb(n, s) * sum(bell_number(i) for i in range(1, n - s + 1))
+                     for s in range(n))
+    setup = sum(comb(n, s) * (n - s + comb(n - s, 2)) for s in range(n))
+    return placements, setup
+
+
+def test_partition_budget_is_the_unpruned_z_walk_at_11_vertices():
+    assert unpruned_z_walk_charge(11) == (5_268_881, 39_424)
+    assert PARTITION_BUDGET == sum(unpruned_z_walk_charge(11))
+    # necessary walks Z = {} alone: at n = 12 it charges less.
+    necessary12 = sum(bell_number(i) for i in range(1, 13)) + 12 + comb(12, 2)
+    assert necessary12 == 5_034_584 + 78 <= PARTITION_BUDGET
+
+
+def test_the_walk_charges_every_placement_and_each_z_set_up(monkeypatch):
+    # With no edges and slope 1, every partition but the single block is
+    # short and no prefix is dropped: the walk charges exactly the
+    # unpruned count.  One unit less and it raises, stating both numbers.
+    n = 7
+    charge = sum(unpruned_z_walk_charge(n))
+
+    def walk():
+        return sum(1 for _ in short_partitions(Multigraph(n), masks_by_size(n, range(n)), 1, 0, 0))
+
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", charge)
+    walked = walk()
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", charge - 1)
+    with pytest.raises(LimitExceededError) as exc:
+        walk()
+    assert str(exc.value) == (
+        f"partition walks are limited to {charge - 1} steps (charged {charge})")
+    assert walked == sum(comb(n, s) * (bell_number(n - s) - 1) for s in range(n))

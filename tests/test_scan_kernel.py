@@ -2,8 +2,10 @@
 
 Every condition checker that still scans must return the same whole report
 as its ``oracles.*_reference`` copy (verdict, witness, and the witness kind
-and both sides its certificate states) and refuse at the same point with
-the same message.  The checkers that no longer scan (cover, tree-packing,
+and both sides its certificate states) wherever the reference answers.
+The reference refuses above a vertex count; the scans then answer or
+refuse under their walk budget, and a witness they report violates its
+definition.  The checkers that no longer scan (cover, tree-packing,
 kwz, gamma, gamma2, pq-connected, and the cover failures of ``decompose``)
 must give the reference's verdict or value wherever the reference answers,
 refuse nothing it answered, and report failure witnesses whose
@@ -152,8 +154,13 @@ def assert_partition_scans_match(G, z_scans=None, cases=None):
     for new, ref, args in partition_scans(G, G.n <= 6 if z_scans is None else z_scans, cases):
         got = outcome(new, *args)
         if got[0] == "value" and not isinstance(got[1], bool):
+            assert_witness_violates(G, got[1])
             got = ("value", oracles.certified(G, got[1]))
-        assert got == outcome(ref, *args), (new.__name__, args)
+        expected = outcome(ref, *args)
+        if expected[0] is rigidpack.LimitExceededError:
+            assert got[0] in ("value", rigidpack.LimitExceededError), (new.__name__, args)
+        else:
+            assert got == expected, (new.__name__, args)
 
 
 def named_graphs():
@@ -184,24 +191,30 @@ def test_partition_scans_match_reference(G):
     assert_polynomial_checks_agree(G)
 
 
-def test_refusal_points_match_reference():
-    # The guardrails are fixed: necessary answers at n = 12 and refuses at
-    # 13.  The Z scans of parthm and bracket-partition walk Bell(n + 1) - 1
-    # partitions, so they answer at n = 11 and refuse from 12 on.  A path
-    # fails each scan run where it answers at its second partition, so none
-    # walks a whole partition space.
+def test_refusal_points_match_reference(monkeypatch):
+    # The reference scans refuse above 12 vertices (necessary) and 11 (the
+    # Z scans of parthm and bracket-partition, over Bell(n + 1) - 1
+    # partitions).  The walk budget counts work instead: a path fails each
+    # scan at its second partition, so each answers at every size with the
+    # reference's report where the reference answers.
     failing = (((1, 0), (1, 1), (2, 1)), ((2, 1), (3, 2)))
-    for n in (11, 12):
+    for n in (11, 12, 13, 17):
         assert_partition_scans_match(corpus.path(n), z_scans=True, cases=failing)
+        for scan, args in ((check_necessary_condition, (1, 0)),
+                           (check_parthm_condition, (1, 0)),
+                           (is_bracket_partition_connected, (2, 1))):
+            assert outcome(scan, corpus.path(n), *args)[0] == "value", (scan.__name__, n)
+    # A walk past the budget is refused where the reference refuses too,
+    # with the charge and the budget in the message: the path's Z = {}
+    # set-up alone charges n + C(n, 2).
+    monkeypatch.setattr(enumeration, "PARTITION_BUDGET", 50)
     for n in (13, 17):
-        assert_partition_scans_match(corpus.path(n), z_scans=True)
-    for n in (12, 17):
-        for scan, args in ((check_parthm_condition, (1, 0)),
+        for scan, args in ((check_necessary_condition, (1, 0)),
+                           (check_parthm_condition, (1, 0)),
                            (is_bracket_partition_connected, (2, 1))):
             assert outcome(scan, corpus.path(n), *args) == (
                 rigidpack.LimitExceededError,
-                "(Z, partition) scans walk Bell(n + 1) partitions and are limited to "
-                f"n <= 11 vertices (got n={n})")
+                f"partition walks are limited to 50 steps (charged {n + n * (n - 1) // 2})")
     # The polynomial checks answer where the reference scans refuse.
     for n in (13, 17):
         assert_polynomial_checks_agree(corpus.path(n))
@@ -343,6 +356,19 @@ def test_guardrails_refuse_before_any_table(tmp_path, capsys):
     k50.write_text(format_graph(Multigraph(50, tuple(itertools.combinations(range(50), 2)))))
     assert main(["check", "pq-connected", str(k50), "--p", "49", "--q", "1"]) == 3
     assert "limited to 268435456 steps (got 294247500)" in capsys.readouterr().err
+    # A partition walk charges each Z's set-up, r + C(r, 2), before it builds
+    # the graph's tables of n^2 bits: on a 20,000-vertex path necessary is
+    # refused at Z = {} with nothing built.
+    G = corpus.path(20_000)
+    tracemalloc.start()
+    try:
+        assert outcome(check_necessary_condition, G, 1, 0) == (
+            rigidpack.LimitExceededError,
+            f"partition walks are limited to {enumeration.PARTITION_BUDGET} steps "
+            f"(charged {20_000 + 20_000 * 19_999 // 2})")
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
@@ -370,7 +396,7 @@ def test_subset_guardrail_bounds_memory_at_n_23(tmp_path, capsys):
 def test_partition_walk_is_linear_without_recursion(tmp_path, capsys):
     # A long path fails every partition scan at its second partition,
     # {V - {n-1}, {n-1}}.  The walk finds that witness at once, with state
-    # linear in n, whatever the ground set's size: the scans' guardrail
+    # linear in n, whatever the ground set's size: the scans' budget
     # bounds their time, not their memory or recursion depth.
     # tree-packing and pack --k 0 scan nothing: a pebble game finds their
     # witness at any n.
@@ -390,7 +416,7 @@ def test_partition_walk_is_linear_without_recursion(tmp_path, capsys):
         assert main(["verify", str(out), str(gfile)]) == 0
     capsys.readouterr()
     # The walk of necessary, parthm (at Z = empty) and bracket-partition,
-    # driven directly: the command refuses n = 1500.
+    # driven directly.
     G = corpus.path(1500)
     for weights in ((3, 1, 0), (3, 1, 1), (2, 0, 1)):
         tracemalloc.start()
