@@ -14,13 +14,13 @@ failure (``union-cover``, ``packing``) carries an edge set F, and two
 matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
 every split into k sparse classes and l forests.  Nor does it re-run the
 density iteration: one weighted pebble game at the stated value must
-accept every edge, and the stated argmax must reach it.  A claim that only an
-exhaustive scan can re-check is re-checked under the same fixed guardrails
-its producer ran under (for a partition walk, ``PARTITION_BUDGET``, which
-producer and verifier charge alike), so every certificate that a command
-writes can be re-checked.  A certificate states no guardrails, so a forged
-claim costs the verifier no more than an honest one.  Certificates of
-another schema, earlier ones included, are rejected.
+accept every edge, and the stated argmax must reach it.  A claim that
+only a scan or a cut can re-check is re-checked under the guardrail its
+producer ran under, charged alike (``PARTITION_BUDGET`` for a partition
+walk, ``PQ_STEP_LIMIT`` for pq-connected), so every certificate that a
+command writes can be re-checked.  A certificate states no guardrails,
+so a forged claim costs the verifier no more than an honest one.
+Certificates of another schema, earlier ones included, are rejected.
 
 ``CONDITIONS`` is the one table of the conditions a report can name: its
 parameters, its producer, its witness kind and the inequality a failure's

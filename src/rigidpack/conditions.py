@@ -9,10 +9,11 @@ paper's cover theorem) and ``tree-packing`` one (l,l) game
 of Dinkelbach's iteration; ``pq-connected`` looks for one mixed
 vertex-edge cut below p: a Nagamochi-Ibaraki threshold cut, in place,
 for X = {}, then max flows in which each vertex of 2q + 2 or more edges
-costs q.  The partition
-checkers scan their full quantifier range, under the walk budget of
-``enumeration`` (``PARTITION_BUDGET``, charged per placed vertex and per
-Z), and report the first violator in enumeration order.
+costs q, under a step limit (``PQ_STEP_LIMIT``) charged before each cut
+phase and each augmenting search.  The partition checkers scan their
+full quantifier range, under the walk budget of ``enumeration``
+(``PARTITION_BUDGET``, charged per placed vertex and per Z), and report
+the first violator in enumeration order.
 They walk the partitions incrementally on the bitmask kernel of
 ``enumeration``, which skips every prefix that a bound shows holds no
 violator; the tables of a graph are built once per scan, not once per Z.
@@ -31,8 +32,8 @@ from .errors import GraphInputError, LimitExceededError
 from .matroids import UnionFind, pebble_rejections
 from .multigraph import Multigraph, Partition, induced_edge_count, multiplicities
 
-# The steps ``is_pq_connected`` may take, its cut counted as n^3 and each
-# flow as p (n + arcs): as many as 2^16 cuts on 16 vertices.
+# The steps one ``is_pq_connected`` call may charge: r^2 for each cut
+# phase on r vertices and n + arcs for each augmenting search, 2^28 in all.
 PQ_STEP_LIMIT = 16**3 << 16
 
 
@@ -166,9 +167,10 @@ def _density_max(G: Multigraph, a: int, b: int) -> GammaResult:
     return GammaResult(value, X)
 
 
-def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
+def _cut_below(adj: dict[int, dict[int, int]], lam: int, charge) -> bool:
     """Has a weighted graph, given as vertex -> neighbour -> weight, a cut
-    below lam >= 1?  It consumes adj.
+    below lam >= 1?  It consumes adj, and charges r^2 steps before each
+    phase on r vertices.
 
     Nagamochi-Ibaraki contraction (SIAM J. Discrete Math. 5, 1992).
     Degrees are checked once: a vertex of degree below lam is a cut.  A
@@ -184,6 +186,7 @@ def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
     if len(adj) > 1 and min(deg.values()) < lam:
         return True
     while len(adj) > 1:
+        charge(len(adj) ** 2)
         key = dict.fromkeys(adj, 0)
         pairs = []
         while key:
@@ -214,13 +217,15 @@ def _cut_below(adj: dict[int, dict[int, int]], lam: int) -> bool:
     return False
 
 
-def _flow_below(net: list[dict[int, int]], s: int, t: int, lam: int) -> bool:
+def _flow_below(net: list[dict[int, int]], s: int, t: int, lam: int, charge) -> bool:
     """Is the maximum flow from node s to node t below lam?  net is node ->
     node -> residual capacity, each arc's reverse present; it is consumed.
     Each breadth-first augmenting path carries its bottleneck, until the
-    flow reaches lam or t is cut off."""
-    flow = 0
+    flow reaches lam or t is cut off.  Each search is charged half the
+    arcs of net first: on a split multigraph, n + arcs."""
+    flow, steps = 0, sum(map(len, net)) // 2
     while flow < lam:
+        charge(steps)
         parent = {s: s}
         queue = [s]
         for x in queue:
@@ -244,12 +249,6 @@ def _flow_below(net: list[dict[int, int]], s: int, t: int, lam: int) -> bool:
     return False
 
 
-def _check_pq_steps(steps: int) -> None:
-    if steps > PQ_STEP_LIMIT:
-        raise LimitExceededError(f"(p,q)-connectivity is limited to {PQ_STEP_LIMIT} steps "
-                                 f"(got {steps})")
-
-
 def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     """|V| > p/q and G - X is (p - q|X|)-edge-connected for every proper X.
 
@@ -263,29 +262,37 @@ def is_pq_connected(G: Multigraph, p: int, q: int) -> bool:
     They run to every other vertex from one uncapped vertex if there is
     one, else from each of the first (p - 1) // q + 1, one of which lies
     outside X; and not at all when p <= q or no vertex is capped.  The
-    guardrail counts the cut as n^3 steps and each flow as p (n + arcs),
-    before the cut and before any flow."""
+    cut and the flows charge their steps to one total, each phase and
+    each search before it runs; past ``PQ_STEP_LIMIT`` it raises
+    LimitExceededError."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     n = G.n
     if n * q <= p:
         return False
-    _check_pq_steps(n**3)
+    spent = 0
+
+    def charge(steps: int) -> None:
+        nonlocal spent
+        spent += steps
+        if spent > PQ_STEP_LIMIT:
+            raise LimitExceededError(f"(p,q)-connectivity is limited to {PQ_STEP_LIMIT} steps "
+                                     f"(charged {spent})")
+
     mult = multiplicities(G)
-    if _cut_below({v: row.copy() for v, row in enumerate(mult)}, p):
+    if _cut_below({v: row.copy() for v, row in enumerate(mult)}, p, charge):
         return False
     capped = [sum(row.values()) >= 2 * q + 2 for row in mult]
     if p <= q or not any(capped):
         return True
     sources = [capped.index(False)] if not all(capped) else range((p - 1) // q + 1)
-    _check_pq_steps(n**3 + len(sources) * (n - 1) * p * (n + sum(map(len, mult))))
     net: list[dict[int, int]] = [{} for _ in range(2 * n)]  # v enters at 2v, leaves at 2v + 1
     for v, row in enumerate(mult):
         net[2 * v][2 * v + 1], net[2 * v + 1][2 * v] = q if capped[v] else p, 0
         for u, c in row.items():
             net[2 * v + 1][2 * u], net[2 * u][2 * v + 1] = c, 0
-    flows = ((s, t) for s in sources for t in range(n) if t != s)
-    return not any(_flow_below([row.copy() for row in net], 2 * s + 1, 2 * t, p) for s, t in flows)
+    return not any(_flow_below([row.copy() for row in net], 2 * s + 1, 2 * t, p, charge)
+                   for s in sources for t in range(n) if t != s)
 
 
 def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:

@@ -181,26 +181,19 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
     result = decompose(G, k + 1, 0)
     if isinstance(result, ConditionReport):
         return result
-    classes = result.sparse_classes()
-    two_forest_classes = classes[: l - k - 1]
-    bounded_classes = classes[l - k - 1 :]
+    # The first l - k - 1 classes split into two forests, the rest into a
+    # forest and a bounded part.
     forests: list[frozenset] = []
     bounded: list[frozenset] = []
-    for cls in two_forest_classes:
+    for i, cls in enumerate(result.sparse_classes()):
         ids = sorted(cls)
         H = G.subgraph_of(ids)
-        f1, f2 = _two_forests(H)
-        forests.append(frozenset(ids[e] for e in f1))
-        forests.append(frozenset(ids[e] for e in f2))
-    for cls in bounded_classes:
-        ids = sorted(cls)
-        H = G.subgraph_of(ids)
-        split = _forest_plus_bounded(H)
+        split = _two_forests(H) if i < l - k - 1 else _forest_plus_bounded(H)
         if split is None:
             return ConditionReport("forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids))
-        forest, rest = split
-        forests.append(frozenset(ids[e] for e in forest))
-        bounded.append(frozenset(ids[e] for e in rest))
+        forest, rest = (frozenset(ids[e] for e in part) for part in split)
+        forests.append(forest)
+        (forests if i < l - k - 1 else bounded).append(rest)
     return BoundedCover(tuple(forests), tuple(bounded), degree_bound(G.n))
 
 

@@ -877,11 +877,12 @@ def is_pq_connected_reference(G: Multigraph, p: int, q: int) -> bool:
 
 def is_pq_connected_per_x_reference(G: Multigraph, p: int, q: int) -> bool:
     """(p,q)-connectivity by one threshold cut of G - X for each X with
-    q|X| < p, smallest X first, and no guardrail.  X is skipped when some x
-    in X has fewer than 2q + 2 edges into V - X: G - (X - x) has already
-    passed at p - q(|X| - 1), so a cut of G - X below p - q|X| would need
-    q + 1 edges from x into each side.  Polynomial in n for a fixed p/q,
-    so it reaches the sizes where the exhaustive reference refuses."""
+    q|X| < p, smallest X first, and no guardrail: each cut's charge is
+    dropped.  X is skipped when some x in X has fewer than 2q + 2 edges
+    into V - X: G - (X - x) has already passed at p - q(|X| - 1), so a cut
+    of G - X below p - q|X| would need q + 1 edges from x into each side.
+    Polynomial in n for a fixed p/q, so it reaches the sizes where the
+    exhaustive reference refuses."""
     if p < 1 or q < 1:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
@@ -896,7 +897,7 @@ def is_pq_connected_per_x_reference(G: Multigraph, p: int, q: int) -> bool:
                 continue
             adj = {v: {u: c for u, c in row.items() if u not in X}
                    for v, row in enumerate(mult) if v not in X}
-            if _cut_below(adj, p - q * s):
+            if _cut_below(adj, p - q * s, lambda steps: None):
                 return False
     return True
 

@@ -19,6 +19,7 @@ from rigidpack import (
     GraphInputError,
     Multigraph,
     cli,
+    conditions,
     enumeration,
     format_graph,
     random_multigraph,
@@ -764,12 +765,16 @@ def test_holding_z_scan_past_the_budget_is_refused_by_check_and_verify(
 
 
 def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
-    tmp_path, capsys
+    tmp_path, capsys, monkeypatch
 ):
     # A holding (2,1)-connectivity report on a cycle is true, and verify
-    # re-runs its one cut up to 645 vertices.  On 646 the cut's n^3 steps
-    # pass the verifier's guardrail, so the claim is refused before any cut.
-    for n, code in ((300, 0), (646, 1)):
+    # re-runs the check under the producer's step limit: the cut charges
+    # r^2 before each phase on r vertices, 9,454 steps on the 30-cycle.
+    # With the limit at 10,000 the claim on the 40-cycle passes it, and
+    # verify refuses to re-check it: a forged claim costs the verifier no
+    # more than the producer.  At the real limit it verifies.
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", 10_000)
+    for n, code in ((30, 0), (40, 1)):
         G = corpus.cycle(n)
         cert = {
             "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
@@ -785,7 +790,10 @@ def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
         start = time.perf_counter()
         assert cli.main(["verify", str(cfile), str(gfile)]) == code
         assert time.perf_counter() - start < 1.0
-    assert "cannot re-check the claim" in capsys.readouterr().out
+    assert ("cannot re-check the claim: (p,q)-connectivity is limited to 10000 steps "
+            "(charged ") in capsys.readouterr().out
+    monkeypatch.undo()
+    assert cli.main(["verify", str(cfile), str(gfile)]) == 0
 
 
 def test_pack_certificate_on_one_vertex_is_refused():

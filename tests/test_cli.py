@@ -19,7 +19,7 @@ from rigidpack import (
     parse_graph,
     random_multigraph,
 )
-from rigidpack import enumeration
+from rigidpack import conditions, enumeration
 from rigidpack.certificates import certificate_hash
 from rigidpack.cli import build_parser, main
 
@@ -281,16 +281,22 @@ def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys,
                 assert main(["verify", str(out), str(gfile)]) == 0, name
                 out.unlink()
             assert not out.exists(), name
-    # pq-connected counts one cut of n^3 steps and its flows against 2^28
-    # steps.  A random graph on 20 vertices fails --p 7 --q 1 at its cut;
-    # a path fails its cut up to 645 vertices and is refused on 646.  The
-    # failure carries no witness, so verify re-runs the check.
+    # pq-connected charges each cut phase and augmenting search as it
+    # runs, against 2^28 steps.  A random graph on 20 vertices fails --p 7
+    # --q 1 at its cut; a path fails --p 2 --q 1 at a vertex of degree 1,
+    # before any phase, on 646 vertices as on 645.  The failure carries no
+    # witness, so verify re-runs the check.  With the limit one step below
+    # the first phase of the 20-cycle, 20^2, check refuses and writes
+    # nothing.
     gfile = tmp_path / "g20.txt"
     assert main(["random", "--n", "20", "--m", "40", "--seed", "1", "--out", str(gfile)]) == 0
     cases = [(gfile, "7", 1)]
-    for n, code in ((645, 1), (646, 3)):
-        cases.append((tmp_path / f"p{n}.txt", "2", code))
+    for n in (645, 646):
+        cases.append((tmp_path / f"p{n}.txt", "2", 1))
         cases[-1][0].write_text(format_graph(corpus.path(n)))
+    cases.append((tmp_path / "c20.txt", "2", 3))
+    cases[-1][0].write_text(format_graph(corpus.cycle(20)))
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", 20**2 - 1)
     for gfile, p, code in cases:
         argv = ["check", "pq-connected", str(gfile), "--p", p, "--q", "1", "--out", str(out)]
         assert main(argv) == code, argv
@@ -298,6 +304,19 @@ def test_every_certificate_check_writes_verifies_at_the_bounds(tmp_path, capsys,
             assert main(["verify", str(out), str(gfile)]) == 0, argv
             out.unlink()
         assert not out.exists(), argv
+    assert f"limited to {20**2 - 1} steps (charged {20**2})" in capsys.readouterr().err
+
+
+def test_pq_fails_a_20000_vertex_path_with_a_certificate_verify_accepts(tmp_path, capsys):
+    # A vertex of degree 1 is a cut below 2, found before any cut phase is
+    # charged, so the failure answers at any size.
+    gfile, out = tmp_path / "p20000.txt", tmp_path / "pq.json"
+    gfile.write_text(format_graph(corpus.path(20_000)))
+    start = time.perf_counter()
+    assert main(["check", "pq-connected", str(gfile), "--p", "2", "--q", "1",
+                 "--out", str(out)]) == 1
+    assert main(["verify", str(out), str(gfile)]) == 0
+    assert time.perf_counter() - start < 5.0
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -235,11 +236,14 @@ TRIANGLES = ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))
 @example(G=Multigraph(4, ((0, 1),) * 4 + ((0, 2), (1, 3)) + ((2, 3),) * 3))
 def test_cut_below_matches_reference_cut(G):
     # At every threshold from 1 to two past the minimum cut; a graph with
-    # at most one vertex has no cut.
+    # at most one vertex has no cut.  Its phases charge at most n^3 steps.
     cut = oracles.min_cut_within_reference(G, frozenset(G.vertices()))
     for lam in range(1, (cut or 0) + 3):
         adj = {v: row.copy() for v, row in enumerate(multiplicities(G))}
-        assert conditions._cut_below(adj, lam) == (cut is not None and cut < lam), (G, lam)
+        charges = []
+        assert conditions._cut_below(adj, lam, charges.append) == (
+            cut is not None and cut < lam), (G, lam)
+        assert sum(charges) <= G.n**3, (G, lam)
 
 
 def hamiltonian_cycles(n, multipliers):
@@ -257,40 +261,50 @@ def test_pq_skips_each_x_a_smaller_x_decides(monkeypatch):
     # cut below 2, since x has fewer than 2q + 2 = 6 edges.  Only X = {}
     # takes a cut.
     cut, lams = conditions._cut_below, []
-    monkeypatch.setattr(conditions, "_cut_below", lambda adj, lam: lams.append(lam) or cut(adj, lam))
+    monkeypatch.setattr(conditions, "_cut_below",
+                        lambda adj, lam, charge: lams.append(lam) or cut(adj, lam, charge))
     assert is_pq_connected(hamiltonian_cycles(20, (1, 3)), 4, 2)
     assert lams == [4]
 
 
+def charge_log(monkeypatch):
+    """Wrap the cut and the flows so that each charge is logged as (steps,
+    the graph or network it is charged on, a copy of that taken then)."""
+    log = []
+    cut, flow = conditions._cut_below, conditions._flow_below
+
+    def logged(state, charge):
+        def logged_charge(steps):
+            log.append((steps, state, copy.deepcopy(state)))
+            charge(steps)
+        return logged_charge
+
+    monkeypatch.setattr(conditions, "_cut_below",
+                        lambda adj, lam, charge: cut(adj, lam, logged(adj, charge)))
+    monkeypatch.setattr(conditions, "_flow_below",
+                        lambda net, s, t, lam, charge: flow(net, s, t, lam, logged(net, charge)))
+    return log
+
+
 def test_pq_guardrail_is_checked_before_any_cut(monkeypatch):
-    # The cut counts n^3 steps and each flow p (n + arcs), against 2^28
-    # steps.  On a cycle (2, 1) runs no flow: 645^3 steps fit, 646^3 do
-    # not, and the refusal comes before the cut.
+    # The cut charges r^2 steps before each phase on r vertices, against
+    # 2^28 steps in all.  On a cycle (2, 1) runs no flow, and the 646-cycle
+    # holds after 645 phases.  Below its first phase's 646^2 steps the
+    # refusal comes before any phase: the graph the cut was given is
+    # untouched.
     assert conditions.PQ_STEP_LIMIT == 1 << 28
-    assert 645**3 <= conditions.PQ_STEP_LIMIT < 646**3
-    assert is_pq_connected(corpus.cycle(645), 2, 1)
-
-    def refused(*args):
-        raise AssertionError("a cut or flow ran before the guardrail refused")
-
-    monkeypatch.setattr(conditions, "_flow_below", refused)
-    monkeypatch.setattr(conditions, "_cut_below", refused)
-    with pytest.raises(LimitExceededError, match=f"limited to {1 << 28} steps \\(got {646**3}\\)"):
+    assert is_pq_connected(corpus.cycle(646), 2, 1)
+    log = charge_log(monkeypatch)
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", 646**2 - 1)
+    with pytest.raises(LimitExceededError,
+                       match=f"limited to {646**2 - 1} steps \\(charged {646**2}\\)"):
         is_pq_connected(corpus.cycle(646), 2, 1)
-    # K_n at (n - 1, 1) caps every vertex and takes n - 1 sources, so
-    # (n - 1)^2 flows of (n - 1)(n + n(n - 1)) steps each: n = 49 fits,
-    # n = 50 is refused once its cut has passed, before any flow.
-    flows = []
-    monkeypatch.setattr(conditions, "_cut_below", lambda adj, lam: False)
-    monkeypatch.setattr(conditions, "_flow_below", lambda net, s, t, lam: flows.append(s))
-    for n in (49, 50):
-        steps = n**3 + (n - 1) ** 3 * (n + n * (n - 1))
-        assert (steps <= conditions.PQ_STEP_LIMIT) == (n == 49)
-    assert is_pq_connected(complete(49), 48, 1)
-    assert len(flows) == 48 * 48
-    monkeypatch.setattr(conditions, "_flow_below", refused)
-    with pytest.raises(LimitExceededError, match=f"got {50**3 + 49**3 * 50 * 50}\\)"):
-        is_pq_connected(complete(50), 49, 1)
+    [(steps, adj, before)] = log
+    assert adj == before == {v: {(v - 1) % 646: 1, (v + 1) % 646: 1} for v in range(646)}
+    # A vertex of degree below p is a cut found before any phase, so the
+    # 20,000-vertex path fails (2, 1) with nothing charged.
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", 0)
+    assert not is_pq_connected(corpus.path(20_000), 2, 1)
 
 
 def complete(n, mult=1):
@@ -328,6 +342,68 @@ def test_pq_flows_from_several_sources_match_reference(case):
     assert is_pq_connected(G, p, q) == oracles.is_pq_connected_reference(G, p, q), case
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(
+    st.tuples(corpus.small_multigraphs(max_n=10, max_mult=4), st.integers(1, 12),
+              st.integers(1, 3)),
+    capped_complete()))
+def test_pq_charge_never_passes_the_up_front_count(case):
+    # The charge stays within what an up-front count of n^3 for the cut
+    # and p (n + arcs) for each flow allows: a phase merges at least one
+    # pair, and a flow stopped at p takes at most p searches.  So every
+    # request such a count admits is answered under the same limit.
+    G, p, q = case
+    mult = multiplicities(G)
+    n, arcs = G.n, sum(map(len, mult))
+    capped = [sum(row.values()) >= 2 * q + 2 for row in mult]
+    sources = 0 if p <= q or not any(capped) else (p - 1) // q + 1 if all(capped) else 1
+    with pytest.MonkeyPatch.context() as mp:
+        log = charge_log(mp)
+        is_pq_connected(G, p, q)
+    assert sum(steps for steps, *_ in log) <= n**3 + sources * (n - 1) * p * (n + arcs), case
+
+
+@pytest.mark.parametrize("G, p, q, flows", [
+    (corpus.cycle(40), 2, 1, 0),  # the last charge is a cut phase's
+    (hamiltonian_cycles(31, (1, 2, 3)), 6, 2, 3 * 30),  # and here an augmenting search's
+])
+def test_pq_refused_one_step_below_its_exact_charge(monkeypatch, G, p, q, flows):
+    # Each phase and search is charged before it runs.  A request holds
+    # at a limit equal to its exact charge; one step below, the last
+    # charge raises, and the graph or network it was charged on is left as
+    # it was then.  At the full limit the same phase or search goes on to
+    # change it.  On the three cycles every augmenting path carries one
+    # unit, so each flow charges p searches of n + arcs = n + 2m steps.
+    log = charge_log(monkeypatch)
+    assert is_pq_connected(G, p, q)
+    searches = [steps for steps, state, _ in log if isinstance(state, list)]
+    assert searches == [G.n + 2 * G.m] * (p * flows)
+    charges = [steps for steps, *_ in log]
+    _, state, before = log[-1]
+    assert state != before
+    total = sum(charges)
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", total)
+    assert is_pq_connected(G, p, q)
+    log.clear()
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", total - 1)
+    with pytest.raises(LimitExceededError,
+                       match=f"limited to {total - 1} steps \\(charged {total}\\)"):
+        is_pq_connected(G, p, q)
+    assert [steps for steps, *_ in log] == charges
+    _, state, before = log[-1]
+    assert state == before
+
+
+def test_pq_holds_on_k16_with_600_edges_per_pair():
+    # Every vertex is capped at (6000, 400), so 16 sources run 240 flows.
+    # One augmenting path carries a bundle of parallel edges, so each flow
+    # takes far fewer than p searches: an up-front count of p (n + arcs)
+    # per flow passes the limit, the charge stays well within it.
+    G = complete(16, 600)
+    assert 16**3 + 16 * 15 * 6000 * (16 + 16 * 15) > conditions.PQ_STEP_LIMIT
+    assert is_pq_connected(G, 6000, 400)
+
+
 def test_pq_runs_no_flow_when_p_is_at_most_q(monkeypatch):
     # Only X = {} has q|X| < p, so the one cut decides, capped vertices
     # or not.
@@ -350,10 +426,10 @@ def test_pq_k5_k5_plus_x_fails_through_a_flow(monkeypatch):
     G = Multigraph(11, (*k5s, (0, 5), *((10, v) for v in (1, 2, 3, 6, 7, 8))))
     cut, flow, cuts, below = conditions._cut_below, conditions._flow_below, [], []
     monkeypatch.setattr(conditions, "_cut_below",
-                        lambda adj, lam: cuts.append(cut(adj, lam)) or cuts[-1])
+                        lambda adj, lam, charge: cuts.append(cut(adj, lam, charge)) or cuts[-1])
     monkeypatch.setattr(conditions, "_flow_below",
-                        lambda net, s, t, lam: below.append((s, t, flow(net, s, t, lam)))
-                        or below[-1][2])
+                        lambda net, s, t, lam, charge: below.append(
+                            (s, t, flow(net, s, t, lam, charge))) or below[-1][2])
     assert not is_pq_connected(G, 4, 2)
     assert cuts == [False]
     assert below[-1] == (1, 2 * 5, True) and not any(b for *_, b in below[:-1])

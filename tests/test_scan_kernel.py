@@ -16,6 +16,7 @@ reach the value.
 import importlib
 import itertools
 import pkgutil
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -41,7 +42,7 @@ from rigidpack import (
     pack_rigid_and_trees,
     union_rank,
 )
-from rigidpack import enumeration
+from rigidpack import conditions, enumeration
 from rigidpack.cli import main
 from rigidpack.conditions import count_condition_report
 from rigidpack.enumeration import mask_partition, mask_vertices, short_partitions
@@ -335,7 +336,7 @@ def test_check_and_gamma_runs_call_no_enumerator(tmp_path):
             assert main(["verify", str(out), str(gfile)]) == 0, argv
 
 
-def test_guardrails_refuse_before_any_table(tmp_path, capsys):
+def test_guardrails_refuse_before_any_table(tmp_path, capsys, monkeypatch):
     # A failing decompose, cover, pq-connected, kwz and gamma answer at
     # n = 17 with no table: pebble games and minimum cuts, not a scan.
     doubled_path = Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2))
@@ -350,12 +351,16 @@ def test_guardrails_refuse_before_any_table(tmp_path, capsys):
     for argv, code in ((["check", "kwz", "--k", "1", "--d", "2"], 1), (["gamma", "gamma"], 0)):
         assert main(_with_input(argv, gfile)) == code, argv
     assert "gamma = 2/1" in capsys.readouterr().out
-    # pq-connected counts steps: K_50 passes its cut at --p 49 --q 1, but
-    # its 49 * 49 flows would take more than 2^28 steps.
+    # pq-connected charges its steps as it runs: K_50 passes its cut at
+    # --p 49 --q 1 and then runs flows, each augmenting search charged
+    # n + arcs = 2,500 steps before it runs, until the total passes the
+    # limit (here 10^6, to keep the test short).
     k50 = tmp_path / "k50.txt"
     k50.write_text(format_graph(Multigraph(50, tuple(itertools.combinations(range(50), 2)))))
+    monkeypatch.setattr(conditions, "PQ_STEP_LIMIT", 10**6)
     assert main(["check", "pq-connected", str(k50), "--p", "49", "--q", "1"]) == 3
-    assert "limited to 268435456 steps (got 294247500)" in capsys.readouterr().err
+    charged = re.search(r"limited to 1000000 steps \(charged (\d+)\)", capsys.readouterr().err)
+    assert 10**6 < int(charged[1]) <= 10**6 + 2_500
     # A partition walk charges each Z's set-up, r + C(r, 2), before it builds
     # the graph's tables of n^2 bits: on a 20,000-vertex path necessary is
     # refused at Z = {} with nothing built.
