@@ -24,10 +24,8 @@ from .errors import (
 from .matroids import (
     PebbleGame,
     RankResult,
-    graphic_independent,
     graphic_rank,
     rigidity_rank,
-    sparse_independent,
 )
 from .multigraph import (
     VERTEX_LIMIT,

@@ -55,7 +55,7 @@ from .conditions import (
     is_pq_connected,
 )
 from .errors import GraphInputError, RigidpackError
-from .matroids import graphic_rank, rigidity_rank, sparse_independent
+from .matroids import graphic_rank, rigidity_rank
 from .multigraph import (
     Multigraph,
     Partition,
@@ -63,6 +63,7 @@ from .multigraph import (
     check_edge_subset,
     check_vertex_subset,
     cross_edge_count,
+    format_graph,
     induced_edge_count,
 )
 from .ndt import (
@@ -79,8 +80,7 @@ SCHEMA = "rigidpack-cert/2"
 
 def graph_hash(G: Multigraph) -> str:
     """SHA-256 of the canonical edge list (endpoint-sorted, id order)."""
-    body = f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges)
-    return sha256(body.encode("ascii")).hexdigest()
+    return sha256(format_graph(G).encode("ascii")).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -314,7 +314,7 @@ def _union_bound(target):
 
 def _no_split(G, p, F):
     # The split test is exact and polynomial: re-run once this game finds F sparse.
-    if not sparse_independent(G, F)[0]:
+    if rigidity_rank(G, F).rank < len(F):
         raise _Rejected("witness class is not (2,3)-sparse")
     return _forest_plus_bounded(G.subgraph_of(F)) is None, None, None
 

@@ -1,5 +1,6 @@
-"""Independence oracles and rank functions for the two matroids living on a
-multigraph's edge set.
+"""Rank functions for the two matroids living on a multigraph's edge set.
+An edge set F is independent iff its rank is |F|, so the rank is the one
+oracle each matroid has.
 
 * The graphic matroid: an edge set is independent iff it induces a forest.
   Rank is ``n - c(F)`` where ``c`` counts components (isolated vertices
@@ -26,7 +27,7 @@ accepted edges inside it weigh a|X| less the fewer than b + w pebbles
 left on the endpoints, so with the rejected edge X weighs more than
 a|X| - b.  The failed search has just queued exactly that set, so
 ``last_witness`` reads it off the queue with no further search, and
-``sparse_independent`` surfaces it as a witness.
+``pebble_rejections`` yields it with each rejected edge.
 """
 
 from __future__ import annotations
@@ -65,17 +66,6 @@ class UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         return True
-
-
-def graphic_independent(G: Multigraph, F: Iterable[int]) -> bool:
-    """True iff the edge set induces a forest (no cycle, no parallel pair)."""
-    ids = check_edge_subset(G, F)
-    uf = UnionFind(G.n)
-    for e in ids:
-        u, v = G.edges[e]
-        if not uf.union(u, v):
-            return False
-    return True
 
 
 def graphic_rank(G: Multigraph, F: Iterable[int]) -> RankResult:
@@ -220,22 +210,6 @@ def pebble_rejections(
     for e, (u, v) in enumerate(G.edges):
         if not insert(u, v):
             yield e, game.last_witness()
-
-
-def sparse_independent(G: Multigraph, F: Iterable[int]) -> tuple[bool, frozenset | None]:
-    """Pebble-game independence test for the rigidity matroid.
-
-    Returns ``(True, None)`` when F is (2,3)-sparse, otherwise
-    ``(False, X)`` where X is a vertex set with more than 2|X| - 3 edges
-    of F inside it.
-    """
-    ids = check_edge_subset(G, F)
-    game = PebbleGame(G.n)
-    for e in ids:
-        u, v = G.edges[e]
-        if not game.try_insert(u, v):
-            return False, game.last_witness()
-    return True, None
 
 
 def rigidity_rank(G: Multigraph, F: Iterable[int]) -> RankResult:

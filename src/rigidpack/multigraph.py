@@ -294,8 +294,8 @@ def parse_graph(text: str) -> Multigraph:
 
 
 def format_graph(G: Multigraph) -> str:
-    body = "\n".join(f"{u} {v}" for u, v in G.edges)
-    return f"{G.n} {G.m}\n{body}\n" if body else f"{G.n} {G.m}\n"
+    """The canonical edge list: a line ``n m``, then ``u v`` per edge in id order."""
+    return f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges)
 
 
 def load_graph(path) -> Multigraph:

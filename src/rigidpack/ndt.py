@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
-from .matroids import UnionFind, graphic_independent, sparse_independent
+from .matroids import UnionFind, graphic_rank, pebble_rejections
 from .multigraph import Multigraph, edge_parts_error
 from .union import decompose, union_rank
 
@@ -57,8 +57,7 @@ def check_kwz_condition(G: Multigraph, k: int, d) -> ConditionReport:
 
 
 def _require_sparse(H: Multigraph) -> None:
-    ok, witness = sparse_independent(H, range(H.m))
-    if not ok:
+    for _, witness in pebble_rejections(H, 2, 3):
         raise GraphInputError(f"input graph is not (2,3)-sparse (violating X = {sorted(witness)})")
 
 
@@ -108,7 +107,7 @@ def _forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] | None:
             head[e] = u if need[u] else v
     for mask in range(1 << len(high_high)):
         S = [e for i, e in enumerate(high_high) if mask >> i & 1]
-        if not graphic_independent(H, S):
+        if graphic_rank(H, S).rank < len(S):
             continue
         cap = need[:]
         for e in S:
@@ -207,7 +206,7 @@ def verify_bounded_cover(G: Multigraph, cover: BoundedCover) -> tuple[bool, str 
     if sum(map(len, parts)) != G.m:
         return False, "parts do not cover every edge"
     for i, part in enumerate(cover.forests):
-        if not graphic_independent(G, part):
+        if graphic_rank(G, part).rank < len(part):
             return False, f"forest part {i} has a cycle"
     bound = degree_bound_floor(G.n)
     for i, part in enumerate(cover.bounded_parts):

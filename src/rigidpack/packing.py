@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError
-from .matroids import graphic_independent, sparse_independent
+from .matroids import graphic_rank, rigidity_rank
 from .multigraph import Multigraph, edge_parts_error
 from .union import union_rank
 
@@ -61,12 +61,11 @@ def verify_packing(G: Multigraph, packing: Packing) -> tuple[bool, str | None]:
     for i, part in enumerate(packing.rigid_parts):
         if len(part) != 2 * n - 3:
             return False, f"rigid part {i} has {len(part)} edges, expected {2 * n - 3}"
-        ok, _ = sparse_independent(G, part)
-        if not ok:
+        if rigidity_rank(G, part).rank < len(part):
             return False, f"rigid part {i} is not (2,3)-sparse"
     for i, part in enumerate(packing.tree_parts):
         if len(part) != n - 1:
             return False, f"tree part {i} has {len(part)} edges, expected {n - 1}"
-        if not graphic_independent(G, part):
+        if graphic_rank(G, part).rank < len(part):
             return False, f"tree part {i} is not a spanning tree"
     return True, None

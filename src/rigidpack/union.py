@@ -60,7 +60,7 @@ from itertools import count
 
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
-from .matroids import PebbleGame, graphic_independent, sparse_independent
+from .matroids import PebbleGame, graphic_rank, rigidity_rank
 from .multigraph import Multigraph
 
 
@@ -278,9 +278,9 @@ def verify_decomposition(
     classes = _colour_groups(dec.assignment)
     for j in sorted(classes):
         if j <= dec.k:
-            if not sparse_independent(G, classes[j])[0]:
+            if rigidity_rank(G, classes[j]).rank < len(classes[j]):
                 return False, f"class {j} is not (2,3)-sparse"
-        elif not graphic_independent(G, classes[j]):
+        elif graphic_rank(G, classes[j]).rank < len(classes[j]):
             return False, f"class {j} is not a forest"
     return True, None
 

@@ -30,7 +30,7 @@ from rigidpack import (
 )
 from rigidpack.certificates import report_payload
 from rigidpack.conditions import ConditionReport, GammaResult, _cut_below
-from rigidpack.matroids import PebbleGame, UnionFind, sparse_independent
+from rigidpack.matroids import PebbleGame, UnionFind, rigidity_rank
 from rigidpack.multigraph import (
     adjacent_number,
     check_edge_subset,
@@ -1066,7 +1066,7 @@ def forest_plus_bounded_reference(H: Multigraph) -> tuple[frozenset, frozenset] 
     """Exhaustive backtracking over the edge list in id order, branching
     forest-first and copying the union-find at every node (one Python frame
     per edge): a forest-plus-bounded split, or None when none exists."""
-    if not sparse_independent(H, range(H.m))[0]:
+    if rigidity_rank(H, range(H.m)).rank < H.m:
         raise GraphInputError("input graph is not (2,3)-sparse")
     bound = degree_bound_floor(H.n)
     m = H.m

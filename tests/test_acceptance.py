@@ -22,7 +22,6 @@ from rigidpack import (
     is_pq_connected,
     pack_rigid_and_trees,
     rigidity_rank,
-    sparse_independent,
     union_rank,
     verify_bounded_cover,
     verify_packing,
@@ -51,12 +50,12 @@ def test_criterion_01_pebble_oracle_equivalence():
     for n in range(6):
         for G in corpus.all_simple_graphs(n):
             for F in _subsets_up_to(G.m, 10):
-                if sparse_independent(G, F)[0] != oracles.sparse_by_def(G, F):
+                if (rigidity_rank(G, F).rank == len(F)) != oracles.sparse_by_def(G, F):
                     failures.append((G, F))
     # 500 random multigraphs, every F with |F| <= 10
     for G in corpus.random_corpus(500, seed=101, n_range=(2, 6), m_max=12, mult_max=3):
         for F in _subsets_up_to(G.m, 10):
-            if sparse_independent(G, F)[0] != oracles.sparse_independent_bruteforce(G, F):
+            if (rigidity_rank(G, F).rank == len(F)) != oracles.sparse_independent_bruteforce(G, F):
                 failures.append((G, F))
     _report(1, "pebble game vs definitional oracle", failures)
 

@@ -259,12 +259,20 @@ def hamiltonian_cycles(n, multipliers):
 def test_pq_skips_each_x_a_smaller_x_decides(monkeypatch):
     # A 4-regular graph at (4, 2): once G is 4-edge-connected, G - x has no
     # cut below 2, since x has fewer than 2q + 2 = 6 edges.  Only X = {}
-    # takes a cut.
+    # takes a cut, and no flow runs.  The 11- to 14-vertex graphs are the
+    # shape of the benchmark's holding pq requests.
+    def no_flow(*args):
+        raise AssertionError("a flow ran")
+
     cut, lams = conditions._cut_below, []
     monkeypatch.setattr(conditions, "_cut_below",
                         lambda adj, lam, charge: lams.append(lam) or cut(adj, lam, charge))
-    assert is_pq_connected(hamiltonian_cycles(20, (1, 3)), 4, 2)
-    assert lams == [4]
+    monkeypatch.setattr(conditions, "_flow_below", no_flow)
+    for n, c in ((20, 3), (11, 3), (12, 5), (13, 5), (14, 3)):
+        lams.clear()
+        assert math.gcd(n, c) == 1
+        assert is_pq_connected(hamiltonian_cycles(n, (1, c)), 4, 2), n
+        assert lams == [4], n
 
 
 def charge_log(monkeypatch):

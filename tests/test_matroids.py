@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from rigidpack import (
     Multigraph,
-    graphic_independent,
     graphic_rank,
     rigidity_rank,
-    sparse_independent,
 )
 from rigidpack.matroids import PebbleGame, pebble_rejections
 
@@ -19,10 +17,11 @@ import oracles
 
 
 def test_graphic_independent_examples():
+    # F is independent iff its rank is |F|.
     tri = corpus.triangle()
-    assert graphic_independent(tri, {0, 1})
-    assert not graphic_independent(tri, {0, 1, 2})
-    assert not graphic_independent(corpus.double_edge(), {0, 1})
+    assert graphic_rank(tri, {0, 1}).rank == 2
+    assert graphic_rank(tri, {0, 1, 2}).rank < 3
+    assert graphic_rank(corpus.double_edge(), {0, 1}).rank < 2
 
 
 def test_graphic_rank_examples():
@@ -34,22 +33,21 @@ def test_graphic_rank_examples():
 def test_graphic_rank_basis_is_spanning_forest():
     for G in corpus.random_corpus(30, seed=11):
         res = graphic_rank(G, range(G.m))
-        assert graphic_independent(G, res.basis)
-        assert len(res.basis) == res.rank
+        assert graphic_rank(G, res.basis).rank == len(res.basis) == res.rank
         assert res.rank == oracles.graphic_rank_def(G, range(G.m))
 
 
 def test_sparse_independent_examples():
+    # F is independent iff its rank is |F|; the violator of a dependent
+    # graph is the closure of the (2,3) game's first rejection.
     tri = corpus.triangle()
-    ok, witness = sparse_independent(tri, range(3))
-    assert ok and witness is None
+    assert rigidity_rank(tri, range(3)).rank == 3
+    assert next(pebble_rejections(tri, 2, 3), None) is None
 
-    ok, witness = sparse_independent(corpus.k4(), range(6))
-    assert not ok
-    assert witness == frozenset(range(4))  # 6 > 2*4 - 3
+    assert rigidity_rank(corpus.k4(), range(6)).rank < 6
+    assert next(pebble_rejections(corpus.k4(), 2, 3)) == (5, frozenset(range(4)))  # 6 > 2*4 - 3
 
-    ok, _ = sparse_independent(corpus.k33(), range(9))
-    assert ok
+    assert rigidity_rank(corpus.k33(), range(9)).rank == 9
 
 
 def test_sparse_bruteforce_examples():
@@ -67,8 +65,7 @@ def test_rigidity_rank_examples():
 def test_rigidity_rank_basis_is_sparse():
     for G in corpus.random_corpus(40, seed=12):
         res = rigidity_rank(G, range(G.m))
-        ok, _ = sparse_independent(G, res.basis)
-        assert ok and len(res.basis) == res.rank
+        assert rigidity_rank(G, res.basis).rank == len(res.basis) == res.rank
 
 
 def is_rigid(G):
@@ -96,14 +93,16 @@ def test_pebble_agrees_with_definition_small():
     for G in corpus.all_simple_graphs(4):
         for r in range(G.m + 1):
             for F in itertools.combinations(range(G.m), r):
-                assert sparse_independent(G, F)[0] == oracles.sparse_by_def(G, F)
+                assert (rigidity_rank(G, F).rank == len(F)) == oracles.sparse_by_def(G, F)
 
 
 def test_pebble_witness_is_definitional_violator():
     for G in corpus.random_corpus(60, seed=13):
-        ok, witness = sparse_independent(G, range(G.m))
-        if ok:
+        rejected = next(pebble_rejections(G, 2, 3), None)
+        assert (rejected is None) == (rigidity_rank(G, range(G.m)).rank == G.m)
+        if rejected is None:
             continue
+        witness = rejected[1]
         assert len(witness) >= 2
         assert oracles.induced(G, range(G.m), witness) > 2 * len(witness) - 3
 
@@ -159,8 +158,8 @@ def test_rank_matches_collection_minimum_on_tiny_graphs():
 
 def test_parallel_edge_always_dependent():
     G = corpus.double_edge()
-    ok, witness = sparse_independent(G, range(2))
-    assert not ok and witness == frozenset({0, 1})
+    assert rigidity_rank(G, range(2)).rank == 1
+    assert list(pebble_rejections(G, 2, 3)) == [(1, frozenset({0, 1}))]
 
 
 def test_rigid_graphs_are_two_connected():

@@ -14,7 +14,7 @@ from rigidpack import (
     check_kwz_condition,
     degree_bound,
     degree_bound_floor,
-    graphic_independent,
+    graphic_rank,
     ndt_decompose,
     sparse_to_forest_plus_bounded,
     sparse_to_two_forests,
@@ -25,6 +25,11 @@ from rigidpack.ndt import _capped_forest
 
 import corpus
 import oracles
+
+
+def is_forest(G, F):
+    """F (distinct ids) is a forest iff its graphic rank is |F|."""
+    return graphic_rank(G, F).rank == len(F)
 
 
 def test_degree_bound_values():
@@ -71,14 +76,14 @@ def test_sparse_to_two_forests_single_edge_and_k33():
     G = corpus.k33()
     f1, f2 = sparse_to_two_forests(G)
     assert f1 | f2 == frozenset(range(9)) and not f1 & f2
-    assert graphic_independent(G, f1) and graphic_independent(G, f2)
+    assert is_forest(G, f1) and is_forest(G, f2)
 
 
 def test_sparse_to_two_forests_handles_disconnected_input():
     G = corpus.two_triangles_disjoint()
     f1, f2 = sparse_to_two_forests(G)
     assert f1 | f2 == frozenset(range(6))
-    assert graphic_independent(G, f1) and graphic_independent(G, f2)
+    assert is_forest(G, f1) and is_forest(G, f2)
 
 
 def test_sparse_to_two_forests_rejects_non_sparse():
@@ -93,7 +98,7 @@ def test_two_forest_split_total_on_sparse_corpus():
             H = corpus.random_sparse_graph(n, seed=300 + seed, full=seed % 2 == 0)
             f1, f2 = sparse_to_two_forests(H)
             assert f1 | f2 == frozenset(range(H.m)) and not f1 & f2
-            assert graphic_independent(H, f1) and graphic_independent(H, f2)
+            assert is_forest(H, f1) and is_forest(H, f2)
 
 
 def test_forest_plus_bounded_k4_minus_edge():
@@ -101,7 +106,7 @@ def test_forest_plus_bounded_k4_minus_edge():
     split = sparse_to_forest_plus_bounded(G)
     assert split is not None
     forest, rest = split
-    assert graphic_independent(G, forest)
+    assert is_forest(G, forest)
     deg = [0] * G.n
     for e in rest:
         u, v = G.edges[e]
@@ -181,14 +186,14 @@ def test_capped_forest_is_exact(data):
     high = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3))
     S = [e for e, (u, v) in enumerate(G.edges) if u in high and v in high]
     S = [e for e in S if data.draw(st.booleans())]
-    assume(graphic_independent(G, S))
+    assume(is_forest(G, S))
     head = {e: u if u in high else v for e, (u, v) in enumerate(G.edges)
             if (u in high) != (v in high)}
     cap = [data.draw(st.integers(0, 3)) if v in high else 0 for v in range(n)]
     got = _capped_forest(G, S, head, cap)
     assert (got is not None) == oracles.capped_forest_exists_def(G, S, head, cap)
     if got is not None:
-        assert graphic_independent(G, set(S) | got)
+        assert is_forest(G, set(S) | got)
         assert all(sum(head[e] == v for e in got) == cap[v] for v in range(n))
 
 
@@ -259,14 +264,14 @@ def test_verify_bounded_cover_rejects_bad_parts():
 def test_ndt_splits_the_union_classes_with_no_second_sparsity_game(monkeypatch):
     # The union held each sparse class in a live (2,3) game, so ndt splits
     # them unchecked; the public splitters still check their input.
-    def sparse_independent(*args):
+    def pebble_rejections(*args):
         raise AssertionError("a second sparsity game ran")
 
     for n, seed in ((8, 60), (10, 61), (12, 62)):
         edges = corpus.random_sparse_graph(n, seed).edges + corpus.random_sparse_graph(n, seed + 1).edges
         G = Multigraph(n, edges[2:])
         with monkeypatch.context() as patch:
-            patch.setattr(ndt_mod, "sparse_independent", sparse_independent)
+            patch.setattr(ndt_mod, "pebble_rejections", pebble_rejections)
             results = {l: ndt_decompose(G, 1, l) for l in (2, 3, 4)}
         for l, result in results.items():
             assert isinstance(result, BoundedCover), (n, l)

@@ -16,13 +16,11 @@ from rigidpack import (
     Multigraph,
     decompose,
     gamma2,
-    graphic_independent,
     graphic_rank,
     ndt_decompose,
     pack_rigid_and_trees,
     random_multigraph,
     rigidity_rank,
-    sparse_independent,
     union_rank,
     verify_decomposition,
 )
@@ -292,15 +290,20 @@ def test_union_rank_keeps_class_oracles_live(monkeypatch):
 
 
 _KINDS = [
-    pytest.param(2, 3, rigidity_rank, lambda G, F: sparse_independent(G, F)[0], id="rigidity"),
-    pytest.param(1, 1, graphic_rank, graphic_independent, id="graphic"),
+    pytest.param(2, 3, rigidity_rank, id="rigidity"),
+    pytest.param(1, 1, graphic_rank, id="graphic"),
 ]
 
 
-@pytest.mark.parametrize("a, b, rank, independent", _KINDS)
+def _independent(rank, G, F):
+    """F (distinct ids) is independent iff its rank is |F|."""
+    return rank(G, F).rank == len(F)
+
+
+@pytest.mark.parametrize("a, b, rank", _KINDS)
 @settings(max_examples=300, deadline=None, database=None)
 @given(run=corpus.insert_remove_runs())
-def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, independent, run):
+def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, run):
     # The closure read-off against the pebble-moving search it replaced,
     # after every rejected insert of a live class under inserts and removals;
     # each probe agrees with a fresh independence test of the members.
@@ -312,7 +315,7 @@ def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, independent
     for op in ops:
         if op[0] == "insert":
             ok, witness = cls.probe(*G.edges[eid])
-            assert ok == independent(G, cls.members + [eid])
+            assert ok == _independent(rank, G, cls.members + [eid])
             if ok:
                 cls.update([], [eid])
             else:
@@ -325,8 +328,8 @@ def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, independent
             cls.update([cls.members[op[1] % len(cls.members)]], [])
 
 
-@pytest.mark.parametrize("a, b, rank, independent", _KINDS)
-def test_class_circuit_is_fundamental_circuit(a, b, rank, independent):
+@pytest.mark.parametrize("a, b, rank", _KINDS)
+def test_class_circuit_is_fundamental_circuit(a, b, rank):
     # x is in the circuit of e iff the class with x swapped for e is
     # independent.
     checked = 0
@@ -335,10 +338,10 @@ def test_class_circuit_is_fundamental_circuit(a, b, rank, independent):
         cls = union_mod._CountClass(G, list(members), a, b)
         for e in range(1, G.m, 2):
             ok, witness = cls.probe(*G.edges[e])
-            assert ok == independent(G, members + [e])
+            assert ok == _independent(rank, G, members + [e])
             if ok:
                 continue
-            expected = [x for x in members if independent(G, set(members) - {x} | {e})]
+            expected = [x for x in members if _independent(rank, G, set(members) - {x} | {e})]
             assert cls.circuit(e, witness) == expected
             assert cls.members == members
             checked += 1
@@ -400,10 +403,10 @@ def test_union_rank_memory_does_not_grow_with_k():
 
 def test_verify_decomposition_checks_only_used_colours(monkeypatch):
     calls = []
-    real_sparse, real_graphic = union_mod.sparse_independent, union_mod.graphic_independent
-    monkeypatch.setattr(union_mod, "sparse_independent",
-                        lambda G, F: calls.append(1) or real_sparse(G, F))
-    monkeypatch.setattr(union_mod, "graphic_independent",
+    real_rigidity, real_graphic = union_mod.rigidity_rank, union_mod.graphic_rank
+    monkeypatch.setattr(union_mod, "rigidity_rank",
+                        lambda G, F: calls.append(1) or real_rigidity(G, F))
+    monkeypatch.setattr(union_mod, "graphic_rank",
                         lambda G, F: calls.append(1) or real_graphic(G, F))
     big = 10**6
     tri = corpus.triangle()
