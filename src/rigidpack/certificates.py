@@ -7,9 +7,14 @@ hash and the timestamp), plus those two.  The hash is unkeyed, so it
 catches corruption, not forgery.  A certificate is emitted only after
 passing ``verify_certificate``, the call ``rigidpack verify`` makes on the
 file.  Semantic verification re-checks the claim from
-scratch against the graph and binds it to the command: the payload kind,
-the top-level parameters and every field the CLI fixes must be the ones
-that command gives.  No verifier re-runs the matroid union: a union
+scratch against the graph and binds it to the command: the payload kind
+and the top-level parameters must be the ones that command gives.  Each
+kind's encoder is the one statement of its format: a payload verifies
+only if every field its encoder writes is, as canonical JSON, what the
+encoder writes for the claim the verifier decoded and checked.  So no
+list out of order, repeated id, ``{}`` for ``[]`` or ``true`` for 1
+passes, a missing field is malformed, and a field that no encoder writes
+is hashed but not read.  No verifier re-runs the matroid union: a union
 failure (``union-cover``, ``packing``) carries an edge set F, and two
 matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
 every split into k sparse classes and l forests.  Nor does it re-run the
@@ -83,8 +88,8 @@ def graph_hash(G: Multigraph) -> str:
     return sha256(format_graph(G).encode("ascii")).hexdigest()
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps with these options, without building an encoder per call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def certificate_hash(cert: dict) -> str:
@@ -178,16 +183,12 @@ def encode_witness(kind: str | None, witness) -> dict | None:
 
 
 def decode_witness(G: Multigraph, witness: dict) -> tuple[str, object]:
-    """(kind, witness) from its JSON, checked against G; only the canonical
-    encoding of a witness is accepted."""
+    """(kind, witness) from its JSON, checked against G."""
     kind = witness.get("kind")
     if kind not in _WITNESS_FIELDS:
         raise ValueError(f"unknown witness kind {kind!r}")
     values = tuple(_FIELDS[f][1](G, witness[f]) for f in _WITNESS_FIELDS[kind])
-    value = values if len(values) > 1 else values[0]
-    if encode_witness(kind, value) != witness:
-        raise ValueError("witness is not in canonical form")
-    return kind, value
+    return kind, values if len(values) > 1 else values[0]
 
 
 def summarize_witness(witness: dict | None) -> str:
@@ -200,10 +201,13 @@ def summarize_witness(witness: dict | None) -> str:
 
 def report_payload(G: Multigraph, report: ConditionReport) -> dict:
     """The report's payload; a witness's kind and both sides are those its
-    condition gives it on G."""
+    condition gives it on G, and the witness must violate them."""
     cond, witness = CONDITIONS[report.condition], report.witness
-    _, lhs, rhs = (None, None, None) if witness is None else cond.violated(
-        G, dict(report.parameters), witness)
+    lhs = rhs = None
+    if witness is not None:
+        violated, lhs, rhs = cond.violated(G, dict(report.parameters), witness)
+        if not violated:
+            raise _Rejected("witness does not violate the stated inequality")
     return {
         "kind": "report",
         "condition": report.condition,
@@ -393,12 +397,14 @@ def verify_certificate(cert: dict, G: Multigraph) -> tuple[bool, str | None]:
         kind = payload.get("kind")
         if kind not in _PAYLOADS:
             return False, f"unknown payload kind {kind!r}"
-        commands, verify = _PAYLOADS[kind]
+        commands, verify, encode = _PAYLOADS[kind]
         if command not in commands:
             return False, f"command {command!r} gives no {kind} payload"
         if command in _FAILURES:
             _check_k_l(command, top, G)
-        verify(G, command, top, payload)
+        expected = encode(*verify(G, command, top, payload))
+        if canonical_json({f: payload[f] for f in expected}) != canonical_json(expected):
+            return False, "payload is not the encoding of its claim"
         return True, None
     except _Rejected as exc:
         return False, str(exc)
@@ -427,48 +433,33 @@ def _check_k_l(command, top, G):
 
 
 def _verify_decomposition_payload(G, command, top, payload):
-    k, l = top["k"], top["l"]
-    dec = Decomposition(k, l, tuple(payload["assignment"]))
-    _ensure(verify_decomposition(G, dec, require_complete=True))
-    # Compared as JSON, so that true does not pass for 1.
-    stated = [payload[f] for f in ("k", "l", "rank", "complete")]
-    if canonical_json(stated) != canonical_json([k, l, G.m, True]):
-        raise _Rejected("stated k, l, rank or completeness does not match the assignment")
-
-
-def _edge_parts(G, parts) -> tuple[frozenset, ...]:
-    """Part lists as edge sets; only the canonical encoding, ascending
-    distinct edge ids as the producers write it, is accepted."""
-    for part in parts:
-        if part != check_edge_subset(G, part):
-            raise ValueError("part is not in canonical form")
-    return tuple(frozenset(p) for p in parts)
+    dec = Decomposition(top["k"], top["l"], tuple(payload["assignment"]))
+    if not dec.is_complete():
+        raise _Rejected("decomposition leaves edges uncovered")
+    _ensure(verify_decomposition(G, dec))
+    return (dec,)
 
 
 def _verify_packing_payload(G, command, top, payload):
-    packing = Packing(
-        _edge_parts(G, payload["rigid_parts"]), _edge_parts(G, payload["tree_parts"])
-    )
+    rigid, trees = (tuple(map(frozenset, payload[f])) for f in ("rigid_parts", "tree_parts"))
+    packing = Packing(rigid, trees)
     _ensure(verify_packing(G, packing))
     if (len(packing.rigid_parts), len(packing.tree_parts)) != (top["k"], top["l"]):
         raise _Rejected("part counts do not match parameters")
+    return (packing,)
 
 
 def _verify_bounded_cover_payload(G, command, top, payload):
-    bound = read_number(payload["degree_bound"])
-    if payload["degree_bound"] != _num(bound):
-        raise TypeError('degree_bound must be a "p/q" string')
-    cover = BoundedCover(
-        _edge_parts(G, payload["forests"]),
-        _edge_parts(G, payload["bounded_parts"]),
-        bound,
-    )
+    cover = BoundedCover(tuple(map(frozenset, payload["forests"])),
+                         tuple(map(frozenset, payload["bounded_parts"])),
+                         read_number(payload["degree_bound"]))
     _ensure(verify_bounded_cover(G, cover))
     k, l = top["k"], top["l"]
     if len(cover.forests) != l:
         raise _Rejected(f"expected {l} forests")
     if len(cover.bounded_parts) != 2 * k + 2 - l:
         raise _Rejected(f"expected {2 * k + 2 - l} bounded parts")
+    return (cover,)
 
 
 def _verify_density_payload(G, command, top, payload):
@@ -479,16 +470,13 @@ def _verify_density_payload(G, command, top, payload):
     if which not in DENSITY_COUNTS:
         raise _Rejected(f"unknown density parameter {which!r}")
     value = read_number(payload["value"])
-    if payload["value"] != _num(value):
-        raise TypeError('value must be a "p/q" string')
     X = check_vertex_subset(G, payload["argmax"])
-    if payload["argmax"] != sorted(X):
-        raise ValueError("argmax is not in canonical form")
     a, b = DENSITY_COUNTS[which]
     if len(X) < 2 or Fraction(induced_edge_count(G, X), a * len(X) - b) != value:
         raise _Rejected("argmax does not achieve the stated value")
     if denser_set(G, a, b, value) is not None:
         raise _Rejected("some vertex set is denser than the stated value")
+    return which, value, X
 
 
 def _verify_report_payload(G, command, top, payload):
@@ -515,29 +503,25 @@ def _verify_report_payload(G, command, top, payload):
         # No witness: the producer's verdict is recomputed.
         if cond.run is None:
             raise _Rejected(f"condition {name!r} cannot be certified as holding")
-        if (witness, payload["lhs"], payload["rhs"]) != (None, None, None):
-            raise _Rejected("a recomputed verdict states no witness and no sides")
-        report = cond.run(G, params)
-        if report.holds != holds:
+        if cond.run(G, params).holds != holds:
             raise _Rejected("recomputed verdict disagrees with the certificate")
-        return
+        return G, ConditionReport(name, params, holds)
     if witness is None:
         raise _Rejected(f"a {name} failure carries no witness")
     kind, value = decode_witness(G, _json_object(witness, "witness"))
     if kind != cond.kind:
         raise _Rejected(f"a {name} failure carries no {kind} witness")
-    ok, lhs, rhs = cond.violated(G, params, value)
-    if not ok:
-        raise _Rejected("witness does not violate the stated inequality")
-    if canonical_json([_num(lhs), _num(rhs)]) != canonical_json([payload["lhs"], payload["rhs"]]):
-        raise _Rejected("stated lhs/rhs do not match recomputed values")
+    return G, ConditionReport(name, params, False, value)
 
 
-# Each payload kind: the commands that give it, and its verifier.
+# Each payload kind: the commands that give it, its verifier, which checks
+# the claim and returns its encoder's arguments, and its encoder, the one
+# statement of the kind's format.  The encoders are bound at import, so a
+# payload verifies only as this module writes it.
 _PAYLOADS = {
-    "decomposition": (("decompose",), _verify_decomposition_payload),
-    "packing": (("pack",), _verify_packing_payload),
-    "bounded-cover": (("ndt",), _verify_bounded_cover_payload),
-    "density": (("gamma",), _verify_density_payload),
-    "report": (("decompose", "pack", "ndt", "check"), _verify_report_payload),
+    "decomposition": (("decompose",), _verify_decomposition_payload, decomposition_payload),
+    "packing": (("pack",), _verify_packing_payload, packing_payload),
+    "bounded-cover": (("ndt",), _verify_bounded_cover_payload, bounded_cover_payload),
+    "density": (("gamma",), _verify_density_payload, density_payload),
+    "report": (("decompose", "pack", "ndt", "check"), _verify_report_payload, report_payload),
 }

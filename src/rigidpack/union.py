@@ -261,9 +261,7 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     return UnionRank(rank, dec.covered(), dec, frozenset(dead))
 
 
-def verify_decomposition(
-    G: Multigraph, dec: Decomposition, *, require_complete: bool = False
-) -> tuple[bool, str | None]:
+def verify_decomposition(G: Multigraph, dec: Decomposition) -> tuple[bool, str | None]:
     """Re-check a decomposition from scratch against the matroid oracles."""
     if len(dec.assignment) != G.m:
         return False, "assignment length does not match edge count"
@@ -271,8 +269,6 @@ def verify_decomposition(
     # edge while putting it in no class.
     if any(type(c) is not int or not 0 <= c <= dec.k + dec.l for c in dec.assignment):
         return False, "assignment uses an out-of-range colour"
-    if require_complete and not dec.is_complete():
-        return False, "decomposition leaves edges uncovered"
     # An unused colour is an empty class, independent in both matroids, so
     # only used colours are checked.
     classes = _colour_groups(dec.assignment)

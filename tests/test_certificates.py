@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rigidpack import (
     GraphInputError,
     Multigraph,
+    certificates,
     cli,
     conditions,
     enumeration,
@@ -214,6 +215,7 @@ CLI_CASES = (
     ("k4", "decompose --l 1"),
     ("dp17", "decompose --l 1"),
     ("dtri", "decompose --k 1 --l 1"),
+    ("e3", "decompose --k 1"),
     ("k4", "pack --k 0 --l 2"),
     ("dtri", "pack --k 2 --l 0"),
     ("k4", "pack --k 2 --l 0"),
@@ -221,6 +223,7 @@ CLI_CASES = (
     ("c14", "pack --k 0 --l 2"),
     ("k4", "ndt --k 1 --l 2"),
     ("k4", "ndt --k 0 --l 2"),
+    ("tri", "ndt --k 0 --l 2"),
     ("tri", "ndt --k 0 --l 1"),
     ("tri", "gamma gamma2"),
     ("k4", "gamma gamma"),
@@ -248,6 +251,7 @@ GRAPHS = {
     "dtri": corpus.doubled_triangle,
     "c14": lambda: corpus.cycle(14),
     "bowtie": corpus.bowtie,
+    "e3": lambda: Multigraph(3),
     # a doubled path above the exhaustive test scans' 16 vertices
     "dp17": lambda: Multigraph(17, tuple(e for i in range(16) for e in [(i, i + 1)] * 2)),
 }
@@ -591,17 +595,72 @@ _FAN8 = Multigraph(8, tuple((0, i) for i in range(1, 8)) + tuple((i, i + 1) for 
 ])
 def test_part_lists_must_be_canonical(tmp_path, capsys, G, argv, field, edit):
     # The same edge set written out of order or with a repeat, and rehashed,
-    # is refused: a part list has one encoding, as a witness has.
+    # is refused: a part list has one encoding, the one its encoder writes.
     gfile, cfile = tmp_path / "g.txt", tmp_path / "c.json"
     gfile.write_text(format_graph(G))
     assert cli.main(argv.split() + [str(gfile), "--out", str(cfile)]) == 0
     cert = load_certificate(cfile)
     bad = _rehashed(cert, ("payload", field, 0), edit(cert["payload"][field][0]))
-    assert verify_certificate(bad, G) == (
-        False, "malformed certificate: part is not in canonical form")
+    assert verify_certificate(bad, G) == (False, "payload is not the encoding of its claim")
     write_certificate(cfile, bad)
     capsys.readouterr()
     assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+
+
+def test_every_payload_is_its_encoders_output():
+    # A payload is what its kind's encoder writes for the claim its
+    # verifier decodes, field for field and nothing more.
+    for case, G, cert in cli_certificates():
+        payload = cert["payload"]
+        _, verify, encode = certificates._PAYLOADS[payload["kind"]]
+        decoded = verify(G, cert["command"], cert["parameters"], payload)
+        assert canonical_json(encode(*decoded)) == canonical_json(payload), case
+
+
+@pytest.mark.parametrize("case, field", [
+    ("k4: pack --k 0 --l 2", "rigid_parts"),
+    ("dtri: pack --k 2 --l 0", "tree_parts"),
+    ("tri: ndt --k 0 --l 2", "bounded_parts"),
+    ("e3: decompose --k 1", "assignment"),
+])
+@pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
+def test_an_empty_list_is_not_an_empty_object_or_string(case, field, value):
+    # Both iterate as no parts and no colours, but neither is what the
+    # encoder writes.
+    G, cert = _cert(case)
+    assert cert["payload"][field] == []
+    bad = _rehashed(cert, ("payload", field), value)
+    assert verify_certificate(bad, G) == (False, "payload is not the encoding of its claim")
+
+
+@pytest.mark.parametrize("case, field", [
+    ("k4: check cover --k 2", "lhs"),
+    ("k4: decompose --k 2", "rank"),
+])
+def test_a_missing_payload_field_is_malformed(case, field):
+    # A field the encoder writes is compared, never read as null.
+    G, cert = _cert(case)
+    del cert["payload"][field]
+    cert["cert_hash"] = certificate_hash(cert)
+    ok, reason = verify_certificate(cert, G)
+    assert not ok and reason.startswith("malformed certificate"), reason
+
+
+def test_the_verifier_compares_with_the_encoders_bound_at_import(tmp_path, monkeypatch):
+    # An encoder patched on the module, as the benchmark's self-test does to
+    # make the CLI write a nonce, does not change what verify expects: the
+    # honest certificate still verifies, and so does the patched CLI's,
+    # whose extra key no encoder writes.
+    G, cert = _cert("k4: decompose --k 2")
+    encoder = certificates.decomposition_payload
+    monkeypatch.setattr(certificates, "decomposition_payload",
+                        lambda dec: {**encoder(dec), "nonce": 0})
+    assert verify_certificate(cert, G) == (True, None)
+    gfile, cfile = tmp_path / "k4.txt", tmp_path / "cert.json"
+    gfile.write_text(format_graph(G))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["decompose", str(gfile), "--k", "2", "--out", str(cfile)]) == 0
+    assert load_certificate(cfile)["payload"]["nonce"] == 0
 
 
 def _doubled_path(n):
@@ -867,7 +926,8 @@ def test_density_certificates_accept_any_maximizer():
     # The value is a canonical "p/q" string.
     for value in ("1", "2/2", 1):
         bad = _rehashed(cert, ("payload", "value"), value)
-        assert verify_certificate(bad, G)[1].startswith("malformed certificate"), value
+        assert verify_certificate(bad, G) == (
+            False, "payload is not the encoding of its claim"), value
 
 
 @settings(max_examples=60, deadline=None)

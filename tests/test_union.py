@@ -30,8 +30,9 @@ import corpus
 import oracles
 
 
-def _check_classes(G, dec, *, complete):
-    ok, reason = verify_decomposition(G, dec, require_complete=complete)
+def _check_classes(G, dec):
+    assert dec.is_complete()
+    ok, reason = verify_decomposition(G, dec)
     assert ok, reason
 
 
@@ -46,7 +47,7 @@ def test_union_rank_k4_one_sparse_one_forest():
     ur = union_rank(G, 1, 1)
     assert ur.rank == 6
     assert ur.decomposition.is_complete()
-    _check_classes(G, ur.decomposition, complete=True)
+    _check_classes(G, ur.decomposition)
 
 
 def test_union_rank_doubled_triangle_two_sparse():
@@ -55,7 +56,7 @@ def test_union_rank_doubled_triangle_two_sparse():
     assert ur.rank == 6
     sparse_classes = ur.decomposition.sparse_classes()
     assert sorted(map(len, sparse_classes)) == [3, 3]
-    _check_classes(G, ur.decomposition, complete=True)
+    _check_classes(G, ur.decomposition)
 
 
 def test_union_rank_bruteforce_examples():
@@ -114,7 +115,7 @@ def test_decompose_sparse_k4_with_two_classes():
     G = corpus.k4()
     result = decompose(G, 2, 0)
     assert isinstance(result, Decomposition)
-    _check_classes(G, result, complete=True)
+    _check_classes(G, result)
 
 
 def test_decompose_sparse_double_edge():
@@ -129,7 +130,7 @@ def test_decompose_accepts_disconnected():
     G = corpus.two_triangles_disjoint()
     result = decompose(G, 1, 0)
     assert isinstance(result, Decomposition)
-    _check_classes(G, result, complete=True)
+    _check_classes(G, result)
     result = decompose(G, 0, 1)
     assert isinstance(result, ConditionReport) and result.condition == "forest-cover"
     assert result.witness == frozenset({0, 1, 2})
@@ -148,7 +149,7 @@ def test_count_covers_are_exact_on_any_graph():
             else:
                 assert decomposed == oracles.forest_cover_def(G, l), (G, k, l)
             if decomposed:
-                _check_classes(G, result, complete=True)
+                _check_classes(G, result)
             else:
                 a, b = (2 * k, 3 * k) if l == 0 else (l, l)
                 X = result.witness
@@ -184,7 +185,7 @@ def test_decompose_forests_examples():
     G = corpus.k4()
     result = decompose(G, 0, 2)
     assert isinstance(result, Decomposition)
-    _check_classes(G, result, complete=True)
+    _check_classes(G, result)
 
     tree = corpus.path(5)
     result = decompose(tree, 0, 1)
@@ -202,7 +203,7 @@ def test_theorem_style_iff_on_connected_corpus():
             if G.n >= 2:
                 assert succeeded == (gamma2(G).value <= k)
             if succeeded:
-                _check_classes(G, result, complete=True)
+                _check_classes(G, result)
             else:
                 X = result.witness
                 assert oracles.induced(G, range(G.m), X) > k * (2 * len(X) - 3)
@@ -211,7 +212,7 @@ def test_theorem_style_iff_on_connected_corpus():
             succeeded = isinstance(result, Decomposition)
             assert succeeded == oracles.forest_cover_def(G, l)
             if succeeded:
-                _check_classes(G, result, complete=True)
+                _check_classes(G, result)
 
 
 def test_verify_decomposition_rejects_tampering():
@@ -220,7 +221,7 @@ def test_verify_decomposition_rejects_tampering():
     assert isinstance(dec, Decomposition)
     # move every edge into the first class: not sparse any more
     broken = Decomposition(2, 0, tuple(1 for _ in dec.assignment))
-    ok, reason = verify_decomposition(G, broken, require_complete=True)
+    ok, reason = verify_decomposition(G, broken)
     assert not ok and "sparse" in reason
 
 
@@ -523,7 +524,7 @@ def test_a_full_class_is_passed_by_when_a_later_class_takes_the_edge(monkeypatch
             G = Multigraph(n, tuple(edges))
             result = decompose(G, 2, 0)
             assert isinstance(result, Decomposition)
-            _check_classes(G, result, complete=True)
+            _check_classes(G, result)
             assert passed > before
         assert passed - before == 2 * n - 3
 
