@@ -46,8 +46,6 @@ from .ndt import (
     degree_bound,
     degree_bound_floor,
     ndt_decompose,
-    sparse_to_forest_plus_bounded,
-    sparse_to_two_forests,
     verify_bounded_cover,
 )
 from .packing import (

@@ -33,58 +33,50 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
-def _run_decompose(G: Multigraph, args) -> tuple[int, dict, str]:
+# Each runner returns its result, the payload of a success (None for a
+# condition report, which ``_run`` encodes) and its summary.
+
+def _run_decompose(G: Multigraph, args) -> tuple[object, dict | None, str]:
     k, l = args.k, args.l
     result = decompose(G, k, l)
     if isinstance(result, Decomposition):
-        payload = certs.decomposition_payload(result)
-        return 0, payload, f"decomposable: {k} sparse class(es) + {l} forest(s)"
-    payload = certs.report_payload(G, result)
-    return 1, payload, (
-        f"not decomposable ({result.condition}):" + certs.summarize_witness(payload["witness"])
-    )
+        return result, certs.decomposition_payload(result), (
+            f"decomposable: {k} sparse class(es) + {l} forest(s)")
+    return result, None, f"not decomposable ({result.condition}):"
 
 
-def _run_pack(G: Multigraph, args) -> tuple[int, dict, str]:
+def _run_pack(G: Multigraph, args) -> tuple[object, dict | None, str]:
     k, l = args.k, args.l
     result = pack_rigid_and_trees(G, k, l)
     if isinstance(result, Packing):
-        payload = certs.packing_payload(result)
-        return 0, payload, f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)"
-    payload = certs.report_payload(G, result)
-    return 1, payload, "no packing:" + certs.summarize_witness(payload["witness"])
+        return result, certs.packing_payload(result), (
+            f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)")
+    return result, None, "no packing:"
 
 
-def _run_check(G: Multigraph, args) -> tuple[int, dict, str]:
+def _run_check(G: Multigraph, args) -> tuple[object, dict | None, str]:
     name = args.condition
     condition = certs.CONDITIONS[name]
     _require(args, *condition.params)
-    params = {p: getattr(args, p) for p in condition.params}
-    report = condition.run(G, params)
-    payload = certs.report_payload(G, report)
-    if report.holds:
-        return 0, payload, f"condition {name} holds"
-    return 1, payload, f"condition {name} fails:" + certs.summarize_witness(payload["witness"])
+    report = condition.run(G, {p: getattr(args, p) for p in condition.params})
+    return report, None, f"condition {name} " + ("holds" if report.holds else "fails:")
 
 
-def _run_gamma(G: Multigraph, args) -> tuple[int, dict, str]:
+def _run_gamma(G: Multigraph, args) -> tuple[object, dict | None, str]:
     result = gamma(G) if args.which == "gamma" else gamma2(G)
     payload = certs.density_payload(args.which, result.value, result.argmax)
-    return 0, payload, f"{args.which} = {payload['value']} at X={sorted(result.argmax)}"
+    return result, payload, f"{args.which} = {payload['value']} at X={sorted(result.argmax)}"
 
 
-def _run_ndt(G: Multigraph, args) -> tuple[int, dict, str]:
+def _run_ndt(G: Multigraph, args) -> tuple[object, dict | None, str]:
     result = ndt_decompose(G, args.k, args.l)
     if isinstance(result, BoundedCover):
         payload = certs.bounded_cover_payload(result)
-        return 0, payload, (
+        return result, payload, (
             f"covered: {len(result.forests)} forest(s) + "
             f"{len(result.bounded_parts)} part(s) with max degree <= {payload['degree_bound']}"
         )
-    payload = certs.report_payload(G, result)
-    return 1, payload, (
-        f"no bounded cover ({result.condition}):" + certs.summarize_witness(payload["witness"])
-    )
+    return result, None, f"no bounded cover ({result.condition}):"
 
 
 _RUNNERS = {
@@ -106,7 +98,13 @@ def _command_parameters(command: str, args) -> dict:
 
 def _run(command: str, args) -> int:
     G = load_graph(args.input)
-    code, payload, summary = _RUNNERS[command](G, args)
+    result, payload, summary = _RUNNERS[command](G, args)
+    code = 0
+    if payload is None:
+        payload = certs.report_payload(G, result)
+        if not result.holds:
+            code = 1
+            summary += certs.summarize_witness(payload["witness"])
     cert = certs.build_certificate(command, _command_parameters(command, args), G, payload)
     if args.out:
         certs.write_certificate(args.out, cert)

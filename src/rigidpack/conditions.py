@@ -87,8 +87,6 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
     """
     if l < 0:
         raise GraphInputError("need l >= 0")
-    if l == 0:
-        return ConditionReport("tree-packing", {"l": l}, True)
     uf = UnionFind(G.n)
     accepted = G.m
     for _, X in pebble_rejections(G, l, l):

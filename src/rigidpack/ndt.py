@@ -7,7 +7,10 @@ remainder of maximum degree at most floor((2n-5)/3).  The forest-plus-
 bounded split is decided exactly, by a few matroid intersections; the
 guarantee that it exists only kicks in for n >= 6, so smaller inputs may
 legitimately come back empty (a triangle has no such split: the bound is
-0 and a triangle is not a forest).
+0 and a triangle is not a forest).  At k = 0 the pipeline is the two
+splits of one sparse graph: ``ndt_decompose(H, 0, 2)`` gives its two
+forests and ``ndt_decompose(H, 0, 1)`` its forest and bounded part, and
+either reports a violating X when H is not (2,3)-sparse.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
-from .matroids import UnionFind, graphic_rank, pebble_rejections
+from .matroids import UnionFind, graphic_rank
 from .multigraph import Multigraph, edge_parts_error
 from .union import decompose, union_rank
 
@@ -54,38 +57,6 @@ def check_kwz_condition(G: Multigraph, k: int, d) -> ConditionReport:
     r, s = d.numerator, d.denominator
     return count_condition_report(G, "kwz", {"k": k, "d": str(d)},
                                   (k + 1) * (s * k + r), s * k * k, s * k + r + s)
-
-
-def _require_sparse(H: Multigraph) -> None:
-    for _, witness in pebble_rejections(H, 2, 3):
-        raise GraphInputError(f"input graph is not (2,3)-sparse (violating X = {sorted(witness)})")
-
-
-def sparse_to_two_forests(H: Multigraph) -> tuple[frozenset, frozenset]:
-    """Split a sparse graph's edges into two forests, checked sparse first.
-
-    Sparse sets satisfy i(X) <= 2|X| - 3 <= 2(|X| - 1) on every component,
-    so the two-forest union always covers everything; connectivity is not
-    required.
-    """
-    _require_sparse(H)
-    return _two_forests(H)
-
-
-def _two_forests(H: Multigraph) -> tuple[frozenset, frozenset]:
-    ur = union_rank(H, 0, 2)
-    if ur.rank != H.m:
-        raise RuntimeError("two-forest split failed on a sparse graph")
-    first, second = ur.decomposition.forest_classes()
-    return first, second
-
-
-def sparse_to_forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] | None:
-    """Split a sparse graph, checked sparse first, into a forest and a
-    remainder of maximum degree at most b = floor((2n-5)/3); None when no
-    split exists (possible only below n = 6)."""
-    _require_sparse(H)
-    return _forest_plus_bounded(H)
 
 
 def _forest_plus_bounded(H: Multigraph) -> tuple[frozenset, frozenset] | None:
@@ -187,12 +158,18 @@ def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionRepo
     for i, cls in enumerate(result.sparse_classes()):
         ids = sorted(cls)
         H = G.subgraph_of(ids)
-        split = _two_forests(H) if i < l - k - 1 else _forest_plus_bounded(H)
-        if split is None:
+        two = i < l - k - 1
+        if two:
+            # i(X) <= 2|X| - 3 <= 2(|X| - 1): two forests cover a sparse class.
+            ur = union_rank(H, 0, 2)
+            if ur.rank != H.m:
+                raise RuntimeError("two forests do not cover a sparse class")
+            split = ur.decomposition.forest_classes()
+        elif (split := _forest_plus_bounded(H)) is None:
             return ConditionReport("forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids))
         forest, rest = (frozenset(ids[e] for e in part) for part in split)
         forests.append(forest)
-        (forests if i < l - k - 1 else bounded).append(rest)
+        (forests if two else bounded).append(rest)
     return BoundedCover(tuple(forests), tuple(bounded), degree_bound(G.n))
 
 
@@ -210,11 +187,6 @@ def verify_bounded_cover(G: Multigraph, cover: BoundedCover) -> tuple[bool, str 
             return False, f"forest part {i} has a cycle"
     bound = degree_bound_floor(G.n)
     for i, part in enumerate(cover.bounded_parts):
-        deg = [0] * G.n
-        for e in part:
-            u, v = G.edges[e]
-            deg[u] += 1
-            deg[v] += 1
-        if deg and max(deg) > bound:
+        if max(G.subgraph_of(part).degrees(), default=0) > bound:
             return False, f"bounded part {i} exceeds max degree {bound}"
     return True, None

@@ -134,3 +134,69 @@ def test_union_certificates_verify_without_the_union(monkeypatch):
             monkeypatch.setattr(module, "union_rank", union_rank)
     for G, cert in checked:
         assert verify_certificate(cert, G) == (True, None), cert["payload"]
+
+
+# The check and gamma certificates, pinned the same way.  Every check
+# condition is asked once where it holds and once where it fails, on
+# small fixed and seeded graphs; tree-packing also at l = 0.
+CHECK_PINNED_DIGEST = "3162a454002ecea41048ce830aebbddc532917e7d30546d3645db3c20c35ca0d"
+
+CHECK_REQUESTS = (
+    ("check", "cover", "--k", "1"),
+    ("check", "cover", "--k", "2"),
+    ("check", "tree-packing", "--l", "0"),
+    ("check", "tree-packing", "--l", "1"),
+    ("check", "tree-packing", "--l", "2"),
+    ("check", "parthm", "--k", "1", "--l", "0"),
+    ("check", "parthm", "--k", "1", "--l", "1"),
+    ("check", "necessary", "--k", "1", "--l", "0"),
+    ("check", "necessary", "--k", "1", "--l", "1"),
+    ("check", "pq-connected", "--p", "2", "--q", "1"),
+    ("check", "pq-connected", "--p", "3", "--q", "1"),
+    ("check", "bracket-partition", "--p", "1", "--q", "1"),
+    ("check", "bracket-partition", "--p", "3", "--q", "1"),
+    ("check", "kwz", "--k", "1", "--d", "2"),
+    ("check", "kwz", "--k", "0", "--d", "3/2"),
+    ("gamma", "gamma"),
+    ("gamma", "gamma2"),
+)
+
+
+def _check_graphs():
+    """K4, a triangle, two disjoint triangles, a 7-vertex Henneberg strip
+    and six seeded multigraphs, n = 5..8."""
+    from corpus import henneberg_strip, k4, triangle, two_triangles_disjoint
+
+    graphs = [k4(), triangle(), two_triangles_disjoint(), henneberg_strip(7)]
+    graphs += [random_multigraph(5 + s % 4, 7 + 2 * s, 2, seed=100 + s) for s in range(6)]
+    return graphs
+
+
+def _check_digest() -> tuple[str, set]:
+    """The digest over every check and gamma request, and the (request
+    name, exit code) pairs seen."""
+    digest, seen = hashlib.sha256(), set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, G in enumerate(_check_graphs()):
+            gfile = Path(tmp) / f"g{i}.txt"
+            gfile.write_text(format_graph(G))
+            for j, (command, name, *options) in enumerate(CHECK_REQUESTS):
+                out = Path(tmp) / f"g{i}.{j}.json"
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main([command, name, str(gfile), *options, "--out", str(out)])
+                cert = json.loads(out.read_text()) if out.exists() else None
+                if cert is not None:
+                    cert = {key: value for key, value in cert.items() if key != "created"}
+                seen.add((name, code))
+                digest.update(json.dumps([i, j, code, stdout.getvalue(), cert],
+                                         sort_keys=True).encode("utf-8"))
+    return digest.hexdigest(), seen
+
+
+def test_check_and_gamma_certificates_match_the_pinned_digest():
+    digest, seen = _check_digest()
+    for name in {request[1] for request in CHECK_REQUESTS}:
+        codes = {code for seen_name, code in seen if seen_name == name}
+        assert codes == ({0} if name.startswith("gamma") else {0, 1}), (name, codes)
+    assert digest == CHECK_PINNED_DIGEST

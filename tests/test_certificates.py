@@ -547,8 +547,8 @@ def test_forged_forest_plus_bounded_failure_rejected():
 
 def test_a_forest_plus_bounded_failure_is_verified_with_one_sparsity_game(monkeypatch):
     # The verifier finds the witness class sparse by one (2,3) pebble game,
-    # and then runs the exact split test without the public splitter's own
-    # sparsity check.
+    # and then runs the exact split test, which checks no sparsity of its
+    # own.
     tri = corpus.triangle()
     payload = report_payload(tri, ndt_decompose(tri, 0, 1))
     cert = build_certificate("ndt", {"k": 0, "l": 1}, tri, payload)
@@ -883,6 +883,14 @@ def test_load_certificate_errors(tmp_path):
     bad.write_text("[" * 100_000)  # nested deeper than the JSON decoder recurses
     with pytest.raises(GraphInputError):
         load_certificate(bad)
+    bad.write_text("[1]")  # JSON, but not an object
+    with pytest.raises(GraphInputError, match="expected a JSON object"):
+        load_certificate(bad)
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(format_graph(corpus.k4()))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["verify", str(bad), str(gfile)]) == 2
+    assert "expected a JSON object" in err.getvalue()
 
 
 def test_density_certificate_round_trip():
@@ -894,6 +902,10 @@ def test_density_certificate_round_trip():
     assert verify_certificate(cert, G) == (True, None)
     assert cert["payload"]["value"] == "1/1"
     assert cert["payload"]["argmax"] == [0, 1, 2]
+    # a density parameter no encoder writes, stated at both levels
+    unknown = _rehashed(_rehashed(cert, ("parameters", "which"), "gamma3"),
+                        ("payload", "which"), "gamma3")
+    assert verify_certificate(unknown, G) == (False, "unknown density parameter 'gamma3'")
 
 
 # A density certificate written when the argmax was the first maximizer in

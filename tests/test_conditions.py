@@ -23,6 +23,7 @@ from rigidpack import (
     gamma2,
     is_bracket_partition_connected,
     is_pq_connected,
+    ndt_decompose,
 )
 from rigidpack import conditions, enumeration, format_graph
 from rigidpack.cli import main
@@ -125,6 +126,36 @@ def test_a_holding_walk_answers_at_its_exact_charge(tmp_path, capsys, monkeypatc
     capsys.readouterr()
     assert main(["verify", str(out), str(gfile)]) == 1
     assert f"cannot re-check the claim: {message}" in capsys.readouterr().out
+
+
+# Each checker's parameter guard: the call, its command line, and the message.
+_NEGATIVE = (
+    (lambda G: check_cover_condition(G, -1), "check cover --k -1", "need k >= 0"),
+    (lambda G: check_tree_packing_condition(G, -1), "check tree-packing --l -1", "need l >= 0"),
+    (lambda G: check_parthm_condition(G, -1, 0), "check parthm --k -1 --l 0",
+     "need k >= 0 and l >= 0"),
+    (lambda G: check_necessary_condition(G, 0, -1), "check necessary --k 0 --l -1",
+     "need k >= 0 and l >= 0"),
+    (lambda G: is_pq_connected(G, 0, 1), "check pq-connected --p 0 --q 1",
+     "need p >= 1 and q >= 1"),
+    (lambda G: is_bracket_partition_connected(G, 1, 0), "check bracket-partition --p 1 --q 0",
+     "need p >= 1 and q >= 1"),
+    (lambda G: check_kwz_condition(G, -1, 2), "check kwz --k -1 --d 2", "need k >= 0"),
+    (lambda G: ndt_decompose(G, -1, 0), "ndt --k -1 --l 0", "need k >= 0"),
+)
+
+
+def test_negative_parameters_are_input_errors(tmp_path, capsys):
+    G = corpus.k4()
+    gfile = tmp_path / "k4.txt"
+    gfile.write_text(format_graph(G))
+    for call, argv, message in _NEGATIVE:
+        with pytest.raises(GraphInputError) as exc:
+            call(G)
+        assert str(exc.value) == message, argv
+        capsys.readouterr()
+        assert main([*argv.split(), str(gfile)]) == 2, argv
+        assert capsys.readouterr().err == f"input error: {message}\n", argv
 
 
 def test_condition_checkers_match_oracles():

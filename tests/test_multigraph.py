@@ -68,6 +68,8 @@ def test_cross_edge_count_examples():
     assert cross_edge_count(corpus.k4(), halves) == 4
     p3 = corpus.path(3)
     assert cross_edge_count(p3, Partition((frozenset({0, 2}), frozenset({1})))) == 2
+    with pytest.raises(GraphInputError, match="partition vertex 3 out of range 0..2"):
+        cross_edge_count(tri, Partition((frozenset({0, 1}), frozenset({2, 3}))))
 
 
 def test_overlapping_blocks_rejected():
@@ -203,6 +205,9 @@ def test_random_multigraph_forced_k4():
 def test_random_multigraph_infeasible():
     with pytest.raises(GraphInputError):
         random_multigraph(2, 3, 2, seed=1)
+    for n, m in ((-1, 0), (3, -1)):
+        with pytest.raises(GraphInputError, match="n and m must be non-negative"):
+            random_multigraph(n, m)
 
 
 def test_random_multigraph_matches_the_slot_list_reference():
@@ -232,6 +237,7 @@ def test_parse_and_format_round_trip():
     [
         ("", "line 1"),
         ("2\n", "header"),
+        ("2 x\n", "integers in header"),
         ("2 1\n", "1 edges"),
         ("2 1\n0 0\n", "loops"),
         ("2 1\n0 5\n", "out of range"),

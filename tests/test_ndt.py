@@ -16,11 +16,8 @@ from rigidpack import (
     degree_bound_floor,
     graphic_rank,
     ndt_decompose,
-    sparse_to_forest_plus_bounded,
-    sparse_to_two_forests,
     verify_bounded_cover,
 )
-import rigidpack.ndt as ndt_mod
 from rigidpack.ndt import _capped_forest
 
 import corpus
@@ -66,29 +63,28 @@ def test_kwz_holds_for_sparse_graphs_at_the_lemma_bound():
 
 
 def test_sparse_to_two_forests_triangle():
-    f1, f2 = sparse_to_two_forests(corpus.triangle())
-    assert f1 == frozenset({0, 1}) and f2 == frozenset({2})
+    cover = ndt_decompose(corpus.triangle(), 0, 2)
+    assert cover.forests == (frozenset({0, 1}), frozenset({2})) and not cover.bounded_parts
 
 
 def test_sparse_to_two_forests_single_edge_and_k33():
-    f1, f2 = sparse_to_two_forests(corpus.single_edge())
-    assert (f1, f2) == (frozenset({0}), frozenset())
+    assert ndt_decompose(corpus.single_edge(), 0, 2).forests == (frozenset({0}), frozenset())
     G = corpus.k33()
-    f1, f2 = sparse_to_two_forests(G)
+    f1, f2 = ndt_decompose(G, 0, 2).forests
     assert f1 | f2 == frozenset(range(9)) and not f1 & f2
     assert is_forest(G, f1) and is_forest(G, f2)
 
 
 def test_sparse_to_two_forests_handles_disconnected_input():
     G = corpus.two_triangles_disjoint()
-    f1, f2 = sparse_to_two_forests(G)
+    f1, f2 = ndt_decompose(G, 0, 2).forests
     assert f1 | f2 == frozenset(range(6))
     assert is_forest(G, f1) and is_forest(G, f2)
 
 
 def test_sparse_to_two_forests_rejects_non_sparse():
-    with pytest.raises(GraphInputError):
-        sparse_to_two_forests(corpus.k4())
+    report = ndt_decompose(corpus.k4(), 0, 2)
+    assert report == ConditionReport("sparse-cover", {"k": 1}, False, frozenset(range(4)))
 
 
 def test_two_forest_split_total_on_sparse_corpus():
@@ -96,38 +92,34 @@ def test_two_forest_split_total_on_sparse_corpus():
     for seed in range(12):
         for n in (4, 5, 6, 7):
             H = corpus.random_sparse_graph(n, seed=300 + seed, full=seed % 2 == 0)
-            f1, f2 = sparse_to_two_forests(H)
+            f1, f2 = ndt_decompose(H, 0, 2).forests
             assert f1 | f2 == frozenset(range(H.m)) and not f1 & f2
             assert is_forest(H, f1) and is_forest(H, f2)
 
 
 def test_forest_plus_bounded_k4_minus_edge():
     G = corpus.k4_minus_edge()
-    split = sparse_to_forest_plus_bounded(G)
-    assert split is not None
-    forest, rest = split
+    cover = ndt_decompose(G, 0, 1)
+    assert isinstance(cover, BoundedCover)
+    (forest,), (rest,) = cover.forests, cover.bounded_parts
     assert is_forest(G, forest)
-    deg = [0] * G.n
-    for e in rest:
-        u, v = G.edges[e]
-        deg[u] += 1
-        deg[v] += 1
-    assert max(deg) <= 1
+    assert max(G.subgraph_of(rest).degrees()) <= 1
 
 
 def test_forest_plus_bounded_triangle_provably_impossible():
-    assert sparse_to_forest_plus_bounded(corpus.triangle()) is None
+    report = ndt_decompose(corpus.triangle(), 0, 1)
+    assert report == ConditionReport("forest-plus-bounded", {"k": 0, "l": 1}, False,
+                                     frozenset(range(3)))
 
 
-def _assert_valid_split(H, split):
-    forest, rest = split
-    cover = BoundedCover((forest,), (rest,), degree_bound(H.n))
-    assert verify_bounded_cover(H, cover) == (True, None), (H, split)
+def _assert_valid_split(H, cover):
+    assert len(cover.forests) == len(cover.bounded_parts) == 1, (H, cover)
+    assert verify_bounded_cover(H, cover) == (True, None), (H, cover)
 
 
 def test_forest_plus_bounded_path_trivial():
     G = corpus.path(6)
-    _assert_valid_split(G, sparse_to_forest_plus_bounded(G))
+    _assert_valid_split(G, ndt_decompose(G, 0, 1))
 
 
 def test_forest_plus_bounded_search_matches_recursive_reference():
@@ -137,10 +129,13 @@ def test_forest_plus_bounded_search_matches_recursive_reference():
     graphs += [corpus.random_sparse_graph(n, seed=s, full=f)
                for n in range(3, 10) for s in range(4) for f in (True, False)]
     for H in graphs:
-        split = sparse_to_forest_plus_bounded(H)
-        assert (split is None) == (oracles.forest_plus_bounded_reference(H) is None), H
-        if split is not None:
-            _assert_valid_split(H, split)
+        result = ndt_decompose(H, 0, 1)
+        found = isinstance(result, BoundedCover)
+        assert found == (oracles.forest_plus_bounded_reference(H) is not None), H
+        if found:
+            _assert_valid_split(H, result)
+        else:
+            assert result.condition == "forest-plus-bounded"
 
 
 @st.composite
@@ -158,10 +153,13 @@ def _sparse_graphs(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(H=_sparse_graphs())
 def test_forest_plus_bounded_exists_iff_the_reference_finds_one(H):
-    split = sparse_to_forest_plus_bounded(H)
-    assert (split is None) == (oracles.forest_plus_bounded_reference(H) is None)
-    if split is not None:
-        _assert_valid_split(H, split)
+    result = ndt_decompose(H, 0, 1)
+    found = isinstance(result, BoundedCover)
+    assert found == (oracles.forest_plus_bounded_reference(H) is not None)
+    if found:
+        _assert_valid_split(H, result)
+    else:
+        assert result.condition == "forest-plus-bounded"
 
 
 def test_forest_plus_bounded_always_exists_from_n6():
@@ -169,8 +167,7 @@ def test_forest_plus_bounded_always_exists_from_n6():
     for seed in range(8):
         for n in (6, 7, 8):
             H = corpus.random_sparse_graph(n, seed=200 + seed, full=seed % 2 == 0)
-            split = sparse_to_forest_plus_bounded(H)
-            assert split is not None
+            assert isinstance(ndt_decompose(H, 0, 1), BoundedCover)
             assert oracles.bounded_split_exists_def(H, degree_bound_floor(n))
 
 
@@ -259,25 +256,47 @@ def test_verify_bounded_cover_rejects_bad_parts():
     cyclic = BoundedCover((frozenset({0, 1, 2}), frozenset()), (), result.degree_bound)
     ok, reason = verify_bounded_cover(G, cyclic)
     assert not ok and "cycle" in reason
+    # a bound that is not (2n - 5)/3
+    wrong_bound = BoundedCover(result.forests, (), Fraction(1))
+    assert verify_bounded_cover(G, wrong_bound) == (
+        False, "stated degree bound does not match the graph")
+    # n = 6, bound 2: a path and the chord 1-3.  Vertex 3 ends the path
+    # edge 2-3 and the chord and starts 3-4, so a part holding all three
+    # has degree 3 there; the path alone has degree 2, and G degree 3.
+    G = Multigraph(6, corpus.path(6).edges + ((1, 3),))
+    path_ids, chord = frozenset(range(5)), frozenset({5})
+    assert verify_bounded_cover(G, BoundedCover((chord,), (path_ids,), degree_bound(6))) == (
+        True, None)
+    assert verify_bounded_cover(G, BoundedCover((), (path_ids | chord,), degree_bound(6))) == (
+        False, "bounded part 0 exceeds max degree 2")
+    assert verify_bounded_cover(
+        G, BoundedCover((), (frozenset({4}), frozenset(range(4)) | chord), degree_bound(6))) == (
+        False, "bounded part 1 exceeds max degree 2")
 
 
 def test_ndt_splits_the_union_classes_with_no_second_sparsity_game(monkeypatch):
     # The union held each sparse class in a live (2,3) game, so ndt splits
-    # them unchecked; the public splitters still check their input.
-    def pebble_rejections(*args):
-        raise AssertionError("a second sparsity game ran")
+    # them unchecked: it opens no (2,3) game past the union's k + 1 classes.
+    games = []
+    init = PebbleGame.__init__
+
+    def counting_init(self, n, a=2, b=3, w=1):
+        games.append((a, b, w))
+        init(self, n, a, b, w)
 
     for n, seed in ((8, 60), (10, 61), (12, 62)):
         edges = corpus.random_sparse_graph(n, seed).edges + corpus.random_sparse_graph(n, seed + 1).edges
         G = Multigraph(n, edges[2:])
-        with monkeypatch.context() as patch:
-            patch.setattr(ndt_mod, "pebble_rejections", pebble_rejections)
-            results = {l: ndt_decompose(G, 1, l) for l in (2, 3, 4)}
-        for l, result in results.items():
+        for l in (2, 3, 4):
+            games.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(PebbleGame, "__init__", counting_init)
+                result = ndt_decompose(G, 1, l)
+            assert 0 < games.count((2, 3, 1)) <= 2, (n, l, games)
             assert isinstance(result, BoundedCover), (n, l)
             assert verify_bounded_cover(G, result) == (True, None)
             assert len(result.forests) == l
-    with pytest.raises(GraphInputError):
-        sparse_to_two_forests(corpus.k4())
-    with pytest.raises(GraphInputError):
-        sparse_to_forest_plus_bounded(corpus.k4())
+    # A graph that is not sparse is reported at k = 0, with the same X.
+    for l in (1, 2):
+        report = ndt_decompose(corpus.k4(), 0, l)
+        assert report == ConditionReport("sparse-cover", {"k": 1}, False, frozenset(range(4)))

@@ -109,6 +109,10 @@ def test_verify_packing_rejects_wrong_sizes():
     G = corpus.k4()
     ok, reason = verify_packing(G, Packing((frozenset({0, 1}),), ()))
     assert not ok and "expected 5" in reason
+    # 2n - 3 = 7 edges of K5 that hold a K4: the right size, not sparse
+    k4_in_k5 = frozenset({0, 1, 2, 4, 5, 7})  # the pairs of {0, 1, 2, 3}
+    assert verify_packing(corpus.k5(), Packing((k4_in_k5 | {3},), ())) == (
+        False, "rigid part 0 is not (2,3)-sparse")
 
 
 def test_tree_packing_iff_partition_condition():

@@ -223,6 +223,9 @@ def test_verify_decomposition_rejects_tampering():
     broken = Decomposition(2, 0, tuple(1 for _ in dec.assignment))
     ok, reason = verify_decomposition(G, broken)
     assert not ok and "sparse" in reason
+    # one colour short
+    assert verify_decomposition(G, Decomposition(2, 0, dec.assignment[:-1])) == (
+        False, "assignment length does not match edge count")
 
 
 _KL = ((0, 1), (1, 0), (1, 1), (2, 0), (2, 2), (0, 3), (3, 0), (1, 3), (3, 2))
