@@ -6,15 +6,17 @@ verification needs the original input file.  It is one line of
 hash and the timestamp), plus those two.  The hash is unkeyed, so it
 catches corruption, not forgery.  A certificate is emitted only after
 passing ``verify_certificate``, the call ``rigidpack verify`` makes on the
-file.  Semantic verification re-checks the claim from
-scratch against the graph and binds it to the command: the payload kind
-and the top-level parameters must be the ones that command gives.  Each
-kind's encoder is the one statement of its format: a payload verifies
-only if every field its encoder writes is, as canonical JSON, what the
-encoder writes for the claim the verifier decoded and checked.  So no
-list out of order, repeated id, ``{}`` for ``[]`` or ``true`` for 1
-passes, a missing field is malformed, and a field that no encoder writes
-is hashed but not read.  No verifier re-runs the matroid union: a union
+file.  Semantic verification re-checks the claim from scratch against
+the graph and binds it to the command: the payload kind and the
+top-level parameters must be the ones that command gives, within its
+producer's parameter rules, which a witnessed ``check`` claim's
+producer checks on no vertices.  Each kind's encoder is the one
+statement of its format: a payload verifies only if every field its
+encoder writes is, as canonical JSON, what the encoder writes for the
+claim the verifier decoded and checked.  So no list out of order,
+repeated id, ``{}`` for ``[]`` or ``true`` for 1 passes, a missing
+field is malformed, and a field that no encoder writes is hashed but
+not read.  No verifier re-runs the matroid union: a union
 failure (``union-cover``, ``packing``) carries an edge set F, and two
 matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
 every split into k sparse classes and l forests.  Nor does it re-run the
@@ -49,6 +51,7 @@ except ImportError:
     from _sha256 import sha256
 
 from .conditions import (
+    _PARTITION_WEIGHTS,
     DENSITY_COUNTS,
     ConditionReport,
     check_cover_condition,
@@ -78,7 +81,7 @@ from .ndt import (
     verify_bounded_cover,
 )
 from .packing import Packing, verify_packing
-from .union import Decomposition, verify_decomposition
+from .union import Decomposition, _check_split, verify_decomposition
 
 SCHEMA = "rigidpack-cert/2"
 
@@ -288,15 +291,16 @@ def _dense_set(min_size: int, cap):
     return violated
 
 
-def _short_partition(G, p, witness):
-    """cross(pi) < (3k + l)(|pi| - 1) - k*n0 - k*nZ at a partition pi of
-    V - Z, Z empty unless the witness is the pair (Z, pi) and k = 0 when
-    the condition has none: the weights the partition checkers scan with."""
-    Z, pi = witness if isinstance(witness, tuple) else (frozenset(), witness)
-    k = p.get("k", 0)
-    lhs = cross_edge_count(G, pi)
-    rhs = (3 * k + p["l"]) * (len(pi) - 1) - k * pi.trivial_count - k * adjacent_number(G, Z, pi)
-    return lhs < rhs, lhs, rhs
+def _short_partition(name):
+    """cross(pi) < slope(|pi| - 1) - single*n0 - touch*nZ at a partition pi of V - Z
+    (Z = {} unless the witness is (Z, pi)); nZ, even at touch 0, refuses a pi not of V - Z."""
+    def violated(G, p, witness):
+        Z, pi = witness if isinstance(witness, tuple) else (frozenset(), witness)
+        slope, single, touch = _PARTITION_WEIGHTS[name](**p)
+        lhs = cross_edge_count(G, pi)
+        rhs = slope * (len(pi) - 1) - single * pi.trivial_count - touch * adjacent_number(G, Z, pi)
+        return lhs < rhs, lhs, rhs
+    return violated
 
 
 def _kwz_violated(G, p, X):
@@ -331,11 +335,11 @@ CONDITIONS = {
     "cover": Condition(("k",), lambda G, p: check_cover_condition(G, p["k"]),
                        "vertex-set", _OVER_SPARSE),
     "tree-packing": Condition(("l",), lambda G, p: check_tree_packing_condition(G, p["l"]),
-                              "partition", _short_partition),
+                              "partition", _short_partition("tree-packing")),
     "parthm": Condition(("k", "l"), lambda G, p: check_parthm_condition(G, p["k"], p["l"]),
-                        "z-partition", _short_partition),
+                        "z-partition", _short_partition("parthm")),
     "necessary": Condition(("k", "l"), lambda G, p: check_necessary_condition(G, p["k"], p["l"]),
-                           "partition", _short_partition),
+                           "partition", _short_partition("necessary")),
     "pq-connected": Condition(("p", "q"), lambda G, p: ConditionReport(
         "pq-connected", p, is_pq_connected(G, p["p"], p["q"])), None, None),
     "bracket-partition": Condition(("p", "q"), lambda G, p: ConditionReport(
@@ -424,9 +428,9 @@ def _check_k_l(command, top, G):
     k, l = top.get("k"), top.get("l")
     if set(top) != {"k", "l"} or type(k) is not int or type(l) is not int:
         raise _Rejected("top-level parameters must be the integers k and l")
+    _check_split(k, l)
     # ndt also needs k <= m, as its producer does.
-    ndt_range = k + 1 <= l <= 2 * k + 2 and k <= G.m
-    if min(k, l) < 0 or k + l < 1 or (command == "ndt" and not ndt_range):
+    if command == "ndt" and not (k + 1 <= l <= 2 * k + 2 and k <= G.m):
         raise _Rejected(f"k={k}, l={l} is outside the range of {command}")
     if command == "pack" and G.n < 2:
         raise _Rejected("pack needs at least two vertices")
@@ -508,6 +512,8 @@ def _verify_report_payload(G, command, top, payload):
         return G, ConditionReport(name, params, holds)
     if witness is None:
         raise _Rejected(f"a {name} failure carries no witness")
+    if command == "check":  # the producer's parameter rules
+        cond.run(Multigraph(0), params)
     kind, value = decode_witness(G, _json_object(witness, "witness"))
     if kind != cond.kind:
         raise _Rejected(f"a {name} failure carries no {kind} witness")

@@ -56,6 +56,14 @@ class ConditionReport(namedtuple("ConditionReport", "condition parameters holds 
 
 GammaResult = namedtuple("GammaResult", "value argmax")
 
+# Each partition condition's weights (slope, per_singleton, per_touch), read by its walk and verifier.
+_PARTITION_WEIGHTS = {
+    "tree-packing": lambda l: (l, 0, 0),
+    "necessary": lambda k, l: (3 * k + l, k, 0),
+    "parthm": lambda k, l: (3 * k + l, k, k),
+    "bracket-partition": lambda p, q: (p, 0, q),
+}
+
 
 def count_condition_report(
     G: Multigraph, condition: str, parameters: dict, a: int, b: int, w: int = 1
@@ -105,17 +113,13 @@ def check_tree_packing_condition(G: Multigraph, l: int) -> ConditionReport:
 
 def check_parthm_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     """Sufficient packing condition: for every proper subset Z and every
-    partition p of V - Z,
-
-        cross_{G-Z}(p) >= (3k + l)(|p| - 1) - k*n0 - k*nZ
-
-    where n0 counts trivial parts and nZ is the adjacent number of p with
-    respect to Z.
-    """
+    partition p of V - Z, cross_{G-Z}(p) >= (3k + l)(|p| - 1) - k*n0 - k*nZ,
+    n0 the trivial parts of p and nZ its adjacent number with respect to Z."""
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
     # Z runs over the proper subsets of V, smallest first: Z = {} first.
-    found = first_short_partition(G, masks_by_size(G.n, range(G.n)), 3 * k + l, k, k)
+    found = first_short_partition(G, masks_by_size(G.n, range(G.n)),
+                                  *_PARTITION_WEIGHTS["parthm"](k, l))
     return ConditionReport("parthm", {"k": k, "l": l}, found is None, found)
 
 
@@ -124,7 +128,7 @@ def check_necessary_condition(G: Multigraph, k: int, l: int) -> ConditionReport:
     cross(p) >= (3k + l)(|p| - 1) - k*n0."""
     if k < 0 or l < 0:
         raise GraphInputError("need k >= 0 and l >= 0")
-    found = first_short_partition(G, (0,), 3 * k + l, k, 0)
+    found = first_short_partition(G, (0,), *_PARTITION_WEIGHTS["necessary"](k, l))
     return ConditionReport("necessary", {"k": k, "l": l}, found is None, found and found[1])
 
 
@@ -300,4 +304,5 @@ def is_bracket_partition_connected(G: Multigraph, p: int, q: int) -> bool:
         raise GraphInputError("need p >= 1 and q >= 1")
     if G.n * q <= p:
         return False
-    return first_short_partition(G, masks_by_size(G.n, range(G.n)), p, 0, q) is None
+    return first_short_partition(G, masks_by_size(G.n, range(G.n)),
+                                 *_PARTITION_WEIGHTS["bracket-partition"](p, q)) is None

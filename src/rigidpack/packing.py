@@ -19,7 +19,7 @@ from .conditions import ConditionReport, check_tree_packing_condition
 from .errors import GraphInputError
 from .matroids import graphic_rank, rigidity_rank
 from .multigraph import Multigraph, edge_parts_error
-from .union import union_rank
+from .union import _check_split, union_rank
 
 
 Packing = namedtuple("Packing", "rigid_parts tree_parts")
@@ -32,8 +32,7 @@ def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Packing | ConditionRe
     before the union runs; otherwise an edge set F with
     m - |F| + k r_rig(F) + l r_gr(F) < k(2n - 3) + l(n - 1), which bounds
     the union rank below the packing's size."""
-    if k < 0 or l < 0 or k + l < 1:
-        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    _check_split(k, l)
     if G.n < 2:
         raise GraphInputError("need at least two vertices")
     if k == 0:

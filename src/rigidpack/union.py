@@ -106,18 +106,12 @@ class _CountClass:
     class and (1,1) for a forest, that holds the class's edges and is kept
     up to date across augmentations."""
 
-    def __init__(self, G: Multigraph, members: list[int], a: int, b: int) -> None:
+    def __init__(self, G: Multigraph, a: int, b: int) -> None:
         self.G = G
-        self.members = members  # ascending edge ids
+        self.members: list[int] = []  # ascending edge ids
         self.full = a * G.n - b  # this many members reject every edge
         self.forest = a == 1
         self.game = PebbleGame(G.n, a, b)
-        for e in members:
-            self._insert(e)
-
-    def _insert(self, e: int) -> None:
-        if not self.game.try_insert(*self.G.edges[e]):
-            raise RuntimeError("union invariant broken: class not independent")
 
     def take(self, e: int) -> tuple[bool, frozenset | None]:
         """Keep edge ``e`` if the class stays independent with it;
@@ -164,7 +158,8 @@ class _CountClass:
             self.members.remove(e)
             self.game.remove(*self.G.edges[e])
         for e in added:
-            self._insert(e)
+            if not self.game.try_insert(*self.G.edges[e]):
+                raise RuntimeError("union invariant broken: class not independent")
             insort(self.members, e)
 
 
@@ -237,11 +232,16 @@ def _augment(G: Multigraph, classes: dict, color: list[int], start: int, dead: s
     return True
 
 
+def _check_split(k: int, l: int) -> None:
+    """The one rule on a split into k sparse classes and l forests."""
+    if k < 0 or l < 0 or k + l < 1:
+        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+
+
 def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     """Maximum edge set splittable into k sparse sets and l forests,
     together with the split."""
-    if k < 0 or l < 0 or k + l < 1:
-        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    _check_split(k, l)
     cap = k * max(0, 2 * G.n - 3) + l * max(0, G.n - 1)
     color = [0] * G.m
     classes: dict[int, _CountClass] = {}
@@ -254,7 +254,7 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
             break
         j = len(classes)  # one empty class open, while any is left
         if j < k + l and (j == 0 or classes[j].members):
-            classes[j + 1] = _CountClass(G, [], *((2, 3) if j < k else (1, 1)))
+            classes[j + 1] = _CountClass(G, *((2, 3) if j < k else (1, 1)))
         if _augment(G, classes, color, e, dead):
             rank += 1
     dec = Decomposition(k, l, tuple(color))
@@ -286,8 +286,7 @@ def decompose(G: Multigraph, k: int, l: int) -> Decomposition | ConditionReport:
     l = 0 or k = 0 a vertex set X with i(X) > k(2|X| - 3) or
     i(X) > l(|X| - 1), found by one count game before the union runs;
     otherwise the union's closed set F."""
-    if k < 0 or l < 0 or k + l < 1:
-        raise GraphInputError("need k >= 0, l >= 0, and k + l >= 1")
+    _check_split(k, l)
     counted = k == 0 or l == 0
     if counted:
         report = (count_condition_report(G, "sparse-cover", {"k": k}, 2 * k, 3 * k) if l == 0

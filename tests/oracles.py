@@ -669,7 +669,8 @@ def circuit_by_delete_and_retry(cls, eid: int, witness: frozenset) -> list[int]:
         if game.try_insert(u, v):
             circ.append(x)
             game.remove(u, v)
-        cls._insert(x)
+        if not game.try_insert(a, b):
+            raise AssertionError("a class member could not be restored")
     return circ
 
 

@@ -43,6 +43,7 @@ from rigidpack.certificates import (
 )
 from rigidpack.conditions import ConditionReport, check_cover_condition, gamma2
 from rigidpack.matroids import PebbleGame, graphic_rank, rigidity_rank
+from rigidpack.multigraph import Partition
 from rigidpack.ndt import ndt_decompose
 from rigidpack.packing import pack_rigid_and_trees
 from rigidpack.union import decompose
@@ -545,6 +546,30 @@ def test_forged_forest_plus_bounded_failure_rejected():
     assert not ok and "not (2,3)-sparse" in reason
 
 
+@pytest.mark.parametrize("name, params, witness, message", [
+    ("cover", {"k": -1}, frozenset({0, 1}), "need k >= 0"),
+    ("kwz", {"k": 1, "d": "1"}, frozenset(range(4)),
+     "the degree bound requires d >= k + 1 (got d=1, k=1)"),
+    ("parthm", {"k": -1, "l": 0}, (frozenset({1, 2, 3}), Partition([{0}])),
+     "need k >= 0 and l >= 0"),
+], ids=["cover", "kwz", "parthm"])
+def test_a_failing_check_claim_obeys_its_producers_parameter_rules(name, params, witness, message):
+    # check refuses these parameters (exit 2).  A failing claim's witness
+    # is checked without the producer, yet verify applies the producer's
+    # own parameter rules to it: each forged witness below violates its
+    # inequality at the forged parameters, and is still refused.
+    G = corpus.k4()
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        CONDITIONS[name].run(G, params)
+    payload = report_payload(G, ConditionReport(name, params, False, witness))
+    cert = {
+        "schema": certificates.SCHEMA, "command": "check", "graph_hash": graph_hash(G),
+        "parameters": check_parameters(name, params), "verified": True, "payload": payload,
+    }
+    cert["cert_hash"] = certificate_hash(cert)
+    assert verify_certificate(cert, G) == (False, f"malformed certificate: {message}")
+
+
 def test_a_forest_plus_bounded_failure_is_verified_with_one_sparsity_game(monkeypatch):
     # The verifier finds the witness class sparse by one (2,3) pebble game,
     # and then runs the exact split test, which checks no sparsity of its
@@ -869,7 +894,8 @@ def test_pack_certificate_on_one_vertex_is_refused():
     cert["parameters"]["l"] = 0
     cert["payload"]["tree_parts"] = []
     cert["cert_hash"] = certificate_hash(cert)
-    assert verify_certificate(cert, G) == (False, "k=0, l=0 is outside the range of pack")
+    assert verify_certificate(cert, G) == (
+        False, "malformed certificate: need k >= 0, l >= 0, and k + l >= 1")
 
 
 def test_load_certificate_errors(tmp_path):

@@ -314,7 +314,7 @@ def test_class_circuit_read_off_matches_delete_and_retry(a, b, rank, run):
     # The class fixes its own (a, b), so the run's game parameters go unused.
     n, _, ops = run
     G = Multigraph(n, tuple(op[1] for op in ops if op[0] == "insert"))
-    cls = union_mod._CountClass(G, [], a, b)
+    cls = union_mod._CountClass(G, a, b)
     eid = 0
     for op in ops:
         if op[0] == "insert":
@@ -339,7 +339,8 @@ def test_class_circuit_is_fundamental_circuit(a, b, rank):
     checked = 0
     for G in corpus.random_corpus(80, seed=26, n_range=(3, 9), m_max=30):
         members = sorted(rank(G, range(0, G.m, 2)).basis)
-        cls = union_mod._CountClass(G, list(members), a, b)
+        cls = union_mod._CountClass(G, a, b)
+        cls.update([], members)
         for e in range(1, G.m, 2):
             ok, witness = cls.probe(*G.edges[e])
             assert ok == _independent(rank, G, members + [e])
@@ -359,7 +360,8 @@ def test_class_circuit_is_fundamental_circuit(a, b, rank):
 def test_class_insert_breaking_independence_raises(a, b, G):
     # The last edge closes K4's one circuit in (2,3), the triangle in (1,1).
     last = G.m - 1
-    cls = union_mod._CountClass(G, list(range(last)), a, b)
+    cls = union_mod._CountClass(G, a, b)
+    cls.update([], list(range(last)))
     assert cls.take(last) == (False, frozenset(range(G.n)))
     assert cls.members == list(range(last))
     with pytest.raises(RuntimeError, match="not independent"):
@@ -377,7 +379,7 @@ def test_union_rank_builds_at_most_m_oracles_of_each_kind(monkeypatch):
     built = []
     real_init = union_mod._CountClass.__init__
     monkeypatch.setattr(union_mod._CountClass, "__init__",
-                        lambda c, G, m, a, b: built.append((a, b)) or real_init(c, G, m, a, b))
+                        lambda c, G, a, b: built.append((a, b)) or real_init(c, G, a, b))
     ur = union_rank(corpus.triangle(), 10**6, 10**6)
     assert ur.rank == 3 and ur.decomposition.assignment == (1, 1, 1)
     # Class 1 takes every edge; class 2 opens with its first and stays empty.
@@ -541,7 +543,7 @@ def test_a_forest_probe_moves_no_pebble():
     for trial in range(40):
         n = rng.randint(2, 12)
         G = random_multigraph(n, rng.randint(1, min(3 * n, n * (n - 1))), 2, seed=2800 + trial)
-        cls = union_mod._CountClass(G, [], 1, 1)
+        cls = union_mod._CountClass(G, 1, 1)
         for e in range(G.m):
             if cls.probe(*G.edges[e])[0]:
                 cls.update([], [e])
