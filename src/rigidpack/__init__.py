@@ -40,23 +40,13 @@ from .multigraph import (
     random_multigraph,
     write_graph,
 )
-from .ndt import (
-    BoundedCover,
-    check_kwz_condition,
-    degree_bound,
-    degree_bound_floor,
-    ndt_decompose,
-    verify_bounded_cover,
-)
-from .packing import (
-    Packing,
-    pack_rigid_and_trees,
-    verify_packing,
-)
+from .ndt import check_kwz_condition, degree_bound, ndt_decompose
+from .packing import pack_rigid_and_trees
 from .union import (
     Decomposition,
     UnionRank,
     decompose,
+    degree_bound_floor,
     union_rank,
     verify_decomposition,
 )

@@ -10,16 +10,19 @@ file.  Semantic verification re-checks the claim from scratch against
 the graph and binds it to the command: the payload kind and the
 top-level parameters must be the ones that command gives, within its
 producer's parameter rules, which a witnessed ``check`` claim's
-producer checks on no vertices.  Each kind's encoder is the one
-statement of its format: a payload verifies only if every field its
-encoder writes is, as canonical JSON, what the encoder writes for the
-claim the verifier decoded and checked.  So no list out of order,
-repeated id, ``{}`` for ``[]`` or ``true`` for 1 passes, a missing
-field is malformed, and a field that no encoder writes is hashed but
-not read.  No verifier re-runs the matroid union: a union
-failure (``union-cover``, ``packing``) carries an edge set F, and two
-matroid ranks give Edmonds' bound m - |F| + k r_rig(F) + l r_gr(F) on
-every split into k sparse classes and l forests.  Nor does it re-run the
+producer checks on no vertices.  A report under ``decompose``, ``pack``
+or ``ndt`` states a failure.  A ``packing`` or ``bounded-cover`` payload
+is decoded into a ``Decomposition``, checked by ``verify_decomposition``
+and its count rule.  Each kind's encoder is the one statement of its
+format: a payload verifies only if every field its encoder writes is, as
+canonical JSON, what the encoder writes for the claim the verifier
+decoded and checked.  So no list out of order, repeated id, ``{}`` for
+``[]`` or ``true`` for 1 passes, a missing field is malformed, and a
+field that no encoder writes is hashed but not read.  No verifier re-runs
+the matroid union: a union failure (``union-cover``, ``packing``) carries
+an edge set F, and two matroid ranks give Edmonds' bound
+m - |F| + k r_rig(F) + l r_gr(F) on every split into k sparse classes and
+l forests.  Nor does it re-run the
 density iteration: one weighted pebble game at the stated value must
 accept every edge, and the stated argmax must reach it.  A claim that
 only a scan or a cut can re-check is re-checked under the guardrail its
@@ -71,16 +74,12 @@ from .multigraph import (
     check_edge_subset,
     check_vertex_subset,
     cross_edge_count,
+    edge_parts_error,
     format_graph,
     induced_edge_count,
 )
-from .ndt import (
-    BoundedCover,
-    _forest_plus_bounded,
-    check_kwz_condition,
-    verify_bounded_cover,
-)
-from .packing import Packing, verify_packing
+from .ndt import _check_ndt, _forest_plus_bounded, check_kwz_condition, degree_bound
+from .packing import _check_pack
 from .union import Decomposition, _check_split, verify_decomposition
 
 SCHEMA = "rigidpack-cert/2"
@@ -243,20 +242,20 @@ def decomposition_payload(dec: Decomposition) -> dict:
     }
 
 
-def packing_payload(packing: Packing) -> dict:
+def packing_payload(dec: Decomposition) -> dict:
     return {
         "kind": "packing",
-        "rigid_parts": [sorted(p) for p in packing.rigid_parts],
-        "tree_parts": [sorted(p) for p in packing.tree_parts],
+        "rigid_parts": [sorted(p) for p in dec.sparse_classes()],
+        "tree_parts": [sorted(p) for p in dec.forest_classes()],
     }
 
 
-def bounded_cover_payload(cover: BoundedCover) -> dict:
+def bounded_cover_payload(dec: Decomposition, n: int) -> dict:
     return {
         "kind": "bounded-cover",
-        "degree_bound": _num(cover.degree_bound),
-        "forests": [sorted(p) for p in cover.forests],
-        "bounded_parts": [sorted(p) for p in cover.bounded_parts],
+        "degree_bound": _num(degree_bound(n)),
+        "forests": [sorted(p) for p in dec.forest_classes()],
+        "bounded_parts": [sorted(p) for p in dec.bounded_classes()],
     }
 
 
@@ -356,16 +355,20 @@ CONDITIONS = {
     "forest-plus-bounded": Condition(("k", "l"), None, "edge-set", _no_split),
 }
 
-# The condition and parameters of the report a command gives on failure,
-# for its k and l.
-_FAILURES = {
-    "decompose": lambda k, l: [
+# Each split command: its rule on k and l, which its producer applies
+# too, and the condition and parameters of the report it gives on failure.
+_SPLITS = {
+    "decompose": (lambda G, k, l: _check_split(k, l), lambda k, l: [
         ("sparse-cover", {"k": k}) if l == 0
         else ("forest-cover", {"l": l}) if k == 0
         else ("union-cover", {"k": k, "l": l})
-    ],
-    "pack": lambda k, l: [("tree-packing", {"l": l}) if k == 0 else ("packing", {"k": k, "l": l})],
-    "ndt": lambda k, l: [("sparse-cover", {"k": k + 1}), ("forest-plus-bounded", {"k": k, "l": l})],
+    ]),
+    "pack": (_check_pack, lambda k, l: [
+        ("tree-packing", {"l": l}) if k == 0 else ("packing", {"k": k, "l": l})
+    ]),
+    "ndt": (_check_ndt, lambda k, l: [
+        ("sparse-cover", {"k": k + 1}), ("forest-plus-bounded", {"k": k, "l": l})
+    ]),
 }
 
 
@@ -404,8 +407,11 @@ def verify_certificate(cert: dict, G: Multigraph) -> tuple[bool, str | None]:
         commands, verify, encode = _PAYLOADS[kind]
         if command not in commands:
             return False, f"command {command!r} gives no {kind} payload"
-        if command in _FAILURES:
-            _check_k_l(command, top, G)
+        if command in _SPLITS:
+            k, l = top.get("k"), top.get("l")
+            if set(top) != {"k", "l"} or type(k) is not int or type(l) is not int:
+                raise _Rejected("top-level parameters must be the integers k and l")
+            _SPLITS[command][0](G, k, l)
         expected = encode(*verify(G, command, top, payload))
         if canonical_json({f: payload[f] for f in expected}) != canonical_json(expected):
             return False, "payload is not the encoding of its claim"
@@ -424,16 +430,20 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _check_k_l(command, top, G):
-    k, l = top.get("k"), top.get("l")
-    if set(top) != {"k", "l"} or type(k) is not int or type(l) is not int:
-        raise _Rejected("top-level parameters must be the integers k and l")
-    _check_split(k, l)
-    # ndt also needs k <= m, as its producer does.
-    if command == "ndt" and not (k + 1 <= l <= 2 * k + 2 and k <= G.m):
-        raise _Rejected(f"k={k}, l={l} is outside the range of {command}")
-    if command == "pack" and G.n < 2:
-        raise _Rejected("pack needs at least two vertices")
+def _decode_split(G, counts, *part_lists) -> Decomposition:
+    """The split whose sparse classes, forests and bounded classes are the
+    payload's part lists, in order, once they are disjoint sets of edge ids
+    and as many as the parameters ask for."""
+    parts = [frozenset(p) for part_list in part_lists for p in part_list]
+    if error := edge_parts_error(G, parts):
+        raise _Rejected(error)
+    if tuple(map(len, part_lists)) != counts:
+        raise _Rejected("part counts do not match parameters")
+    colour = [0] * G.m
+    for c, part in enumerate(parts, 1):
+        for e in part:
+            colour[e] = c
+    return Decomposition(counts[0], counts[1], tuple(colour), counts[2])
 
 
 def _verify_decomposition_payload(G, command, top, payload):
@@ -445,25 +455,23 @@ def _verify_decomposition_payload(G, command, top, payload):
 
 
 def _verify_packing_payload(G, command, top, payload):
-    rigid, trees = (tuple(map(frozenset, payload[f])) for f in ("rigid_parts", "tree_parts"))
-    packing = Packing(rigid, trees)
-    _ensure(verify_packing(G, packing))
-    if (len(packing.rigid_parts), len(packing.tree_parts)) != (top["k"], top["l"]):
-        raise _Rejected("part counts do not match parameters")
-    return (packing,)
+    k, l = top["k"], top["l"]
+    dec = _decode_split(G, (k, l, 0), payload["rigid_parts"], payload["tree_parts"], ())
+    # Independent classes this large are bases: spanning rigid subgraphs
+    # and spanning trees.
+    if len(dec.covered()) != (size := k * (2 * G.n - 3) + l * (G.n - 1)):
+        raise _Rejected(f"the parts hold {len(dec.covered())} edges, expected {size}")
+    _ensure(verify_decomposition(G, dec))
+    return (dec,)
 
 
 def _verify_bounded_cover_payload(G, command, top, payload):
-    cover = BoundedCover(tuple(map(frozenset, payload["forests"])),
-                         tuple(map(frozenset, payload["bounded_parts"])),
-                         read_number(payload["degree_bound"]))
-    _ensure(verify_bounded_cover(G, cover))
     k, l = top["k"], top["l"]
-    if len(cover.forests) != l:
-        raise _Rejected(f"expected {l} forests")
-    if len(cover.bounded_parts) != 2 * k + 2 - l:
-        raise _Rejected(f"expected {2 * k + 2 - l} bounded parts")
-    return (cover,)
+    dec = _decode_split(G, (0, l, 2 * k + 2 - l), (), payload["forests"], payload["bounded_parts"])
+    if not dec.is_complete():
+        raise _Rejected("parts do not cover every edge")
+    _ensure(verify_decomposition(G, dec))
+    return dec, G.n
 
 
 def _verify_density_payload(G, command, top, payload):
@@ -497,16 +505,16 @@ def _verify_report_payload(G, command, top, payload):
         bound = cond.run is not None and (
             canonical_json(top) == canonical_json(check_parameters(name, params)))
     else:
-        bound = (name, params) in _FAILURES[command](top["k"], top["l"])
+        bound = (name, params) in _SPLITS[command][1](top["k"], top["l"])
     if not bound:
         raise _Rejected("report does not match the command's parameters")
     holds, witness = payload["holds"], payload["witness"]
     if not isinstance(holds, bool):
         raise TypeError("holds must be true or false")
+    if holds and command != "check":
+        raise _Rejected(f"{command} gives a report only on failure")
     if holds or cond.kind is None:
-        # No witness: the producer's verdict is recomputed.
-        if cond.run is None:
-            raise _Rejected(f"condition {name!r} cannot be certified as holding")
+        # No witness: the producer's verdict, which every such condition has, is re-run.
         if cond.run(G, params).holds != holds:
             raise _Rejected("recomputed verdict disagrees with the certificate")
         return G, ConditionReport(name, params, holds)

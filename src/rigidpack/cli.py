@@ -15,8 +15,8 @@ from . import certificates as certs
 from .conditions import gamma, gamma2
 from .errors import GraphInputError, LimitExceededError
 from .multigraph import Multigraph, format_graph, load_graph, random_multigraph, write_graph
-from .ndt import BoundedCover, ndt_decompose
-from .packing import Packing, pack_rigid_and_trees
+from .ndt import ndt_decompose
+from .packing import pack_rigid_and_trees
 from .union import Decomposition, decompose
 
 
@@ -48,7 +48,7 @@ def _run_decompose(G: Multigraph, args) -> tuple[object, dict | None, str]:
 def _run_pack(G: Multigraph, args) -> tuple[object, dict | None, str]:
     k, l = args.k, args.l
     result = pack_rigid_and_trees(G, k, l)
-    if isinstance(result, Packing):
+    if isinstance(result, Decomposition):
         return result, certs.packing_payload(result), (
             f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)")
     return result, None, "no packing:"
@@ -70,12 +70,10 @@ def _run_gamma(G: Multigraph, args) -> tuple[object, dict | None, str]:
 
 def _run_ndt(G: Multigraph, args) -> tuple[object, dict | None, str]:
     result = ndt_decompose(G, args.k, args.l)
-    if isinstance(result, BoundedCover):
-        payload = certs.bounded_cover_payload(result)
-        return result, payload, (
-            f"covered: {len(result.forests)} forest(s) + "
-            f"{len(result.bounded_parts)} part(s) with max degree <= {payload['degree_bound']}"
-        )
+    if isinstance(result, Decomposition):
+        payload = certs.bounded_cover_payload(result, G.n)
+        return result, payload, (f"covered: {result.l} forest(s) + {result.bounded} part(s) "
+                                 f"with max degree <= {payload['degree_bound']}")
     return result, None, f"no bounded cover ({result.condition}):"
 
 

@@ -7,7 +7,8 @@ remainder of maximum degree at most floor((2n-5)/3).  The forest-plus-
 bounded split is decided exactly, by a few matroid intersections; the
 guarantee that it exists only kicks in for n >= 6, so smaller inputs may
 legitimately come back empty (a triangle has no such split: the bound is
-0 and a triangle is not a forest).  At k = 0 the pipeline is the two
+0 and a triangle is not a forest).  The cover is a ``Decomposition`` with
+l forests and 2k+2-l bounded classes.  At k = 0 the pipeline is the two
 splits of one sparse graph: ``ndt_decompose(H, 0, 2)`` gives its two
 forests and ``ndt_decompose(H, 0, 1)`` its forest and bounded part, and
 either reports a violating X when H is not (2,3)-sparse.
@@ -15,28 +16,18 @@ either reports a violating X when H is not (2,3)-sparse.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 from fractions import Fraction
 
 from .conditions import ConditionReport, count_condition_report
 from .errors import GraphInputError
 from .matroids import UnionFind, graphic_rank
-from .multigraph import Multigraph, edge_parts_error
-from .union import decompose, union_rank
-
-
-# l forests plus degree-bounded remainder parts covering all edges.
-BoundedCover = namedtuple("BoundedCover", "forests bounded_parts degree_bound")
+from .multigraph import Multigraph
+from .union import Decomposition, decompose, degree_bound_floor, union_rank
 
 
 def degree_bound(n: int) -> Fraction:
     return Fraction(2 * n - 5, 3)
-
-
-def degree_bound_floor(n: int) -> int:
-    # Degrees are integers; a negative bound only occurs for n <= 2 where
-    # the remainder is forced empty anyway.
-    return max(0, (2 * n - 5) // 3)
 
 
 def check_kwz_condition(G: Multigraph, k: int, d) -> ConditionReport:
@@ -133,60 +124,46 @@ def _capped_forest(H: Multigraph, S: list, head: dict, cap: list) -> frozenset |
     return frozenset(inside)
 
 
-def ndt_decompose(G: Multigraph, k: int, l: int) -> BoundedCover | ConditionReport:
-    """Cover a graph by l forests and 2k+2-l degree-bounded parts.
-
-    The union held its k+1 classes sparse, so they are split unchecked.
-    Requires 0 <= k <= m and k+1 <= l <= 2k+2.  Returns a ConditionReport when
-    the sparse-cover density exceeds k+1 (with a violating vertex set), or
-    when a class admits no forest-plus-bounded split (possible only below
-    the n >= 6 guarantee).
-    """
+def _check_ndt(G: Multigraph, k: int, l: int) -> None:
+    """The rule on ``ndt``'s parameters."""
     if k < 0:
         raise GraphInputError("need k >= 0")
     if not (k + 1 <= l <= 2 * k + 2):
         raise GraphInputError(f"need k + 1 <= l <= 2k + 2 (got k={k}, l={l})")
     if k > G.m:
         raise GraphInputError(f"need k <= m = {G.m}: every sparse class past the m-th is empty")
+
+
+def ndt_decompose(G: Multigraph, k: int, l: int) -> Decomposition | ConditionReport:
+    """Cover a graph by l forests and 2k+2-l degree-bounded parts: the
+    ``Decomposition(0, l, colours, 2k+2-l)``.
+
+    The union held its k+1 classes sparse, so they are split unchecked.
+    Returns a ConditionReport when the sparse-cover density exceeds k+1
+    (with a violating vertex set), or when a class admits no forest-plus-
+    bounded split (possible only below the n >= 6 guarantee).
+    """
+    _check_ndt(G, k, l)
     result = decompose(G, k + 1, 0)
     if isinstance(result, ConditionReport):
         return result
-    # The first l - k - 1 classes split into two forests, the rest into a
-    # forest and a bounded part.
-    forests: list[frozenset] = []
-    bounded: list[frozenset] = []
+    # The first t = l - k - 1 classes split into two forests, 2i + 1 and
+    # 2i + 2, the rest into forest t + i + 1 and bounded part l + i - t + 1.
+    t, colour = l - k - 1, [0] * G.m
     for i, cls in enumerate(result.sparse_classes()):
         ids = sorted(cls)
         H = G.subgraph_of(ids)
-        two = i < l - k - 1
-        if two:
+        if i < t:
             # i(X) <= 2|X| - 3 <= 2(|X| - 1): two forests cover a sparse class.
             ur = union_rank(H, 0, 2)
             if ur.rank != H.m:
                 raise RuntimeError("two forests do not cover a sparse class")
-            split = ur.decomposition.forest_classes()
+            split, colours = ur.decomposition.forest_classes(), (2 * i + 1, 2 * i + 2)
         elif (split := _forest_plus_bounded(H)) is None:
             return ConditionReport("forest-plus-bounded", {"k": k, "l": l}, False, frozenset(ids))
-        forest, rest = (frozenset(ids[e] for e in part) for part in split)
-        forests.append(forest)
-        (forests if two else bounded).append(rest)
-    return BoundedCover(tuple(forests), tuple(bounded), degree_bound(G.n))
-
-
-def verify_bounded_cover(G: Multigraph, cover: BoundedCover) -> tuple[bool, str | None]:
-    """Re-check a bounded cover from scratch."""
-    if cover.degree_bound != degree_bound(G.n):
-        return False, "stated degree bound does not match the graph"
-    parts = cover.forests + cover.bounded_parts
-    if error := edge_parts_error(G, parts):
-        return False, error
-    if sum(map(len, parts)) != G.m:
-        return False, "parts do not cover every edge"
-    for i, part in enumerate(cover.forests):
-        if graphic_rank(G, part).rank < len(part):
-            return False, f"forest part {i} has a cycle"
-    bound = degree_bound_floor(G.n)
-    for i, part in enumerate(cover.bounded_parts):
-        if max(G.subgraph_of(part).degrees(), default=0) > bound:
-            return False, f"bounded part {i} exceeds max degree {bound}"
-    return True, None
+        else:
+            colours = (t + i + 1, l + i - t + 1)
+        for part, c in zip(split, colours):
+            for e in part:
+                colour[ids[e]] = c
+    return Decomposition(0, l, tuple(colour), 2 * k + 2 - l)

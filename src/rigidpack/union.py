@@ -50,6 +50,9 @@ too), and a union failure's certificate is checked by those two ranks.
 count matroid, (2k,3k) by the paper's cover theorem and (l,l) by
 Nash-Williams', so one pebble game answers before the union runs, and
 the union runs only to build a split that exists.
+
+``Decomposition`` is the one split type, of ``decompose``, of a packing
+and of ``ndt``'s bounded cover, and ``verify_decomposition`` its one check.
 """
 
 from __future__ import annotations
@@ -74,9 +77,11 @@ def _colour_groups(assignment) -> dict[int, list[int]]:
     return groups
 
 
-class Decomposition(namedtuple("Decomposition", "k l assignment")):
-    """Edge colouring produced by the union: colours ``1..k`` are sparse
-    classes, ``k+1..k+l`` forest classes, ``0`` marks uncovered edges."""
+class Decomposition(namedtuple("Decomposition", "k l assignment bounded", defaults=(0,))):
+    """A split of the edges into typed classes: colours ``1..k`` are sparse
+    classes, ``k+1..k+l`` forests and the next ``bounded`` colours classes
+    of maximum degree at most ``degree_bound_floor(n)``; ``0`` marks
+    uncovered edges."""
 
     __slots__ = ()
 
@@ -89,6 +94,9 @@ class Decomposition(namedtuple("Decomposition", "k l assignment")):
 
     def forest_classes(self) -> tuple[frozenset, ...]:
         return self._classes(self.k + 1, self.l)
+
+    def bounded_classes(self) -> tuple[frozenset, ...]:
+        return self._classes(self.k + self.l + 1, self.bounded)
 
     def covered(self) -> frozenset:
         return frozenset(e for e, c in enumerate(self.assignment) if c != 0)
@@ -261,23 +269,36 @@ def union_rank(G: Multigraph, k: int, l: int) -> UnionRank:
     return UnionRank(rank, dec.covered(), dec, frozenset(dead))
 
 
+def degree_bound_floor(n: int) -> int:
+    """The largest degree a bounded class may reach: floor((2n - 5)/3).
+    Degrees are integers; a negative bound only occurs for n <= 2, where
+    a bounded class is forced empty anyway."""
+    return max(0, (2 * n - 5) // 3)
+
+
 def verify_decomposition(G: Multigraph, dec: Decomposition) -> tuple[bool, str | None]:
-    """Re-check a decomposition from scratch against the matroid oracles."""
+    """Re-check a decomposition from scratch against the matroid oracles
+    and the degree bound."""
     if len(dec.assignment) != G.m:
         return False, "assignment length does not match edge count"
     # A colour that is not an int (NaN, 1.5) would count as covering its
     # edge while putting it in no class.
-    if any(type(c) is not int or not 0 <= c <= dec.k + dec.l for c in dec.assignment):
+    if any(type(c) is not int or not 0 <= c <= dec.k + dec.l + dec.bounded
+           for c in dec.assignment):
         return False, "assignment uses an out-of-range colour"
-    # An unused colour is an empty class, independent in both matroids, so
-    # only used colours are checked.
+    # An unused colour is an empty class, independent in both matroids and
+    # of degree 0, so only used colours are checked.
     classes = _colour_groups(dec.assignment)
+    bound = degree_bound_floor(G.n)
     for j in sorted(classes):
         if j <= dec.k:
             if rigidity_rank(G, classes[j]).rank < len(classes[j]):
                 return False, f"class {j} is not (2,3)-sparse"
-        elif graphic_rank(G, classes[j]).rank < len(classes[j]):
-            return False, f"class {j} is not a forest"
+        elif j <= dec.k + dec.l:
+            if graphic_rank(G, classes[j]).rank < len(classes[j]):
+                return False, f"class {j} is not a forest"
+        elif max(G.subgraph_of(classes[j]).degrees()) > bound:
+            return False, f"class {j} exceeds max degree {bound}"
     return True, None
 
 

@@ -10,7 +10,10 @@ rather than definitional ones.  So are the guarded enumerators at the
 start, ``enumerate_vertex_subsets``, ``enumerate_partitions`` and
 ``bell_number``: the reference scans draw from them, in the orders the
 library's bitmask kernel must match.  ``certified`` is no oracle: it reads
-what a library report's certificate states into the references' form.
+what a library report's certificate states into the references' form,
+``claim_verdict`` only hands a forged claim to the verifier, and
+``packing_verdict`` and ``cover_verdict`` hand it a packing or a cover as
+the payload its command writes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,15 @@ from rigidpack import (
     Multigraph,
     Partition,
 )
-from rigidpack.certificates import report_payload
+from rigidpack.certificates import (
+    SCHEMA,
+    bounded_cover_payload,
+    certificate_hash,
+    graph_hash,
+    packing_payload,
+    report_payload,
+    verify_certificate,
+)
 from rigidpack.conditions import ConditionReport, GammaResult, _cut_below
 from rigidpack.matroids import PebbleGame, UnionFind, rigidity_rank
 from rigidpack.multigraph import (
@@ -38,9 +49,12 @@ from rigidpack.multigraph import (
     induced_edge_count,
     multiplicities,
 )
-from rigidpack.ndt import degree_bound_floor
-from rigidpack.packing import Packing
-from rigidpack.union import Decomposition, UnionRank, union_rank
+from rigidpack.union import (
+    Decomposition,
+    UnionRank,
+    degree_bound_floor,
+    union_rank,
+)
 
 
 # The exhaustive subset scans here refuse more vertices than this.
@@ -242,6 +256,61 @@ def union_rank_def(G, k, l):
         if best is None or val < best:
             best = val
     return best
+
+
+# The field of ``generic_union_rank``: integers mod the Mersenne prime 2^61 - 1.
+GENERIC_PRIME = (1 << 61) - 1
+
+
+def generic_union_rank(G, k, l, F=None, seed=0):
+    """Rank of edge set F (default all of E) in the union of k rigidity and
+    l graphic matroids, as the rank of a matrix mod GENERIC_PRIME.
+
+    Each rigidity copy is the rigidity matrix at its own random points
+    (edge uv has p_u - p_v at u's two coordinates and p_v - p_u at v's),
+    each graphic copy the incidence matrix, and edge e's part in copy i is
+    scaled by a random t(e, i).  Stacked, the copies represent the union:
+    a square minor expands over the splits of its edges into the copies,
+    and is not zero only if some split is independent in every copy.  So
+    the result never exceeds the union rank, at any points, and equals it
+    unless the draw hits a root of a nonzero minor (Schwartz-Zippel).  No
+    pebble game or union-find is used: Gaussian elimination keeps each
+    basis vector reduced at every other pivot, so a new column is reduced
+    by the basis vectors at its own few entries."""
+    p, n = GENERIC_PRIME, G.n
+    rng = random.Random(seed)
+    points = [[(rng.randrange(p), rng.randrange(p)) for _ in range(n)] for _ in range(k)]
+    basis: dict[int, dict[int, int]] = {}  # pivot -> entries at non-pivot rows
+    for e in (range(G.m) if F is None else sorted(F)):
+        u, v = G.edges[e]
+        column: dict[int, int] = {}
+        for i, pts in enumerate(points):
+            t, base = rng.randrange(1, p), 2 * n * i
+            for a, b in ((u, v), (v, u)):
+                for axis in (0, 1):
+                    column[base + 2 * a + axis] = t * (pts[a][axis] - pts[b][axis]) % p
+        for j in range(l):
+            t, base = rng.randrange(1, p), 2 * n * k + n * j
+            column[base + u], column[base + v] = t, p - t
+        reduced = {r: x for r, x in column.items() if r not in basis}
+        for r, x in column.items():
+            for r2, y in basis.get(r, {}).items():
+                reduced[r2] = (reduced.get(r2, 0) - x * y) % p
+        reduced = {r: x for r, x in reduced.items() if x}
+        if not reduced:
+            continue
+        pivot = min(reduced)
+        inverse = pow(reduced.pop(pivot), p - 2, p)
+        new = {r: x * inverse % p for r, x in reduced.items()}
+        for vector in basis.values():
+            if (x := vector.pop(pivot, 0)):
+                for r, y in new.items():
+                    if (z := (vector.get(r, 0) - x * y) % p):
+                        vector[r] = z
+                    else:
+                        vector.pop(r, None)
+        basis[pivot] = new
+    return len(basis)
 
 
 def collection_rank_min(G, F):
@@ -707,6 +776,29 @@ def certified(G: Multigraph, report: ConditionReport) -> ReferenceReport:
     return ReferenceReport(*report, kind, lhs, rhs)
 
 
+def claim_verdict(G: Multigraph, command: str, parameters: dict, payload: dict):
+    """``verify_certificate``'s verdict on a certificate of this claim,
+    hashed as the CLI would hash it but never self-checked, so a forged
+    claim reaches the verifier."""
+    cert = {"schema": SCHEMA, "command": command, "parameters": parameters,
+            "graph_hash": graph_hash(G), "payload": payload, "verified": True}
+    cert["cert_hash"] = certificate_hash(cert)
+    return verify_certificate(cert, G)
+
+
+def packing_verdict(G: Multigraph, dec: Decomposition):
+    """``verify_certificate``'s verdict on dec as the payload of a ``pack``
+    certificate."""
+    return claim_verdict(G, "pack", {"k": dec.k, "l": dec.l}, packing_payload(dec))
+
+
+def cover_verdict(G: Multigraph, dec: Decomposition):
+    """``verify_certificate``'s verdict on dec as the payload of an ``ndt``
+    certificate, whose k gives 2k + 2 - l bounded classes."""
+    k = (dec.l + dec.bounded) // 2 - 1
+    return claim_verdict(G, "ndt", {"k": k, "l": dec.l}, bounded_cover_payload(dec, G.n))
+
+
 def check_cover_condition_reference(G: Multigraph, k: int) -> ReferenceReport:
     """Does every X with |X| >= 2 satisfy i(X) <= k(2|X| - 3)?"""
     if k < 0:
@@ -960,7 +1052,7 @@ def check_kwz_condition_reference(G: Multigraph, k: int, d) -> ReferenceReport:
     return ReferenceReport("kwz", params, True)
 
 
-def pack_spanning_trees_reference(G: Multigraph, l: int) -> Packing | ReferenceReport:
+def pack_spanning_trees_reference(G: Multigraph, l: int) -> Decomposition | ReferenceReport:
     """Extract l edge-disjoint spanning trees, or report a partition pi
     with fewer than l(|pi| - 1) crossing edges."""
     if l < 1:
@@ -970,7 +1062,7 @@ def pack_spanning_trees_reference(G: Multigraph, l: int) -> Packing | ReferenceR
     ur = union_rank(G, 0, l)
     target = l * (G.n - 1)
     if ur.rank == target:
-        return Packing((), ur.decomposition.forest_classes())
+        return ur.decomposition
     params = {"l": l}
     try:
         for pi in enumerate_partitions(G.vertices()):

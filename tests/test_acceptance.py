@@ -8,10 +8,8 @@ import itertools
 import json
 
 from rigidpack import (
-    BoundedCover,
     Decomposition,
     GraphInputError,
-    Packing,
     check_cover_condition,
     check_necessary_condition,
     check_parthm_condition,
@@ -23,11 +21,10 @@ from rigidpack import (
     pack_rigid_and_trees,
     rigidity_rank,
     union_rank,
-    verify_bounded_cover,
-    verify_packing,
 )
 from rigidpack.cli import main
-from rigidpack.ndt import degree_bound_floor, ndt_decompose
+from rigidpack.ndt import ndt_decompose
+from rigidpack.union import degree_bound_floor
 
 import corpus
 import oracles
@@ -109,11 +106,11 @@ def test_criterion_04_forest_cover_and_tree_packing_iff():
                     pass
                 continue
             result = pack_rigid_and_trees(G, 0, l)
-            packed = isinstance(result, Packing)
+            packed = isinstance(result, Decomposition)
             if packed != oracles.tree_packing_def(G, l):
                 failures.append(("tree-packing", G, l))
             if packed:
-                ok, _ = verify_packing(G, result)
+                ok, _ = oracles.packing_verdict(G, result)
                 if not ok:
                     failures.append(("tree-packing-verify", G, l))
     _report(4, "forest cover / tree packing iff conditions", failures)
@@ -144,13 +141,13 @@ def test_criterion_05_sufficient_condition_yields_packings():
                 continue
             satisfied += 1
             result = pack_rigid_and_trees(G, k, l)
-            if not isinstance(result, Packing):
+            if not isinstance(result, Decomposition):
                 failures.append((G, k, l, "no packing"))
                 continue
-            ok, reason = verify_packing(G, result)
+            ok, reason = oracles.packing_verdict(G, result)
             if not ok:
                 failures.append((G, k, l, reason))
-            if len(result.rigid_parts) != k or len(result.tree_parts) != l:
+            if (result.k, result.l) != (k, l):
                 failures.append((G, k, l, "wrong part counts"))
     assert satisfied > 0, "corpus never satisfied the sufficient condition"
     _report(5, f"sufficient partition condition => packing ({satisfied} instances)", failures)
@@ -162,7 +159,7 @@ def test_criterion_06_packings_satisfy_necessary_condition():
     for G in _packing_corpus():
         for k, l in ((1, 0), (1, 1), (2, 0)):
             result = pack_rigid_and_trees(G, k, l)
-            if isinstance(result, Packing):
+            if isinstance(result, Decomposition):
                 packed += 1
                 if not check_necessary_condition(G, k, l).holds:
                     failures.append((G, k, l))
@@ -222,7 +219,7 @@ def test_criterion_09_rigid_graph_corollaries():
             failures.append((G, "essential connectivity", cut))
         if G.m >= 2 * (G.n - 1):
             result = pack_rigid_and_trees(G, 0, 2)
-            if not isinstance(result, Packing) or not verify_packing(G, result)[0]:
+            if not isinstance(result, Decomposition) or not oracles.packing_verdict(G, result)[0]:
                 failures.append((G, "two spanning trees"))
     assert rigid_count > 0
     _report(9, f"rigid graphs: essential 3-edge-conn + 2 trees ({rigid_count} rigid)", failures)
@@ -236,16 +233,16 @@ def test_criterion_10_bounded_cover_pipeline():
             for l in range(k + 1, 2 * k + 3):
                 cases += 1
                 result = ndt_decompose(G, k, l)
-                if not isinstance(result, BoundedCover):
+                if not isinstance(result, Decomposition):
                     failures.append((G, k, l, "no cover"))
                     continue
-                ok, reason = verify_bounded_cover(G, result)
+                ok, reason = oracles.cover_verdict(G, result)
                 if not ok:
                     failures.append((G, k, l, reason))
-                if len(result.forests) != l or len(result.bounded_parts) != 2 * k + 2 - l:
+                if (result.l, result.bounded) != (l, 2 * k + 2 - l):
                     failures.append((G, k, l, "part counts"))
                 bound = degree_bound_floor(G.n)
-                for part in result.bounded_parts:
+                for part in result.bounded_classes():
                     deg = [0] * G.n
                     for e in part:
                         u, v = G.edges[e]

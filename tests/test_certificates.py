@@ -370,6 +370,29 @@ def _cert(case):
     return next((G, copy.deepcopy(c)) for name, G, c in cli_certificates() if name == case)
 
 
+def test_a_decompose_pack_or_ndt_report_must_fail(tmp_path, capsys):
+    # These commands give a report only on failure.  pack --k 0 never
+    # writes a holding tree-packing report, although tree-packing has a
+    # producer whose re-run would hold, and no failing report of theirs
+    # holds once its flag is flipped.
+    G, cert = _cert("k4: pack --k 0 --l 2")
+    holding = {"kind": "report", "condition": "tree-packing", "parameters": {"l": 2},
+               "holds": True, "witness": None, "lhs": None, "rhs": None}
+    forged = [(G, _rehashed(cert, ("payload",), holding))]
+    forged += [(G, _rehashed(cert, ("payload", "holds"), True))
+               for _, G, cert in cli_certificates()
+               if cert["command"] != "check" and cert["payload"]["kind"] == "report"]
+    assert len(forged) > 8
+    gfile, cfile = tmp_path / "g.txt", tmp_path / "c.json"
+    for G, bad in forged:
+        assert verify_certificate(bad, G) == (
+            False, f"{bad['command']} gives a report only on failure"), bad
+        gfile.write_text(format_graph(G))
+        write_certificate(cfile, bad)
+        assert cli.main(["verify", str(cfile), str(gfile)]) == 1
+    capsys.readouterr()
+
+
 def test_top_level_claim_is_bound_to_the_payload():
     # cover k=1 fails on K4; a payload proving cover k=5 holds is not its proof
     G, cert = _cert("k4: check cover --k 1")
@@ -434,14 +457,16 @@ def test_read_number_refuses_every_other_form(bad):
 ])
 def test_an_exponent_costs_the_verifier_nothing(case, paths):
     # Fraction("1e10000000") alone takes seconds; the forms written are
-    # read without it.
+    # read without it.  The verifier reads no degree bound: the encoder
+    # writes the graph's, and the forged one is not it.
     G, bad = _cert(case)
     for path in paths:
         bad = _rehashed(bad, path, "1e10000000")
     start = time.perf_counter()
     ok, reason = verify_certificate(bad, G)
     assert time.perf_counter() - start < 1.0
-    assert not ok and reason.startswith("malformed certificate"), reason
+    refusal = "payload is not the encoding" if "ndt" in case else "malformed certificate"
+    assert not ok and reason.startswith(refusal), reason
 
 
 # Values that have broken verifiers: zero denominators, an infinite float
@@ -890,7 +915,8 @@ def test_pack_certificate_on_one_vertex_is_refused():
         "payload": {"kind": "packing", "rigid_parts": [], "tree_parts": [[], [], []]},
     }
     cert["cert_hash"] = certificate_hash(cert)
-    assert verify_certificate(cert, G) == (False, "pack needs at least two vertices")
+    assert verify_certificate(cert, G) == (
+        False, "malformed certificate: need at least two vertices")
     cert["parameters"]["l"] = 0
     cert["payload"]["tree_parts"] = []
     cert["cert_hash"] = certificate_hash(cert)

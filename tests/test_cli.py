@@ -188,7 +188,7 @@ def test_ndt_refuses_more_sparse_classes_than_edges(tmp_path, capsys):
     out.write_text(json.dumps(cert))
     capsys.readouterr()
     assert main(["verify", str(out), str(gfile)]) == 1
-    assert "k=6, l=7 is outside the range of ndt" in capsys.readouterr().out
+    assert "malformed certificate: need k <= m = 5" in capsys.readouterr().out
 
 
 def test_parameter_guardrail_exit(tmp_path, capsys, monkeypatch):
@@ -368,15 +368,16 @@ def test_verify_rejects_arithmetic_garbage_cleanly(k4_file, triangle_file, tmp_p
     for graph, code in ((triangle_file, 0), (k4_file, 1)):  # kwz holds, then fails
         out = tmp_path / f"kwz{code}.json"
         assert main(["check", "kwz", str(graph), "--k", "1", "--d", "2", "--out", str(out)]) == code
-        cases += [(out, graph, set_d("1/0")), (out, graph, set_d(float("inf")))]
+        cases += [(out, graph, set_d(x), "malformed certificate") for x in ("1/0", float("inf"))]
+    # The verifier reads no degree bound: the encoder writes the graph's.
     out = tmp_path / "ndt.json"
     assert main(["ndt", str(k4_file), "--k", "1", "--l", "2", "--out", str(out)]) == 0
-    cases.append((out, k4_file, set_bound))
-    for out, graph, edit in cases:
+    cases.append((out, k4_file, set_bound, "payload is not the encoding of its claim"))
+    for out, graph, edit, reason in cases:
         bad = _rehashed_file(out, edit, tmp_path)
         capsys.readouterr()
         assert main(["verify", str(bad), str(graph)]) == 1
-        assert "malformed certificate" in capsys.readouterr().out
+        assert reason in capsys.readouterr().out
 
 
 def test_verify_rejects_non_integer_colours(k4_file, tmp_path, capsys):

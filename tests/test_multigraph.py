@@ -251,7 +251,6 @@ def test_parse_errors_carry_line_info(bad, fragment):
 
 
 def test_edge_parts_error_is_the_one_disjointness_check_of_both_verifiers():
-    from rigidpack import BoundedCover, Packing, degree_bound, verify_bounded_cover, verify_packing
     from rigidpack.multigraph import edge_parts_error
 
     G = corpus.triangle()
@@ -259,12 +258,18 @@ def test_edge_parts_error_is_the_one_disjointness_check_of_both_verifiers():
     assert edge_parts_error(G, [(0, 3)]) == "invalid edge id 3"
     assert edge_parts_error(G, [(True,)]) == "invalid edge id True"
     assert edge_parts_error(G, [(0, 1), (2, 1)]) == "edge 1 appears in two parts"
-    assert verify_packing(G, Packing((), ((0, 1), (1, 2)))) == (
-        False, "edge 1 appears in two parts")
-    assert verify_packing(G, Packing(((0, -1, 2),), ())) == (False, "invalid edge id -1")
-    cover = BoundedCover(((0, 1),), ((1, 2),), degree_bound(3))
-    assert verify_bounded_cover(G, cover) == (False, "edge 1 appears in two parts")
-    cover = BoundedCover(((0, 5),), (), degree_bound(3))
-    assert verify_bounded_cover(G, cover) == (False, "invalid edge id 5")
-    cover = BoundedCover(((0, 1),), (), degree_bound(3))
-    assert verify_bounded_cover(G, cover) == (False, "parts do not cover every edge")
+
+    def pack(k, l, rigid, trees):
+        return oracles.claim_verdict(G, "pack", {"k": k, "l": l}, {
+            "kind": "packing", "rigid_parts": rigid, "tree_parts": trees})
+
+    def cover(forests, bounded):
+        return oracles.claim_verdict(G, "ndt", {"k": 0, "l": 1}, {
+            "kind": "bounded-cover", "degree_bound": "1/3", "forests": forests,
+            "bounded_parts": bounded})
+
+    assert pack(0, 2, [], [[0, 1], [1, 2]]) == (False, "edge 1 appears in two parts")
+    assert pack(1, 0, [[0, -1, 2]], []) == (False, "invalid edge id -1")
+    assert cover([[0, 1]], [[1, 2]]) == (False, "edge 1 appears in two parts")
+    assert cover([[0, 5]], [[]]) == (False, "invalid edge id 5")
+    assert cover([[0, 1]], [[]]) == (False, "parts do not cover every edge")

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidpack import (
-    BoundedCover,
     ConditionReport,
+    Decomposition,
     GraphInputError,
     Multigraph,
     PebbleGame,
@@ -16,7 +16,7 @@ from rigidpack import (
     degree_bound_floor,
     graphic_rank,
     ndt_decompose,
-    verify_bounded_cover,
+    verify_decomposition,
 )
 from rigidpack.ndt import _capped_forest
 
@@ -64,20 +64,22 @@ def test_kwz_holds_for_sparse_graphs_at_the_lemma_bound():
 
 def test_sparse_to_two_forests_triangle():
     cover = ndt_decompose(corpus.triangle(), 0, 2)
-    assert cover.forests == (frozenset({0, 1}), frozenset({2})) and not cover.bounded_parts
+    assert cover.forest_classes() == (frozenset({0, 1}), frozenset({2}))
+    assert not cover.bounded_classes()
 
 
 def test_sparse_to_two_forests_single_edge_and_k33():
-    assert ndt_decompose(corpus.single_edge(), 0, 2).forests == (frozenset({0}), frozenset())
+    cover = ndt_decompose(corpus.single_edge(), 0, 2)
+    assert cover.forest_classes() == (frozenset({0}), frozenset())
     G = corpus.k33()
-    f1, f2 = ndt_decompose(G, 0, 2).forests
+    f1, f2 = ndt_decompose(G, 0, 2).forest_classes()
     assert f1 | f2 == frozenset(range(9)) and not f1 & f2
     assert is_forest(G, f1) and is_forest(G, f2)
 
 
 def test_sparse_to_two_forests_handles_disconnected_input():
     G = corpus.two_triangles_disjoint()
-    f1, f2 = ndt_decompose(G, 0, 2).forests
+    f1, f2 = ndt_decompose(G, 0, 2).forest_classes()
     assert f1 | f2 == frozenset(range(6))
     assert is_forest(G, f1) and is_forest(G, f2)
 
@@ -92,7 +94,7 @@ def test_two_forest_split_total_on_sparse_corpus():
     for seed in range(12):
         for n in (4, 5, 6, 7):
             H = corpus.random_sparse_graph(n, seed=300 + seed, full=seed % 2 == 0)
-            f1, f2 = ndt_decompose(H, 0, 2).forests
+            f1, f2 = ndt_decompose(H, 0, 2).forest_classes()
             assert f1 | f2 == frozenset(range(H.m)) and not f1 & f2
             assert is_forest(H, f1) and is_forest(H, f2)
 
@@ -100,8 +102,8 @@ def test_two_forest_split_total_on_sparse_corpus():
 def test_forest_plus_bounded_k4_minus_edge():
     G = corpus.k4_minus_edge()
     cover = ndt_decompose(G, 0, 1)
-    assert isinstance(cover, BoundedCover)
-    (forest,), (rest,) = cover.forests, cover.bounded_parts
+    assert isinstance(cover, Decomposition)
+    (forest,), (rest,) = cover.forest_classes(), cover.bounded_classes()
     assert is_forest(G, forest)
     assert max(G.subgraph_of(rest).degrees()) <= 1
 
@@ -113,8 +115,8 @@ def test_forest_plus_bounded_triangle_provably_impossible():
 
 
 def _assert_valid_split(H, cover):
-    assert len(cover.forests) == len(cover.bounded_parts) == 1, (H, cover)
-    assert verify_bounded_cover(H, cover) == (True, None), (H, cover)
+    assert cover.l == cover.bounded == 1, (H, cover)
+    assert oracles.cover_verdict(H, cover) == (True, None), (H, cover)
 
 
 def test_forest_plus_bounded_path_trivial():
@@ -130,7 +132,7 @@ def test_forest_plus_bounded_search_matches_recursive_reference():
                for n in range(3, 10) for s in range(4) for f in (True, False)]
     for H in graphs:
         result = ndt_decompose(H, 0, 1)
-        found = isinstance(result, BoundedCover)
+        found = isinstance(result, Decomposition)
         assert found == (oracles.forest_plus_bounded_reference(H) is not None), H
         if found:
             _assert_valid_split(H, result)
@@ -154,7 +156,7 @@ def _sparse_graphs(draw):
 @given(H=_sparse_graphs())
 def test_forest_plus_bounded_exists_iff_the_reference_finds_one(H):
     result = ndt_decompose(H, 0, 1)
-    found = isinstance(result, BoundedCover)
+    found = isinstance(result, Decomposition)
     assert found == (oracles.forest_plus_bounded_reference(H) is not None)
     if found:
         _assert_valid_split(H, result)
@@ -167,7 +169,7 @@ def test_forest_plus_bounded_always_exists_from_n6():
     for seed in range(8):
         for n in (6, 7, 8):
             H = corpus.random_sparse_graph(n, seed=200 + seed, full=seed % 2 == 0)
-            assert isinstance(ndt_decompose(H, 0, 1), BoundedCover)
+            assert isinstance(ndt_decompose(H, 0, 1), Decomposition)
             assert oracles.bounded_split_exists_def(H, degree_bound_floor(n))
 
 
@@ -196,17 +198,17 @@ def test_capped_forest_is_exact(data):
 
 def test_ndt_triangle_two_forests():
     result = ndt_decompose(corpus.triangle(), 0, 2)
-    assert isinstance(result, BoundedCover)
-    assert len(result.forests) == 2 and not result.bounded_parts
-    assert verify_bounded_cover(corpus.triangle(), result) == (True, None)
+    assert isinstance(result, Decomposition)
+    assert result.l == 2 and not result.bounded
+    assert oracles.cover_verdict(corpus.triangle(), result) == (True, None)
 
 
 def test_ndt_k4_two_forests_two_bounded():
     G = corpus.k4()
     result = ndt_decompose(G, 1, 2)
-    assert isinstance(result, BoundedCover)
-    assert len(result.forests) == 2 and len(result.bounded_parts) == 2
-    ok, reason = verify_bounded_cover(G, result)
+    assert isinstance(result, Decomposition)
+    assert result.l == 2 and result.bounded == 2
+    ok, reason = oracles.cover_verdict(G, result)
     assert ok, reason
 
 
@@ -238,40 +240,46 @@ def test_ndt_pipeline_on_bounded_density_corpus():
         for G in graphs:
             for l in range(k + 1, 2 * k + 3):
                 result = ndt_decompose(G, k, l)
-                assert isinstance(result, BoundedCover), (G, k, l)
-                ok, reason = verify_bounded_cover(G, result)
+                assert isinstance(result, Decomposition), (G, k, l)
+                ok, reason = oracles.cover_verdict(G, result)
                 assert ok, reason
-                assert len(result.forests) == l
-                assert len(result.bounded_parts) == 2 * k + 2 - l
+                assert result.l == l
+                assert result.bounded == 2 * k + 2 - l
 
 
 def test_verify_bounded_cover_rejects_bad_parts():
     G = corpus.triangle()
     result = ndt_decompose(G, 0, 2)
+    f1, f2 = (sorted(f) for f in result.forest_classes())
+
+    def claim(forests, bound="1/3"):
+        return oracles.claim_verdict(G, "ndt", {"k": 0, "l": 2}, {
+            "kind": "bounded-cover", "degree_bound": bound, "forests": forests,
+            "bounded_parts": []})
+
+    assert claim([f1, f2]) == (True, None)
     # a "cover" that drops an edge
-    broken = BoundedCover((result.forests[0], frozenset()), (), result.degree_bound)
-    ok, reason = verify_bounded_cover(G, broken)
-    assert not ok and "cover" in reason
+    assert claim([f1, []]) == (False, "parts do not cover every edge")
     # a "forest" with a cycle
-    cyclic = BoundedCover((frozenset({0, 1, 2}), frozenset()), (), result.degree_bound)
-    ok, reason = verify_bounded_cover(G, cyclic)
-    assert not ok and "cycle" in reason
+    assert claim([[0, 1, 2], []]) == (False, "class 1 is not a forest")
     # a bound that is not (2n - 5)/3
-    wrong_bound = BoundedCover(result.forests, (), Fraction(1))
-    assert verify_bounded_cover(G, wrong_bound) == (
-        False, "stated degree bound does not match the graph")
+    assert claim([f1, f2], "1") == (False, "payload is not the encoding of its claim")
     # n = 6, bound 2: a path and the chord 1-3.  Vertex 3 ends the path
     # edge 2-3 and the chord and starts 3-4, so a part holding all three
     # has degree 3 there; the path alone has degree 2, and G degree 3.
     G = Multigraph(6, corpus.path(6).edges + ((1, 3),))
     path_ids, chord = frozenset(range(5)), frozenset({5})
-    assert verify_bounded_cover(G, BoundedCover((chord,), (path_ids,), degree_bound(6))) == (
-        True, None)
-    assert verify_bounded_cover(G, BoundedCover((), (path_ids | chord,), degree_bound(6))) == (
-        False, "bounded part 0 exceeds max degree 2")
-    assert verify_bounded_cover(
-        G, BoundedCover((), (frozenset({4}), frozenset(range(4)) | chord), degree_bound(6))) == (
-        False, "bounded part 1 exceeds max degree 2")
+
+    def split(forests, bounded):
+        colour = {e: c for c, part in enumerate(forests + bounded, 1) for e in part}
+        dec = Decomposition(0, len(forests), tuple(colour.get(e, 0) for e in range(G.m)),
+                            len(bounded))
+        return verify_decomposition(G, dec)
+
+    assert split([chord], [path_ids]) == (True, None)
+    assert split([], [path_ids | chord]) == (False, "class 1 exceeds max degree 2")
+    assert split([], [frozenset({4}), frozenset(range(4)) | chord]) == (
+        False, "class 2 exceeds max degree 2")
 
 
 def test_ndt_splits_the_union_classes_with_no_second_sparsity_game(monkeypatch):
@@ -293,9 +301,9 @@ def test_ndt_splits_the_union_classes_with_no_second_sparsity_game(monkeypatch):
                 patch.setattr(PebbleGame, "__init__", counting_init)
                 result = ndt_decompose(G, 1, l)
             assert 0 < games.count((2, 3, 1)) <= 2, (n, l, games)
-            assert isinstance(result, BoundedCover), (n, l)
-            assert verify_bounded_cover(G, result) == (True, None)
-            assert len(result.forests) == l
+            assert isinstance(result, Decomposition), (n, l)
+            assert oracles.cover_verdict(G, result) == (True, None)
+            assert result.l == l
     # A graph that is not sparse is reported at k = 0, with the same X.
     for l in (1, 2):
         report = ndt_decompose(corpus.k4(), 0, l)

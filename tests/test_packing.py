@@ -4,15 +4,14 @@ import pytest
 
 from rigidpack import (
     ConditionReport,
+    Decomposition,
     GraphInputError,
     Multigraph,
-    Packing,
     format_graph,
     check_necessary_condition,
     check_parthm_condition,
     is_pq_connected,
     pack_rigid_and_trees,
-    verify_packing,
 )
 
 from rigidpack.cli import main
@@ -21,20 +20,25 @@ import corpus
 import oracles
 
 
+def _pack_claim(G, k, l, rigid_parts, tree_parts):
+    return oracles.claim_verdict(G, "pack", {"k": k, "l": l}, {
+        "kind": "packing", "rigid_parts": rigid_parts, "tree_parts": tree_parts})
+
+
 def test_tree_itself_is_its_packing():
     G = corpus.path(5)
     result = pack_rigid_and_trees(G, 0, 1)
-    assert isinstance(result, Packing)
-    assert result.tree_parts == (frozenset(range(4)),)
-    assert verify_packing(G, result) == (True, None)
+    assert isinstance(result, Decomposition)
+    assert result.forest_classes() == (frozenset(range(4)),)
+    assert oracles.packing_verdict(G, result) == (True, None)
 
 
 def test_k4_two_spanning_trees():
     G = corpus.k4()
     result = pack_rigid_and_trees(G, 0, 2)
-    assert isinstance(result, Packing)
-    assert len(result.tree_parts) == 2
-    ok, reason = verify_packing(G, result)
+    assert isinstance(result, Decomposition)
+    assert len(result.forest_classes()) == 2
+    ok, reason = oracles.packing_verdict(G, result)
     assert ok, reason
 
 
@@ -49,18 +53,18 @@ def test_cycle_cannot_pack_two_trees():
 def test_pack_triangle_single_rigid():
     G = corpus.triangle()
     result = pack_rigid_and_trees(G, 1, 0)
-    assert isinstance(result, Packing)
-    assert result.rigid_parts == (frozenset(range(3)),)
-    assert verify_packing(G, result) == (True, None)
+    assert isinstance(result, Decomposition)
+    assert result.sparse_classes() == (frozenset(range(3)),)
+    assert oracles.packing_verdict(G, result) == (True, None)
 
 
 def test_pack_k5_spanning_minimally_rigid():
     G = corpus.k5()
     result = pack_rigid_and_trees(G, 1, 0)
-    assert isinstance(result, Packing)
-    (part,) = result.rigid_parts
+    assert isinstance(result, Decomposition)
+    (part,) = result.sparse_classes()
     assert len(part) == 7  # 2*5 - 3
-    ok, reason = verify_packing(G, result)
+    ok, reason = oracles.packing_verdict(G, result)
     assert ok, reason
 
 
@@ -74,7 +78,7 @@ def test_pack_bowtie_fails():
 
 def test_pack_parameter_validation(tmp_path):
     # k = 0 packs trees only, so (0, 1) packs and (0, 0) asks for nothing.
-    assert isinstance(pack_rigid_and_trees(corpus.triangle(), 0, 1), Packing)
+    assert isinstance(pack_rigid_and_trees(corpus.triangle(), 0, 1), Decomposition)
     with pytest.raises(GraphInputError):
         pack_rigid_and_trees(corpus.triangle(), 0, 0)
     # Every k needs two vertices; one vertex would pack any l empty trees.
@@ -93,26 +97,22 @@ def test_pack_parameter_validation(tmp_path):
 def test_verify_packing_rejects_overlap_and_cycles():
     G = corpus.k4()
     packing = pack_rigid_and_trees(G, 0, 2)
-    assert isinstance(packing, Packing)
-    t1, t2 = packing.tree_parts
-    overlapping = Packing((), (t1, t1))
-    ok, reason = verify_packing(G, overlapping)
-    assert not ok and "two parts" in reason
+    assert isinstance(packing, Decomposition)
+    t1, t2 = (sorted(t) for t in packing.forest_classes())
+    assert _pack_claim(G, 0, 2, [], [t1, t1]) == (False, f"edge {t1[0]} appears in two parts")
 
     # n - 1 edges containing a cycle is not a spanning tree
-    cyclic = Packing((), (frozenset({0, 1, 3}),))  # 01, 02, 12 in K4 ids
-    ok, reason = verify_packing(G, cyclic)
-    assert not ok
+    assert _pack_claim(G, 0, 1, [], [[0, 1, 3]]) == (  # 01, 02, 12 in K4 ids
+        False, "class 1 is not a forest")
 
 
 def test_verify_packing_rejects_wrong_sizes():
     G = corpus.k4()
-    ok, reason = verify_packing(G, Packing((frozenset({0, 1}),), ()))
-    assert not ok and "expected 5" in reason
+    assert _pack_claim(G, 1, 0, [[0, 1]], []) == (False, "the parts hold 2 edges, expected 5")
     # 2n - 3 = 7 edges of K5 that hold a K4: the right size, not sparse
-    k4_in_k5 = frozenset({0, 1, 2, 4, 5, 7})  # the pairs of {0, 1, 2, 3}
-    assert verify_packing(corpus.k5(), Packing((k4_in_k5 | {3},), ())) == (
-        False, "rigid part 0 is not (2,3)-sparse")
+    k4_in_k5 = [0, 1, 2, 4, 5, 7]  # the pairs of {0, 1, 2, 3}
+    assert _pack_claim(corpus.k5(), 1, 0, [sorted(k4_in_k5 + [3])], []) == (
+        False, "class 1 is not (2,3)-sparse")
 
 
 def test_tree_packing_iff_partition_condition():
@@ -123,10 +123,10 @@ def test_tree_packing_iff_partition_condition():
                     pack_rigid_and_trees(G, 0, l)
                 continue
             result = pack_rigid_and_trees(G, 0, l)
-            packed = isinstance(result, Packing)
+            packed = isinstance(result, Decomposition)
             assert packed == oracles.tree_packing_def(G, l)
             if packed:
-                ok, reason = verify_packing(G, result)
+                ok, reason = oracles.packing_verdict(G, result)
                 assert ok, reason
 
 
@@ -152,8 +152,8 @@ def test_partition_connectivity_implies_packing():
             if bracket:
                 hits += 1
                 result = pack_rigid_and_trees(G, k, l)
-                assert isinstance(result, Packing), (G, k, l)
-                assert verify_packing(G, result)[0]
+                assert isinstance(result, Decomposition), (G, k, l)
+                assert oracles.packing_verdict(G, result)[0]
     assert hits >= 2  # K7 at (1,0) and doubled K6 at (2,0) at least
 
 
@@ -165,11 +165,11 @@ def test_parthm_implies_packing_and_packing_implies_necessary():
                 continue
             sufficient = check_parthm_condition(G, k, l)
             result = pack_rigid_and_trees(G, k, l)
-            packed = isinstance(result, Packing)
+            packed = isinstance(result, Decomposition)
             if sufficient.holds:
                 interesting += 1
                 assert packed, (G, k, l)
-                assert verify_packing(G, result)[0]
+                assert oracles.packing_verdict(G, result)[0]
             if packed:
                 assert check_necessary_condition(G, k, l).holds
     assert interesting > 0
@@ -193,5 +193,5 @@ def test_pq_connected_cycle_unions_pack(n, multipliers, k, l):
     assert oracles.multiplicity(G) == 1
     assert is_pq_connected(G, 6 * k + 2 * l, 2 * k)
     result = pack_rigid_and_trees(G, k, l)
-    assert isinstance(result, Packing)
-    assert verify_packing(G, result) == (True, None)
+    assert isinstance(result, Decomposition)
+    assert oracles.packing_verdict(G, result) == (True, None)

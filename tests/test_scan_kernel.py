@@ -87,8 +87,8 @@ def assert_polynomial_checks_agree(G):
     for l in (1, 2):
         new = outcome(pack_rigid_and_trees, G, 0, l)
         ref = outcome(oracles.pack_spanning_trees_reference, G, l)
-        if new[0] == "value" and not isinstance(new[1], rigidpack.Packing):
-            assert ref[0] == "value" and not isinstance(ref[1], rigidpack.Packing)
+        if new[0] == "value" and not isinstance(new[1], rigidpack.Decomposition):
+            assert ref[0] == "value" and not isinstance(ref[1], rigidpack.Decomposition)
             assert_witness_violates(G, new[1])
         else:
             assert new == ref

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import tracemalloc
@@ -621,3 +622,32 @@ def test_union_rank_matches_reference_at_the_benchmark_sizes():
         for k, l in ((2, 0), (1, 1), (1, 2), (0, 3)):
             G = _benchmark_shape(n, 40 + i, k, l, shape)
             assert union_rank(G, k, l) == oracles.union_rank_reference(G, k, l), (n, shape, k, l)
+
+
+def test_union_rank_and_every_split_class_match_an_independent_generic_rank():
+    # The generic rank shares no code with the pebble game, the union or
+    # their references.  It never exceeds the union rank, at any points,
+    # and at seed 0 meets it.  decompose, pack and ndt all return a
+    # Decomposition, so one loop checks every sparse class and forest of
+    # their splits for full rank, and every bounded class for its degree.
+    splits = []
+    for i, n in enumerate((20, 30, 45, 70, 100)):
+        # Four rows a vertex take the elimination seconds past n = 50.
+        for k, l in ((1, 0), (0, 2), (1, 1), (0, 3)) + (((2, 0), (1, 2)) if n < 50 else ()):
+            target = k * (2 * n - 3) + l * (n - 1)
+            G = random_multigraph(n, target + 2 * (i % 3) - 2, 2, seed=3600 + i)
+            rank = union_rank(G, k, l).rank
+            assert oracles.generic_union_rank(G, k, l, seed=1) <= rank, (n, k, l)
+            assert oracles.generic_union_rank(G, k, l) == rank, (n, k, l)
+        G = Multigraph(n, tuple(_laman_union(n, 3610 + i, 1, 1)[0]))
+        splits += [(G, decompose(G, 1, 1)), (G, pack_rigid_and_trees(G, 1, 1)),
+                   (G, decompose(G, 0, 3)), (G, ndt_decompose(G, 1, 2 + i % 3))]
+    for G, dec in splits:
+        assert isinstance(dec, Decomposition), (G.n, dec)
+        for cls in dec.sparse_classes():
+            assert oracles.generic_union_rank(G, 1, 0, cls) == len(cls)
+        for cls in dec.forest_classes():
+            assert oracles.generic_union_rank(G, 0, 1, cls) == len(cls)
+        for cls in dec.bounded_classes():
+            degree = collections.Counter(x for e in cls for x in G.edges[e])
+            assert max(degree.values(), default=0) <= (2 * G.n - 5) // 3
