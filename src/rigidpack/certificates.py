@@ -11,14 +11,16 @@ the graph and binds it to the command: the payload kind and the
 top-level parameters must be the ones that command gives, within its
 producer's parameter rules, which a witnessed ``check`` claim's
 producer checks on no vertices.  A report under ``decompose``, ``pack``
-or ``ndt`` states a failure.  A ``packing`` or ``bounded-cover`` payload
-is decoded into a ``Decomposition``, checked by ``verify_decomposition``
-and its count rule.  Each kind's encoder is the one statement of its
-format: a payload verifies only if every field its encoder writes is, as
-canonical JSON, what the encoder writes for the claim the verifier
-decoded and checked.  So no list out of order, repeated id, ``{}`` for
-``[]`` or ``true`` for 1 passes, a missing field is malformed, and a
-field that no encoder writes is hashed but not read.  No verifier re-runs
+or ``ndt`` states a failure.  Their successes share one payload, a
+``Decomposition``'s colours: the command fixes its class counts and the
+number of edges its split covers, and the split is checked by
+``verify_decomposition`` and that count.  Each kind's encoder is the one
+statement of its format: a payload verifies only if every field its
+encoder writes is, as canonical JSON, what the encoder writes for the
+claim the verifier decoded and checked.  So no list out of order,
+repeated id, ``{}`` for ``[]``, ``true`` for 1 or count that the
+command does not give passes, a missing field is malformed, and a field
+that no encoder writes is hashed but not read.  No verifier re-runs
 the matroid union: a union failure (``union-cover``, ``packing``) carries
 an edge set F, and two matroid ranks give Edmonds' bound
 m - |F| + k r_rig(F) + l r_gr(F) on every split into k sparse classes and
@@ -74,15 +76,14 @@ from .multigraph import (
     check_edge_subset,
     check_vertex_subset,
     cross_edge_count,
-    edge_parts_error,
     format_graph,
     induced_edge_count,
 )
-from .ndt import _check_ndt, _forest_plus_bounded, check_kwz_condition, degree_bound
-from .packing import _check_pack
+from .ndt import _check_ndt, _forest_plus_bounded, check_kwz_condition
+from .packing import _check_pack, packing_size
 from .union import Decomposition, _check_split, verify_decomposition
 
-SCHEMA = "rigidpack-cert/2"
+SCHEMA = "rigidpack-cert/3"
 
 
 def graph_hash(G: Multigraph) -> str:
@@ -236,26 +237,10 @@ def decomposition_payload(dec: Decomposition) -> dict:
         "kind": "decomposition",
         "k": dec.k,
         "l": dec.l,
+        "bounded": dec.bounded,
         "rank": len(dec.covered()),
         "assignment": list(dec.assignment),
         "complete": dec.is_complete(),
-    }
-
-
-def packing_payload(dec: Decomposition) -> dict:
-    return {
-        "kind": "packing",
-        "rigid_parts": [sorted(p) for p in dec.sparse_classes()],
-        "tree_parts": [sorted(p) for p in dec.forest_classes()],
-    }
-
-
-def bounded_cover_payload(dec: Decomposition, n: int) -> dict:
-    return {
-        "kind": "bounded-cover",
-        "degree_bound": _num(degree_bound(n)),
-        "forests": [sorted(p) for p in dec.forest_classes()],
-        "bounded_parts": [sorted(p) for p in dec.bounded_classes()],
     }
 
 
@@ -351,22 +336,24 @@ CONDITIONS = {
                               _dense_set(1, lambda p, x: p["l"] * (x - 1))),
     "union-cover": Condition(("k", "l"), None, "edge-set", _union_bound(lambda G, p: G.m)),
     "packing": Condition(("k", "l"), None, "edge-set", _union_bound(
-        lambda G, p: p["k"] * (2 * G.n - 3) + p["l"] * (G.n - 1))),
+        lambda G, p: packing_size(G, p["k"], p["l"]))),
     "forest-plus-bounded": Condition(("k", "l"), None, "edge-set", _no_split),
 }
 
 # Each split command: its rule on k and l, which its producer applies
-# too, and the condition and parameters of the report it gives on failure.
+# too; the class counts (sparse, forests, bounded) of its split and the
+# number of edges the split covers; and the condition and parameters of
+# the report it gives on failure.  Independent classes as large as a
+# packing's are bases: spanning rigid subgraphs and spanning trees.
 _SPLITS = {
-    "decompose": (lambda G, k, l: _check_split(k, l), lambda k, l: [
-        ("sparse-cover", {"k": k}) if l == 0
-        else ("forest-cover", {"l": l}) if k == 0
-        else ("union-cover", {"k": k, "l": l})
-    ]),
-    "pack": (_check_pack, lambda k, l: [
+    "decompose": (lambda G, k, l: _check_split(k, l), lambda G, k, l: ((k, l, 0), G.m),
+                  lambda k, l: [("sparse-cover", {"k": k}) if l == 0
+                                else ("forest-cover", {"l": l}) if k == 0
+                                else ("union-cover", {"k": k, "l": l})]),
+    "pack": (_check_pack, lambda G, k, l: ((k, l, 0), packing_size(G, k, l)), lambda k, l: [
         ("tree-packing", {"l": l}) if k == 0 else ("packing", {"k": k, "l": l})
     ]),
-    "ndt": (_check_ndt, lambda k, l: [
+    "ndt": (_check_ndt, lambda G, k, l: ((0, l, 2 * k + 2 - l), G.m), lambda k, l: [
         ("sparse-cover", {"k": k + 1}), ("forest-plus-bounded", {"k": k, "l": l})
     ]),
 }
@@ -376,11 +363,6 @@ _SPLITS = {
 
 class _Rejected(Exception):
     """A claim that does not hold; the message says why."""
-
-
-def _ensure(verdict: tuple[bool, str | None]) -> None:
-    if not verdict[0]:
-        raise _Rejected(verdict[1])
 
 
 def verify_certificate(cert: dict, G: Multigraph) -> tuple[bool, str | None]:
@@ -430,48 +412,16 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
-def _decode_split(G, counts, *part_lists) -> Decomposition:
-    """The split whose sparse classes, forests and bounded classes are the
-    payload's part lists, in order, once they are disjoint sets of edge ids
-    and as many as the parameters ask for."""
-    parts = [frozenset(p) for part_list in part_lists for p in part_list]
-    if error := edge_parts_error(G, parts):
-        raise _Rejected(error)
-    if tuple(map(len, part_lists)) != counts:
-        raise _Rejected("part counts do not match parameters")
-    colour = [0] * G.m
-    for c, part in enumerate(parts, 1):
-        for e in part:
-            colour[e] = c
-    return Decomposition(counts[0], counts[1], tuple(colour), counts[2])
-
-
 def _verify_decomposition_payload(G, command, top, payload):
-    dec = Decomposition(top["k"], top["l"], tuple(payload["assignment"]))
-    if not dec.is_complete():
-        raise _Rejected("decomposition leaves edges uncovered")
-    _ensure(verify_decomposition(G, dec))
+    # The command's class counts, not the payload's, type the colours.
+    (k, l, bounded), size = _SPLITS[command][1](G, top["k"], top["l"])
+    dec = Decomposition(k, l, tuple(payload["assignment"]), bounded)
+    ok, reason = verify_decomposition(G, dec)
+    if not ok:
+        raise _Rejected(reason)
+    if len(covered := dec.covered()) != size:
+        raise _Rejected(f"the split covers {len(covered)} edges, expected {size}")
     return (dec,)
-
-
-def _verify_packing_payload(G, command, top, payload):
-    k, l = top["k"], top["l"]
-    dec = _decode_split(G, (k, l, 0), payload["rigid_parts"], payload["tree_parts"], ())
-    # Independent classes this large are bases: spanning rigid subgraphs
-    # and spanning trees.
-    if len(dec.covered()) != (size := k * (2 * G.n - 3) + l * (G.n - 1)):
-        raise _Rejected(f"the parts hold {len(dec.covered())} edges, expected {size}")
-    _ensure(verify_decomposition(G, dec))
-    return (dec,)
-
-
-def _verify_bounded_cover_payload(G, command, top, payload):
-    k, l = top["k"], top["l"]
-    dec = _decode_split(G, (0, l, 2 * k + 2 - l), (), payload["forests"], payload["bounded_parts"])
-    if not dec.is_complete():
-        raise _Rejected("parts do not cover every edge")
-    _ensure(verify_decomposition(G, dec))
-    return dec, G.n
 
 
 def _verify_density_payload(G, command, top, payload):
@@ -505,7 +455,7 @@ def _verify_report_payload(G, command, top, payload):
         bound = cond.run is not None and (
             canonical_json(top) == canonical_json(check_parameters(name, params)))
     else:
-        bound = (name, params) in _SPLITS[command][1](top["k"], top["l"])
+        bound = (name, params) in _SPLITS[command][2](top["k"], top["l"])
     if not bound:
         raise _Rejected("report does not match the command's parameters")
     holds, witness = payload["holds"], payload["witness"]
@@ -533,9 +483,7 @@ def _verify_report_payload(G, command, top, payload):
 # statement of the kind's format.  The encoders are bound at import, so a
 # payload verifies only as this module writes it.
 _PAYLOADS = {
-    "decomposition": (("decompose",), _verify_decomposition_payload, decomposition_payload),
-    "packing": (("pack",), _verify_packing_payload, packing_payload),
-    "bounded-cover": (("ndt",), _verify_bounded_cover_payload, bounded_cover_payload),
+    "decomposition": (tuple(_SPLITS), _verify_decomposition_payload, decomposition_payload),
     "density": (("gamma",), _verify_density_payload, density_payload),
-    "report": (("decompose", "pack", "ndt", "check"), _verify_report_payload, report_payload),
+    "report": ((*_SPLITS, "check"), _verify_report_payload, report_payload),
 }

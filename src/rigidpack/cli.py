@@ -15,7 +15,7 @@ from . import certificates as certs
 from .conditions import gamma, gamma2
 from .errors import GraphInputError, LimitExceededError
 from .multigraph import Multigraph, format_graph, load_graph, random_multigraph, write_graph
-from .ndt import ndt_decompose
+from .ndt import degree_bound, ndt_decompose
 from .packing import pack_rigid_and_trees
 from .union import Decomposition, decompose
 
@@ -33,25 +33,28 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
 
 
+# Each split command: its producer, the summary of its split and that of
+# its failure, with the failing condition's name for {}.
+_SPLITS = {
+    "decompose": (decompose, lambda G, d: (
+        f"decomposable: {d.k} sparse class(es) + {d.l} forest(s)"), "not decomposable ({}):"),
+    "pack": (pack_rigid_and_trees, lambda G, d: (
+        f"packed: {d.k} spanning rigid subgraph(s) + {d.l} spanning tree(s)"), "no packing:"),
+    "ndt": (ndt_decompose, lambda G, d: (
+        f"covered: {d.l} forest(s) + {d.bounded} part(s) "
+        f"with max degree <= {certs._num(degree_bound(G.n))}"), "no bounded cover ({}):"),
+}
+
+
 # Each runner returns its result, the payload of a success (None for a
 # condition report, which ``_run`` encodes) and its summary.
 
-def _run_decompose(G: Multigraph, args) -> tuple[object, dict | None, str]:
-    k, l = args.k, args.l
-    result = decompose(G, k, l)
+def _run_split(G: Multigraph, args) -> tuple[object, dict | None, str]:
+    produce, summary, failure = _SPLITS[args.cmd]
+    result = produce(G, args.k, args.l)
     if isinstance(result, Decomposition):
-        return result, certs.decomposition_payload(result), (
-            f"decomposable: {k} sparse class(es) + {l} forest(s)")
-    return result, None, f"not decomposable ({result.condition}):"
-
-
-def _run_pack(G: Multigraph, args) -> tuple[object, dict | None, str]:
-    k, l = args.k, args.l
-    result = pack_rigid_and_trees(G, k, l)
-    if isinstance(result, Decomposition):
-        return result, certs.packing_payload(result), (
-            f"packed: {k} spanning rigid subgraph(s) + {l} spanning tree(s)")
-    return result, None, "no packing:"
+        return result, certs.decomposition_payload(result), summary(G, result)
+    return result, None, failure.format(result.condition)
 
 
 def _run_check(G: Multigraph, args) -> tuple[object, dict | None, str]:
@@ -68,22 +71,7 @@ def _run_gamma(G: Multigraph, args) -> tuple[object, dict | None, str]:
     return result, payload, f"{args.which} = {payload['value']} at X={sorted(result.argmax)}"
 
 
-def _run_ndt(G: Multigraph, args) -> tuple[object, dict | None, str]:
-    result = ndt_decompose(G, args.k, args.l)
-    if isinstance(result, Decomposition):
-        payload = certs.bounded_cover_payload(result, G.n)
-        return result, payload, (f"covered: {result.l} forest(s) + {result.bounded} part(s) "
-                                 f"with max degree <= {payload['degree_bound']}")
-    return result, None, f"no bounded cover ({result.condition}):"
-
-
-_RUNNERS = {
-    "decompose": _run_decompose,
-    "pack": _run_pack,
-    "check": _run_check,
-    "gamma": _run_gamma,
-    "ndt": _run_ndt,
-}
+_RUNNERS = {**dict.fromkeys(_SPLITS, _run_split), "check": _run_check, "gamma": _run_gamma}
 
 
 def _command_parameters(command: str, args) -> dict:

@@ -118,24 +118,13 @@ def check_vertex_subset(G: Multigraph, X: Iterable[int]) -> frozenset:
 
 
 def check_edge_subset(G: Multigraph, F: Iterable[int]) -> list[int]:
-    ids = sorted(set(F))
-    for e in ids:
+    """F's distinct edge ids, ascending.  The ids are checked in F's order
+    before any is compared, so the first bad one is refused."""
+    F = tuple(F)
+    for e in F:
         if not (type(e) is int and 0 <= e < G.m):
             raise GraphInputError(f"edge id {e!r} out of range 0..{G.m - 1}")
-    return ids
-
-
-def edge_parts_error(G: Multigraph, parts: Iterable[Iterable[int]]) -> str | None:
-    """Why ``parts`` are not disjoint sets of G's edge ids, or None."""
-    seen: set[int] = set()
-    for part in parts:
-        for e in part:
-            if not (type(e) is int and 0 <= e < G.m):
-                return f"invalid edge id {e!r}"
-            if e in seen:
-                return f"edge {e} appears in two parts"
-            seen.add(e)
-    return None
+    return sorted(set(F))
 
 
 class Partition(_Record):

@@ -21,6 +21,11 @@ from .multigraph import Multigraph
 from .union import Decomposition, _check_split, union_rank
 
 
+def packing_size(G: Multigraph, k: int, l: int) -> int:
+    """The edges of k spanning rigid subgraphs and l spanning trees."""
+    return k * (2 * G.n - 3) + l * (G.n - 1)
+
+
 def _check_pack(G: Multigraph, k: int, l: int) -> None:
     """The rule on ``pack``'s parameters: a split, on at least two vertices."""
     _check_split(k, l)
@@ -41,7 +46,7 @@ def pack_rigid_and_trees(G: Multigraph, k: int, l: int) -> Decomposition | Condi
         if not report.holds:
             return report
     ur = union_rank(G, k, l)
-    if ur.rank == k * (2 * G.n - 3) + l * (G.n - 1):
+    if ur.rank == packing_size(G, k, l):
         return ur.decomposition
     if k == 0:
         raise RuntimeError("tree packing failed but every partition satisfies the bound")

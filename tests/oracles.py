@@ -13,7 +13,7 @@ library's bitmask kernel must match.  ``certified`` is no oracle: it reads
 what a library report's certificate states into the references' form,
 ``claim_verdict`` only hands a forged claim to the verifier, and
 ``packing_verdict`` and ``cover_verdict`` hand it a packing or a cover as
-the payload its command writes.
+a ``pack`` or an ``ndt`` claim.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from rigidpack import (
 )
 from rigidpack.certificates import (
     SCHEMA,
-    bounded_cover_payload,
     certificate_hash,
+    decomposition_payload,
     graph_hash,
-    packing_payload,
     report_payload,
     verify_certificate,
 )
@@ -789,14 +788,14 @@ def claim_verdict(G: Multigraph, command: str, parameters: dict, payload: dict):
 def packing_verdict(G: Multigraph, dec: Decomposition):
     """``verify_certificate``'s verdict on dec as the payload of a ``pack``
     certificate."""
-    return claim_verdict(G, "pack", {"k": dec.k, "l": dec.l}, packing_payload(dec))
+    return claim_verdict(G, "pack", {"k": dec.k, "l": dec.l}, decomposition_payload(dec))
 
 
 def cover_verdict(G: Multigraph, dec: Decomposition):
     """``verify_certificate``'s verdict on dec as the payload of an ``ndt``
     certificate, whose k gives 2k + 2 - l bounded classes."""
     k = (dec.l + dec.bounded) // 2 - 1
-    return claim_verdict(G, "ndt", {"k": k, "l": dec.l}, bounded_cover_payload(dec, G.n))
+    return claim_verdict(G, "ndt", {"k": k, "l": dec.l}, decomposition_payload(dec))
 
 
 def check_cover_condition_reference(G: Multigraph, k: int) -> ReferenceReport:

@@ -19,13 +19,20 @@ import tempfile
 from pathlib import Path
 
 import rigidpack
-from rigidpack import cli, format_graph, random_multigraph
-from rigidpack.certificates import canonical_json, graph_hash, verify_certificate
+from rigidpack import (
+    cli,
+    decompose,
+    format_graph,
+    ndt_decompose,
+    pack_rigid_and_trees,
+    random_multigraph,
+)
+from rigidpack.certificates import _PAYLOADS, canonical_json, graph_hash, verify_certificate
 
 from oracles import connected_def
 from test_certificates import cli_certificates
 
-PINNED_DIGEST = "d6e166919c89cf7c31f22f85008fcfa823b9bde372359b2cca91a43c1017973c"
+PINNED_DIGEST = "5ace272dd8ee60596542e99142f8410ccd301a026ea65f7cc2273b035158367b"
 
 REQUESTS = (
     ("decompose", 2, 0),
@@ -122,8 +129,7 @@ def test_union_certificates_verify_without_the_union(monkeypatch):
     certs = [(G, cert) for *_, G, cert in cli_certificates()]
     certs += [(G, cert) for _, G, *_, cert in _pool_runs() if cert is not None]
     checked = [(G, c) for G, c in certs if c["command"] in ("decompose", "pack", "ndt")]
-    assert {c["payload"]["kind"] for _, c in checked} == {
-        "decomposition", "packing", "bounded-cover", "report"}
+    assert {c["payload"]["kind"] for _, c in checked} == {"decomposition", "report"}
     assert {"union-cover", "packing"} <= {c["payload"].get("condition") for _, c in checked}
 
     def union_rank(*args):
@@ -136,10 +142,27 @@ def test_union_certificates_verify_without_the_union(monkeypatch):
         assert verify_certificate(cert, G) == (True, None), cert["payload"]
 
 
+def test_split_certificates_decode_to_the_producers_decomposition():
+    # Every successful decompose, pack and ndt certificate, of the pool and
+    # of the CLI cases, carries one decomposition payload, and the split
+    # the verifier decodes from it is the producer's, colour for colour.
+    producers = {"decompose": decompose, "pack": pack_rigid_and_trees, "ndt": ndt_decompose}
+    certs = [(G, cert) for *_, G, cert in cli_certificates()]
+    certs += [(G, cert) for _, G, *_, cert in _pool_runs() if cert is not None]
+    splits = [(G, c) for G, c in certs
+              if c["command"] in producers and c["payload"]["kind"] != "report"]
+    assert {c["command"] for _, c in splits} == set(producers)
+    _, verify, _ = _PAYLOADS["decomposition"]
+    for G, cert in splits:
+        command, top = cert["command"], cert["parameters"]
+        (decoded,) = verify(G, command, top, cert["payload"])
+        assert decoded == producers[command](G, top["k"], top["l"]), cert
+
+
 # The check and gamma certificates, pinned the same way.  Every check
 # condition is asked once where it holds and once where it fails, on
 # small fixed and seeded graphs; tree-packing also at l = 0.
-CHECK_PINNED_DIGEST = "3162a454002ecea41048ce830aebbddc532917e7d30546d3645db3c20c35ca0d"
+CHECK_PINNED_DIGEST = "7f63e93efedf189758d12992aa24cca89551efd158c9312b3f142260badc2695"
 
 CHECK_REQUESTS = (
     ("check", "cover", "--k", "1"),

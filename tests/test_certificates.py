@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from datetime import datetime, timedelta, timezone
@@ -302,7 +304,7 @@ def _cases_cover_every_kind_and_condition():
         kinds.add(p["kind"])
         if p["kind"] == "report":
             reports.add((p["condition"], p["holds"], (p["witness"] or {}).get("kind")))
-    assert kinds == {"decomposition", "packing", "bounded-cover", "density", "report"}
+    assert kinds == {"decomposition", "density", "report"}
     assert {c for c, _, _ in reports} == {
         "cover", "tree-packing", "parthm", "necessary", "pq-connected",
         "bracket-partition", "kwz", "sparse-cover", "forest-cover", "union-cover",
@@ -425,6 +427,30 @@ def test_top_level_claim_is_bound_to_the_payload():
     assert not verify_certificate(cert, G)[0]
 
 
+def test_an_edge_id_refusal_does_not_depend_on_the_hash_seed(tmp_path):
+    # A string among a witness's edge ids is refused as that id, under any
+    # string hash seed: the ids are checked in the order written before
+    # any two are compared.  Sorting the set {3, "50", 5} first compares a
+    # str with an int under seed 0, and an int with a str under seed 1.
+    G, cert = _cert("dtri: decompose --k 1 --l 1")
+    assert cert["payload"]["witness"]["kind"] == "edge-set"
+    bad = _rehashed(cert, ("payload", "witness", "edges"), [3, "50", 5])
+    gfile, cfile = tmp_path / "g.txt", tmp_path / "c.json"
+    gfile.write_text(format_graph(G))
+    write_certificate(cfile, bad)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    outputs = set()
+    for seed in ("0", "1"):
+        run = subprocess.run(
+            [sys.executable, "-m", "rigidpack.cli", "verify", str(cfile), str(gfile)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root},
+            capture_output=True, text=True)
+        assert run.returncode == 1, run.stderr
+        outputs.add(run.stdout)
+    assert outputs == {"certificate verification FAILED: malformed certificate: "
+                       "edge id '50' out of range 0..5\n"}
+
+
 def test_kwz_d_compares_as_a_fraction():
     G, cert = _cert("k4: check kwz --k 1 --d 2")
     assert cert["parameters"]["d"] == 2 and cert["payload"]["parameters"]["d"] == "2"
@@ -452,13 +478,13 @@ def test_read_number_refuses_every_other_form(bad):
 
 @pytest.mark.parametrize("case, paths", [
     ("k4: check kwz --k 1 --d 2", (("parameters", "d"), ("payload", "parameters", "d"))),
-    ("k4: ndt --k 1 --l 2", (("payload", "degree_bound"),)),
+    ("k4: ndt --k 1 --l 2", (("payload", "bounded"),)),
     ("k4: gamma gamma", (("payload", "value"),)),
 ])
 def test_an_exponent_costs_the_verifier_nothing(case, paths):
     # Fraction("1e10000000") alone takes seconds; the forms written are
-    # read without it.  The verifier reads no degree bound: the encoder
-    # writes the graph's, and the forged one is not it.
+    # read without it.  The verifier reads no class count: the command
+    # fixes it, and the forged one is not what the encoder writes.
     G, bad = _cert(case)
     for path in paths:
         bad = _rehashed(bad, path, "1e10000000")
@@ -614,22 +640,22 @@ def test_a_forest_plus_bounded_failure_is_verified_with_one_sparsity_game(monkey
 
 
 def test_full_forest_bounded_cover_still_verifies():
-    # A certificate in the shape of the earlier backtracking search, which
-    # put every edge it could into the forest: all of path(6) in the forest
-    # and an empty bounded part.  The producer now writes the opposite
-    # split, but this one is just as valid.
+    # The split of the earlier backtracking search, which put every edge it
+    # could into the forest: all of path(6) in the forest and an empty
+    # bounded part.  The producer now writes the opposite split, but this
+    # one is just as valid.
+    G = corpus.path(6)
     cert = {
-        "cert_hash": "3f04ae52a28090493dcaede6421dda3ade319819997719aca1d69ed7c4662366",
         "command": "ndt",
-        "created": "2026-10-18T09:44:05.463707+00:00",
-        "graph_hash": "af5d122d6b87e1e2689d2da7daee968ba55e609551d6e3de49e9f07974afed06",
+        "graph_hash": graph_hash(G),
         "parameters": {"k": 0, "l": 1},
-        "payload": {"bounded_parts": [[]], "degree_bound": "7/3",
-                    "forests": [[0, 1, 2, 3, 4]], "kind": "bounded-cover"},
-        "schema": "rigidpack-cert/2",
+        "payload": {"assignment": [1, 1, 1, 1, 1], "bounded": 1, "complete": True, "k": 0,
+                    "kind": "decomposition", "l": 1, "rank": 5},
+        "schema": certificates.SCHEMA,
         "verified": True,
     }
-    assert verify_certificate(cert, corpus.path(6)) == (True, None)
+    cert["cert_hash"] = certificate_hash(cert)
+    assert verify_certificate(cert, G) == (True, None)
 
 
 # K6 packs one spanning rigid subgraph and one spanning tree; the 8-vertex
@@ -638,20 +664,29 @@ _K6 = Multigraph(6, tuple(itertools.combinations(range(6), 2)))
 _FAN8 = Multigraph(8, tuple((0, i) for i in range(1, 8)) + tuple((i, i + 1) for i in range(1, 7)))
 
 
-@pytest.mark.parametrize("G, argv, field, edit", [
-    pytest.param(_K6, "pack --k 1 --l 1", "rigid_parts", lambda p: p[::-1], id="reversed"),
-    pytest.param(_K6, "pack --k 1 --l 1", "tree_parts", lambda p: p + p[:1], id="repeated"),
-    pytest.param(_FAN8, "ndt --k 0 --l 1", "forests", lambda p: p[::-1], id="reversed-forest"),
+def _swap_colours(assignment):
+    return [{1: 2, 2: 1}.get(c, c) for c in assignment]
+
+
+@pytest.mark.parametrize("G, argv, edit, reason", [
+    pytest.param(_K6, "pack --k 1 --l 1", _swap_colours, "class 2 is not a forest",
+                 id="reversed"),
+    pytest.param(_K6, "pack --k 1 --l 1", lambda a: a + a[:1],
+                 "assignment length does not match edge count", id="repeated"),
+    pytest.param(_FAN8, "ndt --k 0 --l 1", _swap_colours, "class 1 is not a forest",
+                 id="reversed-forest"),
 ])
-def test_part_lists_must_be_canonical(tmp_path, capsys, G, argv, field, edit):
-    # The same edge set written out of order or with a repeat, and rehashed,
-    # is refused: a part list has one encoding, the one its encoder writes.
+def test_part_lists_must_be_canonical(tmp_path, capsys, G, argv, edit, reason):
+    # The assignment lists each edge's class, in edge id order, and the
+    # command fixes which colours are sparse classes, forests and bounded
+    # parts.  A certificate with the classes in reverse order, or with an
+    # edge listed twice, is refused once rehashed.
     gfile, cfile = tmp_path / "g.txt", tmp_path / "c.json"
     gfile.write_text(format_graph(G))
     assert cli.main(argv.split() + [str(gfile), "--out", str(cfile)]) == 0
     cert = load_certificate(cfile)
-    bad = _rehashed(cert, ("payload", field, 0), edit(cert["payload"][field][0]))
-    assert verify_certificate(bad, G) == (False, "payload is not the encoding of its claim")
+    bad = _rehashed(cert, ("payload", "assignment"), edit(cert["payload"]["assignment"]))
+    assert verify_certificate(bad, G) == (False, reason)
     write_certificate(cfile, bad)
     capsys.readouterr()
     assert cli.main(["verify", str(cfile), str(gfile)]) == 1
@@ -667,20 +702,21 @@ def test_every_payload_is_its_encoders_output():
         assert canonical_json(encode(*decoded)) == canonical_json(payload), case
 
 
-@pytest.mark.parametrize("case, field", [
-    ("k4: pack --k 0 --l 2", "rigid_parts"),
-    ("dtri: pack --k 2 --l 0", "tree_parts"),
-    ("tri: ndt --k 0 --l 2", "bounded_parts"),
-    ("e3: decompose --k 1", "assignment"),
+@pytest.mark.parametrize("case, reason", [
+    ("k4: pack --k 0 --l 2", "assignment length does not match edge count"),
+    ("dtri: pack --k 2 --l 0", "assignment length does not match edge count"),
+    ("tri: ndt --k 0 --l 2", "assignment length does not match edge count"),
+    ("e3: decompose --k 1", "payload is not the encoding of its claim"),
 ])
 @pytest.mark.parametrize("value", [{}, ""], ids=["object", "string"])
-def test_an_empty_list_is_not_an_empty_object_or_string(case, field, value):
-    # Both iterate as no parts and no colours, but neither is what the
-    # encoder writes.
+def test_an_empty_list_is_not_an_empty_object_or_string(case, reason, value):
+    # Both iterate as no colours.  An assignment of no edges is refused
+    # where the graph has edges, and on the edgeless graph it is not what
+    # the encoder writes.
     G, cert = _cert(case)
-    assert cert["payload"][field] == []
-    bad = _rehashed(cert, ("payload", field), value)
-    assert verify_certificate(bad, G) == (False, "payload is not the encoding of its claim")
+    assert (cert["payload"]["assignment"] == []) == (G.m == 0)
+    bad = _rehashed(cert, ("payload", "assignment"), value)
+    assert verify_certificate(bad, G) == (False, reason)
 
 
 @pytest.mark.parametrize("case, field", [
@@ -720,8 +756,8 @@ def _doubled_path(n):
 # Schema-1 certificates, each with a valid hash: a sparse-cover failure
 # witnessed by the uncovered edges of a maximum split, an unwitnessed
 # tree-packing failure, a cover failure with a free-text note, and two that
-# state the guardrails they were made under.  Schema 2 has none of these
-# forms, and keeps no second path to verify them.
+# state the guardrails they were made under.  Later schemas have none of
+# these forms, and keep no second path to verify them.
 SCHEMA_1_CERTIFICATES = (
     (_doubled_path(17),
      {"cert_hash": "e5df9fb433f1e8986a572f18315c82476f155d1ba5540fa6782e0445c4896c2c",
@@ -819,7 +855,7 @@ def test_forged_holding_scan_claim_is_refused_within_the_verifiers_guardrail(
     # under the full budget verify accepts it.
     G = Multigraph(13, tuple(itertools.combinations(range(13), 2)))
     cert = {
-        "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
+        "schema": certificates.SCHEMA, "command": "check", "graph_hash": graph_hash(G),
         "parameters": {"condition": "parthm", "k": 1, "l": 0}, "verified": True,
         "payload": {"kind": "report", "condition": "parthm", "holds": True,
                     "parameters": {"k": 1, "l": 0},
@@ -858,7 +894,7 @@ def test_holding_z_scan_past_the_budget_is_refused_by_check_and_verify(
     assert "partition walks are limited to 20000 steps (charged 20001)" in capsys.readouterr().err
     assert not cfile.exists()
     cert = {
-        "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
+        "schema": certificates.SCHEMA, "command": "check", "graph_hash": graph_hash(G),
         "parameters": {"condition": "bracket-partition", "p": 1, "q": 1}, "verified": True,
         "payload": {"kind": "report", "condition": "bracket-partition", "holds": True,
                     "parameters": {"p": 1, "q": 1},
@@ -886,7 +922,7 @@ def test_forged_holding_pq_claim_is_refused_within_the_verifiers_guardrail(
     for n, code in ((30, 0), (40, 1)):
         G = corpus.cycle(n)
         cert = {
-            "schema": "rigidpack-cert/2", "command": "check", "graph_hash": graph_hash(G),
+            "schema": certificates.SCHEMA, "command": "check", "graph_hash": graph_hash(G),
             "parameters": {"condition": "pq-connected", "p": 2, "q": 1}, "verified": True,
             "payload": {"kind": "report", "condition": "pq-connected", "holds": True,
                         "parameters": {"p": 2, "q": 1},
@@ -910,15 +946,15 @@ def test_pack_certificate_on_one_vertex_is_refused():
     # vertices, and so does its certificate.
     G = Multigraph(1)
     cert = {
-        "schema": "rigidpack-cert/2", "command": "pack", "graph_hash": graph_hash(G),
+        "schema": certificates.SCHEMA, "command": "pack", "graph_hash": graph_hash(G),
         "parameters": {"k": 0, "l": 3}, "verified": True,
-        "payload": {"kind": "packing", "rigid_parts": [], "tree_parts": [[], [], []]},
+        "payload": {"kind": "decomposition", "k": 0, "l": 3, "bounded": 0, "rank": 0,
+                    "assignment": [], "complete": True},
     }
     cert["cert_hash"] = certificate_hash(cert)
     assert verify_certificate(cert, G) == (
         False, "malformed certificate: need at least two vertices")
-    cert["parameters"]["l"] = 0
-    cert["payload"]["tree_parts"] = []
+    cert["parameters"]["l"] = cert["payload"]["l"] = 0
     cert["cert_hash"] = certificate_hash(cert)
     assert verify_certificate(cert, G) == (
         False, "malformed certificate: need k >= 0, l >= 0, and k + l >= 1")
@@ -960,23 +996,22 @@ def test_density_certificate_round_trip():
     assert verify_certificate(unknown, G) == (False, "unknown density parameter 'gamma3'")
 
 
-# A density certificate written when the argmax was the first maximizer in
-# subset enumeration order; the pebble-game iteration now stops at {0, 1}.
+# A density certificate as written when the argmax was the first maximizer
+# in subset enumeration order; the pebble-game iteration now stops at {0, 1}.
 EARLIER_DENSITY = (
     Multigraph(5, ((0, 1), (0, 2), (0, 3), (1, 3), (2, 4), (3, 4))),
-    {"cert_hash": "63135dca99ae3093b60ea4bb85974df7ae4510a05b940283a063bf8f29b4bfa1",
-     "command": "gamma",
-     "created": "2026-10-18T16:19:27.238222+00:00",
+    {"command": "gamma",
      "graph_hash": "4ea4ec286d144a8412766d3fe6734dd36d9d755290a361ba27141248563a9b9f",
      "parameters": {"which": "gamma2"},
      "payload": {"argmax": [0, 1, 3], "kind": "density", "value": "1/1", "which": "gamma2"},
-     "schema": "rigidpack-cert/2",
+     "schema": certificates.SCHEMA,
      "verified": True},
 )
 
 
 def test_density_certificates_accept_any_maximizer():
     G, cert = EARLIER_DENSITY
+    cert = {**cert, "cert_hash": certificate_hash(cert)}
     assert gamma2(G).argmax == {0, 1}
     assert verify_certificate(cert, G) == (True, None)
     # Not a maximizer: {0, 1, 2} holds two edges, 2/3 < 1.

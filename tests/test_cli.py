@@ -68,8 +68,9 @@ def test_decompose_missing_input():
 def test_pack_trees_exit_codes(k4_file, tmp_path):
     out = tmp_path / "pack.json"
     assert main(["pack", str(k4_file), "--k", "0", "--l", "2", "--out", str(out)]) == 0
-    cert = json.loads(out.read_text())
-    assert len(cert["payload"]["tree_parts"]) == 2
+    payload = json.loads(out.read_text())["payload"]
+    assert (payload["kind"], payload["k"], payload["l"]) == ("decomposition", 0, 2)
+    assert sorted(set(payload["assignment"])) == [1, 2]  # two trees cover K4
 
     assert main(["pack", str(k4_file), "--k", "2", "--l", "0"]) == 1  # rank 6 < 10
 
@@ -155,9 +156,9 @@ def test_input_file_after_the_options(k4_file, triangle_file, tmp_path, capsys):
 def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
     out = tmp_path / "ndt.json"
     assert main(["ndt", str(k4_file), "--k", "1", "--l", "2", "--out", str(out)]) == 0
-    cert = json.loads(out.read_text())
-    assert cert["payload"]["kind"] == "bounded-cover"
-    assert len(cert["payload"]["forests"]) == 2
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["kind"] == "decomposition"
+    assert (payload["k"], payload["l"], payload["bounded"]) == (0, 2, 2)
 
     assert main(["ndt", str(k4_file), "--k", "0", "--l", "1"]) == 1  # gamma2 > 1
 
@@ -170,9 +171,9 @@ def test_ndt_exit_codes(k4_file, triangle_file, tmp_path):
 
 def test_ndt_refuses_more_sparse_classes_than_edges(tmp_path, capsys):
     # Every sparse class past the m-th is empty, so k > m is an input
-    # error: at k = 10^9 on five edges ndt answers at once, with no part
-    # lists.  A certificate that states k > m is refused too, although
-    # its extra parts, all empty, would cover and bound nothing wrong.
+    # error: at k = 10^9 on five edges ndt answers at once, with no
+    # colouring.  A certificate that states k > m is refused too, although
+    # its extra classes, all empty, would cover and bound nothing wrong.
     gfile, out = tmp_path / "g.txt", tmp_path / "ndt.json"
     gfile.write_text("4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n")
     start = time.perf_counter()
@@ -182,8 +183,7 @@ def test_ndt_refuses_more_sparse_classes_than_edges(tmp_path, capsys):
     assert main(["ndt", str(gfile), "--k", "5", "--l", "6", "--out", str(out)]) == 0
     cert = json.loads(out.read_text())
     cert["parameters"] = {"k": 6, "l": 7}
-    cert["payload"]["forests"].append([])
-    cert["payload"]["bounded_parts"].append([])
+    cert["payload"]["l"] = cert["payload"]["bounded"] = 7
     cert["cert_hash"] = certificate_hash(cert)
     out.write_text(json.dumps(cert))
     capsys.readouterr()
@@ -361,18 +361,18 @@ def test_verify_rejects_arithmetic_garbage_cleanly(k4_file, triangle_file, tmp_p
     def set_d(value):
         return lambda cert: cert["payload"]["parameters"].__setitem__("d", value)
 
-    def set_bound(cert):
-        cert["payload"]["degree_bound"] = "1/0"
+    def set_bounded(cert):
+        cert["payload"]["bounded"] = "1/0"
 
     cases = []
     for graph, code in ((triangle_file, 0), (k4_file, 1)):  # kwz holds, then fails
         out = tmp_path / f"kwz{code}.json"
         assert main(["check", "kwz", str(graph), "--k", "1", "--d", "2", "--out", str(out)]) == code
         cases += [(out, graph, set_d(x), "malformed certificate") for x in ("1/0", float("inf"))]
-    # The verifier reads no degree bound: the encoder writes the graph's.
+    # The verifier reads no class count: the command fixes it.
     out = tmp_path / "ndt.json"
     assert main(["ndt", str(k4_file), "--k", "1", "--l", "2", "--out", str(out)]) == 0
-    cases.append((out, k4_file, set_bound, "payload is not the encoding of its claim"))
+    cases.append((out, k4_file, set_bounded, "payload is not the encoding of its claim"))
     for out, graph, edit, reason in cases:
         bad = _rehashed_file(out, edit, tmp_path)
         capsys.readouterr()
@@ -403,7 +403,7 @@ def test_ndt_on_a_long_edge_list(tmp_path):
     gfile.write_text(format_graph(Multigraph(n, tuple(edges))))
     out = tmp_path / "ndt.json"
     assert main(["ndt", str(gfile), "--k", "0", "--l", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["payload"]["kind"] == "bounded-cover"
+    assert json.loads(out.read_text())["payload"]["kind"] == "decomposition"
     assert main(["verify", str(out), str(gfile)]) == 0
 
 

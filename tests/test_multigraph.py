@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from rigidpack import (
+    Decomposition,
     GraphInputError,
     Multigraph,
     Partition,
@@ -251,25 +252,24 @@ def test_parse_errors_carry_line_info(bad, fragment):
 
 
 def test_edge_parts_error_is_the_one_disjointness_check_of_both_verifiers():
-    from rigidpack.multigraph import edge_parts_error
-
+    # A split states one colour per edge, so no edge lies in two classes and
+    # no edge id is written.  A forged pack or ndt assignment is refused by
+    # verify_decomposition's length and colour checks, or by the number of
+    # edges its command's split covers.
     G = corpus.triangle()
-    assert edge_parts_error(G, [(0,), (1, 2)]) is None
-    assert edge_parts_error(G, [(0, 3)]) == "invalid edge id 3"
-    assert edge_parts_error(G, [(True,)]) == "invalid edge id True"
-    assert edge_parts_error(G, [(0, 1), (2, 1)]) == "edge 1 appears in two parts"
 
-    def pack(k, l, rigid, trees):
-        return oracles.claim_verdict(G, "pack", {"k": k, "l": l}, {
-            "kind": "packing", "rigid_parts": rigid, "tree_parts": trees})
+    def pack(l, colours):  # l spanning trees
+        return oracles.packing_verdict(G, Decomposition(0, l, tuple(colours)))
 
-    def cover(forests, bounded):
-        return oracles.claim_verdict(G, "ndt", {"k": 0, "l": 1}, {
-            "kind": "bounded-cover", "degree_bound": "1/3", "forests": forests,
-            "bounded_parts": bounded})
+    def cover(colours):  # ndt --k 0 --l 1: a forest and a bounded class
+        return oracles.cover_verdict(G, Decomposition(0, 1, tuple(colours), 1))
 
-    assert pack(0, 2, [], [[0, 1], [1, 2]]) == (False, "edge 1 appears in two parts")
-    assert pack(1, 0, [[0, -1, 2]], []) == (False, "invalid edge id -1")
-    assert cover([[0, 1]], [[1, 2]]) == (False, "edge 1 appears in two parts")
-    assert cover([[0, 5]], [[]]) == (False, "invalid edge id 5")
-    assert cover([[0, 1]], [[]]) == (False, "parts do not cover every edge")
+    assert pack(1, [1, 1, 0]) == (True, None)
+    assert pack(1, [1, 0]) == (False, "assignment length does not match edge count")
+    assert pack(1, [1, -1, 1]) == (False, "assignment uses an out-of-range colour")
+    assert pack(1, [1, True, 0]) == (False, "assignment uses an out-of-range colour")
+    assert pack(1, [1, 0, 0]) == (False, "the split covers 1 edges, expected 2")
+    assert cover([1, 1, 3]) == (False, "assignment uses an out-of-range colour")
+    assert cover([1, 1, 0]) == (False, "the split covers 2 edges, expected 3")
+    assert cover([1, 1, 1]) == (False, "class 1 is not a forest")
+    assert cover([1, 1, 2]) == (False, "class 2 exceeds max degree 0")

